@@ -60,13 +60,13 @@ func main() {
 	list := flag.Bool("list", false, "list benchmarks and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	checkFlag := flag.Bool("check", false, "run the microarchitectural invariant checker (single-stepped)")
+	checkFlag := flag.Bool("check", false, "run the microarchitectural invariant checker (ROB order, store queue, L1/L2 inclusion)")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget for the run (0 = none), e.g. 2m")
 	faultSeed := flag.Int64("faults", 0, "seed for the deterministic latency-jitter fault campaign (0 = off)")
 	benchOut := flag.String("bench-out", "", "measure simulator throughput (Table 4 kernels + full sweep) and append a row to this BENCH_sim.json file")
 	benchLabel := flag.String("bench-label", "dev", "label recorded in the -bench-out row")
 	benchScale := flag.String("bench-scale", "test", "input scale for -bench-out measurements")
-	benchCheck := flag.Bool("bench-check", false, "with -bench-out: fail if cycles/sec regressed >20% vs the last committed row")
+	benchCheck := flag.Bool("bench-check", false, "with -bench-out: fail if calibrated cycles/sec (mcps × calib_ms) regressed >20% vs the last committed calibrated row")
 	ckptAt := flag.Uint64("ckpt-at", 0, "checkpoint the chip at the first quiescent boundary at or after this cycle (0 = off)")
 	ckptDir := flag.String("ckpt-dir", "ckpt", "directory for -ckpt-at checkpoint files")
 	resume := flag.String("resume", "", "resume from a checkpoint file written by -ckpt-at (bench/config/scale come from the file)")
@@ -279,11 +279,11 @@ func runSampled(cfg *sim.Config, b *workloads.Benchmark, scale workloads.Scale, 
 	}
 }
 
-// runBench measures simulator throughput on the Table 4 kernels (default
-// engine vs pinned single-stepping, plus the sequential full-sweep wall
-// clock) and appends the row to the BENCH_sim.json trajectory. With check
-// set, a >20% speedup regression against the last committed row is fatal —
-// the CI bench-smoke job runs exactly this.
+// runBench measures simulator throughput on the Table 4 kernels (plus the
+// sequential full-sweep wall clock and the host's calibration loop) and
+// appends the row to the BENCH_sim.json trajectory. With check set, a >20%
+// drop in any kernel's calibrated throughput against the committed rows is
+// fatal — the CI bench-smoke job runs exactly this.
 func runBench(path, label, scaleFlag string, check bool) {
 	scale, err := workloads.ParseScale(scaleFlag)
 	fatalIf(err)
@@ -292,7 +292,6 @@ func runBench(path, label, scaleFlag string, check bool) {
 	row, err := bench.Run(bench.Options{
 		Label:    label,
 		Scale:    scale,
-		Engine:   sim.EngineName(),
 		Progress: func(s string) { fmt.Println(s) },
 	})
 	fatalIf(err)

@@ -62,7 +62,7 @@ func main() {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "max simulations to run concurrently (1 = sequential)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	checkFlag := flag.Bool("check", false, "run every cell under the invariant checker (single-stepped, slower)")
+	checkFlag := flag.Bool("check", false, "run every cell under the invariant checker (ROB order, store queue, L1/L2 inclusion)")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget per cell (0 = none), e.g. 90s")
 	faultSeed := flag.Int64("faults", 0, "seed for the stall-storm fault campaign (0 = off)")
 	watchdog := flag.Uint64("watchdog", 0, "cycles without retirement before a cell is declared wedged (0 = default)")

@@ -14,6 +14,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"math"
 
 	"repro/internal/isa"
@@ -71,7 +72,11 @@ func main() {
 		b.Halt()
 	}
 
-	st, m := sim.Run(sim.T(), kernel)
+	out, err := sim.Execute(sim.RunSpec{Config: sim.T(), Kernel: kernel})
+	if err != nil {
+		log.Fatal(err)
+	}
+	st, m := out.Stats, out.Machine
 
 	// Verify against the scalar meaning of the source line.
 	cBase := uint64(1<<20) + 2*((n*8+63)&^63)

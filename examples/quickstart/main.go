@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"math"
 
 	"repro/internal/isa"
@@ -49,7 +50,11 @@ func main() {
 	}
 
 	cfg := sim.T() // the Tarantula configuration of Table 3
-	st, m := sim.Run(cfg, kernel)
+	out, err := sim.Execute(sim.RunSpec{Config: cfg, Kernel: kernel})
+	if err != nil {
+		log.Fatal(err)
+	}
+	st, m := out.Stats, out.Machine
 
 	// The functional machine computed the actual values.
 	yBase := uint64(1<<20) + uint64(n)*8 // second allocation

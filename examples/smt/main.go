@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"repro/internal/isa"
 	"repro/internal/sim"
@@ -45,14 +46,20 @@ func gatherThread(b *vasm.Builder) {
 }
 
 func main() {
-	cfg := sim.T()
+	run := func(spec sim.RunSpec) *sim.Outcome {
+		spec.Config = sim.T()
+		out, err := sim.Execute(spec)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return out
+	}
+	flop := func(b *vasm.Builder) { b.Li(isa.R(2), (1<<18)-8); flopThread(b) }
+	gather := func(b *vasm.Builder) { b.Li(isa.R(2), (1<<18)-8); gatherThread(b) }
 
-	s1, _ := sim.Run(cfg, func(b *vasm.Builder) { b.Li(isa.R(2), (1<<18)-8); flopThread(b) })
-	s2, _ := sim.Run(cfg, func(b *vasm.Builder) { b.Li(isa.R(2), (1<<18)-8); gatherThread(b) })
-	smt, _ := sim.RunSMT(cfg, []vasm.Kernel{
-		func(b *vasm.Builder) { b.Li(isa.R(2), (1<<18)-8); flopThread(b) },
-		func(b *vasm.Builder) { b.Li(isa.R(2), (1<<18)-8); gatherThread(b) },
-	})
+	s1 := run(sim.RunSpec{Kernel: flop}).Stats
+	s2 := run(sim.RunSpec{Kernel: gather}).Stats
+	smt := run(sim.RunSpec{Kernels: []vasm.Kernel{flop, gather}}).Stats
 
 	serial := s1.Cycles + s2.Cycles
 	fmt.Printf("flop thread alone:    %8d cycles\n", s1.Cycles)

@@ -4,14 +4,12 @@
 // in results/BENCH_sim.json, so the repository carries its own performance
 // trajectory and CI can fail a change that regresses it.
 //
-// Every kernel is measured twice: once on the default engine and once with
-// the chip pinned to the legacy single-stepping loop. The single-step
-// number is the stable reference that makes rows comparable across hosts —
-// CI machines differ in absolute speed, but the engine-over-single-step
-// ratio is a property of the code, so the regression gate compares ratios,
-// not raw cycles/sec. The double run doubles as a production bit-identity
-// smoke test: both engines must report exactly the same simulated cycle
-// count or the row is refused.
+// Hosts differ in absolute speed, so every row also records calib_ms: the
+// time a fixed integer loop takes on the measuring host. A kernel's mcps ×
+// calib_ms — simulated megacycles per calibration loop's worth of host time
+// — is what the regression gate compares across rows, so a slower host does
+// not read as a slower simulator, while a slowdown in any layer of the chip
+// loop still does.
 package bench
 
 import (
@@ -19,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"time"
 
 	"repro/internal/sim"
@@ -42,33 +41,29 @@ type KernelResult struct {
 	Name   string `json:"name"`
 	Config string `json:"config"`
 	Scale  string `json:"scale"`
-	// Cycles is the simulated cycle count — identical for both engines by
-	// the bit-identity contract, which Run enforces.
+	// Cycles is the simulated cycle count.
 	Cycles uint64 `json:"cycles"`
-	// Default engine: wall seconds and simulated cycles per wall second.
+	// Best chip-loop wall seconds and simulated cycles per wall second.
 	WallS float64 `json:"wall_s"`
 	CPS   float64 `json:"cycles_per_sec"`
 	MCPS  float64 `json:"mcps"`
-	// Legacy single-stepping loop, the cross-host reference.
-	SingleStepWallS float64 `json:"single_step_wall_s"`
-	SingleStepCPS   float64 `json:"single_step_cycles_per_sec"`
-	// Speedup = CPS / SingleStepCPS, the host-independent figure of merit.
-	Speedup float64 `json:"speedup"`
 }
 
 // Row is one benchmark session: a labelled set of kernel measurements plus
 // the full-sweep wall clock, stamped with the host environment.
 type Row struct {
-	Label      string         `json:"label"`
-	When       string         `json:"when"`
-	Host       string         `json:"host"`
-	GoVersion  string         `json:"go_version"`
-	GOMAXPROCS int            `json:"gomaxprocs"`
-	NumCPU     int            `json:"num_cpu"`
-	Engine     string         `json:"engine"`
-	Kernels    []KernelResult `json:"kernels"`
+	Label      string `json:"label"`
+	When       string `json:"when"`
+	Host       string `json:"host"`
+	GoVersion  string `json:"go_version"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	// CalibMs is the host's calibration-loop time (see calibrate), absent
+	// in rows from builds that predate it.
+	CalibMs float64        `json:"calib_ms,omitempty"`
+	Kernels []KernelResult `json:"kernels"`
 	// SweepWallS is the wall clock of the tartables -all -scale <scale>
-	// equivalent (sequential, default engine), the headline ROADMAP number.
+	// equivalent (sequential), the headline ROADMAP number.
 	SweepWallS float64 `json:"sweep_wall_s"`
 	SweepScale string  `json:"sweep_scale"`
 	// WarmupReuse is the checkpoint feature's payoff measurement (absent in
@@ -93,28 +88,29 @@ type WarmupReuse struct {
 	Speedup      float64 `json:"speedup"`
 }
 
-// File is the whole BENCH_sim.json document.
-type File struct {
-	Schema int   `json:"schema"`
-	Rows   []Row `json:"rows"`
+// document is the BENCH_sim.json layout over a row type: Row to read the
+// gate's baseline, json.RawMessage to append without dropping fields that
+// older rows recorded and this build no longer knows.
+type document[R any] struct {
+	Schema int `json:"schema"`
+	Rows   []R `json:"rows"`
 }
+
+// File is the whole BENCH_sim.json document.
+type File = document[Row]
 
 // Options configures a Run.
 type Options struct {
 	Label string
 	Scale workloads.Scale
-	// Engine names the default engine in the emitted row (informational).
-	Engine string
 	// SkipSweep omits the full-sweep wall-clock measurement (tests).
 	SkipSweep bool
 	// Progress, when non-nil, receives one line per measurement step.
 	Progress func(string)
 }
 
-// Run measures every kernel on both engines (and optionally the full sweep)
-// and returns the finished row. It fails if the two engines disagree on any
-// simulated cycle count — that is a bit-identity violation, and a throughput
-// number for a wrong simulation is worse than none.
+// Run measures every kernel (and optionally the full sweep) and returns the
+// finished row.
 func Run(opts Options) (*Row, error) {
 	host, _ := os.Hostname()
 	row := &Row{
@@ -124,8 +120,11 @@ func Run(opts Options) (*Row, error) {
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
-		Engine:     opts.Engine,
+		CalibMs:    calibrate(),
 		SweepScale: opts.Scale.String(),
+	}
+	if opts.Progress != nil {
+		opts.Progress(fmt.Sprintf("calibration loop: %.2f ms", row.CalibMs))
 	}
 	cfg := sim.T()
 	for _, name := range Kernels {
@@ -133,29 +132,19 @@ func Run(opts Options) (*Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		defCycles, defWall, err := timeKernel(b, cfg, opts.Scale, true)
+		cycles, wall, err := timeKernel(b, cfg, opts.Scale)
 		if err != nil {
-			return nil, fmt.Errorf("%s (default engine): %w", name, err)
-		}
-		ssCycles, ssWall, err := timeKernel(b, cfg, opts.Scale, false)
-		if err != nil {
-			return nil, fmt.Errorf("%s (single-step): %w", name, err)
-		}
-		if defCycles != ssCycles {
-			return nil, fmt.Errorf("%s: engines disagree on simulated time: default=%d cycles, single-step=%d cycles (bit-identity violation)",
-				name, defCycles, ssCycles)
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		kr := KernelResult{
 			Name: name, Config: cfg.Name, Scale: opts.Scale.String(),
-			Cycles: defCycles,
-			WallS:  defWall, CPS: float64(defCycles) / defWall, MCPS: float64(defCycles) / defWall / 1e6,
-			SingleStepWallS: ssWall, SingleStepCPS: float64(ssCycles) / ssWall,
+			Cycles: cycles,
+			WallS:  wall, CPS: float64(cycles) / wall, MCPS: float64(cycles) / wall / 1e6,
 		}
-		kr.Speedup = kr.CPS / kr.SingleStepCPS
 		row.Kernels = append(row.Kernels, kr)
 		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("%-16s %12d cycles  %8.2f Mcps  (single-step %8.2f Mcps, %.2fx)",
-				name, kr.Cycles, kr.MCPS, kr.SingleStepCPS/1e6, kr.Speedup))
+			opts.Progress(fmt.Sprintf("%-16s %12d cycles  %8.2f Mcps  (%.1f Mcycles per calibration loop)",
+				name, kr.Cycles, kr.MCPS, kr.MCPS*row.CalibMs))
 		}
 	}
 	if !opts.SkipSweep {
@@ -268,21 +257,15 @@ const kernelRepeats = 25
 // single-digit milliseconds, where one GC pause or a scheduler hiccup swings
 // a lone sample by tens of percent; accumulating a quarter second of real
 // measurement (still well under kernelRepeats at bench scale, where a single
-// run exceeds the floor on its own) makes the reported minimum — and the
-// engine-speedup ratio the CI gate compares — reproducible.
+// run exceeds the floor on its own) makes the reported minimum reproducible.
 const kernelMeasureFloor = 250 * time.Millisecond
 
 // timeKernel runs one kernel kernelRepeats times and returns (simulated
 // cycles, best wall seconds). The wall clock is the chip loop's own
 // (Result.WallNs), not the process wall: at test scale the kernels simulate
 // only a few thousand cycles, so trace construction and functional
-// verification would otherwise dominate and hide the engine entirely.
-// fastForward=false pins the legacy single-stepping chip loop via the
-// package-wide engine default (restored before returning).
-func timeKernel(b *workloads.Benchmark, cfg *sim.Config, s workloads.Scale, fastForward bool) (uint64, float64, error) {
-	saved := sim.FastForward
-	sim.FastForward = fastForward
-	defer func() { sim.FastForward = saved }()
+// verification would otherwise dominate and hide the chip loop entirely.
+func timeKernel(b *workloads.Benchmark, cfg *sim.Config, s workloads.Scale) (uint64, float64, error) {
 	var cycles uint64
 	best := 0.0
 	var accum time.Duration
@@ -343,72 +326,105 @@ func timeSweep(s workloads.Scale) (float64, error) {
 	return time.Since(t0).Seconds(), nil
 }
 
+// calibSink keeps the calibration loop's result live.
+var calibSink uint64
+
+// calibrate is the median time of five runs of a fixed integer loop, in ms:
+// the host-speed yardstick recorded in every row. It is the loop the
+// repository benchmark (tarbench) records for each run, so both report the
+// host in the same unit.
+func calibrate() float64 {
+	var times []float64
+	for i := 0; i < 5; i++ {
+		start := time.Now()
+		x := uint64(88172645463325252)
+		for j := 0; j < 10_000_000; j++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+		}
+		calibSink += x
+		times = append(times, float64(time.Since(start))/1e6)
+	}
+	sort.Float64s(times)
+	return times[len(times)/2]
+}
+
 // Load reads a BENCH_sim.json file. A missing file is an empty File, not an
 // error, so the first run bootstraps the baseline.
-func Load(path string) (*File, error) {
+func Load(path string) (*File, error) { return load[Row](path) }
+
+func load[R any](path string) (*document[R], error) {
+	d := &document[R]{Schema: Schema}
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return &File{Schema: Schema}, nil
+		return d, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
+	if err := json.Unmarshal(data, d); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if f.Schema != Schema {
-		return nil, fmt.Errorf("%s: schema %d, this binary writes schema %d", path, f.Schema, Schema)
+	if d.Schema != Schema {
+		return nil, fmt.Errorf("%s: schema %d, this binary writes schema %d", path, d.Schema, Schema)
 	}
-	return &f, nil
+	return d, nil
 }
 
 // Append adds row to the file at path (creating it if needed) and writes it
-// back, indented and newline-terminated.
+// back, indented and newline-terminated. Earlier rows are carried over
+// verbatim, fields this build no longer defines included.
 func Append(path string, row *Row) error {
-	f, err := Load(path)
+	d, err := load[json.RawMessage](path)
 	if err != nil {
 		return err
 	}
-	f.Schema = Schema
-	f.Rows = append(f.Rows, *row)
-	data, err := json.MarshalIndent(f, "", "  ")
+	raw, err := json.Marshal(row)
+	if err != nil {
+		return err
+	}
+	d.Rows = append(d.Rows, raw)
+	data, err := json.MarshalIndent(d, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// RegressionTolerance is the fraction of the committed speedup a fresh
+// RegressionTolerance is the fraction of the committed figure a fresh
 // measurement may lose before CheckRegression fails (the CI gate's ">20%
 // regression" threshold).
 const RegressionTolerance = 0.20
 
-// CheckRegression compares a fresh row against the last committed row,
-// kernel by kernel, on the host-independent speedup ratio (default engine
-// over single-step). It returns an error naming every kernel whose ratio
-// regressed by more than RegressionTolerance. An empty committed file passes
-// (bootstrap).
+// CheckRegression compares a fresh row against the committed file. Each
+// kernel's calibrated throughput (mcps × calib_ms) is compared with the last
+// committed row that recorded calib_ms; without such a row the kernels pass
+// (bootstrap). The warm-up reuse payoff is compared with the last committed
+// row. It returns an error naming every figure that regressed by more than
+// RegressionTolerance. An empty committed file passes.
 func CheckRegression(committed *File, fresh *Row) error {
 	if len(committed.Rows) == 0 {
 		return nil
 	}
-	base := committed.Rows[len(committed.Rows)-1]
-	ref := map[string]float64{}
-	for _, k := range base.Kernels {
-		ref[k.Name] = k.Speedup
-	}
 	var bad []string
-	for _, k := range fresh.Kernels {
-		want, ok := ref[k.Name]
-		if !ok || want <= 0 {
-			continue
+	if base := lastCalibrated(committed); base != nil && fresh.CalibMs > 0 {
+		ref := map[string]float64{}
+		for _, k := range base.Kernels {
+			ref[k.Name] = k.MCPS * base.CalibMs
 		}
-		if k.Speedup < (1-RegressionTolerance)*want {
-			bad = append(bad, fmt.Sprintf("%s: speedup %.2fx vs committed %.2fx (>%d%% regression)",
-				k.Name, k.Speedup, want, int(RegressionTolerance*100)))
+		for _, k := range fresh.Kernels {
+			want, ok := ref[k.Name]
+			if !ok || want <= 0 {
+				continue
+			}
+			if got := k.MCPS * fresh.CalibMs; got < (1-RegressionTolerance)*want {
+				bad = append(bad, fmt.Sprintf("%s: %.1f Mcycles per calibration loop vs %.1f in %q (>%d%% regression)",
+					k.Name, got, want, base.Label, int(RegressionTolerance*100)))
+			}
 		}
 	}
+	base := committed.Rows[len(committed.Rows)-1]
 	if fresh.WarmupReuse != nil {
 		wr := fresh.WarmupReuse
 		if wr.Speedup < 1 {
@@ -421,8 +437,17 @@ func CheckRegression(committed *File, fresh *Row) error {
 		}
 	}
 	if len(bad) > 0 {
-		return fmt.Errorf("cycles/sec regression vs committed baseline (%s):\n  %s",
-			base.Label, joinLines(bad))
+		return fmt.Errorf("simulator throughput regression vs the committed rows:\n  %s", joinLines(bad))
+	}
+	return nil
+}
+
+// lastCalibrated returns the last row of f that recorded calib_ms, or nil.
+func lastCalibrated(f *File) *Row {
+	for i := len(f.Rows) - 1; i >= 0; i-- {
+		if f.Rows[i].CalibMs > 0 {
+			return &f.Rows[i]
+		}
 	}
 	return nil
 }

@@ -3,9 +3,10 @@
 // prove it is also *right* while it runs. When enabled (sim.Config.Check /
 // tarsim -check), components validate structural invariants at every
 // retirement — ROB in-order retirement, store-queue forwarding consistency,
-// L1/L2 inclusion — and the run harness audits NextWake hint soundness by
-// single-stepping through would-be fast-forward jumps. The first violation
-// aborts the run with a bounded ring of the events that led up to it.
+// L1/L2 inclusion. The checker only observes: a checked run ticks the same
+// cycles and produces the same statistics as an unchecked one. The first
+// violation aborts the run with a bounded ring of the events that led up to
+// it.
 //
 // The checker is deliberately stateless about the machine: components own
 // their invariant logic and call Failf with the evidence; the checker owns
@@ -24,7 +25,7 @@ const ringSize = 64
 // Violation describes the first invariant failure observed in a run.
 type Violation struct {
 	// Invariant names the broken rule, e.g. "retire-order", "store-queue",
-	// "l1-inclusion", "nextwake".
+	// "l1-inclusion".
 	Invariant string
 	// Cycle is the simulated cycle at which the violation was detected.
 	Cycle uint64

@@ -96,19 +96,3 @@ func TestHashIsStableAcrossProcessDetails(t *testing.T) {
 		t.Fatal("digest not reproducible in-process")
 	}
 }
-
-// TestEngineKnobIsNotSemantic: PinSingleStep selects the chip-loop engine —
-// an observation/debugging knob, like the sampler — and the two engines are
-// bit-identical by contract, so pinning must not move the experiment's
-// content address (a cached wheel-engine result stays valid for a pinned
-// rerun and vice versa).
-func TestEngineKnobIsNotSemantic(t *testing.T) {
-	a, b := sim.T(), sim.T()
-	b.PinSingleStep()
-	if Config(a) != Config(b) {
-		t.Fatal("PinSingleStep changed the config hash")
-	}
-	if Key("dgemm", "bench", a) != Key("dgemm", "bench", b) {
-		t.Fatal("PinSingleStep changed the experiment key")
-	}
-}

@@ -61,12 +61,6 @@ type VectorUnit interface {
 	// Dispatch hands a renamed vector instruction to the Vbox; false means
 	// the Vbox queue is full this cycle.
 	Dispatch(cy uint64, u *pipe.UOp) bool
-	// CanDispatch reports whether Dispatch would currently accept u, without
-	// side effects. The fast-forward lookahead needs this to distinguish real
-	// Vbox backpressure (queue full, registers exhausted — cleared only by
-	// Vbox events) from the core's own per-cycle V-bus width limit, which
-	// clears on the very next cycle.
-	CanDispatch(u *pipe.UOp) bool
 	// MarkReady tells the Vbox the op's last operand arrived at cycle cy.
 	MarkReady(cy uint64, u *pipe.UOp)
 	// Tick advances the Vbox one cycle.
@@ -271,103 +265,6 @@ func (c *Core) Tick(cy uint64) {
 	c.issue(cy)
 	c.drainWriteBuffer(cy)
 	c.fetch(cy)
-}
-
-// NextWake returns the earliest cycle after now at which Tick can change any
-// core state, for the idle-cycle fast-forward. It must be conservative in
-// exactly one direction: returning a cycle EARLIER than the next state change
-// merely costs a wasted tick, while a later one would skip work. Whenever the
-// core can act on the very next cycle it returns now+1; when every in-flight
-// instruction is parked on a completion event it returns the next event (or
-// time-based unstall) cycle; ^uint64(0) means the core is fully drained.
-func (c *Core) NextWake(now uint64) uint64 {
-	// The write buffer drains one entry per cycle.
-	if len(c.writeBuf) > 0 {
-		return now + 1
-	}
-	// A completed ROB head retires next cycle.
-	for _, t := range c.threads {
-		if len(t.rob) > 0 && t.rob[0].State == pipe.StateDone {
-			return now + 1
-		}
-	}
-	// Ready ops migrate toward issue while the blocked list has room.
-	if c.ready.Len() > 0 && len(c.blocked) < 64 {
-		return now + 1
-	}
-	// Structurally blocked ops: a load parked on a full MSHR file wakes only
-	// when a fill event frees an entry, but anything else (per-cycle FU width,
-	// an L1 hit, store forwarding, an outstanding fill to attach to) can
-	// proceed on the next cycle. Loads are retried oldest-first, and a stuck
-	// load still consumes load-issue width on every retry, so younger blocked
-	// loads behind a full width's worth of stuck ones are frozen too.
-	loadWidth := c.cfg.LoadWidth
-	for _, u := range c.blocked {
-		info := u.Inst.Info()
-		if !info.IsLoad {
-			return now + 1 // FP/int/store: per-cycle or busy-until hazards
-		}
-		if loadWidth <= 0 {
-			break // width-starved behind stuck loads: frozen until a fill
-		}
-		if u.Inst.IsPrefetch() || len(c.mshr) < c.cfg.MSHRs {
-			return now + 1
-		}
-		addr := uint64(0)
-		if len(u.Eff.Addrs) > 0 {
-			addr = u.Eff.Addrs[0]
-		}
-		line := c.l1line(addr)
-		if _, pending := c.mshr[line]; pending {
-			return now + 1 // would attach to the outstanding fill
-		}
-		if c.l1.present(line) {
-			return now + 1 // L1 hit once it gets an issue slot
-		}
-		if st, ok := c.threads[u.Inst.Thread].storeByAddr[addr]; ok && st.Seq < u.Seq {
-			return now + 1 // store-to-load forwarding
-		}
-		loadWidth-- // MSHR-stuck: burns an issue slot every retry cycle
-	}
-	wake := c.wheel.Next()
-	// Front end: a fetchable thread makes progress every cycle; stalled
-	// threads contribute their unstall cycle when it is time-based.
-	for _, t := range c.threads {
-		if t.halted || t.trace == nil || t.pendingRedirect != nil {
-			continue // redirect resolves via the branch's completion event
-		}
-		if t.drainOp != nil {
-			if len(c.writeBuf) == 0 && c.wbInFlight == 0 {
-				return now + 1
-			}
-			continue // waiting on write drains (L2/Zbox events)
-		}
-		if t.fetchStallUntil > now {
-			if t.fetchStallUntil < wake {
-				wake = t.fetchStallUntil
-			}
-			continue
-		}
-		if len(t.rob) >= c.cfg.ROBSize/len(c.threads) {
-			continue // ROB full: unblocked by retire, i.e. a completion event
-		}
-		if t.nextFetch != nil {
-			// An op staged in nextFetch usually just saturated the per-cycle
-			// V-bus width — dispatch retries successfully next cycle. Only
-			// genuine Vbox backpressure (queue full, registers exhausted) is
-			// event-driven: slots free while the Vbox issues or completes,
-			// which its own NextWake (or a core completion event) covers.
-			if c.vu.CanDispatch(t.nextFetch) {
-				return now + 1
-			}
-			continue
-		}
-		return now + 1
-	}
-	if wake <= now {
-		wake = now + 1
-	}
-	return wake
 }
 
 // ---- retire ----

@@ -49,19 +49,6 @@ func (c *l1cache) probe(line uint64) bool {
 	return false
 }
 
-// present reports whether the line is cached WITHOUT touching LRU state —
-// for the idle-cycle fast-forward's lookahead, which must not perturb the
-// replacement order probe maintains.
-func (c *l1cache) present(line uint64) bool {
-	s := c.set(line)
-	for i := range s {
-		if s[i].valid && s[i].tag == line {
-			return true
-		}
-	}
-	return false
-}
-
 // markDirty marks a present line dirty (store hit).
 func (c *l1cache) markDirty(line uint64) {
 	s := c.set(line)

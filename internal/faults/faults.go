@@ -1,15 +1,14 @@
 // Package faults is the simulator's deterministic fault-injection harness.
 // It exists to prove a negative: that the timing model's safety nets — the
-// retirement watchdog, the post-HALT drain loops, the idle-cycle
-// fast-forward clamps — degrade gracefully under perturbation instead of
-// hanging the process or silently corrupting statistics.
+// retirement watchdog and the post-HALT drain loop — degrade gracefully
+// under perturbation instead of hanging the process or silently corrupting
+// statistics.
 //
 // Every decision is a pure function of (seed, cycle, stream): the injector
 // carries no mutable state, so the same seed reproduces the same fault
-// pattern regardless of how many times a hook is consulted, in which order
-// components tick, or whether the fast-forward skips the surrounding idle
-// cycles. That purity is what makes "same seed, same Stats" a testable
-// contract.
+// pattern regardless of how many times a hook is consulted or in which
+// order components tick. That purity is what makes "same seed, same Stats"
+// a testable contract.
 package faults
 
 import (
@@ -42,13 +41,6 @@ type Config struct {
 	// from that cycle on: the machine is guaranteed to wedge, and the
 	// watchdog must convert the wedge into a WedgeError instead of a hang.
 	StallStormFrom uint64
-
-	// DropWakePct inflates idle-cycle fast-forward wake hints with the given
-	// percent probability — the "too-late NextWake" bug class, seeded
-	// deliberately so the invariant checker can prove it catches it.
-	DropWakePct int
-	// DropWakeSpan bounds the inflation in cycles (default 64).
-	DropWakeSpan int
 
 	// WorkerKill arms the out-of-process fault drill: the subprocess
 	// execution backend SIGKILLs the worker of every targeted cell mid-job,
@@ -178,7 +170,6 @@ const (
 	streamL2       uint64 = 0xd1b54a32d192ed03
 	streamFU       uint64 = 0x8cb92ba72f3d8dd7
 	streamVPort    uint64 = 0xaef17502108ef2d9
-	streamWake     uint64 = 0xf1357aea2e62a9c5
 	streamDiskRead uint64 = 0xc6a4a7935bd1e995
 	streamDiskWr   uint64 = 0xff51afd7ed558ccd
 	streamDiskTorn uint64 = 0xc4ceb9fe1a85ec53
@@ -236,24 +227,6 @@ func (i *Injector) StallVPorts(cy uint64) bool {
 		return false
 	}
 	return i.roll(streamVPort, cy, 0)%100 < uint64(i.cfg.VPortStallPct)
-}
-
-// InflateWake perturbs a fast-forward wake hint, returning a possibly later
-// cycle — a seeded model of the "hint claims idle too long" bug class. The
-// caller's watchdog clamp is what keeps this a detectable fault rather than
-// a hang.
-func (i *Injector) InflateWake(now, wake uint64) uint64 {
-	if i == nil || i.cfg.DropWakePct <= 0 {
-		return wake
-	}
-	if i.roll(streamWake, now, 0)%100 >= uint64(i.cfg.DropWakePct) {
-		return wake
-	}
-	span := i.cfg.DropWakeSpan
-	if span <= 0 {
-		span = 64
-	}
-	return wake + 1 + i.roll(streamWake, now, 1)%uint64(span)
 }
 
 // KillWorker reports whether the subprocess backend should SIGKILL the

@@ -91,26 +91,8 @@ func TestNilInjectorSafe(t *testing.T) {
 	if i.StallFUs(1) || i.StallVPorts(1) {
 		t.Error("nil injector stalled a unit")
 	}
-	if i.InflateWake(5, 9) != 9 {
-		t.Error("nil injector perturbed a wake hint")
-	}
 	if i.Active() {
 		t.Error("nil injector reports active")
-	}
-}
-
-// TestInflateWakeOnlyDelays checks the hint perturbation models exactly the
-// too-late bug class: hints may move later, never earlier.
-func TestInflateWakeOnlyDelays(t *testing.T) {
-	i := faults.New(&faults.Config{Seed: 1, DropWakePct: 100, DropWakeSpan: 16})
-	for cy := uint64(0); cy < 1000; cy++ {
-		w := i.InflateWake(cy, cy+4)
-		if w <= cy+4 {
-			t.Fatalf("cy=%d: 100%% campaign returned hint %d, want strictly later than %d", cy, w, cy+4)
-		}
-		if w > cy+4+17 {
-			t.Fatalf("cy=%d: inflation %d exceeds span bound", cy, w-(cy+4))
-		}
 	}
 }
 

@@ -314,23 +314,6 @@ func (c *L2) Busy() bool {
 // MAFInUse returns the number of occupied miss entries.
 func (c *L2) MAFInUse() int { return len(c.fills) }
 
-// NextWake returns the earliest cycle after now at which Tick can change any
-// cache state. Queued slices and scalar requests are serviced every cycle, so
-// any backlog pins the wake-up to now+1; otherwise the cache is purely
-// event-driven (wheel completions; in-flight fills resolve through the Zbox,
-// whose own NextWake covers them). ^uint64(0) means nothing will ever happen
-// without new input.
-func (c *L2) NextWake(now uint64) uint64 {
-	if len(c.retryQ) > 0 || len(c.readQ) > 0 || len(c.writeQ) > 0 || len(c.scalarQ) > 0 {
-		return now + 1
-	}
-	wake := c.wheel.Next()
-	if wake <= now {
-		wake = now + 1
-	}
-	return wake
-}
-
 // ---- per-cycle processing ----
 
 // Tick advances the cache one cycle.

@@ -6,10 +6,10 @@
 //
 // The design is two-faced on purpose:
 //
-//   - The hot path is untyped and free: a Counter handle is a pair of plain
-//     *uint64 (the value slot and the registry's epoch), so an increment is
-//     two machine adds — no map lookups, no interfaces, no allocations
-//     (BenchmarkRegistryOverhead holds this at zero allocs/op).
+//   - The hot path is untyped and free: a Counter handle is a plain *uint64
+//     (the value slot), so an increment is one machine add — no map lookups,
+//     no interfaces, no allocations (BenchmarkRegistryOverhead holds this at
+//     zero allocs/op).
 //
 //   - The cold path is fully typed: the registry can enumerate every metric
 //     with its namespaced name, render occupancy snapshots, and drive the
@@ -101,23 +101,21 @@ func CounterNames() []string {
 }
 
 // Counter is a zero-overhead handle to one registered counter: a pointer to
-// the value slot plus a pointer to the registry's epoch. Incrementing is two
-// plain adds; the epoch is what lets the simulator's idle-window audits ask
-// "did anything change?" in O(1) instead of comparing a 40-field struct.
-type Counter struct{ v, epoch *uint64 }
+// the value slot in the registry's compat struct. Incrementing is one plain
+// add.
+type Counter struct{ v *uint64 }
 
 // Inc adds one.
-func (c Counter) Inc() { *c.v++; *c.epoch++ }
+func (c Counter) Inc() { *c.v++ }
 
 // Add adds n.
-func (c Counter) Add(n uint64) { *c.v += n; *c.epoch++ }
+func (c Counter) Add(n uint64) { *c.v += n }
 
 // Peak raises the counter to n when larger — max-style metrics such as
-// l2.maf_peak. The epoch moves only when the value does.
+// l2.maf_peak.
 func (c Counter) Peak(n uint64) {
 	if n > *c.v {
 		*c.v = n
-		*c.epoch++
 	}
 }
 
@@ -143,7 +141,6 @@ type GaugeSample struct {
 // one to every component constructor; read it from the run harness.
 type Registry struct {
 	compat stats.Stats // canonical counter storage — the live compat view
-	epoch  uint64      // bumped by every counter mutation
 
 	byName   map[string]Counter
 	gauges   []Gauge
@@ -172,7 +169,7 @@ func NewRegistry() *Registry {
 			panic(fmt.Sprintf("metrics: counter %q registered twice", d.Name))
 		}
 		covered[d.Field] = true
-		r.byName[d.Name] = Counter{v: f.Addr().Interface().(*uint64), epoch: &r.epoch}
+		r.byName[d.Name] = Counter{v: f.Addr().Interface().(*uint64)}
 	}
 	t := sv.Type()
 	for i := 0; i < t.NumField(); i++ {
@@ -194,15 +191,10 @@ func (r *Registry) Counter(name string) Counter {
 }
 
 // Stats returns the live compat view: the flat stats.Stats struct the
-// pre-registry simulator shared. Reads observe counter updates immediately;
-// direct field writes (the workload harness crediting UsefulBytes) remain
-// legal, they just do not move the epoch.
+// pre-registry simulator shared. Reads observe counter updates immediately,
+// and direct field writes (the workload harness crediting UsefulBytes)
+// remain legal.
 func (r *Registry) Stats() *stats.Stats { return &r.compat }
-
-// Epoch returns the mutation counter: it advances on every counter change,
-// so two equal epochs bracket a window in which no counter moved. This is
-// the registry replacement for the old whole-struct equality dirty checks.
-func (r *Registry) Epoch() uint64 { return r.epoch }
 
 // RegisterGauge adds an occupancy probe under a namespaced name.
 // Registration order is preserved in every snapshot and export.

@@ -62,37 +62,6 @@ func TestCompatViewIsLive(t *testing.T) {
 	}
 }
 
-// TestEpochTracksEveryMutation: the epoch is the dirty check — it must move
-// on Inc/Add, move on an effective Peak, and hold still otherwise.
-func TestEpochTracksEveryMutation(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("zbox.row_hits")
-	peak := r.Counter("l2.maf_peak")
-	e0 := r.Epoch()
-	c.Inc()
-	if r.Epoch() == e0 {
-		t.Fatal("Inc did not move the epoch")
-	}
-	e1 := r.Epoch()
-	c.Add(5)
-	if r.Epoch() == e1 {
-		t.Fatal("Add did not move the epoch")
-	}
-	e2 := r.Epoch()
-	peak.Peak(10)
-	if r.Epoch() == e2 {
-		t.Fatal("effective Peak did not move the epoch")
-	}
-	e3 := r.Epoch()
-	peak.Peak(3) // below the peak: no state change, no epoch change
-	if r.Epoch() != e3 {
-		t.Fatal("ineffective Peak moved the epoch")
-	}
-	if got := c.Value(); got != 6 {
-		t.Fatalf("counter value = %d, want 6", got)
-	}
-}
-
 // TestCounterMutationsZeroAlloc is the hot-path contract: counter
 // increments must not allocate. CI runs this on every push.
 func TestCounterMutationsZeroAlloc(t *testing.T) {

@@ -21,8 +21,7 @@ func (r *Registry) SaveState(w *snapshot.Writer) {
 	}
 }
 
-// LoadState restores the counter values and bumps the epoch once, so epoch
-// observers (the NextWake hint audits) see the restore as a mutation.
+// LoadState restores the counter values.
 func (r *Registry) LoadState(rd *snapshot.Reader) error {
 	rd.Tag("metrics")
 	n := rd.Len(8)
@@ -36,6 +35,5 @@ func (r *Registry) LoadState(rd *snapshot.Reader) error {
 	for _, d := range counterDefs {
 		sv.FieldByName(d.Field).SetUint(rd.U64())
 	}
-	r.epoch++
 	return rd.Err()
 }

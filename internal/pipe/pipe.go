@@ -1,7 +1,7 @@
 // Package pipe holds the building blocks shared by the EV8 core and Vbox
 // timing models: the in-flight micro-op record with its dataflow links, an
-// event wheel for completion scheduling, per-class functional-unit pools,
-// and the branch predictor.
+// oldest-first ready queue, per-class functional-unit pools, and the branch
+// predictor.
 package pipe
 
 import (
@@ -64,11 +64,6 @@ func (u *UOp) MarkReady(c uint64) {
 }
 
 // ---- ready queue (oldest-first issue policy) ----
-//
-// (The event wheel that used to live here is now sched.Wheel: a hierarchical
-// timing wheel with O(1) amortised At/Advance/Next, shared by every
-// component. The map-based multimap made Next() an O(pending) scan, which
-// dominated the simulator's profile once the chip loop went event-driven.)
 
 // ReadyQueue is a min-heap of ready ops ordered by sequence number, so the
 // schedulers issue oldest-first like real wakeup/select logic.

@@ -29,6 +29,5 @@ func (w *Wheel) LoadState(r *snapshot.Reader, now uint64) error {
 	}
 	r.Tag("wheel")
 	w.base = r.Abs(now)
-	w.nextOK = false
 	return r.Err()
 }

@@ -1,26 +1,19 @@
 // Package sched provides the simulator's event scheduling machinery: a
-// hierarchical timing wheel (Wheel) for per-component completion events, and
-// an ordered participant group (Group) the chip loop uses to advance only the
-// components that actually have work on a given cycle.
+// hierarchical timing wheel (Wheel) that each component (core, vbox, l2,
+// zbox) uses as its queue of completion events. The chip loop ticks every
+// component once per cycle, and each tick advances the component's wheel to
+// that cycle, firing whatever is due.
 //
-// The Wheel replaces the map-keyed event multimaps the components grew up
-// with (pipe.EventWheel and the local copies in l2/zbox). Those maps made
-// Next() — the idle-cycle fast-forward's bound — an O(pending) full-map scan
-// on every active cycle, which dominated the simulator's profile. The wheel
-// makes At, Advance and Next O(1) amortised, and it is fully deterministic:
+// At and Advance are O(1) amortised, and the wheel is fully deterministic:
 // events fire in exact (cycle, registration order) sequence, with no map
-// iteration anywhere.
-//
-// Semantics are deliberately bit-compatible with the old maps, because the
-// whole-chip A/B tests compare wheel-driven runs against single-stepped runs
-// byte for byte, including under fault injection:
+// iteration anywhere. Its semantics match the map-keyed event multimaps it
+// replaced:
 //
 //   - Advance(c) fires only events scheduled at exactly cycle c. Events at
-//     skipped cycles (possible only when a fault campaign inflates NextWake
-//     hints past a due event) are stranded: they never fire, but they keep
-//     Pending() true and bound Next(), exactly like an unvisited map key.
-//     A healthy run never strands anything — the NextWake contract
-//     guarantees Advance is called at every cycle with a due event.
+//     cycles an Advance jumped over are stranded: they never fire, but they
+//     keep Pending() true, exactly like an unvisited map key. The chip loop
+//     advances every wheel through every cycle, so a simulation never
+//     strands anything.
 //   - An event scheduled for cycle c while Advance(c) is firing joins the
 //     current batch and fires in registration order. (The old map lost such
 //     events forever; no component relies on that, and the property tests
@@ -37,10 +30,6 @@ const (
 	// cycle space, so placement never overflows.
 	numLevels = (64 + slotBits - 1) / slotBits
 )
-
-// Infinity is the "no event scheduled" cycle, matching the NextWake
-// convention used across the simulator.
-const Infinity = ^uint64(0)
 
 // event is one scheduled callback. Events are wheel-owned and recycled
 // through a free list; callers hold them only via Handle.
@@ -108,25 +97,15 @@ type level struct {
 // Invariant (restored after every Advance): every live event sits at the
 // lowest level whose slot width can still distinguish it from base, i.e.
 // level floor(log64(cycle XOR base)). Crossing a slot-0 window boundary
-// cascades the entered higher-level slot down, so the first non-empty level
-// always contains the globally earliest event and Next() needs no search
-// beyond it.
+// cascades the entered higher-level slot down, so an event always reaches
+// level 0 before its cycle comes up.
 type Wheel struct {
 	base     uint64 // cycle of the last Advance (or 0)
 	n        int    // live (scheduled, not cancelled) events, stranded included
 	resident int    // events (cancelled husks included) filed in level slots
 	levels   [numLevels]level
 
-	// Stranded events: passed over by an Advance jump (fault-injected
-	// too-late hints only). They never fire but stay pending, mirroring an
-	// unvisited key in the old map wheels.
-	stranded  list
-	strandMin uint64 // min cycle of stranded live events (conservative)
-
 	free *event
-
-	nextV  uint64 // cached Next() value
-	nextOK bool
 }
 
 // NewWheel returns an empty wheel. Equivalent to new(Wheel); kept for
@@ -177,9 +156,8 @@ func (w *Wheel) AtCall(c uint64, fn func(uint64, any), arg any) Handle {
 
 // Cancel removes a scheduled event. It reports whether the event was still
 // pending; cancelling an already-fired, already-cancelled or zero Handle is
-// a harmless no-op. The event's slot entry is reclaimed lazily, so Next()
-// may transiently report the cancelled cycle (a conservative-early wake,
-// which the NextWake contract permits).
+// a harmless no-op. The event's slot entry is reclaimed lazily, when its
+// slot is fired or re-filed.
 func (w *Wheel) Cancel(h Handle) bool {
 	if h.e == nil || h.e.gen != h.gen || !h.e.live() {
 		return false
@@ -211,66 +189,22 @@ func (w *Wheel) place(e *event) {
 	w.levels[lv].slot[s].push(e)
 	w.levels[lv].occ |= 1 << uint(s)
 	w.resident++
-	if w.nextOK && e.cycle < w.nextV {
-		w.nextV = e.cycle
-	}
 }
 
+// strandEvent takes e out of the wheel for good. A live stranded event never
+// fires but stays counted by Pending and Len (until cancelled), mirroring an
+// unvisited key in the old map wheels; a cancelled husk is recycled.
 func (w *Wheel) strandEvent(e *event) {
-	if !e.live() { // cancelled husk: reclaim instead
+	if !e.live() {
 		w.recycle(e)
-		return
 	}
-	if w.stranded.head == nil || e.cycle < w.strandMin {
-		w.strandMin = e.cycle
-	}
-	w.stranded.push(e)
-	w.nextOK = false
-}
-
-// Next returns the earliest cycle with a scheduled event, or Infinity when
-// the wheel is empty. Exact for live events; a cancelled-but-unreclaimed
-// event may make it conservative-early.
-func (w *Wheel) Next() uint64 {
-	if w.n == 0 {
-		return Infinity
-	}
-	if w.nextOK {
-		return w.nextV
-	}
-	next := Infinity
-	if w.stranded.head != nil {
-		next = w.strandMin
-	}
-	for lv := range w.levels {
-		l := &w.levels[lv]
-		if l.occ == 0 {
-			continue
-		}
-		// The cascade invariant makes the first non-empty level hold the
-		// earliest wheel event, in its lowest occupied slot.
-		s := uint(bits.TrailingZeros64(l.occ))
-		min := Infinity
-		for e := w.levels[lv].slot[s].head; e != nil; e = e.next {
-			if e.cycle < min {
-				min = e.cycle
-			}
-		}
-		if min < next {
-			next = min
-		}
-		break
-	}
-	w.nextV, w.nextOK = next, true
-	return next
 }
 
 // Advance moves the wheel to cycle c and fires, in registration order, every
 // event scheduled at exactly c — including events scheduled for c by the
 // firing callbacks themselves. Events at cycles in (base, c) that were never
-// advanced to are stranded (see the package comment); callers honouring the
-// NextWake contract never skip a due cycle, so stranding only happens under
-// injected too-late hints. Advancing backwards is a no-op.
+// advanced to are stranded (see the package comment). Advancing backwards is
+// a no-op.
 func (w *Wheel) Advance(c uint64) {
 	if c < w.base {
 		return
@@ -289,15 +223,14 @@ func (w *Wheel) Advance(c uint64) {
 //   - The first level where the windows agree is the boundary: slots below
 //     c's digit are skipped (strand), c's own slot is re-filed relative to
 //     the new base (events land at lower levels, at cycle c itself, or —
-//     if their cycle is below c — in the stranded list), and slots above
-//     keep their placement, which stays valid because their level-and-up
-//     windows did not change.
+//     if their cycle is below c — stranded), and slots above keep their
+//     placement, which stays valid because their level-and-up windows did
+//     not change.
 //   - Levels above the boundary share all their windows with c already, so
 //     their placements remain valid untouched.
 func (w *Wheel) moveBase(c uint64) {
 	old := w.base
 	w.base = c
-	w.nextOK = false
 	if w.resident == 0 {
 		return
 	}
@@ -361,5 +294,4 @@ func (w *Wheel) fire(c uint64) {
 		}
 	}
 	l.occ &^= 1 << s
-	w.nextOK = false
 }

@@ -17,14 +17,6 @@ func (s *splitmix64) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// drain advances the wheel event by event (the healthy-caller discipline:
-// never skip a due cycle) and returns nothing; firing callbacks record.
-func drain(w *Wheel) {
-	for w.Pending() {
-		w.Advance(w.Next())
-	}
-}
-
 // TestWheelFiresInOrder is the core property: events fire in exact
 // (cycle, registration order) sequence, whatever order they were scheduled
 // in and however far apart their cycles are (crossing hierarchy levels).
@@ -60,7 +52,11 @@ func TestWheelFiresInOrder(t *testing.T) {
 			want[j-1], want[j] = want[j], want[j-1]
 		}
 	}
-	drain(w)
+	// Advance through every scheduled cycle in order, never skipping a due
+	// one; repeating a cycle fires nothing new.
+	for _, e := range want {
+		w.Advance(e.cycle)
+	}
 	if w.Len() != 0 {
 		t.Fatalf("Len() = %d after drain, want 0", w.Len())
 	}
@@ -106,7 +102,7 @@ func TestWheelCancel(t *testing.T) {
 	fired := map[string]bool{}
 	hKeep := w.At(10, func() { fired["keep"] = true })
 	hDrop := w.At(10, func() { fired["drop"] = true })
-	hFar := w.At(1 << 30, func() { fired["far"] = true })
+	hFar := w.At(1<<30, func() { fired["far"] = true })
 	if !w.Cancel(hDrop) {
 		t.Fatal("Cancel(pending) = false, want true")
 	}
@@ -119,7 +115,10 @@ func TestWheelCancel(t *testing.T) {
 	if w.Len() != 1 {
 		t.Fatalf("Len() = %d after cancels, want 1", w.Len())
 	}
-	drain(w)
+	w.Advance(10)
+	if w.Pending() {
+		t.Fatal("Pending() after the only live event fired")
+	}
 	if !fired["keep"] || fired["drop"] || fired["far"] {
 		t.Fatalf("fired = %v, want only keep", fired)
 	}
@@ -135,16 +134,15 @@ func TestWheelCancel(t *testing.T) {
 	if w.Cancel(hKeep) || w.Cancel(hDrop) {
 		t.Fatal("stale handle cancelled a recycled event")
 	}
-	drain(w)
+	w.Advance(20)
 	if !ranNew {
 		t.Fatal("recycled-slot event did not fire")
 	}
 }
 
-// TestWheelStranding pins the map-wheel compatibility semantics the chip's
-// fault-injection A/B tests rely on: an event at a cycle Advance skipped
-// (possible only under inflated NextWake hints) never fires, but it keeps
-// the wheel Pending and bounds Next — exactly like an unvisited map key.
+// TestWheelStranding pins the map-wheel compatibility semantics: an event at
+// a cycle Advance skipped never fires, but it keeps the wheel Pending —
+// exactly like an unvisited map key.
 func TestWheelStranding(t *testing.T) {
 	w := NewWheel()
 	var fired []uint64
@@ -157,9 +155,6 @@ func TestWheelStranding(t *testing.T) {
 	}
 	if !w.Pending() || w.Len() != 4 {
 		t.Fatalf("Pending=%v Len=%d, want stranded events still pending", w.Pending(), w.Len())
-	}
-	if next := w.Next(); next != 5 {
-		t.Fatalf("Next() = %d, want the stranded minimum 5", next)
 	}
 	// Later advances never resurrect stranded events.
 	w.Advance(20000)
@@ -175,8 +170,8 @@ func TestWheelStranding(t *testing.T) {
 }
 
 // TestWheelAdvanceSkipsNothingDue: Advance(c) with c before every scheduled
-// event moves the base without firing or stranding anything — the watchdog
-// clamp jumps the chip loop to such cycles routinely.
+// event moves the base without firing or stranding anything — the chip loop
+// advances every component's wheel through such cycles all the time.
 func TestWheelAdvanceSkipsNothingDue(t *testing.T) {
 	w := NewWheel()
 	ran := false
@@ -185,9 +180,6 @@ func TestWheelAdvanceSkipsNothingDue(t *testing.T) {
 		w.Advance(c)
 		if ran || w.Len() != 1 {
 			t.Fatalf("Advance(%d) disturbed a future event (ran=%v Len=%d)", c, ran, w.Len())
-		}
-		if next := w.Next(); next != 1_000_000 {
-			t.Fatalf("Next() after Advance(%d) = %d, want 1000000", c, next)
 		}
 	}
 	w.Advance(1_000_000)
@@ -198,8 +190,8 @@ func TestWheelAdvanceSkipsNothingDue(t *testing.T) {
 
 // TestWheelRandomizedAgainstModel drives the wheel through a long random
 // schedule/advance/cancel workload and checks every observable (firing
-// sequence, Pending, Len, Next lower bound) against a brute-force reference
-// with the same exact-cycle-plus-stranding semantics.
+// sequence, Pending, Len) against a brute-force reference with the same
+// exact-cycle-plus-stranding semantics.
 func TestWheelRandomizedAgainstModel(t *testing.T) {
 	type mev struct {
 		cycle     uint64
@@ -232,20 +224,15 @@ func TestWheelRandomizedAgainstModel(t *testing.T) {
 					break
 				}
 			}
-		case 5, 6: // advance to the next live future event (healthy discipline)
-			n := Infinity
+		case 5, 6: // advance to the next live future event (skipping none)
+			n := ^uint64(0)
 			for _, m := range model {
 				if !m.cancelled && !m.stranded && m.cycle > now && m.cycle < n {
 					n = m.cycle
 				}
 			}
-			if n == Infinity {
+			if n == ^uint64(0) {
 				continue
-			}
-			// Next() must never exceed the model's earliest live event (it
-			// may be earlier: cancelled husks and stranded events bound it).
-			if wn := w.Next(); wn > n {
-				t.Fatalf("step %d: Next() = %d, later than live event at %d", step, wn, n)
 			}
 			now = n
 			w.Advance(now)
@@ -255,7 +242,7 @@ func TestWheelRandomizedAgainstModel(t *testing.T) {
 					m.stranded = true // consumed
 				}
 			}
-		case 7: // jump past events (the fault-injected skip)
+		case 7: // jump past events, stranding them
 			now += 1 + rng.next()%2048
 			w.Advance(now)
 			for _, m := range model {
@@ -287,45 +274,5 @@ func TestWheelRandomizedAgainstModel(t *testing.T) {
 	}
 	if w.Len() != live {
 		t.Fatalf("Len() = %d, model says %d live events", w.Len(), live)
-	}
-}
-
-// tickRecorder is a Group participant with a scripted wake schedule.
-type tickRecorder struct {
-	name  string
-	wakes []uint64 // pre-scripted NextWake answers, popped per call
-	log   *[]string
-	last  uint64
-}
-
-func (r *tickRecorder) Tick(cy uint64) { *r.log = append(*r.log, fmt.Sprintf("%s@%d", r.name, cy)) }
-func (r *tickRecorder) NextWake(now uint64) uint64 {
-	if len(r.wakes) == 0 {
-		return Infinity
-	}
-	w := r.wakes[0]
-	if w <= now {
-		r.wakes = r.wakes[1:]
-		return r.NextWake(now)
-	}
-	r.wakes = r.wakes[1:]
-	return w
-}
-
-// TestGroupTickOrderAndSkipping: due participants tick in registration
-// order; not-yet-due participants are skipped entirely.
-func TestGroupTickOrderAndSkipping(t *testing.T) {
-	var log []string
-	g := &Group{}
-	a := &tickRecorder{name: "a", log: &log, wakes: []uint64{5, 9, 9, 9}}
-	b := &tickRecorder{name: "b", log: &log, wakes: []uint64{5, 5, 7, 9}}
-	g.Add(a)
-	g.Add(b)
-	for cy := g.Next(); cy != Infinity; cy = g.Next() {
-		g.TickDue(cy)
-	}
-	want := "[a@0 b@0 a@5 b@5 b@7 a@9 b@9]"
-	if fmt.Sprint(log) != want {
-		t.Fatalf("tick log = %v, want %v", log, want)
 	}
 }

@@ -4,16 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/isa"
-	"repro/internal/stats"
 	"repro/internal/vasm"
 )
-
-// runK runs a kernel on cfg and returns the chip stats.
-func runK(t *testing.T, cfg *Config, k vasm.Kernel) *stats.Stats {
-	t.Helper()
-	st, _ := Run(cfg, k)
-	return st
-}
 
 func TestVectorPortOccupancy(t *testing.T) {
 	// 64 independent vector adds, vl=128: two ports × 8-cycle occupancy
@@ -251,8 +243,8 @@ func TestEV8PlusMatchesTOnScalarCode(t *testing.T) {
 		})
 		b.Halt()
 	}
-	stP, _ := Run(EV8Plus(), k)
-	stT, _ := Run(T(), k)
+	stP := runK(t, EV8Plus(), k)
+	stT := runK(t, T(), k)
 	// A pure scalar kernel should behave nearly identically on EV8+ and T
 	// (T's scalar L2 latency is higher; that's the only difference).
 	ratio := float64(stT.Cycles) / float64(stP.Cycles)

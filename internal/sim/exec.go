@@ -12,9 +12,8 @@ import (
 	"repro/internal/vasm"
 )
 
-// RunSpec describes one simulation for Execute, unifying the historical
-// entry-point zoo (Run/RunROI/RunSMT and the Chip trace drivers) behind a
-// single declarative surface. Exactly one execution mode must be selected:
+// RunSpec describes one simulation for Execute. Exactly one execution mode
+// must be selected:
 //
 //   - Kernel (optionally with Setup): one kernel on a fresh machine. When
 //     Setup is present it runs first on the same chip as a warm-up phase and
@@ -69,8 +68,8 @@ type RunSpec struct {
 
 // Outcome is the result of one Execute call. On failure the returned error
 // is a typed *WedgeError and the Outcome still carries the statistics and
-// machine state at the moment of failure, mirroring the historical Checked
-// entry points — post-mortems read the partial Outcome next to the error.
+// machine state at the moment of failure — post-mortems read the partial
+// Outcome next to the error.
 type Outcome struct {
 	// Stats are the run's counters. For a Setup+Kernel run they cover the
 	// region of interest alone; otherwise they are the chip's counters
@@ -119,10 +118,9 @@ func (o *Outcome) MCPS() float64 {
 }
 
 // Execute runs one simulation described by spec. It is the single execution
-// entry point; the legacy Run*/Run*Checked names are thin deprecated
-// wrappers over it. A wedged machine, a blown deadline, a failed invariant
-// or a dead trace returns a typed *WedgeError; the Outcome is non-nil even
-// then, carrying the partial statistics and machine state for post-mortems.
+// entry point. A wedged machine, a blown deadline, a failed invariant or a
+// dead trace returns a typed *WedgeError; the Outcome is non-nil even then,
+// carrying the partial statistics and machine state for post-mortems.
 func Execute(spec RunSpec) (*Outcome, error) {
 	modes := 0
 	if spec.Kernel != nil {
@@ -256,8 +254,8 @@ func executeTraces(spec RunSpec) (*Outcome, error) {
 	return out, nil
 }
 
-// finishOutcome attaches the sampler series to a successful outcome and
-// feeds the legacy OnSeries callback, preserving the pre-Execute contract.
+// finishOutcome attaches the sampler series and the loop throughput to a
+// successful outcome and feeds the configuration's OnSeries callback.
 func finishOutcome(out *Outcome, ch *Chip) {
 	out.Series = ch.Series()
 	out.SimCycles = ch.Clock()

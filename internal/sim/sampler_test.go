@@ -5,32 +5,26 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/arch"
 	"repro/internal/faults"
-	"repro/internal/mem"
-	"repro/internal/vasm"
 )
 
-// runSampledKernel runs the mixed scalar+vector ff kernel on cfg and returns
-// the chip for series inspection.
+// runSampledKernel runs the mixed scalar+vector kernel case on cfg and
+// returns the chip for series inspection.
 func runSampledKernel(t *testing.T, cfg *Config) *Chip {
 	t.Helper()
-	for _, c := range ffCases() {
+	for _, c := range kernelCases() {
 		if c.name == "mixed-scalar-vector" {
 			return runSampledKernelWith(t, cfg, c)
 		}
 	}
-	t.Fatal("mixed-scalar-vector ff case missing")
+	t.Fatal("mixed-scalar-vector kernel case missing")
 	return nil
 }
 
-func runSampledKernelWith(t *testing.T, cfg *Config, c ffCase) *Chip {
+func runSampledKernelWith(t *testing.T, cfg *Config, c kernelCase) *Chip {
 	t.Helper()
-	chip := New(cfg)
-	m := arch.New(mem.New())
-	tr := vasm.NewTrace(m, c.kernel)
-	defer tr.Close()
-	if err := chip.RunTraceChecked(tr); err != nil {
+	chip, err := runOnChip(cfg, c.kernel)
+	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
 	}
 	return chip
@@ -43,11 +37,7 @@ func wedgeOnStorm(t *testing.T) (*Chip, *WedgeError) {
 	cfg := *T()
 	cfg.Faults = &faults.Config{StallStormFrom: 300}
 	cfg.Watchdog = 30_000
-	chip := New(&cfg)
-	m := arch.New(mem.New())
-	tr := vasm.NewTrace(m, wedgeKernel)
-	defer tr.Close()
-	err := chip.RunTraceChecked(tr)
+	chip, err := runOnChip(&cfg, wedgeKernel)
 	var w *WedgeError
 	if !errors.As(err, &w) {
 		t.Fatalf("err = %v (%T), want *WedgeError", err, err)
@@ -91,12 +81,11 @@ func TestSamplerSeriesShape(t *testing.T) {
 }
 
 // TestSamplerDoesNotPerturbCounters is the observation-only contract: the
-// sampler disables the idle-cycle fast-forward (it reads fixed cycles) but
-// must leave every counter bit-identical to an unsampled run.
+// sampler must leave every counter bit-identical to an unsampled run.
 func TestSamplerDoesNotPerturbCounters(t *testing.T) {
-	for _, c := range ffCases() {
+	for _, c := range kernelCases() {
 		base := c.configs[0]
-		plain := runFF(base, c.kernel, true)
+		plain := runK(t, base, c.kernel)
 		cfg := *base
 		cfg.EnableSampling(100, 0)
 		chip := runSampledKernelWith(t, &cfg, c)

@@ -6,11 +6,8 @@
 package sim
 
 import (
-	"fmt"
-	"os"
 	"time"
 
-	"repro/internal/arch"
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -37,9 +34,9 @@ type Config struct {
 	// ---- integrity layer (all optional; zero values = today's behavior) ----
 
 	// Check enables the microarchitectural invariant checker: per-retirement
-	// validation of ROB order, store-queue consistency and L1/L2 inclusion,
-	// plus NextWake hint-soundness auditing. Checked runs single-step (no
-	// idle-cycle fast-forward) so the audit can observe every cycle.
+	// validation of ROB order, store-queue consistency and L1/L2 inclusion.
+	// It only observes, so a checked run takes the same cycle loop and
+	// produces the same statistics as an unchecked one.
 	Check bool
 
 	// Deadline bounds one run's wall-clock time; exceeding it aborts with a
@@ -59,33 +56,20 @@ type Config struct {
 	sampleEvery uint64
 	sampleCap   int
 	onSeries    func(*metrics.SeriesDump)
-
-	// singleStep pins chips built from this configuration to the legacy
-	// single-stepping cycle loop (no event wheel, no idle-cycle jumps).
-	// Unexported for the same reason as the sampling knobs: engine choice
-	// is an observation/performance setting, never configuration identity.
-	singleStep bool
 }
-
-// PinSingleStep forces chips built from this configuration onto the legacy
-// single-stepping loop — every cycle ticked, no event-driven scheduling. The
-// sampler and checker pin it implicitly (they must observe fixed cycles);
-// this knob is the explicit handle for A/B tests and bit-identity audits.
-func (c *Config) PinSingleStep() { c.singleStep = true }
 
 // EnableSampling turns on the cycle-interval sampler for chips built from
 // this configuration: every `every` cycles the chip snapshots interval IPC,
 // memory traffic and every registered occupancy gauge into a bounded ring
-// (capacity 0 selects metrics.DefaultSeriesCap). Sampling observes fixed
-// cycles, so it implicitly disables the idle-cycle fast-forward; it never
-// changes simulated timing or counters.
+// (capacity 0 selects metrics.DefaultSeriesCap). Sampling never changes
+// simulated timing or counters.
 func (c *Config) EnableSampling(every uint64, capacity int) {
 	c.sampleEvery = every
 	c.sampleCap = capacity
 }
 
 // SetOnSeries installs the harness callback that receives the sampled series
-// after a successful RunChecked/RunROIChecked/RunSMTChecked.
+// after a successful Execute.
 func (c *Config) SetOnSeries(fn func(*metrics.SeriesDump)) { c.onSeries = fn }
 
 // Sampling reports the sampler setting.
@@ -110,15 +94,7 @@ type Chip struct {
 	chk *check.Checker   // nil unless Cfg.Check
 	inj *faults.Injector // nil unless Cfg.Faults
 
-	now uint64 // global cycle, shared across RunTrace phases
-
-	ff bool // idle-cycle fast-forward enabled
-
-	// Checker-mode hint audit state (per chip, unlike the test-only ffVerify
-	// globals): the window the last fast-forward hint claimed was idle, and
-	// the registry epoch at its start.
-	ckSkipFrom, ckSkipTo uint64
-	ckEpochAt            uint64
+	now uint64 // global cycle, shared across phases
 
 	// Cycle-interval sampler state (nil series = sampling off).
 	series       *metrics.Series
@@ -130,7 +106,7 @@ type Chip struct {
 	// (bound + drain, all phases) — the denominator of the simulator's
 	// cycles-per-second throughput. Trace construction, functional
 	// verification and harness overhead are excluded on purpose: the
-	// number tracks the engine, not the workload's setup cost.
+	// number tracks the chip loop, not the workload's setup cost.
 	simWall time.Duration
 }
 
@@ -141,51 +117,6 @@ func (ch *Chip) SimWall() time.Duration { return ch.simWall }
 // Clock returns the chip's current cycle — total simulated time including
 // post-HALT drain, across every phase run so far.
 func (ch *Chip) Clock() uint64 { return ch.now }
-
-// FastForward is the package-wide default for the idle-cycle fast-forward:
-// when every component reports it is blocked on a scheduled completion event,
-// the simulator jumps the clock straight to the earliest such event instead
-// of ticking through dead cycles. The optimisation is a pure wall-clock win —
-// retired-instruction counts, Stats.Cycles and every queue-contention effect
-// are bit-identical to single-stepping (see the A/B guard test). Chips
-// snapshot the value at New; flip a single chip with SetFastForward.
-var FastForward = true
-
-// EngineName reports the chip-loop engine the package default selects, for
-// bench rows and diagnostics.
-func EngineName() string {
-	if !FastForward {
-		return "single-step"
-	}
-	return "wheel"
-}
-
-// wheelDebug prints the event-wheel jump ratio after each bound run.
-var wheelDebug = os.Getenv("TARSIM_WHEEL_DEBUG") != ""
-
-var wheelWhy [4]uint64
-
-// ffVerify, when enabled (tests only), runs the simulator single-stepped but
-// still computes every fast-forward hint, checking that no statistic changes
-// inside a window the hints claimed was idle. A violation means a NextWake
-// returned a too-late cycle — exactly the class of bug that would silently
-// skew results.
-var (
-	ffVerify     bool
-	ffViolations []string
-	ffSkipFrom   uint64
-	ffSkipTo     uint64
-	ffEpochAt    uint64
-)
-
-// setFFVerify arms or disarms hint verification and returns the violations
-// recorded so far (used by the soundness guard test).
-func setFFVerify(on bool) []string {
-	ffVerify, ffSkipFrom = on, 0
-	v := ffViolations
-	ffViolations = nil
-	return v
-}
 
 // New assembles a chip from cfg. Every component registers its counters and
 // gauges against one fresh per-chip registry; the chip's Stats field is the
@@ -216,8 +147,7 @@ func New(cfg *Config) *Chip {
 	if vb != nil {
 		vb.OnDone = c.VectorDone
 	}
-	ch := &Chip{Cfg: cfg, Reg: reg, Stats: reg.Stats(), z: z, l2: l2c, vb: vb, c: c, inj: inj,
-		ff: FastForward && !cfg.singleStep}
+	ch := &Chip{Cfg: cfg, Reg: reg, Stats: reg.Stats(), z: z, l2: l2c, vb: vb, c: c, inj: inj}
 	if cfg.Check {
 		ch.chk = check.New()
 		c.SetChecker(ch.chk)
@@ -248,140 +178,51 @@ func (ch *Chip) Series() *metrics.SeriesDump {
 	return ch.series.Dump()
 }
 
-// SetFastForward overrides the package default for this chip (the sampler
-// also disables it implicitly, since samples are taken on fixed cycles).
-func (ch *Chip) SetFastForward(on bool) { ch.ff = on }
-
 // watchdogWindow is how many cycles of zero progress trip the deadlock
 // detector.
 const watchdogWindow = 2_000_000
 
-// Run executes the kernel on a fresh machine state and returns the
-// statistics. The kernel runs functionally in a streaming trace; the chip
-// model consumes it cycle by cycle until the HALT marker retires. Run
-// panics on a wedge.
-//
-// Deprecated: Use Execute with a RunSpec selecting Kernel.
-func Run(cfg *Config, kernel vasm.Kernel) (*stats.Stats, *arch.Machine) {
-	st, m, err := RunChecked(cfg, kernel)
-	if err != nil {
-		panic(err)
-	}
-	return st, m
-}
-
-// RunChecked is Run with a structured error surface: a wedged machine, a
-// blown deadline, a failed invariant or a dead trace returns a typed
-// *WedgeError instead of panicking.
-//
-// Deprecated: Use Execute with a RunSpec selecting Kernel.
-func RunChecked(cfg *Config, kernel vasm.Kernel) (*stats.Stats, *arch.Machine, error) {
-	out, err := Execute(RunSpec{Config: cfg, Kernel: kernel})
-	if out == nil {
-		return nil, nil, err
-	}
-	return out.Stats, out.Machine, err
-}
-
-// RunTrace drives the chip with an existing trace until HALT, panicking on
-// a wedge.
-//
-// Deprecated: Use Execute with a RunSpec selecting Chip and Trace.
-func (ch *Chip) RunTrace(tr *vasm.Trace) {
-	if err := ch.RunTraceChecked(tr); err != nil {
-		panic(err)
-	}
-}
-
-// RunTraceChecked drives the chip with an existing trace until HALT,
-// returning a *WedgeError if the run fails.
-//
-// Deprecated: Use Execute with a RunSpec selecting Chip and Trace.
-func (ch *Chip) RunTraceChecked(tr *vasm.Trace) error {
-	_, err := Execute(RunSpec{Chip: ch, Trace: tr})
-	return err
-}
-
-// nextWake returns the earliest cycle after now at which any component can
-// change state, short-circuiting as soon as one component wants the very next
-// cycle. All completion wheels key events by exact cycle, so jumping the
-// clock to this value (and no further) fires every event single-stepping
-// would have fired, in the same order.
-func (ch *Chip) nextWake(now uint64) uint64 {
-	wake := ch.c.NextWake(now)
-	if wake == now+1 {
-		return wake
-	}
-	if w := ch.z.NextWake(now); w < wake {
-		wake = w
-	}
-	if wake == now+1 {
-		return wake
-	}
-	if w := ch.l2.NextWake(now); w < wake {
-		wake = w
-	}
-	if wake == now+1 {
-		return wake
-	}
-	if ch.vb != nil {
-		if w := ch.vb.NextWake(now); w < wake {
-			wake = w
-		}
-	}
-	return wake
-}
-
-// wake is nextWake plus fault injection: a campaign with DropWakePct
-// inflates hints here, modelling the too-late-NextWake bug class both for
-// the checker's audit (which must catch it) and for the fast-forward path
-// (whose watchdog clamp must keep it from hanging).
-func (ch *Chip) wake(now uint64) uint64 {
-	w := ch.nextWake(now)
-	if ch.inj != nil {
-		w = ch.inj.InflateWake(now, w)
-	}
-	return w
-}
+// drainBudget bounds the post-HALT drain in cycles.
+const drainBudget = 10_000_000
 
 // deadlineCheckMask throttles the wall-clock and trace-health polls to one
-// every 4096 loop iterations; time.Now on every cycle would dominate the
-// simulator's own work.
+// every 4096 cycles; time.Now on every cycle would dominate the simulator's
+// own work.
 const deadlineCheckMask = 4095
 
 // anyBusy reports whether any component still has in-flight background work
-// (the post-HALT drain condition), evaluated once per call site.
+// (the post-HALT drain condition).
 func (ch *Chip) anyBusy() bool {
 	return ch.z.Busy() || ch.l2.Busy() || ch.c.Busy() || (ch.vb != nil && ch.vb.Busy())
 }
 
-// runBound drives the machine until every thread halts, then drains
-// background traffic. trs are the bound traces, polled for producer-side
-// errors so a kernel that dies mid-trace (and will therefore never emit
-// HALT) is reported promptly rather than after a full watchdog window.
-//
-// Two engines implement it. The default is the event-driven wheel loop
-// (runWheel): every component schedules its own completions on an O(1)
-// hierarchical timing wheel, the chip jumps straight to the earliest due
-// cycle and ticks only the components with work. Observed runs — the
-// sampler (fixed-cycle snapshots), the checker (per-cycle hint audit), the
-// ffVerify test harness and configurations pinned via PinSingleStep — take
-// the legacy loop below, which ticks every component every cycle. The two
-// engines are bit-identical on every statistic (see TestFastForwardBitIdentical
-// and the golden-sweep guard); the wheel is purely a wall-clock win.
-func (ch *Chip) runBound(trs []*vasm.Trace) error {
-	if ch.ff && ch.series == nil && ch.chk == nil && !ffVerify {
-		return ch.runWheel(trs)
+// tick advances every component to cycle cy in the fixed order
+// z → l2 → vbox → core. A tick may synchronously hand work to a component
+// later in the order (a Zbox completion delivers an L2 fill, a Vbox
+// completion calls the core's VectorDone), which that component sees in the
+// same cycle; work handed to an earlier component lands in the next cycle.
+func (ch *Chip) tick(cy uint64) {
+	ch.z.Tick(cy)
+	ch.l2.Tick(cy)
+	if ch.vb != nil {
+		ch.vb.Tick(cy)
 	}
-	return ch.runStep(trs)
+	ch.c.Tick(cy)
 }
 
-// runStep is the legacy chip loop: tick every component every cycle, with an
-// optional idle-cycle fast-forward jump between active cycles.
-func (ch *Chip) runStep(trs []*vasm.Trace) error {
+// runBound is the chip loop: it ticks every component once per cycle until
+// every thread halts, then drains background traffic. trs are the bound
+// traces, polled for producer-side errors so a kernel that dies mid-trace
+// (and will therefore never emit HALT) is reported promptly rather than
+// after a full watchdog window. The sampler and the checker observe the
+// same loop; neither changes which cycles run.
+func (ch *Chip) runBound(trs []*vasm.Trace) error {
 	start := ch.now
 	lastProgress := ch.now
-	lastRetired := uint64(0)
+	// The watchdog baseline is the retired count as it stands at phase
+	// start, so the first tick of a later phase (the ROI after a Setup, or a
+	// reused chip) counts as progress only if something retires in it.
+	lastRetired := ch.Stats.ScalarIns + ch.Stats.VectorIns
 	wd := ch.Cfg.Watchdog
 	if wd == 0 {
 		wd = watchdogWindow
@@ -390,20 +231,11 @@ func (ch *Chip) runStep(trs []*vasm.Trace) error {
 	if ch.Cfg.Deadline > 0 {
 		deadline = time.Now().Add(ch.Cfg.Deadline)
 	}
-	// The sampler observes the machine on fixed cycles, so fast-forwarding
-	// (which skips observably-idle cycles) would drop samples; the checker
-	// single-steps so its hint audit can watch the claimed-idle windows.
-	ff := ch.ff && ch.series == nil && ch.chk == nil
 	iter := uint64(0)
 	for !ch.c.Halted() {
 		ch.now++
 		cy := ch.now
-		ch.z.Tick(cy)
-		ch.l2.Tick(cy)
-		if ch.vb != nil {
-			ch.vb.Tick(cy)
-		}
-		ch.c.Tick(cy)
+		ch.tick(cy)
 		ch.sample()
 
 		if retired := ch.Stats.ScalarIns + ch.Stats.VectorIns; retired != lastRetired {
@@ -423,258 +255,17 @@ func (ch *Chip) runStep(trs []*vasm.Trace) error {
 			}
 		}
 		iter++
-
-		if ffVerify {
-			if ffSkipFrom != 0 {
-				if ch.Reg.Epoch() != ffEpochAt && cy < ffSkipTo {
-					ffViolations = append(ffViolations,
-						fmt.Sprintf("%s: hint at cy=%d claimed idle until %d, but stats changed at cy=%d",
-							ch.Cfg.Name, ffSkipFrom, ffSkipTo, cy))
-					ffSkipFrom = 0
-				} else if cy >= ffSkipTo-1 {
-					ffSkipFrom = 0
-				}
-			}
-			if ffSkipFrom == 0 && !ch.c.Halted() {
-				if wake := ch.wake(cy); wake > cy+1 {
-					ffSkipFrom, ffSkipTo = cy, wake
-					ffEpochAt = ch.Reg.Epoch()
-				}
-			}
-		}
-		if ch.chk != nil {
-			// Same audit as ffVerify, but per-chip and reported through the
-			// checker: single-step while checking that no counter moves
-			// inside a window the hints claimed was idle (the registry epoch
-			// advances on every counter mutation, so one compare replaces the
-			// old whole-struct equality). This is what catches a seeded (or
-			// real) too-late NextWake.
-			if ch.ckSkipFrom != 0 {
-				if ch.Reg.Epoch() != ch.ckEpochAt && cy < ch.ckSkipTo {
-					ch.chk.Failf("nextwake", cy,
-						"hint at cy=%d claimed idle until %d, but stats changed at cy=%d",
-						ch.ckSkipFrom, ch.ckSkipTo, cy)
-					return ch.wedge(ReasonInvariant, wd)
-				} else if cy >= ch.ckSkipTo-1 {
-					ch.ckSkipFrom = 0
-				}
-			}
-			if ch.ckSkipFrom == 0 && !ch.c.Halted() {
-				if wake := ch.wake(cy); wake > cy+1 {
-					ch.ckSkipFrom, ch.ckSkipTo = cy, wake
-					ch.ckEpochAt = ch.Reg.Epoch()
-				}
-			}
-		}
-		// The jump must not move the clock once the loop is about to exit —
-		// HALT retiring this very cycle means the machine is done, not idle.
-		if ff && !ch.c.Halted() {
-			if wake := ch.wake(cy); wake > cy+1 {
-				// Never jump past the watchdog boundary: a genuinely wedged
-				// machine must still trip the watchdog at the same cycle a
-				// single-stepped run would.
-				if limit := lastProgress + wd + 1; wake > limit {
-					wake = limit
-				}
-				if wake > cy+1 {
-					ch.now = wake - 1 // the loop header ticks cycle `wake`
-				}
-			}
-		}
 	}
 	// Timing stops when HALT retires, like a STREAM timer. Phase cycles are
 	// accumulated so an ROI phase reports only its own duration.
 	ch.Stats.Cycles += ch.now - start
-	haltCy := ch.now
 	// Let outstanding background work (write buffers, prefetches) drain so
 	// the traffic accounting is complete and the next phase starts with a
-	// quiescent machine. Busy() is evaluated once per iteration (after the
-	// ticks) and reused for both the fast-forward exit guard and the next
-	// loop condition — the four-component check walks every queue, so the
-	// old double evaluation paid it twice per drained cycle.
-	busy := ch.anyBusy()
-	for ch.now-haltCy < 10_000_000 && busy {
-		ch.now++
-		cy := ch.now
-		ch.z.Tick(cy)
-		ch.l2.Tick(cy)
-		if ch.vb != nil {
-			ch.vb.Tick(cy)
-		}
-		ch.c.Tick(cy)
-		if iter&deadlineCheckMask == 0 && !deadline.IsZero() && time.Now().After(deadline) {
-			return ch.wedge(ReasonDeadline, wd)
-		}
-		iter++
-		// Same exit guard as above: once the machine goes quiescent the loop
-		// must stop with ch.now exactly where single-stepping would leave it
-		// (ch.now seeds the next ROI phase's clock).
-		busy = ch.anyBusy()
-		if ff && busy {
-			if wake := ch.wake(cy); wake > cy+1 {
-				if limit := haltCy + 10_000_000; wake > limit {
-					wake = limit
-				}
-				if wake > cy+1 {
-					ch.now = wake - 1
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// runWheel is the event-driven chip loop. Each iteration asks every
-// component for its next wake cycle (an O(1) wheel lookup plus queue-head
-// checks), jumps the clock straight to the earliest one, and ticks only the
-// components that are due there.
-//
-// Bit-identity with single-stepping follows from the per-component NextWake
-// soundness contract (audited by ffVerify and the checker): ticking a
-// component before its reported wake cycle is a no-op, so skipping those
-// ticks cannot change any statistic. One asymmetry needs care: components
-// tick in the fixed order z → l2 → vb → core, and a tick may synchronously
-// mutate a component *later* in that order (a Zbox completion delivers an L2
-// fill; a Vbox completion calls the core's VectorDone), making the later
-// component's tick at the same cycle meaningful even though its own wake
-// hint said idle. Mutations against an *earlier* component land after its
-// tick under single-stepping and are therefore next-cycle by construction.
-// Hence the rule: the first due component and every component after it in
-// tick order run; only the prefix strictly before the first due component is
-// skipped.
-//
-// The watchdog clamp mirrors the legacy loop: the clock never jumps past
-// lastProgress+wd+1, so a wedged machine (including one wedged by a seeded
-// too-late NextWake, whose events the component wheels then strand) trips
-// the watchdog at exactly the cycle single-stepping would.
-func (ch *Chip) runWheel(trs []*vasm.Trace) error {
-	start := ch.now
-	lastProgress := ch.now
-	// Unlike the legacy loop's zero sentinel (which records one spurious
-	// "progress" event on the first tick of any phase after the first), the
-	// watchdog baseline starts from the counters as they stand. A healthy
-	// run is bit-identical either way — the baseline only times wedges.
-	lastRetired := ch.Stats.ScalarIns + ch.Stats.VectorIns
-	wd := ch.Cfg.Watchdog
-	if wd == 0 {
-		wd = watchdogWindow
-	}
-	var deadline time.Time
-	if ch.Cfg.Deadline > 0 {
-		deadline = time.Now().Add(ch.Cfg.Deadline)
-	}
-	const idle = ^uint64(0)
-	iter := uint64(0)
-	for !ch.c.Halted() {
-		now := ch.now
-		dz := ch.z.NextWake(now)
-		dl := ch.l2.NextWake(now)
-		dv := idle
-		if ch.vb != nil {
-			dv = ch.vb.NextWake(now)
-		}
-		dc := ch.c.NextWake(now)
-		wake := min(dz, dl, dv, dc)
-		if wheelDebug {
-			next := now + 1
-			if dz <= next {
-				wheelWhy[0]++
-			}
-			if dl <= next {
-				wheelWhy[1]++
-			}
-			if dv <= next {
-				wheelWhy[2]++
-			}
-			if dc <= next {
-				wheelWhy[3]++
-			}
-		}
-		if ch.inj != nil {
-			wake = ch.inj.InflateWake(now, wake)
-		}
-		if limit := lastProgress + wd + 1; wake > limit {
-			wake = limit
-		}
-		cy := now + 1
-		if wake > cy {
-			cy = wake
-		}
-		ch.now = cy
-		switch {
-		case dz <= cy:
-			ch.z.Tick(cy)
-			fallthrough
-		case dl <= cy:
-			ch.l2.Tick(cy)
-			fallthrough
-		case dv <= cy:
-			if ch.vb != nil {
-				ch.vb.Tick(cy)
-			}
-			fallthrough
-		case dc <= cy:
-			ch.c.Tick(cy)
-		}
-
-		if retired := ch.Stats.ScalarIns + ch.Stats.VectorIns; retired != lastRetired {
-			lastRetired = retired
-			lastProgress = cy
-		} else if cy-lastProgress > wd {
-			return ch.wedge(ReasonWatchdog, wd)
-		}
-
-		if iter&deadlineCheckMask == 0 {
-			if err := ch.checkHealth(trs, deadline, wd); err != nil {
-				return err
-			}
-		}
-		iter++
-	}
-	if wheelDebug {
-		fmt.Fprintf(os.Stderr, "wheel: %d cycles in %d iterations (%.2f cyc/iter) due z=%d l2=%d vb=%d core=%d\n", ch.now-start, iter, float64(ch.now-start)/float64(iter), wheelWhy[0], wheelWhy[1], wheelWhy[2], wheelWhy[3])
-	}
-	ch.Stats.Cycles += ch.now - start
+	// quiescent machine.
 	haltCy := ch.now
-	for ch.now-haltCy < 10_000_000 && ch.anyBusy() {
-		now := ch.now
-		dz := ch.z.NextWake(now)
-		dl := ch.l2.NextWake(now)
-		dv := idle
-		if ch.vb != nil {
-			dv = ch.vb.NextWake(now)
-		}
-		dc := ch.c.NextWake(now)
-		wake := min(dz, dl, dv, dc)
-		if ch.inj != nil {
-			wake = ch.inj.InflateWake(now, wake)
-		}
-		// A busy component whose wake hint is beyond the drain budget (or a
-		// fault-inflated hint) must leave the clock exactly where the legacy
-		// loop's clamp would: at the drain cutoff.
-		if limit := haltCy + 10_000_000; wake > limit {
-			wake = limit
-		}
-		cy := now + 1
-		if wake > cy {
-			cy = wake
-		}
-		ch.now = cy
-		switch {
-		case dz <= cy:
-			ch.z.Tick(cy)
-			fallthrough
-		case dl <= cy:
-			ch.l2.Tick(cy)
-			fallthrough
-		case dv <= cy:
-			if ch.vb != nil {
-				ch.vb.Tick(cy)
-			}
-			fallthrough
-		case dc <= cy:
-			ch.c.Tick(cy)
-		}
+	for ch.now-haltCy < drainBudget && ch.anyBusy() {
+		ch.now++
+		ch.tick(ch.now)
 		if iter&deadlineCheckMask == 0 && !deadline.IsZero() && time.Now().After(deadline) {
 			return ch.wedge(ReasonDeadline, wd)
 		}
@@ -683,8 +274,8 @@ func (ch *Chip) runWheel(trs []*vasm.Trace) error {
 	return nil
 }
 
-// checkHealth is the periodic (every-4096-iterations) poll for conditions
-// the cycle loop itself cannot see: a blown wall-clock deadline and a trace
+// checkHealth is the periodic (every-4096-cycles) poll for conditions the
+// cycle loop itself cannot see: a blown wall-clock deadline and a trace
 // whose producer died (which would otherwise spin until the watchdog).
 func (ch *Chip) checkHealth(trs []*vasm.Trace, deadline time.Time, wd uint64) error {
 	if !deadline.IsZero() && time.Now().After(deadline) {
@@ -698,77 +289,6 @@ func (ch *Chip) checkHealth(trs []*vasm.Trace, deadline time.Time, wd uint64) er
 		}
 	}
 	return nil
-}
-
-// RunROI runs setup (cache warmup, data preloading) and then the region of
-// interest on the same chip, returning statistics for the ROI alone — the
-// equivalent of starting the STREAM timer after the warm-up pass. Setup may
-// be nil. RunROI panics on a wedge; RunROIChecked returns it.
-//
-// Deprecated: Use Execute with a RunSpec selecting Setup and Kernel.
-func RunROI(cfg *Config, setup, roi vasm.Kernel) (*stats.Stats, *arch.Machine) {
-	st, m, err := RunROIChecked(cfg, setup, roi)
-	if err != nil {
-		panic(err)
-	}
-	return st, m
-}
-
-// RunROIChecked is RunROI with the structured error surface. A failure in
-// either phase (setup or ROI) returns a *WedgeError.
-//
-// Deprecated: Use Execute with a RunSpec selecting Setup and Kernel.
-func RunROIChecked(cfg *Config, setup, roi vasm.Kernel) (*stats.Stats, *arch.Machine, error) {
-	out, err := Execute(RunSpec{Config: cfg, Setup: setup, Kernel: roi})
-	if out == nil {
-		return nil, nil, err
-	}
-	return out.Stats, out.Machine, err
-}
-
-// RunSMT runs one kernel per hardware thread simultaneously on a single
-// chip — the §3.3 design constraint ("to avoid excessive burden onto the
-// operating system, the Vbox was also multithreaded") exercised. Each
-// thread gets its own architectural machine and address space; caches,
-// Vbox and memory system are shared. Returns the shared statistics and the
-// per-thread machines. RunSMT panics on a wedge; RunSMTChecked returns it.
-//
-// Deprecated: Use Execute with a RunSpec selecting Kernels.
-func RunSMT(cfg *Config, kernels []vasm.Kernel) (*stats.Stats, []*arch.Machine) {
-	st, ms, err := RunSMTChecked(cfg, kernels)
-	if err != nil {
-		panic(err)
-	}
-	return st, ms
-}
-
-// RunSMTChecked is RunSMT with the structured error surface.
-//
-// Deprecated: Use Execute with a RunSpec selecting Kernels.
-func RunSMTChecked(cfg *Config, kernels []vasm.Kernel) (*stats.Stats, []*arch.Machine, error) {
-	out, err := Execute(RunSpec{Config: cfg, Kernels: kernels})
-	if out == nil {
-		return nil, nil, err
-	}
-	return out.Stats, out.Machines, err
-}
-
-// RunTraces drives the chip with one trace per hardware thread until every
-// thread halts, panicking on a wedge.
-//
-// Deprecated: Use Execute with a RunSpec selecting Chip and Traces.
-func (ch *Chip) RunTraces(trs []*vasm.Trace) {
-	if err := ch.RunTracesChecked(trs); err != nil {
-		panic(err)
-	}
-}
-
-// RunTracesChecked is RunTraces with the structured error surface.
-//
-// Deprecated: Use Execute with a RunSpec selecting Chip and Traces.
-func (ch *Chip) RunTracesChecked(trs []*vasm.Trace) error {
-	_, err := Execute(RunSpec{Chip: ch, Traces: trs})
-	return err
 }
 
 // sample pushes one cycle-interval point into the series ring when the

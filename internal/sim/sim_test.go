@@ -71,7 +71,8 @@ func f64(v float64) uint64 {
 
 func TestDaxpyOnTarantula(t *testing.T) {
 	const n = 16 * 1024
-	st, m := Run(T(), vecDaxpy(n))
+	out := execute(t, RunSpec{Config: T(), Kernel: vecDaxpy(n)})
+	st, m := out.Stats, out.Machine
 	if st.Cycles == 0 {
 		t.Fatal("no cycles simulated")
 	}
@@ -92,7 +93,7 @@ func TestDaxpyOnTarantula(t *testing.T) {
 
 func TestDaxpyOnEV8(t *testing.T) {
 	const n = 16 * 1024
-	st, _ := Run(EV8(), scalarDaxpy(n))
+	st := runK(t, EV8(), scalarDaxpy(n))
 	if st.Cycles == 0 {
 		t.Fatal("no cycles simulated")
 	}
@@ -109,8 +110,8 @@ func TestDaxpyOnEV8(t *testing.T) {
 
 func TestTarantulaBeatsEV8OnDaxpy(t *testing.T) {
 	const n = 16 * 1024
-	stT, _ := Run(T(), vecDaxpy(n))
-	stE, _ := Run(EV8(), scalarDaxpy(n))
+	stT := runK(t, T(), vecDaxpy(n))
+	stE := runK(t, EV8(), scalarDaxpy(n))
 	speedup := float64(stE.Cycles) / float64(stT.Cycles)
 	t.Logf("daxpy speedup T/EV8 = %.2fx (EV8 %d cy, T %d cy)", speedup, stE.Cycles, stT.Cycles)
 	if speedup < 2 {

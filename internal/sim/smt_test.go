@@ -36,7 +36,8 @@ func smtKernel(n int, a float64) vasm.Kernel {
 
 func TestSMTBothThreadsCorrect(t *testing.T) {
 	const n = 4096
-	st, machines := RunSMT(T(), []vasm.Kernel{smtKernel(n, 2.0), smtKernel(n, 5.0)})
+	out := execute(t, RunSpec{Config: T(), Kernels: []vasm.Kernel{smtKernel(n, 2.0), smtKernel(n, 5.0)}})
+	st, machines := out.Stats, out.Machines
 	if len(machines) != 2 {
 		t.Fatal("expected two machines")
 	}
@@ -59,9 +60,9 @@ func TestSMTBothThreadsCorrect(t *testing.T) {
 func TestSMTThroughputBeatsSerial(t *testing.T) {
 	const n = 8192
 	// Two threads sharing the chip vs the same two kernels back to back.
-	stSMT, _ := RunSMT(T(), []vasm.Kernel{smtKernel(n, 2.0), smtKernel(n, 3.0)})
-	st1, _ := Run(T(), smtKernel(n, 2.0))
-	st2, _ := Run(T(), smtKernel(n, 3.0))
+	stSMT := execute(t, RunSpec{Config: T(), Kernels: []vasm.Kernel{smtKernel(n, 2.0), smtKernel(n, 3.0)}}).Stats
+	st1 := runK(t, T(), smtKernel(n, 2.0))
+	st2 := runK(t, T(), smtKernel(n, 3.0))
 	serial := st1.Cycles + st2.Cycles
 	t.Logf("SMT %d cycles vs serial %d (gain %.2fx)",
 		stSMT.Cycles, serial, float64(serial)/float64(stSMT.Cycles))
@@ -90,7 +91,7 @@ func TestSMTAddressSpacesIsolated(t *testing.T) {
 			b.Halt()
 		}
 	}
-	_, machines := RunSMT(T(), []vasm.Kernel{k(111), k(222)})
+	machines := execute(t, RunSpec{Config: T(), Kernels: []vasm.Kernel{k(111), k(222)}}).Machines
 	for th, want := range []uint64{111, 222} {
 		for i := uint64(0); i < 64; i++ {
 			if got := machines[th].Mem.LoadQ(1<<20 + i*8); got != want {
@@ -108,7 +109,8 @@ func TestSMTFourThreads(t *testing.T) {
 		})
 		b.Halt()
 	}
-	st, machines := RunSMT(EV8(), []vasm.Kernel{k, k, k, k})
+	out := execute(t, RunSpec{Config: EV8(), Kernels: []vasm.Kernel{k, k, k, k}})
+	st, machines := out.Stats, out.Machines
 	for th, m := range machines {
 		if m.R[1] != 500 {
 			t.Fatalf("thread %d computed %d", th, m.R[1])
@@ -127,10 +129,10 @@ func TestSMTNeedsLargerRegisterFile(t *testing.T) {
 	kernels := []vasm.Kernel{smtKernel(n, 2.0), smtKernel(n, 3.0)}
 	small := T()
 	small.Vbox.PhysVRegs = 36 // 4 rename copies for two threads
-	stSmall, _ := RunSMT(small, kernels)
+	stSmall := execute(t, RunSpec{Config: small, Kernels: kernels}).Stats
 	large := T()
 	large.Vbox.PhysVRegs = 128
-	stLarge, _ := RunSMT(large, kernels)
+	stLarge := execute(t, RunSpec{Config: large, Kernels: kernels}).Stats
 	t.Logf("SMT with 36 phys vregs: %d cy; with 128: %d cy", stSmall.Cycles, stLarge.Cycles)
 	if stSmall.Cycles <= stLarge.Cycles {
 		t.Fatal("a starved register file should slow multithreaded execution")

@@ -1,7 +1,6 @@
-// The checkpoint/fork A/B guard lives in an external test package for the
-// same reason as the fast-forward one: it drives real paper workloads
-// (workloads imports sim) and compares artifacts with the serve encoding
-// (serve imports workloads).
+// The checkpoint/fork A/B guard lives in an external test package: it
+// drives real paper workloads (workloads imports sim) and compares artifacts
+// with the serve encoding (serve imports workloads).
 package sim_test
 
 import (
@@ -79,13 +78,12 @@ func runAB(t *testing.T, bench *workloads.Benchmark, cfg *sim.Config) {
 	}
 }
 
-// TestSnapshotRestoreABMatrix covers every Table 4 microkernel on both
-// engines: snapshot at the post-Setup boundary, restore into a fresh chip,
-// run to completion, and require bit-identity with the straight run.
-// Benchmarks without a warm-up phase get a synthesized one so each kernel
-// still crosses a snapshot boundary.
+// TestSnapshotRestoreABMatrix covers every Table 4 microkernel: snapshot at
+// the post-Setup boundary, restore into a fresh chip, run to completion, and
+// require bit-identity with the straight run. Benchmarks without a warm-up
+// phase get a synthesized one so each kernel still crosses a snapshot
+// boundary.
 func TestSnapshotRestoreABMatrix(t *testing.T) {
-	defer func() { sim.FastForward = true }()
 	kernels := []string{
 		"streams_copy", "streams_scale", "streams_add", "streams_triadd",
 		"rndcopy", "rndmemscale",
@@ -99,16 +97,9 @@ func TestSnapshotRestoreABMatrix(t *testing.T) {
 		if bench.Setup == nil {
 			bench.Setup = synthSetup
 		}
-		for _, ff := range []bool{true, false} {
-			engine := "wheel"
-			if !ff {
-				engine = "step"
-			}
-			t.Run(name+"/"+engine, func(t *testing.T) {
-				sim.FastForward = ff
-				runAB(t, &bench, sim.T())
-			})
-		}
+		t.Run(name, func(t *testing.T) {
+			runAB(t, &bench, sim.T())
+		})
 	}
 }
 

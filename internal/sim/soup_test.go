@@ -96,7 +96,7 @@ func TestRandomKernelSoup(t *testing.T) {
 				b.Halt()
 			}
 		}
-		st, _ := Run(cfg, k) // the sim watchdog panics on livelock
+		st := runK(t, cfg, k) // a livelock trips the watchdog and fails the test
 		if st.Cycles == 0 {
 			t.Fatalf("%s: no cycles", cfg.Name)
 		}

@@ -6,16 +6,14 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/arch"
 	"repro/internal/faults"
 	"repro/internal/isa"
-	"repro/internal/mem"
 	"repro/internal/vasm"
 )
 
 // wedgeKernel is a long-running memory-bound vector kernel: plenty of
-// pre-storm retirement, plenty of idle windows for the hint audit, and far
-// too much remaining work to halt before an injected stall storm lands.
+// pre-storm retirement, long memory waits, and far too much remaining work
+// to halt before an injected stall storm lands.
 func wedgeKernel(b *vasm.Builder) {
 	base := b.AllocF64(1<<16, 0)
 	b.Li(isa.R(1), int64(base))
@@ -34,7 +32,7 @@ func TestWatchdogWedgeError(t *testing.T) {
 	cfg := *T()
 	cfg.Faults = &faults.Config{StallStormFrom: 300}
 	cfg.Watchdog = 30_000
-	_, _, err := RunChecked(&cfg, wedgeKernel)
+	_, err := Execute(RunSpec{Config: &cfg, Kernel: wedgeKernel})
 	var w *WedgeError
 	if !errors.As(err, &w) {
 		t.Fatalf("err = %v (%T), want *WedgeError", err, err)
@@ -59,48 +57,36 @@ func TestWatchdogWedgeError(t *testing.T) {
 	}
 }
 
-// TestWatchdogWedgeFastForwardAgrees: the idle-cycle fast-forward clamps its
-// jumps at the watchdog boundary, so a wedged machine reports the same
-// verdict with the optimisation on or off.
-func TestWatchdogWedgeFastForwardAgrees(t *testing.T) {
-	run := func(ff bool) *WedgeError {
-		cfg := *T()
-		cfg.Faults = &faults.Config{StallStormFrom: 300}
-		cfg.Watchdog = 30_000
-		chip := New(&cfg)
-		chip.SetFastForward(ff)
-		m := arch.New(mem.New())
-		tr := vasm.NewTrace(m, wedgeKernel)
-		defer tr.Close()
-		err := chip.RunTraceChecked(tr)
-		var w *WedgeError
-		if !errors.As(err, &w) {
-			t.Fatalf("ff=%v: err = %v, want *WedgeError", ff, err)
-		}
-		return w
-	}
-	on, off := run(true), run(false)
-	if on.Reason != off.Reason || on.Retired != off.Retired {
-		t.Errorf("fast-forward changed the wedge verdict:\n  on:  %+v\n  off: %+v", on, off)
-	}
-}
-
-// TestLegacyRunPanicsOnWedge: the historical surface is preserved — Run is a
-// thin wrapper that panics with the same typed error RunChecked returns.
-func TestLegacyRunPanicsOnWedge(t *testing.T) {
+// TestWedgeCycleAfterSetup pins the watchdog baseline of a later phase: the
+// retired count as it stands when the phase starts. A stall storm that lands
+// exactly at the end of the warm-up freezes the region of interest from its
+// first cycle, so the watchdog must convict at ROI start + window + 1 — the
+// first tick of the ROI is not progress.
+func TestWedgeCycleAfterSetup(t *testing.T) {
+	const roiStart, window = 162, 30_000
 	cfg := *T()
-	cfg.Faults = &faults.Config{StallStormFrom: 300}
-	cfg.Watchdog = 30_000
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("Run did not panic on a wedge")
-		}
-		if _, ok := r.(*WedgeError); !ok {
-			t.Fatalf("Run panicked with %T, want *WedgeError", r)
-		}
-	}()
-	Run(&cfg, wedgeKernel)
+	cfg.Faults = &faults.Config{StallStormFrom: roiStart}
+	cfg.Watchdog = window
+	out, err := Execute(RunSpec{
+		Config: &cfg,
+		Setup: func(b *vasm.Builder) {
+			base := b.AllocF64(64, 0)
+			b.Li(isa.R(1), int64(base))
+			b.LdT(isa.F(1), isa.R(1), 0)
+		},
+		Kernel: wedgeKernel,
+	})
+	var w *WedgeError
+	if !errors.As(err, &w) {
+		t.Fatalf("err = %v, want *WedgeError", err)
+	}
+	if out.WarmupCycles != roiStart {
+		t.Fatalf("warm-up ends at cycle %d, want %d", out.WarmupCycles, roiStart)
+	}
+	if w.Reason != ReasonWatchdog || w.Cycle != roiStart+window+1 {
+		t.Errorf("wedge = %q at cycle %d, want %q at cycle %d",
+			w.Reason, w.Cycle, ReasonWatchdog, roiStart+window+1)
+	}
 }
 
 // TestDeadlineWedge: an expired wall-clock budget aborts promptly with the
@@ -108,7 +94,7 @@ func TestLegacyRunPanicsOnWedge(t *testing.T) {
 func TestDeadlineWedge(t *testing.T) {
 	cfg := *T()
 	cfg.Deadline = time.Nanosecond
-	_, _, err := RunChecked(&cfg, wedgeKernel)
+	_, err := Execute(RunSpec{Config: &cfg, Kernel: wedgeKernel})
 	var w *WedgeError
 	if !errors.As(err, &w) {
 		t.Fatalf("err = %v, want *WedgeError", err)
@@ -118,36 +104,16 @@ func TestDeadlineWedge(t *testing.T) {
 	}
 }
 
-// TestBrokenHintCaughtByChecker is the regression demanded by the integrity
-// layer: seed the too-late-NextWake bug class and require the checker's
-// hint audit to convict it as an invariant violation.
-func TestBrokenHintCaughtByChecker(t *testing.T) {
-	cfg := *T()
-	cfg.Check = true
-	cfg.Faults = &faults.Config{Seed: 42, DropWakePct: 100, DropWakeSpan: 64}
-	_, _, err := RunChecked(&cfg, wedgeKernel)
-	var w *WedgeError
-	if !errors.As(err, &w) {
-		t.Fatalf("seeded broken hints went undetected: err = %v", err)
-	}
-	if w.Reason != ReasonInvariant {
-		t.Fatalf("Reason = %q, want %q", w.Reason, ReasonInvariant)
-	}
-	if w.Violation == nil || w.Violation.Invariant != "nextwake" {
-		t.Fatalf("Violation = %+v, want the nextwake audit", w.Violation)
-	}
-}
-
 // TestTraceDeathSurfacesAsWedge: a kernel that dies mid-trace never emits
 // HALT; the health poll must report the positional build error promptly
 // instead of spinning until the watchdog.
 func TestTraceDeathSurfacesAsWedge(t *testing.T) {
 	cfg := *T()
-	_, _, err := RunChecked(&cfg, func(b *vasm.Builder) {
+	_, err := Execute(RunSpec{Config: &cfg, Kernel: func(b *vasm.Builder) {
 		b.Li(isa.R(1), 1234) // not 8-aligned
 		b.LdT(isa.F(1), isa.R(1), 0)
 		b.Halt()
-	})
+	}})
 	var w *WedgeError
 	if !errors.As(err, &w) {
 		t.Fatalf("err = %v, want *WedgeError", err)
@@ -167,21 +133,17 @@ func TestTraceDeathSurfacesAsWedge(t *testing.T) {
 	}
 }
 
-// TestCheckerCleanOnFFCases: the invariant checker must pass every kernel of
-// the fast-forward soundness suite without a violation — the checker exists
-// to catch bugs, not to manufacture them.
-func TestCheckerCleanOnFFCases(t *testing.T) {
-	for _, c := range ffCases() {
+// TestCheckerCleanOnKernelCases: the invariant checker must pass every
+// kernel case without a violation — the checker exists to catch bugs, not
+// to manufacture them.
+func TestCheckerCleanOnKernelCases(t *testing.T) {
+	for _, c := range kernelCases() {
 		for _, base := range c.configs {
 			cfg := *base
 			cfg.Check = true
-			chip := New(&cfg)
-			m := arch.New(mem.New())
-			tr := vasm.NewTrace(m, c.kernel)
-			if err := chip.RunTraceChecked(tr); err != nil {
+			if _, err := runOnChip(&cfg, c.kernel); err != nil {
 				t.Errorf("%s/%s: %v", cfg.Name, c.name, err)
 			}
-			tr.Close()
 		}
 	}
 }
@@ -189,18 +151,15 @@ func TestCheckerCleanOnFFCases(t *testing.T) {
 // TestCheckedRunBitIdentical: enabling the checker must not change simulated
 // time — it only observes.
 func TestCheckedRunBitIdentical(t *testing.T) {
-	for _, c := range ffCases() {
+	for _, c := range kernelCases() {
 		base := c.configs[0]
-		plain := runFF(base, c.kernel, false)
+		plain := runK(t, base, c.kernel)
 		cfg := *base
 		cfg.Check = true
-		chip := New(&cfg)
-		m := arch.New(mem.New())
-		tr := vasm.NewTrace(m, c.kernel)
-		if err := chip.RunTraceChecked(tr); err != nil {
+		chip, err := runOnChip(&cfg, c.kernel)
+		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		tr.Close()
 		if *chip.Stats != *plain {
 			t.Errorf("%s: checker changed the statistics:\n  checked: %+v\n  plain:   %+v",
 				c.name, *chip.Stats, *plain)

@@ -184,19 +184,6 @@ func (v *VBox) Dispatch(cy uint64, u *pipe.UOp) bool {
 	return true
 }
 
-// CanDispatch reports whether Dispatch would accept u right now, without
-// performing it — the core's fast-forward lookahead uses it to tell V-bus
-// width staging apart from real queue/register backpressure.
-func (v *VBox) CanDispatch(u *pipe.UOp) bool {
-	if v.queued >= v.cfg.Queue {
-		return false
-	}
-	if hasVDest(u) && v.cfg.PhysVRegs > 0 && v.vregsInUse >= v.cfg.PhysVRegs-32 {
-		return false
-	}
-	return true
-}
-
 // finish releases the physical register (approximating the free at the
 // point the value is architecturally visible) and reports completion.
 func (v *VBox) finish(cy uint64, u *pipe.UOp) {
@@ -228,47 +215,6 @@ func (v *VBox) Tick(cy uint64) {
 	v.wheel.Advance(cy)
 	v.submitSlices(cy)
 	v.issue(cy)
-}
-
-// NextWake returns the earliest cycle after now at which Tick can change any
-// Vbox state: the next completion event, the cycle the address generators or
-// an issue port free up with work waiting, or the cycle a generated slice
-// becomes available for submission to the L2. Dispatched instructions whose
-// operands have not arrived wake through the core's completion events, and a
-// full L2 input queue keeps the L2 itself awake — both are covered by the
-// other components' NextWake. ^uint64(0) means the engine is drained.
-func (v *VBox) NextWake(now uint64) uint64 {
-	wake := v.wheel.Next()
-	min1 := func(c uint64) {
-		if c <= now {
-			c = now + 1
-		}
-		if c < wake {
-			wake = c
-		}
-	}
-	if len(v.readyMem) > 0 && v.memInFly < v.cfg.MemInsts {
-		min1(v.agFree)
-	}
-	if v.readyArith.Len() > 0 {
-		earliest := v.portFree[0]
-		for _, f := range v.portFree[1:] {
-			if f < earliest {
-				earliest = f
-			}
-		}
-		min1(earliest)
-	}
-	if len(v.readSubQ) > 0 {
-		min1(v.readSubQ[0].availCy)
-	}
-	if len(v.writeSubQ) > 0 {
-		min1(v.writeSubQ[0].availCy)
-	}
-	if wake <= now {
-		wake = now + 1
-	}
-	return wake
 }
 
 // ---- issue ----

@@ -8,9 +8,8 @@ import (
 
 // TestInvariantCheckerCleanAllWorkloads runs every registered benchmark at
 // test scale under the microarchitectural invariant checker on the full
-// Tarantula machine. The checker single-steps and audits every fast-forward
-// hint, so a clean pass here means the paper's workloads exercise no latent
-// retire-order, store-queue, inclusion or NextWake bug.
+// Tarantula machine. A clean pass means the paper's workloads exercise no
+// latent retire-order, store-queue or inclusion bug.
 func TestInvariantCheckerCleanAllWorkloads(t *testing.T) {
 	cfg := *sim.T()
 	cfg.Check = true

@@ -172,30 +172,6 @@ func (z *Zbox) Tick(c uint64) {
 // allocation-free (see the l2 package's twin).
 func callDone(cy uint64, a any) { a.(func(uint64))(cy) }
 
-// NextWake returns the earliest cycle after now at which Tick can change any
-// controller state: the next completion delivery, or the first cycle a port
-// with queued work becomes free. ^uint64(0) means the controller is fully
-// idle and will stay so without new requests.
-func (z *Zbox) NextWake(now uint64) uint64 {
-	wake := z.wheel.Next()
-	for _, p := range z.ports {
-		if len(p.queue) == 0 {
-			continue
-		}
-		start := p.busyUntil
-		if start <= now {
-			start = now + 1
-		}
-		if start < wake {
-			wake = start
-		}
-	}
-	if wake <= now {
-		wake = now + 1
-	}
-	return wake
-}
-
 // QueueDepth returns the total number of queued (not yet started)
 // transactions, used by tests and by the L2's backpressure heuristics.
 func (z *Zbox) QueueDepth() int {
