@@ -125,9 +125,15 @@ func getJSON(t *testing.T, url string) (*http.Response, []byte) {
 // router at base.
 func submitAndWait(t *testing.T, base, bench, config string) *serve.JobStatus {
 	t.Helper()
-	resp, body := postJSON(t, base+"/v1/jobs", map[string]any{"bench": bench, "config": config, "scale": "test"})
+	return submitRequestAndWait(t, base, &serve.SubmitRequest{Bench: bench, Config: config, Scale: "test"})
+}
+
+// submitRequestAndWait submits req and long-polls it to a terminal state.
+func submitRequestAndWait(t *testing.T, base string, req *serve.SubmitRequest) *serve.JobStatus {
+	t.Helper()
+	resp, body := postJSON(t, base+"/v1/jobs", req)
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit %s@%s: HTTP %d: %s", bench, config, resp.StatusCode, body)
+		t.Fatalf("submit %s@%s: HTTP %d: %s", req.Bench, req.Config, resp.StatusCode, body)
 	}
 	var st serve.JobStatus
 	if err := json.Unmarshal(body, &st); err != nil {
@@ -147,6 +153,34 @@ func submitAndWait(t *testing.T, base, bench, config string) *serve.JobStatus {
 		}
 	}
 	return &st
+}
+
+// deadPeer is an address nothing listens on (the discard port).
+const deadPeer = "http://127.0.0.1:9"
+
+// experimentOwnedBy returns a dgemm@T test-scale experiment that the ring
+// over members places on owner. The members stay fixed and the experiment
+// varies, in its clock_ghz knob: each candidate's key lands on owner
+// independently, with owner's share of the ring (about a half for two
+// members), so all 64 candidates missing is vanishingly unlikely. Varying
+// a member's address instead fails whenever one live virtual node sits
+// just past the key, since that node blocks every candidate at once.
+func experimentOwnedBy(t *testing.T, members []string, owner string) *serve.SubmitRequest {
+	t.Helper()
+	ring := cluster.NewRing(members)
+	for i := 0; i < 64; i++ {
+		req := &serve.SubmitRequest{Bench: "dgemm", Config: "T", Scale: "test",
+			Knobs: map[string]float64{"clock_ghz": 2 + float64(i)/64}}
+		key, err := serve.RouteKey(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ring.Lookup(key) == owner {
+			return req
+		}
+	}
+	t.Fatalf("none of 64 experiments is placed on %s", owner)
+	return nil
 }
 
 func metricValue(t *testing.T, base, name string) float64 {
@@ -228,30 +262,16 @@ func TestClusterForwardFallback(t *testing.T) {
 	ts := httptest.NewServer(sh)
 	t.Cleanup(ts.Close)
 
-	// Pick a dead peer address that owns the experiment we will submit, so
-	// the live node must attempt (and survive) the forward.
-	req := &serve.SubmitRequest{Bench: "dgemm", Config: "T", Scale: "test"}
-	key, err := serve.RouteKey(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead := ""
-	for port := 9; port < 200; port += 10 {
-		cand := fmt.Sprintf("http://127.0.0.1:%d", port)
-		if cluster.NewRing([]string{ts.URL, cand}).Lookup(key) == cand {
-			dead = cand
-			break
-		}
-	}
-	if dead == "" {
-		t.Fatal("could not find a dead-peer address owning the test key")
-	}
+	// Submit an experiment the dead peer owns, so the live node must
+	// attempt (and survive) the forward.
+	members := []string{ts.URL, deadPeer}
+	req := experimentOwnedBy(t, members, deadPeer)
 
 	st, err := serve.OpenSharedStore(dir, 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := cluster.NewMembership([]string{ts.URL, dead})
+	m := cluster.NewMembership(members)
 	srv := serve.New(serve.Options{
 		Workers: 2, QueueDepth: 16, Store: st,
 		Router: cluster.NewForwarder(ts.URL, "n1", m), NodeID: "n1",
@@ -263,7 +283,7 @@ func TestClusterForwardFallback(t *testing.T) {
 	})
 	sh.set(srv.Handler())
 
-	js := submitAndWait(t, ts.URL, "dgemm", "T")
+	js := submitRequestAndWait(t, ts.URL, req)
 	if js.State != serve.StateDone {
 		t.Fatalf("job did not survive the dead owner: %+v", js)
 	}
@@ -487,28 +507,14 @@ func TestRouterFailoverAndPeerUnreachable(t *testing.T) {
 	}))
 	t.Cleanup(live.Close)
 
-	req := &serve.SubmitRequest{Bench: "dgemm", Config: "T", Scale: "test"}
-	key, err := serve.RouteKey(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead := ""
-	for port := 9; port < 200; port += 10 {
-		cand := fmt.Sprintf("http://127.0.0.1:%d", port)
-		if cluster.NewRing([]string{live.URL, cand}).Lookup(key) == cand {
-			dead = cand
-			break
-		}
-	}
-	if dead == "" {
-		t.Fatal("could not find a dead address owning the test key")
-	}
+	members := []string{live.URL, deadPeer}
+	req := experimentOwnedBy(t, members, deadPeer)
 
-	p := cluster.NewProxy([]string{live.URL, dead}, 0)
+	p := cluster.NewProxy(members, 0)
 	rt := httptest.NewServer(p.Handler())
 	t.Cleanup(rt.Close)
 
-	resp, body := postJSON(t, rt.URL+"/v1/jobs", map[string]any{"bench": "dgemm", "config": "T", "scale": "test"})
+	resp, body := postJSON(t, rt.URL+"/v1/jobs", req)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("failover submit: HTTP %d: %s", resp.StatusCode, body)
 	}

@@ -1,6 +1,10 @@
 package creorder
 
-import "repro/internal/isa"
+import (
+	"slices"
+
+	"repro/internal/isa"
+)
 
 // CRBox models the conflict-resolution box (§3.4): gather/scatter and
 // self-conflicting-stride addresses do not form an arithmetic series the
@@ -25,48 +29,66 @@ type CRBox struct {
 // them along with the number of tournament rounds the packing took. Element
 // lane assignment follows the register file slicing (index mod 16). In the
 // worst case — all addresses on one bank — a 128-element instruction yields
-// 128 single-element slices (the paper's stated worst case).
+// 128 single-element slices (the paper's stated worst case). The slices'
+// elements share one backing array, cut with full slice expressions.
 func (cr *CRBox) Pack(elems []Elem, tag0 int) ([]Slice, int) {
-	var lanes [isa.NumLanes][]Elem
-	n := 0
+	// The per-lane FIFOs share one array, lane after lane: lane l's pending
+	// elements are queue[next[l]:end[l]].
+	var next, end [isa.NumLanes]int
+	for _, e := range elems {
+		end[LaneOf(e.Index)]++
+	}
+	for l, off := 0, 0; l < isa.NumLanes; l++ {
+		next[l] = off
+		off += end[l]
+		end[l] = next[l]
+	}
+	var qbuf [isa.VLMax]Elem
+	queue := slices.Grow(qbuf[:0], len(elems))[:len(elems)]
 	for _, e := range elems {
 		l := LaneOf(e.Index)
-		lanes[l] = append(lanes[l], e)
-		n++
+		queue[end[l]] = e
+		end[l]++
 	}
-	var out []Slice
-	rounds := 0
-	for n > 0 {
-		rounds++
+	// Each round's winners are appended to packed; cuts records where each
+	// round's slice ends.
+	packed := make([]Elem, 0, len(elems))
+	var cbuf [isa.VLMax]int
+	cuts := cbuf[:0]
+	for len(packed) < len(elems) {
 		var bankUsed [NumBanks]bool
-		s := Slice{Tag: tag0 + len(out)}
 		for l := 0; l < isa.NumLanes; l++ {
-			if len(lanes[l]) == 0 {
+			if next[l] == end[l] {
 				continue
 			}
-			head := lanes[l][0]
+			head := queue[next[l]]
 			b := BankOf(head.Addr)
 			if bankUsed[b] {
 				continue // loses this tournament, retries next round
 			}
 			bankUsed[b] = true
-			s.Elems = append(s.Elems, head)
-			lanes[l] = lanes[l][1:]
-			n--
+			packed = append(packed, head)
+			next[l]++
 		}
-		s.QWords = len(s.Elems)
-		out = append(out, s)
+		cuts = append(cuts, len(packed))
 	}
-	cr.Rounds += rounds
+	out := make([]Slice, len(cuts))
+	start := 0
+	for i, cut := range cuts {
+		out[i] = Slice{Tag: tag0 + i, Elems: packed[start:cut:cut], QWords: cut - start}
+		start = cut
+	}
+	cr.Rounds += len(out)
 	cr.Slices += len(out)
-	return out, rounds
+	return out, len(out)
 }
 
 // PackStrided routes a self-conflicting strided access (σ·2^s, s > 4, or a
 // degenerate stride) through the CR box, per §3.4: "Any instruction with
 // such a stride is treated exactly like a gather/scatter."
 func (cr *CRBox) PackStrided(base uint64, strideBytes int64, active []bool, tag0 int) ([]Slice, int) {
-	elems := make([]Elem, 0, len(active))
+	var buf [isa.VLMax]Elem
+	elems := buf[:0]
 	for i, act := range active {
 		if !act {
 			continue

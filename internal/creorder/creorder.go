@@ -116,11 +116,42 @@ func ClassifyStride(strideBytes int64) Mode {
 	return ModeReorder
 }
 
-// scheduleROM memoises full-128-element schedules keyed by the bank pattern
-// of the access — the software analogue of the paper's 2.1 KB ROM
-// distributed across the lanes. Two accesses with the same per-element bank
-// sequence reuse the same requesting order.
-var scheduleROM sync.Map // string(bank pattern) -> [][]int (element index groups)
+// scheduleROM memoises full-128-element schedules — the software analogue
+// of the paper's 2.1 KB ROM distributed across the lanes. Element i's bank
+// is bits <9:6> of base + i·stride, so the bank pattern, and with it the
+// schedule, depends only on base and stride modulo 1 KiB: the ROM is keyed
+// by that pair. A plain map behind a mutex keeps the lookup free of
+// allocations (a sync.Map boxes its key); the parallel sweep runner and the
+// server schedule from several goroutines at once.
+var scheduleROM struct {
+	sync.Mutex
+	m map[uint32][][]int // romKey -> element index groups
+}
+
+// romKey packs base and stride modulo 1 KiB into one map key.
+func romKey(base uint64, strideBytes int64) uint32 {
+	return uint32(base%1024)<<10 | uint32(uint64(strideBytes)%1024)
+}
+
+// romSchedule returns the memoised schedule of a reorderable access,
+// computing and storing it on first use.
+func romSchedule(base uint64, strideBytes int64) [][]int {
+	key := romKey(base, strideBytes)
+	scheduleROM.Lock()
+	sched, ok := scheduleROM.m[key]
+	scheduleROM.Unlock()
+	if ok {
+		return sched
+	}
+	sched = computeSchedule(base, strideBytes)
+	scheduleROM.Lock()
+	if scheduleROM.m == nil {
+		scheduleROM.m = make(map[uint32][][]int)
+	}
+	scheduleROM.m[key] = sched
+	scheduleROM.Unlock()
+	return sched
+}
 
 // ScheduleStrided partitions the active elements of a strided access into
 // conflict-free slices. base is the address of element 0, strideBytes the
@@ -152,44 +183,39 @@ func ScheduleStrided(base uint64, strideBytes int64, active []bool, tag0 int) ([
 // misaligned base touches 17 lines and is forced to generate two pump
 // slices (§3.4 footnote).
 func pumpSlices(base uint64, active []bool, tag0 int) []Slice {
-	type lineInfo struct {
-		addr uint64
-		qw   int
-	}
-	var lines []lineInfo
-	lineIdx := make(map[uint64]int)
+	// A stride-1 access's line addresses never decrease, so an element
+	// either lands in the previous element's line or opens the next one.
+	elems := make([]Elem, 0, (len(active)+7)/8+1)
+	var qw [isa.VLMax/8 + 1]int
+	lineQW := qw[:0] // quadwords per line
 	for i, act := range active {
 		if !act {
 			continue
 		}
 		la := (base + uint64(i)*8) &^ (LineBytes - 1)
-		j, ok := lineIdx[la]
-		if !ok {
-			j = len(lines)
-			lineIdx[la] = j
-			lines = append(lines, lineInfo{addr: la})
+		if n := len(elems); n == 0 || elems[n-1].Addr != la {
+			elems = append(elems, Elem{Index: n, Addr: la})
+			lineQW = append(lineQW, 0)
 		}
-		lines[j].qw++
+		lineQW[len(lineQW)-1]++
 	}
-	if len(lines) == 0 {
+	if len(elems) == 0 {
 		return nil
 	}
 	// Split at 1 KiB block boundaries: a block holds one line per bank, so
 	// each pump slice is conflict-free. An aligned 128-element access is
 	// one slice; a misaligned base straddles a block boundary and is forced
 	// to generate two slices, both with the pump bit set (§3.4 footnote 3).
-	var out []Slice
+	out := make([]Slice, 0, 2)
 	block := func(a uint64) uint64 { return a >> 10 }
-	start := 0
-	for start < len(lines) {
+	for start := 0; start < len(elems); {
 		end := start + 1
-		for end < len(lines) && end-start < NumBanks && block(lines[end].addr) == block(lines[start].addr) {
+		for end < len(elems) && end-start < NumBanks && block(elems[end].Addr) == block(elems[start].Addr) {
 			end++
 		}
-		s := Slice{Tag: tag0 + len(out), Pump: true}
-		for j := start; j < end; j++ {
-			s.Elems = append(s.Elems, Elem{Index: j, Addr: lines[j].addr})
-			s.QWords += lines[j].qw
+		s := Slice{Tag: tag0 + len(out), Pump: true, Elems: elems[start:end:end]}
+		for _, q := range lineQW[start:end] {
+			s.QWords += q
 		}
 		out = append(out, s)
 		start = end
@@ -198,37 +224,34 @@ func pumpSlices(base uint64, active []bool, tag0 int) []Slice {
 }
 
 // reorderSlices implements the conflict-free reordering scheme. The full
-// 128-element schedule is computed once per (base offset, stride) bank
-// pattern via bipartite matching and memoised (the "ROM"); the vl/mask
-// filter is applied on the way out, so short or masked vectors still follow
-// the full-vector requesting order — which is why they still pay all eight
-// address-generation cycles (§3.4).
+// 128-element schedule is computed once per (base, stride) bank pattern via
+// bipartite matching and memoised (the "ROM"); the vl/mask filter is
+// applied on the way out, so short or masked vectors still follow the
+// full-vector requesting order — which is why they still pay all eight
+// address-generation cycles (§3.4). Every slice's elements share one
+// backing array, cut with full slice expressions so none can grow into
+// its neighbour.
 func reorderSlices(base uint64, strideBytes int64, active []bool, tag0 int) []Slice {
-	var pattern [isa.VLMax]byte
-	for i := 0; i < isa.VLMax; i++ {
-		pattern[i] = byte(BankOf(base + uint64(int64(i)*strideBytes)))
+	sched := romSchedule(base, strideBytes)
+	n := 0
+	for _, act := range active[:min(len(active), isa.VLMax)] {
+		if act {
+			n++
+		}
 	}
-	key := string(pattern[:])
-	var sched [][]int
-	if v, ok := scheduleROM.Load(key); ok {
-		sched = v.([][]int)
-	} else {
-		sched = computeSchedule(base, strideBytes)
-		scheduleROM.Store(key, sched)
-	}
-	var out []Slice
-	for _, group := range sched {
-		s := Slice{Tag: tag0 + len(out)}
+	elems := make([]Elem, 0, n)
+	out := make([]Slice, len(sched))
+	for g, group := range sched {
+		start := len(elems)
 		for _, idx := range group {
 			if idx < len(active) && active[idx] {
-				s.Elems = append(s.Elems, Elem{Index: idx, Addr: base + uint64(int64(idx)*strideBytes)})
+				elems = append(elems, Elem{Index: idx, Addr: base + uint64(int64(idx)*strideBytes)})
 			}
 		}
-		s.QWords = len(s.Elems)
 		// Empty groups still exist in the requesting order but produce no
 		// L2 traffic; the Vbox timing charges the address-generation cycle
 		// regardless, so we emit the (possibly empty) slice.
-		out = append(out, s)
+		out[g] = Slice{Tag: tag0 + g, Elems: elems[start:len(elems):len(elems)], QWords: len(elems) - start}
 	}
 	return out
 }

@@ -1,7 +1,10 @@
 package creorder
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -397,5 +400,84 @@ func TestNoPumpPathForcesReorder(t *testing.T) {
 			t.Fatal("no-pump slice carries the pump bit")
 		}
 		checkConflictFree(t, s)
+	}
+}
+
+// TestAddressGenerationAllocs pins the host allocations of one vector
+// memory instruction's address generation: the slice headers and one
+// backing array their elements share, whatever the path.
+func TestAddressGenerationAllocs(t *testing.T) {
+	act := allActive()
+	rng := rand.New(rand.NewSource(3))
+	gather := make([]Elem, isa.VLMax)
+	for i := range gather {
+		gather[i] = Elem{Index: i, Addr: uint64(rng.Intn(1<<20)) &^ 7}
+	}
+	var cr CRBox
+	cases := []struct {
+		name string
+		want float64
+		run  func()
+	}{
+		{"reorder stride 3", 2, func() { ScheduleStrided(1<<20, 24, act, 0) }},
+		{"pump stride 1", 2, func() { ScheduleStrided(1<<20+8, 8, act, 0) }},
+		{"CR box gather", 2, func() { cr.Pack(gather, 0) }},
+		{"CR box self-conflicting stride", 2, func() { cr.PackStrided(1<<20, 2048, act, 0) }},
+	}
+	for _, c := range cases {
+		if got := testing.AllocsPerRun(100, c.run); got != c.want {
+			t.Errorf("%s: %.0f allocations per instruction, want %.0f", c.name, got, c.want)
+		}
+	}
+}
+
+// TestSlicesDoNotShareCapacity: slices cut from one backing array must not
+// be able to grow into their neighbours.
+func TestSlicesDoNotShareCapacity(t *testing.T) {
+	reorder, _ := ScheduleStrided(1<<20, 24, allActive(), 0)
+	pump, _ := ScheduleStrided(1<<20+8, 8, allActive(), 0)
+	var cr CRBox
+	packed, _ := cr.PackStrided(1<<20, 2048, allActive(), 0)
+	for _, group := range [][]Slice{reorder, pump, packed} {
+		for i, s := range group {
+			if cap(s.Elems) != len(s.Elems) {
+				t.Fatalf("slice %d: cap %d > len %d", i, cap(s.Elems), len(s.Elems))
+			}
+		}
+	}
+}
+
+// TestROMConcurrentUse schedules from several goroutines at once, as the
+// parallel sweep runner and the server do; run it under -race. Every
+// goroutine must see the same schedule as a serial call.
+func TestROMConcurrentUse(t *testing.T) {
+	act := allActive()
+	strides := []int64{16, 24, 40, 56, 64, 8 * 312}
+	want := make([][]Slice, len(strides))
+	for i, st := range strides {
+		want[i], _ = ScheduleStrided(3<<20+uint64(i)*8, st, act, 0)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n < 50; n++ {
+				i := (g + n) % len(strides)
+				// Fresh keys force stores while other goroutines load.
+				ScheduleStrided(uint64(g*1024+n*8), strides[i]+int64(16*n), act, 0)
+				got, _ := ScheduleStrided(3<<20+uint64(i)*8, strides[i], act, 0)
+				if !reflect.DeepEqual(got, want[i]) {
+					errs <- fmt.Sprintf("goroutine %d: stride %d schedule differs", g, strides[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

@@ -10,6 +10,8 @@
 package l2
 
 import (
+	"math/bits"
+
 	"repro/internal/creorder"
 	"repro/internal/faults"
 	"repro/internal/metrics"
@@ -54,6 +56,11 @@ type SliceOp struct {
 	panic_  bool
 }
 
+// chunkSets is the number of consecutive sets the tag store allocates at
+// once: 64 sets of the paper's 8-way cache are 512 ways, 16 KiB of host
+// memory with their tags.
+const chunkSets = 64
+
 type way struct {
 	tag    uint64 // line address
 	valid  bool
@@ -75,15 +82,24 @@ type L2 struct {
 	cfg Config
 	z   *zbox.Zbox
 
-	// The tag store is flattened: set s occupies ways[s*assoc:(s+1)*assoc].
-	// tags mirrors the tag of each valid way (invalid ways hold ^0, never a
-	// real line address since lines are at least 64-byte aligned) so a probe
-	// scans one contiguous cache line of tags instead of chasing per-set
-	// slices of 32-byte way structs.
-	ways  []way
-	tags  []uint64
-	mask  uint64
-	assoc uint64
+	// The tag store is a table of chunks of 1<<chunkShift consecutive sets
+	// (chunkSets, or every set of a smaller cache). Within chunk k, set s
+	// occupies ways[k][(s mod chunk sets)*assoc:][:assoc]. A chunk is
+	// allocated by the first install into it; until then ways[k] and tags[k]
+	// are nil and every set in it reads as all-invalid, which is what a
+	// probe of an untouched set returns anyway, so replacement order and the
+	// counters do not depend on the chunking. Host memory therefore follows
+	// the lines a run touches, not the 16 MB the modelled cache holds.
+	//
+	// tags[k] mirrors the tag of each way of chunk k, with ^0 for an invalid
+	// way (never a real line address, since lines are at least 64-byte
+	// aligned), so a probe scans one contiguous cache line of tags instead
+	// of the 24-byte way structs.
+	ways       [][]way
+	tags       [][]uint64
+	mask       uint64 // set-index mask
+	assoc      uint64
+	chunkShift uint // log2 of the sets per chunk
 
 	// Registered counter handles (l2.* namespace).
 	hits, misses           metrics.Counter
@@ -139,20 +155,20 @@ func callDone(cy uint64, a any) { a.(func(uint64))(cy) }
 // counters and queue-depth gauges under the registry's l2 namespace.
 func New(cfg Config, reg *metrics.Registry, z *zbox.Zbox) *L2 {
 	nsets := cfg.Bytes / (cfg.LineBytes * cfg.Assoc)
+	shift := uint(bits.TrailingZeros(uint(min(nsets, chunkSets))))
+	nchunks := nsets >> shift
 	c := &L2{
-		cfg:   cfg,
-		z:     z,
-		ways:  make([]way, nsets*cfg.Assoc),
-		tags:  make([]uint64, nsets*cfg.Assoc),
-		mask:  uint64(nsets - 1),
-		assoc: uint64(cfg.Assoc),
-		fills: make(map[uint64]*pendingFill),
-		wheel: sched.NewWheel(),
+		cfg:        cfg,
+		z:          z,
+		ways:       make([][]way, nchunks),
+		tags:       make([][]uint64, nchunks),
+		mask:       uint64(nsets - 1),
+		assoc:      uint64(cfg.Assoc),
+		chunkShift: shift,
+		fills:      make(map[uint64]*pendingFill),
+		wheel:      sched.NewWheel(),
 	}
 	c.retrySliceFn = func(_ uint64, a any) { c.retryQ = append(c.retryQ, a.(*SliceOp)) }
-	for i := range c.tags {
-		c.tags[i] = ^uint64(0)
-	}
 	m := reg.Scope("l2")
 	c.hits = m.Counter("hits")
 	c.misses = m.Counter("misses")
@@ -177,14 +193,36 @@ func New(cfg Config, reg *metrics.Registry, z *zbox.Zbox) *L2 {
 }
 
 func (c *L2) line(addr uint64) uint64 { return addr &^ uint64(c.cfg.LineBytes-1) }
-func (c *L2) base(line uint64) uint64 { return ((line >> 6) & c.mask) * c.assoc }
+
+// locate returns the chunk holding line's set and the index of the set's
+// first way within that chunk.
+func (c *L2) locate(line uint64) (k int, base uint64) {
+	set := (line >> 6) & c.mask
+	return int(set >> c.chunkShift), (set & (1<<c.chunkShift - 1)) * c.assoc
+}
+
+// chunkWays is the number of ways one chunk holds.
+func (c *L2) chunkWays() int { return int(c.assoc) << c.chunkShift }
+
+// newChunk returns the storage of one chunk with every way invalid.
+func (c *L2) newChunk() ([]way, []uint64) {
+	tags := make([]uint64, c.chunkWays())
+	for i := range tags {
+		tags[i] = ^uint64(0)
+	}
+	return make([]way, len(tags)), tags
+}
 
 // probe returns the way holding line, or nil.
 func (c *L2) probe(line uint64) *way {
-	base := c.base(line)
-	for i, t := range c.tags[base : base+c.assoc] {
+	k, base := c.locate(line)
+	tags := c.tags[k]
+	if tags == nil {
+		return nil
+	}
+	for i, t := range tags[base : base+c.assoc] {
 		if t == line {
-			return &c.ways[base+uint64(i)]
+			return &c.ways[k][base+uint64(i)]
 		}
 	}
 	return nil
@@ -210,34 +248,38 @@ func (c *L2) markDirty(w *way) {
 	}
 }
 
-// victim picks the LRU unlocked way in the set of line (by index into the
-// flattened tag store), or -1 if every way is pinned by panicked slices.
-func (c *L2) victim(line uint64) int {
-	base := c.base(line)
+// victim picks the LRU unlocked way of set, or -1 if every way is pinned by
+// panicked slices.
+func victim(set []way) int {
 	v := -1
-	for i := base; i < base+c.assoc; i++ {
-		w := &c.ways[i]
+	for i := range set {
+		w := &set[i]
 		if !w.valid {
-			return int(i)
+			return i
 		}
 		if w.locked {
 			continue
 		}
-		if v < 0 || w.lru < c.ways[v].lru {
-			v = int(i)
+		if v < 0 || w.lru < set[v].lru {
+			v = i
 		}
 	}
 	return v
 }
 
-// install places line into the cache, evicting as needed. Returns nil if no
-// victim is available (all ways locked).
+// install places line into the cache, evicting as needed, and allocates the
+// set's chunk on its first install. Returns nil if no victim is available
+// (all ways locked).
 func (c *L2) install(line uint64, dirty bool) *way {
-	idx := c.victim(line)
+	k, base := c.locate(line)
+	if c.tags[k] == nil {
+		c.ways[k], c.tags[k] = c.newChunk()
+	}
+	idx := victim(c.ways[k][base : base+c.assoc])
 	if idx < 0 {
 		return nil
 	}
-	w := &c.ways[idx]
+	w := &c.ways[k][base+uint64(idx)]
 	if w.valid {
 		if w.pbit && c.OnPBitInvalidate != nil {
 			// Evicting a P-bit line invalidates the L1 copy (§3.4).
@@ -252,7 +294,7 @@ func (c *L2) install(line uint64, dirty bool) *way {
 		}
 	}
 	*w = way{tag: line, valid: true, dirty: dirty}
-	c.tags[idx] = line
+	c.tags[k][base+uint64(idx)] = line
 	c.touch(w)
 	if dirty {
 		// Fresh dirty allocation (WH64): Invalid→Dirty directory edge.

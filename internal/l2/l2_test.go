@@ -9,14 +9,18 @@ import (
 	"repro/internal/zbox"
 )
 
-func testSetup() (*L2, *zbox.Zbox, *stats.Stats) {
+func testSetup() (*L2, *zbox.Zbox, *stats.Stats) { return testSetupBytes(1 << 20) }
+
+// testSetupBytes builds an 8-way cache of the given capacity over a small
+// memory system.
+func testSetupBytes(bytes int) (*L2, *zbox.Zbox, *stats.Stats) {
 	reg := metrics.NewRegistry()
 	z := zbox.New(zbox.Config{
 		Ports: 8, LineCycles: 16, BaseLatency: 100,
 		RowBytes: 2048, DevicesPerPort: 32, RowMissCycles: 12, TurnCycles: 5,
 	}, reg)
 	c := New(Config{
-		Bytes: 1 << 20, Assoc: 8, LineBytes: 64,
+		Bytes: bytes, Assoc: 8, LineBytes: 64,
 		ScalarLat: 12, VecLatPump: 34, VecLatOdd: 38,
 		MAFSize: 64, ReplayThreshold: 8, RetryDelay: 6,
 		SliceQueue: 16, PBitPenalty: 12,

@@ -16,11 +16,15 @@
 //     cycle-interval sampler (Series) that feeds tartables -json, the
 //     tarserved /metrics endpoint and the Chrome trace-event export.
 //
-// Counter storage *is* a stats.Stats value owned by the registry: the legacy
-// flat struct survives as a live compat view (Registry.Stats), which keeps
-// ROI deltas (stats.Sub), the evaluation tables and the byte-comparable
-// serve encoding bit-identical to the pre-registry simulator. Registering a
-// counter therefore requires a backing stats.Stats field; the registry
+// Counter storage is a stats.Stats block the registry allocates on its own:
+// the legacy flat struct survives as a live compat view (Registry.Stats),
+// which keeps ROI deltas (stats.Sub), the evaluation tables and the
+// byte-comparable serve encoding bit-identical to the pre-registry
+// simulator. The block is a separate allocation, not a field of the
+// Registry, because run results keep the *stats.Stats long after the run:
+// a pointer into the Registry would keep the Registry alive, its gauge
+// closures with it, and through them every component of the chip.
+// Registering a counter requires a backing stats.Stats field; the registry
 // panics at construction if the def table and the struct ever drift, and a
 // reflect-based test holds stats.Sub to the same coverage — a new metric can
 // never be silently dropped from ROI deltas.
@@ -101,7 +105,7 @@ func CounterNames() []string {
 }
 
 // Counter is a zero-overhead handle to one registered counter: a pointer to
-// the value slot in the registry's compat struct. Incrementing is one plain
+// the value slot in the registry's compat block. Incrementing is one plain
 // add.
 type Counter struct{ v *uint64 }
 
@@ -140,7 +144,7 @@ type GaugeSample struct {
 // Registry is one chip's metric namespace. Construct with NewRegistry; hand
 // one to every component constructor; read it from the run harness.
 type Registry struct {
-	compat stats.Stats // canonical counter storage — the live compat view
+	compat *stats.Stats // canonical counter storage, allocated apart (see above)
 
 	byName   map[string]Counter
 	gauges   []Gauge
@@ -152,10 +156,11 @@ type Registry struct {
 // field and every uint64 field must have a def.
 func NewRegistry() *Registry {
 	r := &Registry{
+		compat:   new(stats.Stats),
 		byName:   make(map[string]Counter, len(counterDefs)),
 		gaugeIdx: make(map[string]int),
 	}
-	sv := reflect.ValueOf(&r.compat).Elem()
+	sv := reflect.ValueOf(r.compat).Elem()
 	covered := make(map[string]bool, len(counterDefs))
 	for _, d := range counterDefs {
 		f := sv.FieldByName(d.Field)
@@ -193,8 +198,9 @@ func (r *Registry) Counter(name string) Counter {
 // Stats returns the live compat view: the flat stats.Stats struct the
 // pre-registry simulator shared. Reads observe counter updates immediately,
 // and direct field writes (the workload harness crediting UsefulBytes)
-// remain legal.
-func (r *Registry) Stats() *stats.Stats { return &r.compat }
+// remain legal. The pointer references the counter block alone, so holding
+// it after the run keeps neither the registry nor the chip alive.
+func (r *Registry) Stats() *stats.Stats { return r.compat }
 
 // RegisterGauge adds an occupancy probe under a namespaced name.
 // Registration order is preserved in every snapshot and export.

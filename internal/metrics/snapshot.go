@@ -14,7 +14,7 @@ import (
 // over component state, not storage, and are not serialized.
 func (r *Registry) SaveState(w *snapshot.Writer) {
 	w.Tag("metrics")
-	sv := reflect.ValueOf(&r.compat).Elem()
+	sv := reflect.ValueOf(r.compat).Elem()
 	w.U64(uint64(len(counterDefs)))
 	for _, d := range counterDefs {
 		w.U64(sv.FieldByName(d.Field).Uint())
@@ -31,7 +31,7 @@ func (r *Registry) LoadState(rd *snapshot.Reader) error {
 	if n != len(counterDefs) {
 		return fmt.Errorf("%w: blob has %d counters, this build defines %d", snapshot.ErrCorrupt, n, len(counterDefs))
 	}
-	sv := reflect.ValueOf(&r.compat).Elem()
+	sv := reflect.ValueOf(r.compat).Elem()
 	for _, d := range counterDefs {
 		sv.FieldByName(d.Field).SetUint(rd.U64())
 	}

@@ -281,9 +281,15 @@ func (b *SubprocessBackend) runJob(w *workerProc, d *dispatch) (res *workloads.R
 		}}
 	}
 
-	// Fault drill: SIGKILL the worker mid-job for targeted cells.
+	// Fault drill: SIGKILL the worker mid-job for targeted cells. A short
+	// simulation can finish before the signal lands, so a reply may already
+	// sit in the pipe; it is discarded, and the attempt counts as crashed
+	// whatever the pipe holds. The drill's outcome then depends on the
+	// attempt number alone, never on how the kill raced the simulation.
 	if b.inj.KillWorker(spec.CellKey(), d.attempt) {
 		w.kill()
+		w.await(time.Second)
+		return nil, true, errors.New("worker died mid-job: killed by the fault drill")
 	}
 
 	reply, rerr := w.readLine()

@@ -40,7 +40,9 @@ import (
 // to what any component encodes: restore refuses blobs from another schema
 // (ErrSchema), and the serve-layer snapshot store keys its directory by this
 // constant so skewed blobs from older builds are never even offered.
-const SchemaVersion = 1
+// Schema 2 encodes the L2 tag store per chunk of sets, with a presence flag
+// and the ways of allocated chunks only.
+const SchemaVersion = 2
 
 // magic opens every snapshot blob. The trailing zero byte keeps it from
 // being a prefix of any plausible text format.

@@ -95,8 +95,8 @@ type VBox struct {
 	agFree   uint64 // address generators busy until
 	memInFly int
 
-	readSubQ  []*pendingSlice
-	writeSubQ []*pendingSlice
+	readSubQ  []pendingSlice
+	writeSubQ []pendingSlice
 
 	tlb         []laneTLB
 	lastPage    uint64
@@ -341,37 +341,31 @@ func (v *VBox) issueMem(cy uint64, u *pipe.UOp) bool {
 		return true
 	}
 
+	var sliceDone func(uint64)
 	if prefetch {
 		// Prefetches do not block: the instruction completes once its
 		// addresses are generated; the slices fill the L2 in the background.
 		v.wheel.AtCall(v.agFree, v.memFinishFn, u)
-		for i, s := range slices {
-			ps := &pendingSlice{
-				op:      &l2.SliceOp{Slice: s, Write: false},
-				availCy: agStart + uint64(i),
+	} else {
+		u.SlicesOut = len(slices)
+		// One Done callback per instruction, shared by all its slices.
+		sliceDone = func(doneCy uint64) {
+			u.SlicesOut--
+			if u.SlicesOut == 0 {
+				v.wheel.AtCall(doneCy+uint64(v.cfg.WritebackLat), v.memFinishFn, u)
 			}
-			v.readSubQ = append(v.readSubQ, ps)
-		}
-		return true
-	}
-
-	u.SlicesOut = len(slices)
-	// One Done callback per instruction, shared by all its slices (the old
-	// per-slice closures were len(slices) identical allocations).
-	sliceDone := func(doneCy uint64) {
-		u.SlicesOut--
-		if u.SlicesOut == 0 {
-			v.wheel.AtCall(doneCy+uint64(v.cfg.WritebackLat), v.memFinishFn, u)
 		}
 	}
+	q := &v.readSubQ
+	if write {
+		q = &v.writeSubQ
+	}
+	// The instruction's slice requests are one allocation; the submit queue
+	// points into it until the L2 accepts each.
+	ops := make([]l2.SliceOp, len(slices))
 	for i, s := range slices {
-		op := &l2.SliceOp{Slice: s, Write: write, Done: sliceDone}
-		ps := &pendingSlice{op: op, availCy: agStart + uint64(i)}
-		if write {
-			v.writeSubQ = append(v.writeSubQ, ps)
-		} else {
-			v.readSubQ = append(v.readSubQ, ps)
-		}
+		ops[i] = l2.SliceOp{Slice: s, Write: write, Done: sliceDone}
+		*q = append(*q, pendingSlice{op: &ops[i], availCy: agStart + uint64(i)})
 	}
 	return true
 }
