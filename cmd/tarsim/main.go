@@ -63,7 +63,7 @@ func main() {
 	checkFlag := flag.Bool("check", false, "run the microarchitectural invariant checker (ROB order, store queue, L1/L2 inclusion)")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget for the run (0 = none), e.g. 2m")
 	faultSeed := flag.Int64("faults", 0, "seed for the deterministic latency-jitter fault campaign (0 = off)")
-	benchOut := flag.String("bench-out", "", "measure simulator throughput (Table 4 kernels + full sweep) and append a row to this BENCH_sim.json file")
+	benchOut := flag.String("bench-out", "", "measure simulator throughput (Table 4 kernels on T, linpack100 on EV8, full sweep) and append a row to this BENCH_sim.json file")
 	benchLabel := flag.String("bench-label", "dev", "label recorded in the -bench-out row")
 	benchScale := flag.String("bench-scale", "test", "input scale for -bench-out measurements")
 	benchCheck := flag.Bool("bench-check", false, "with -bench-out: fail if calibrated cycles/sec (mcps × calib_ms) regressed >20% vs the last committed calibrated row")
@@ -279,9 +279,10 @@ func runSampled(cfg *sim.Config, b *workloads.Benchmark, scale workloads.Scale, 
 	}
 }
 
-// runBench measures simulator throughput on the Table 4 kernels (plus the
-// sequential full-sweep wall clock and the host's calibration loop) and
-// appends the row to the BENCH_sim.json trajectory. With check set, a >20%
+// runBench measures simulator throughput on the Table 4 kernels on T and
+// linpack100 on EV8 (plus the sequential full-sweep wall clock and the
+// host's calibration loop) and appends the row to the BENCH_sim.json
+// trajectory. With check set, a >20%
 // drop in any kernel's calibrated throughput against the committed rows is
 // fatal — the CI bench-smoke job runs exactly this.
 func runBench(path, label, scaleFlag string, check bool) {

@@ -1,8 +1,9 @@
 // Package bench measures and records simulator throughput: simulated cycles
-// per wall-clock second on the Table 4 memory-bandwidth kernels, plus the
-// wall clock of the full `tartables -all` sweep. Results are versioned rows
-// in results/BENCH_sim.json, so the repository carries its own performance
-// trajectory and CI can fail a change that regresses it.
+// per wall-clock second on the Table 4 memory-bandwidth kernels and on a
+// scalar-core kernel, plus the wall clock of the full `tartables -all`
+// sweep. Results are versioned rows in results/BENCH_sim.json, so the
+// repository carries its own performance trajectory and CI can fail a
+// change that regresses it.
 //
 // Hosts differ in absolute speed, so every row also records calib_ms: the
 // time a fixed integer loop takes on the measuring host. A kernel's mcps ×
@@ -29,11 +30,17 @@ import (
 // Schema is the BENCH_sim.json format version.
 const Schema = 1
 
-// Kernels is the measured set: the Table 4 bandwidth microkernels, the
-// memory-bound workloads whose simulation speed gates every sweep.
-var Kernels = []string{
-	"streams_copy", "streams_scale", "streams_add", "streams_triadd",
-	"rndcopy", "rndmemscale",
+// Kernel names one measured benchmark and the configuration it runs on.
+type Kernel struct{ Name, Config string }
+
+// Kernels is the measured set: the Table 4 bandwidth microkernels on T, the
+// memory-bound workloads whose simulation speed gates every sweep, and
+// linpack100 on the EV8 scalar core, the kind of run every Fig. 7–9 speedup
+// divides by and the one that dominates the sweep's wall clock.
+var Kernels = []Kernel{
+	{"streams_copy", "T"}, {"streams_scale", "T"}, {"streams_add", "T"}, {"streams_triadd", "T"},
+	{"rndcopy", "T"}, {"rndmemscale", "T"},
+	{"linpack100", "EV8"},
 }
 
 // KernelResult is one kernel's throughput measurement.
@@ -126,25 +133,28 @@ func Run(opts Options) (*Row, error) {
 	if opts.Progress != nil {
 		opts.Progress(fmt.Sprintf("calibration loop: %.2f ms", row.CalibMs))
 	}
-	cfg := sim.T()
-	for _, name := range Kernels {
-		b, err := workloads.Get(name)
+	for _, k := range Kernels {
+		b, err := workloads.Get(k.Name)
 		if err != nil {
 			return nil, err
 		}
+		cfg := sim.ByName(k.Config)
+		if cfg == nil {
+			return nil, fmt.Errorf("%s: unknown configuration %q", k.Name, k.Config)
+		}
 		cycles, wall, err := timeKernel(b, cfg, opts.Scale)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
+			return nil, fmt.Errorf("%s on %s: %w", k.Name, k.Config, err)
 		}
 		kr := KernelResult{
-			Name: name, Config: cfg.Name, Scale: opts.Scale.String(),
+			Name: k.Name, Config: cfg.Name, Scale: opts.Scale.String(),
 			Cycles: cycles,
 			WallS:  wall, CPS: float64(cycles) / wall, MCPS: float64(cycles) / wall / 1e6,
 		}
 		row.Kernels = append(row.Kernels, kr)
 		if opts.Progress != nil {
-			opts.Progress(fmt.Sprintf("%-16s %12d cycles  %8.2f Mcps  (%.1f Mcycles per calibration loop)",
-				name, kr.Cycles, kr.MCPS, kr.MCPS*row.CalibMs))
+			opts.Progress(fmt.Sprintf("%-16s %-4s %12d cycles  %8.2f Mcps  (%.1f Mcycles per calibration loop)",
+				k.Name, cfg.Name, kr.Cycles, kr.MCPS, kr.MCPS*row.CalibMs))
 		}
 	}
 	if !opts.SkipSweep {
@@ -398,8 +408,9 @@ func Append(path string, row *Row) error {
 const RegressionTolerance = 0.20
 
 // CheckRegression compares a fresh row against the committed file. Each
-// kernel's calibrated throughput (mcps × calib_ms) is compared with the last
-// committed row that recorded calib_ms; without such a row the kernels pass
+// kernel's calibrated throughput (mcps × calib_ms) is compared with the same
+// kernel on the same configuration in the last committed row that recorded
+// calib_ms; without such a row, or a kernel that row lacks, the kernels pass
 // (bootstrap). The warm-up reuse payoff is compared with the last committed
 // row. It returns an error naming every figure that regressed by more than
 // RegressionTolerance. An empty committed file passes.
@@ -409,18 +420,18 @@ func CheckRegression(committed *File, fresh *Row) error {
 	}
 	var bad []string
 	if base := lastCalibrated(committed); base != nil && fresh.CalibMs > 0 {
-		ref := map[string]float64{}
+		ref := map[Kernel]float64{}
 		for _, k := range base.Kernels {
-			ref[k.Name] = k.MCPS * base.CalibMs
+			ref[Kernel{k.Name, k.Config}] = k.MCPS * base.CalibMs
 		}
 		for _, k := range fresh.Kernels {
-			want, ok := ref[k.Name]
+			want, ok := ref[Kernel{k.Name, k.Config}]
 			if !ok || want <= 0 {
 				continue
 			}
 			if got := k.MCPS * fresh.CalibMs; got < (1-RegressionTolerance)*want {
-				bad = append(bad, fmt.Sprintf("%s: %.1f Mcycles per calibration loop vs %.1f in %q (>%d%% regression)",
-					k.Name, got, want, base.Label, int(RegressionTolerance*100)))
+				bad = append(bad, fmt.Sprintf("%s on %s: %.1f Mcycles per calibration loop vs %.1f in %q (>%d%% regression)",
+					k.Name, k.Config, got, want, base.Label, int(RegressionTolerance*100)))
 			}
 		}
 	}

@@ -66,3 +66,30 @@ func TestCheckRegressionCalibrated(t *testing.T) {
 		t.Errorf("no calibrated baseline, yet the kernels were gated: %v", err)
 	}
 }
+
+// TestCheckRegressionKeysByConfig: a kernel is gated against the same
+// benchmark on the same configuration, and a kernel the baseline row lacks
+// passes until a row that measured it is committed.
+func TestCheckRegressionKeysByConfig(t *testing.T) {
+	committed := &File{Rows: []Row{{Label: "base", CalibMs: 20, Kernels: []KernelResult{
+		{Name: "linpack100", Config: "EV8", MCPS: 1.0},
+		{Name: "rndcopy", Config: "T", MCPS: 2.0},
+	}}}}
+	fresh := func(ks ...KernelResult) *Row { return &Row{Label: "fresh", CalibMs: 20, Kernels: ks} }
+	if err := CheckRegression(committed, fresh(KernelResult{Name: "linpack100", Config: "T", MCPS: 0.1})); err != nil {
+		t.Errorf("linpack100 on T was gated against linpack100 on EV8: %v", err)
+	}
+	err := CheckRegression(committed, fresh(KernelResult{Name: "linpack100", Config: "EV8", MCPS: 0.7}))
+	if err == nil || !strings.Contains(err.Error(), "linpack100 on EV8") {
+		t.Errorf("30%% slowdown of linpack100 on EV8 passed the gate: err = %v", err)
+	}
+	if err := CheckRegression(committed, fresh(KernelResult{Name: "swim", Config: "EV8", MCPS: 0.01})); err != nil {
+		t.Errorf("a kernel absent from the baseline row was gated: %v", err)
+	}
+	for _, k := range Kernels {
+		if k.Name == "linpack100" && k.Config == "EV8" {
+			return
+		}
+	}
+	t.Error("the measured set has no scalar-core kernel (linpack100 on EV8)")
+}

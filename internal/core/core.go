@@ -14,6 +14,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/check"
 	"repro/internal/faults"
@@ -77,18 +78,28 @@ type threadState struct {
 	trace  *vasm.Trace
 	halted bool
 
-	rob    []*pipe.UOp // per-thread reorder buffer
-	rename [isa.NumFlatRegs]*pipe.UOp
+	// rob is the thread's reorder buffer, a ring of records sized to the
+	// next power of two at or above its share of ROBSize. Fetch fills the
+	// slot at the tail and retire frees the slot at the head, so a record
+	// lives in its slot for its whole flight and fetch allocates nothing.
+	// A slot is reused only after its op retired, and by then nothing
+	// names it: Wake drained its consumers when it completed, and retire
+	// removed its store-table and rename-table entries.
+	rob      []pipe.UOp
+	robHead  int // slot of the oldest in-flight op
+	robLen   int
+	robShare int // ROBSize / threads: the in-flight limit
+	rename   [isa.NumFlatRegs]*pipe.UOp
 
 	// Frontend stall state.
 	fetchStallUntil uint64
 	pendingRedirect *pipe.UOp // mispredicted branch awaiting resolution
 	drainOp         *pipe.UOp // DrainM awaiting write-buffer purge
-	nextFetch       *pipe.UOp // staged instruction that could not dispatch
+	nextFetch       *pipe.UOp // staged instruction (in the tail slot) that could not dispatch
 
 	// Store queue entries awaiting disambiguation checks: maps quadword
 	// address to the youngest in-flight store writing it.
-	storeByAddr map[uint64]*pipe.UOp
+	stores storeTable
 
 	// addrOffset tags this thread's addresses in the shared memory
 	// hierarchy (each SMT thread has its own address space; the timing
@@ -128,14 +139,15 @@ type Core struct {
 	intFU, fpFU, ldFU, stFU *pipe.FUPool
 
 	// Write buffer: retired stores draining to the cache hierarchy.
-	writeBuf   []wbEntry
+	writeBuf   sched.Ring[wbEntry]
 	wbInFlight int
+	// wbDoneFn retires one in-flight write-buffer drain; bound once so a
+	// drained store schedules its completion without a closure allocation.
+	wbDoneFn func(uint64)
 
 	l1       *l1cache
 	mshr     map[uint64][]*pipe.UOp // line -> loads waiting on its fill
 	mshrPref map[uint64]bool        // lines with a prefetch-only fill in flight
-
-	uopPool []*pipe.UOp // recycled records (safe: all references cleared at retire)
 
 	// Invariant checking (nil when disabled).
 	chk         *check.Checker
@@ -167,6 +179,7 @@ func New(cfg Config, reg *metrics.Registry, l2c *l2.L2, vu VectorUnit) *Core {
 		mshrPref: make(map[uint64]bool),
 	}
 	c.completeFn = c.onComplete
+	c.wbDoneFn = func(uint64) { c.wbInFlight-- }
 	l2c.OnPBitInvalidate = c.invalidateL1
 	m := reg.Scope("core")
 	c.flops = m.Counter("flops")
@@ -187,7 +200,7 @@ func New(cfg Config, reg *metrics.Registry, l2c *l2.L2, vu VectorUnit) *Core {
 	m.Gauge("blocked", "Ready uops structurally stalled this cycle.",
 		func(uint64) int { return len(c.blocked) })
 	m.Gauge("writebuf", "Retired stores draining to the cache hierarchy.",
-		func(uint64) int { return len(c.writeBuf) })
+		func(uint64) int { return c.writeBuf.Len() })
 	m.Gauge("mshr", "Outstanding L1 miss-status registers.",
 		func(uint64) int { return len(c.mshr) })
 	return c
@@ -201,12 +214,16 @@ func (c *Core) Bind(tr *vasm.Trace) { c.BindSMT([]*vasm.Trace{tr}) }
 // identical virtual layouts.
 func (c *Core) BindSMT(trs []*vasm.Trace) {
 	c.threads = c.threads[:0]
+	share := c.cfg.ROBSize / max(len(trs), 1)
+	slots := 1 << bits.Len(uint(max(share, 1)-1))
 	for i, tr := range trs {
 		c.threads = append(c.threads, &threadState{
-			id:          uint8(i),
-			trace:       tr,
-			storeByAddr: make(map[uint64]*pipe.UOp),
-			addrOffset:  uint64(i) << 44,
+			id:         uint8(i),
+			trace:      tr,
+			rob:        make([]pipe.UOp, slots),
+			robShare:   share,
+			stores:     newStoreTable(slots),
+			addrOffset: uint64(i) << 44,
 		})
 	}
 }
@@ -219,9 +236,9 @@ func (c *Core) SetChecker(chk *check.Checker) { c.chk = chk }
 // Depths reports the core's queue occupancy for failure diagnostics.
 func (c *Core) Depths() (rob, ready, blocked, writeBuf, mshr int) {
 	for _, t := range c.threads {
-		rob += len(t.rob)
+		rob += t.robLen
 	}
-	return rob, c.ready.Len(), len(c.blocked), len(c.writeBuf), len(c.mshr)
+	return rob, c.ready.Len(), len(c.blocked), c.writeBuf.Len(), len(c.mshr)
 }
 
 // LastRetired returns the sequence number and static-site id (the PC
@@ -243,11 +260,11 @@ func (c *Core) Halted() bool {
 // Busy reports whether instructions are still in flight.
 func (c *Core) Busy() bool {
 	for _, t := range c.threads {
-		if len(t.rob) > 0 {
+		if t.robLen > 0 {
 			return true
 		}
 	}
-	return len(c.writeBuf) > 0 || c.wbInFlight > 0 || c.wheel.Pending()
+	return c.writeBuf.Len() > 0 || c.wbInFlight > 0 || c.wheel.Pending()
 }
 
 // invalidateL1 services a P-bit invalidate from the L2; returns true when
@@ -276,44 +293,42 @@ func (c *Core) retire(cy uint64) {
 	for range c.threads {
 		t := c.threads[c.rrRetire%len(c.threads)]
 		c.rrRetire++
-		for retired < c.cfg.RetireWidth && len(t.rob) > 0 {
-			u := t.rob[0]
+		for retired < c.cfg.RetireWidth && t.robLen > 0 {
+			u := &t.rob[t.robHead]
 			if u.State != pipe.StateDone {
 				break
 			}
 			in := &u.Inst
-			info := in.Info()
 			stop := false
 			switch {
 			case in.Op == isa.OpHALT:
 				t.halted = true
 			case in.Op == isa.OpDRAINM:
 				// Handled at fetch/execute; retirement is the replay point.
-			case info.IsStore && !in.IsVector():
+			case u.Info.IsStore && !u.Info.IsVector():
 				// Retired stores move to the write buffer "without
 				// informing either the L1 or the L2" (§3.4) and drain
 				// asynchronously.
-				if len(c.writeBuf) >= c.cfg.WriteBuffer {
+				if c.writeBuf.Len() >= c.cfg.WriteBuffer {
 					stop = true // write buffer full: stall this thread
 					break
 				}
 				if len(u.Eff.Addrs) > 0 {
 					addr := u.Eff.Addrs[0]
-					if c.chk.Enabled() {
-						// Store-queue consistency: the disambiguation map
-						// holds the YOUNGEST in-flight store per address. The
-						// retiring store is its thread's oldest in-flight op,
-						// so an older mapped store means forwarding could
-						// have supplied stale data to some load.
-						if st, ok := t.storeByAddr[addr]; ok && st.Seq < u.Seq {
-							c.chk.Failf("store-queue", cy,
-								"retiring store seq %d finds older store seq %d still mapped at %#x",
-								u.Seq, st.Seq, addr)
-						}
+					st := t.stores.get(addr)
+					// Store-queue consistency: the disambiguation table
+					// holds the YOUNGEST in-flight store per address. The
+					// retiring store is its thread's oldest in-flight op,
+					// so an older mapped store means forwarding could have
+					// supplied stale data to some load.
+					if c.chk.Enabled() && st != nil && st.Seq < u.Seq {
+						c.chk.Failf("store-queue", cy,
+							"retiring store seq %d finds older store seq %d still mapped at %#x",
+							u.Seq, st.Seq, addr)
 					}
-					c.writeBuf = append(c.writeBuf, wbEntry{addr: addr, wh64: in.Op == isa.OpWH64})
-					if st, ok := t.storeByAddr[addr]; ok && st == u {
-						delete(t.storeByAddr, addr)
+					c.writeBuf.Push(wbEntry{addr: addr, wh64: in.Op == isa.OpWH64})
+					if st == u {
+						t.stores.del(addr)
 					}
 				}
 			}
@@ -332,17 +347,22 @@ func (c *Core) retire(cy uint64) {
 				}
 			}
 			u.State = pipe.StateRetired
-			t.rob = t.rob[1:]
+			t.robHead = (t.robHead + 1) & (len(t.rob) - 1)
+			t.robLen--
 			retired++
-			c.recycle(t, u)
+			// Free the slot: clear any rename-table entry still naming it.
+			for _, r := range destRegs(in, u.Info) {
+				if r.Valid() && !r.IsZero() && t.rename[r.Flat()] == u {
+					t.rename[r.Flat()] = nil
+				}
+			}
 		}
 	}
 }
 
 func (c *Core) countRetired(u *pipe.UOp) {
-	in := &u.Inst
-	info := in.Info()
-	if in.IsVector() {
+	info := u.Info
+	if info.IsVector() {
 		c.vectorIns.Inc()
 		n := uint64(u.Eff.Active)
 		c.vecOps.Add(max(n, 1))
@@ -372,24 +392,6 @@ func (c *Core) countRetired(u *pipe.UOp) {
 	}
 }
 
-// recycle returns a retired uop to the pool once nothing can reference it:
-// consumers were drained at completion, the store queue entry was removed at
-// retire, and any rename-table entry still naming it is cleared here.
-func (c *Core) recycle(t *threadState, u *pipe.UOp) {
-	if len(u.Consumers) != 0 {
-		return // defensive: somebody still waits on it
-	}
-	for _, r := range destRegs(&u.Inst) {
-		if r.Valid() && !r.IsZero() && t.rename[r.Flat()] == u {
-			t.rename[r.Flat()] = nil
-		}
-	}
-	cons := u.Consumers[:0]
-	*u = pipe.UOp{}
-	u.Consumers = cons // the backing array survives recycling
-	c.uopPool = append(c.uopPool, u)
-}
-
 // checkInclusion validates L1 ⊆ L2: every non-prefetch scalar access marks
 // its L2 line with the P-bit, and evicting a P-bit line invalidates the L1
 // copy — so a valid L1 line with no L2 backing means that protocol broke.
@@ -414,13 +416,12 @@ func (c *Core) issue(cy uint64) {
 	// Structurally blocked ops from earlier cycles are oldest: retry them
 	// in place first (no heap churn), compacting the survivors.
 	keep := c.blocked[:0]
-	for i, u := range c.blocked {
+	for _, u := range c.blocked {
 		if issued < budget && c.tryIssue(cy, u) {
 			issued++
 		} else {
 			keep = append(keep, u)
 		}
-		_ = i
 	}
 	c.blocked = keep
 	scanned := 0
@@ -436,8 +437,7 @@ func (c *Core) issue(cy uint64) {
 }
 
 func (c *Core) tryIssue(cy uint64, u *pipe.UOp) bool {
-	in := &u.Inst
-	info := in.Info()
+	info := u.Info
 	switch {
 	case info.IsLoad:
 		return c.issueLoad(cy, u)
@@ -492,7 +492,7 @@ func (c *Core) issueLoad(cy uint64, u *pipe.UOp) bool {
 	}
 	// Store-to-load forwarding: an older in-flight store to the same
 	// quadword supplies the data.
-	if st, ok := c.threads[u.Inst.Thread].storeByAddr[addr]; ok && st.Seq < u.Seq {
+	if st := c.threads[u.Inst.Thread].stores.get(addr); st != nil && st.Seq < u.Seq {
 		if st.State == pipe.StateDone || st.State == pipe.StateRetired {
 			c.complete(cy+uint64(c.cfg.StoreForwardLat), u)
 		} else {
@@ -504,7 +504,7 @@ func (c *Core) issueLoad(cy uint64, u *pipe.UOp) bool {
 		return true
 	}
 	line := c.l1line(addr)
-	if u.Inst.IsPrefetch() {
+	if u.Inst.IsPrefetchWith(u.Info) {
 		// Non-binding prefetch: retires immediately; the line arrives in
 		// the background (dropped if the MSHRs are saturated).
 		if _, pending := c.mshr[line]; !pending && !c.l1.probe(line) && len(c.mshr) < c.cfg.MSHRs {
@@ -579,7 +579,7 @@ func (c *Core) Wake(cy uint64, u *pipe.UOp) {
 		cons.Deps--
 		if cons.Deps == 0 {
 			cons.MarkReady(cy)
-			if cons.Inst.IsVector() {
+			if cons.Info.IsVector() {
 				if c.vu != nil {
 					c.vu.MarkReady(cy, cons)
 				}
@@ -602,22 +602,21 @@ func (c *Core) VectorDone(cy uint64, u *pipe.UOp) {
 // ---- write buffer ----
 
 func (c *Core) drainWriteBuffer(cy uint64) {
-	if len(c.writeBuf) == 0 {
+	if c.writeBuf.Len() == 0 {
 		return
 	}
-	e := c.writeBuf[0]
-	c.writeBuf = c.writeBuf[1:]
+	e := c.writeBuf.Pop()
 	line := c.l1line(e.addr)
 	switch {
 	case e.wh64:
 		c.wbInFlight++
-		c.l2.WH64(cy, e.addr, func(uint64) { c.wbInFlight-- })
+		c.l2.WH64(cy, e.addr, c.wbDoneFn)
 	case c.l1.probe(line):
 		// Write-back L1: the store lands in the L1 and stays dirty there.
 		c.l1.markDirty(line)
 	default:
 		c.wbInFlight++
-		c.l2.ScalarWrite(cy, e.addr, func(uint64) { c.wbInFlight-- })
+		c.l2.ScalarWrite(cy, e.addr, c.wbDoneFn)
 	}
 }
 
@@ -636,7 +635,7 @@ func (c *Core) fetch(cy uint64) {
 		if t.drainOp != nil {
 			// DrainM: wait until the write buffer has fully purged, then
 			// pay the replay trap and resume.
-			if len(c.writeBuf) == 0 && c.wbInFlight == 0 {
+			if c.writeBuf.Len() == 0 && c.wbInFlight == 0 {
 				c.complete(cy+1, t.drainOp)
 				t.drainOp = nil
 				t.fetchStallUntil = cy + uint64(c.cfg.DrainPenalty)
@@ -651,7 +650,7 @@ func (c *Core) fetch(cy uint64) {
 func (c *Core) fetchThread(cy uint64, t *threadState) {
 	vdispatched := 0
 	for n := 0; n < c.cfg.FetchWidth; n++ {
-		if len(t.rob) >= c.cfg.ROBSize/len(c.threads) {
+		if t.robLen >= t.robShare {
 			return
 		}
 		u := t.nextFetch
@@ -661,14 +660,9 @@ func (c *Core) fetchThread(cy uint64, t *threadState) {
 			if d == nil {
 				return
 			}
-			if n := len(c.uopPool); n > 0 {
-				u = c.uopPool[n-1]
-				c.uopPool = c.uopPool[:n-1]
-			} else {
-				u = &pipe.UOp{}
-			}
+			u = &t.rob[(t.robHead+t.robLen)&(len(t.rob)-1)]
 			c.dispatchSeq++
-			u.Seq, u.Site, u.Inst, u.Eff, u.FetchCyc = c.dispatchSeq, d.Site, d.Inst, d.Eff, cy
+			u.Fill(c.dispatchSeq, d.Site, &d.Inst, &d.Eff, cy)
 			u.Inst.Thread = t.id
 			if t.addrOffset != 0 && len(u.Eff.Addrs) > 0 {
 				// Tag this thread's addresses so the shared memory
@@ -681,7 +675,7 @@ func (c *Core) fetchThread(cy uint64, t *threadState) {
 				u.Eff.Base += t.addrOffset
 			}
 		}
-		if u.Inst.IsVector() {
+		if u.Info.IsVector() {
 			if c.vu == nil {
 				panic(fmt.Sprintf("core: vector instruction %s on a configuration without a Vbox", &u.Inst))
 			}
@@ -692,11 +686,10 @@ func (c *Core) fetchThread(cy uint64, t *threadState) {
 			vdispatched++
 		}
 		c.renameOp(cy, t, u)
-		t.rob = append(t.rob, u)
+		t.robLen++
 
-		info := u.Inst.Info()
 		switch {
-		case info.IsBranch:
+		case u.Info.IsBranch:
 			if c.pred.Predict(u.Site^(uint32(t.id)<<28), u.Eff.Taken) {
 				c.mispredicts.Inc()
 				t.pendingRedirect = u
@@ -715,7 +708,7 @@ func (c *Core) fetchThread(cy uint64, t *threadState) {
 
 // renameOp links u's dataflow sources against its thread's rename table.
 func (c *Core) renameOp(cy uint64, t *threadState, u *pipe.UOp) {
-	for _, r := range sourceRegs(&u.Inst) {
+	for _, r := range sourceRegs(&u.Inst, u.Info) {
 		if !r.Valid() || r.IsZero() {
 			continue
 		}
@@ -725,13 +718,13 @@ func (c *Core) renameOp(cy uint64, t *threadState, u *pipe.UOp) {
 			u.Deps++
 		}
 	}
-	for _, r := range destRegs(&u.Inst) {
+	for _, r := range destRegs(&u.Inst, u.Info) {
 		if r.Valid() && !r.IsZero() {
 			t.rename[r.Flat()] = u
 		}
 	}
-	if info := u.Inst.Info(); info.IsStore && !u.Inst.IsVector() && len(u.Eff.Addrs) > 0 {
-		t.storeByAddr[u.Eff.Addrs[0]] = u
+	if u.Info.IsStore && !u.Info.IsVector() && len(u.Eff.Addrs) > 0 {
+		t.stores.set(u.Eff.Addrs[0], u)
 	}
 }
 
@@ -742,7 +735,7 @@ func (c *Core) finishRename(cy uint64, u *pipe.UOp) {
 	}
 	if u.Deps == 0 {
 		u.MarkReady(cy)
-		if u.Inst.IsVector() {
+		if u.Info.IsVector() {
 			c.vu.MarkReady(cy, u)
 		} else {
 			c.ready.Push(u)
@@ -755,12 +748,11 @@ func (c *Core) finishRename(cy uint64, u *pipe.UOp) {
 // sourceRegs lists the architectural registers an instruction reads,
 // including the implicit vector control registers (vl for every vector
 // operation, vs for strided memory, vm for masked execution — the reason
-// the Vbox renames vm, §2). The fixed-size return avoids a per-instruction
-// allocation on the hottest path.
-func sourceRegs(in *isa.Inst) [6]isa.Reg {
+// the Vbox renames vm, §2). info is in's opcode metadata. The fixed-size
+// return avoids a per-instruction allocation on the hottest path.
+func sourceRegs(in *isa.Inst, info *isa.Info) [6]isa.Reg {
 	var out [6]isa.Reg
 	n := 0
-	info := in.Info()
 	add := func(r isa.Reg) {
 		if r.Valid() {
 			out[n] = r
@@ -813,8 +805,9 @@ func sourceRegs(in *isa.Inst) [6]isa.Reg {
 	return out
 }
 
-// destRegs lists the architectural registers an instruction writes.
-func destRegs(in *isa.Inst) [1]isa.Reg {
+// destRegs lists the architectural registers an instruction writes; info is
+// its opcode metadata.
+func destRegs(in *isa.Inst, info *isa.Info) [1]isa.Reg {
 	switch in.Op {
 	case isa.OpSETVL:
 		return [1]isa.Reg{isa.VL}
@@ -823,7 +816,7 @@ func destRegs(in *isa.Inst) [1]isa.Reg {
 	case isa.OpSETVM, isa.OpVCLRM:
 		return [1]isa.Reg{isa.VM}
 	}
-	if in.Info().IsStore || in.Info().IsBranch {
+	if info.IsStore || info.IsBranch {
 		return [1]isa.Reg{}
 	}
 	return [1]isa.Reg{in.Dst}

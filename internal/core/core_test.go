@@ -65,16 +65,16 @@ func TestSourceRegsIncludeImplicitControlRegs(t *testing.T) {
 		return false
 	}
 	vv := mkInst(opVADDT)
-	if !find(sourceRegs(&vv), regVL) {
+	if !find(sourceRegs(&vv, vv.Info()), regVL) {
 		t.Error("VV op must read vl")
 	}
 	sm := mkInst(opVLDQ)
-	if !find(sourceRegs(&sm), regVS) || !find(sourceRegs(&sm), regVL) {
+	if !find(sourceRegs(&sm, sm.Info()), regVS) || !find(sourceRegs(&sm, sm.Info()), regVL) {
 		t.Error("SM op must read vl and vs")
 	}
 	masked := mkInst(opVADDT)
 	masked.Masked = true
-	srcs := sourceRegs(&masked)
+	srcs := sourceRegs(&masked, masked.Info())
 	if !find(srcs, regVM) {
 		t.Error("masked op must read vm")
 	}
@@ -82,19 +82,19 @@ func TestSourceRegsIncludeImplicitControlRegs(t *testing.T) {
 		t.Error("masked op must merge through its old destination")
 	}
 	fma := mkInst(opVFMAT)
-	if !find(sourceRegs(&fma), fma.Dst) {
+	if !find(sourceRegs(&fma, fma.Info()), fma.Dst) {
 		t.Error("FMA must read its accumulator")
 	}
 }
 
 func TestDestRegsForControlOps(t *testing.T) {
-	if destRegs(&setvlInst)[0] != regVL {
+	if destRegs(&setvlInst, setvlInst.Info())[0] != regVL {
 		t.Error("setvl writes vl")
 	}
-	if destRegs(&setvmInst)[0] != regVM {
+	if destRegs(&setvmInst, setvmInst.Info())[0] != regVM {
 		t.Error("setvm writes vm")
 	}
-	if destRegs(&storeInst)[0].Valid() {
+	if destRegs(&storeInst, storeInst.Info())[0].Valid() {
 		t.Error("stores write no register")
 	}
 }

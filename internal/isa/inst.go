@@ -35,20 +35,18 @@ type Inst struct {
 // Info returns the opcode metadata.
 func (i *Inst) Info() *Info { return Lookup(i.Op) }
 
-// IsVector reports whether the instruction executes in the Vbox.
-func (i *Inst) IsVector() bool { return i.Op.IsVector() }
-
 // IsVMem reports whether the instruction is a vector memory access.
-func (i *Inst) IsVMem() bool {
-	g := i.Info().Group
-	return (g == GSM || g == GRM) && (i.Info().IsLoad || i.Info().IsStore)
-}
+func (i *Inst) IsVMem() bool { return i.Info().IsVMem() }
 
 // IsPrefetch reports whether the instruction is a (vector or scalar)
 // prefetch: a load whose destination is hardwired zero. Page faults and TLB
 // misses on prefetches are squashed (§2).
-func (i *Inst) IsPrefetch() bool {
-	return i.Info().IsLoad && (i.Op == OpPREFQ || i.Dst.IsZero())
+func (i *Inst) IsPrefetch() bool { return i.IsPrefetchWith(i.Info()) }
+
+// IsPrefetchWith is IsPrefetch for a caller that already holds the
+// instruction's opcode metadata.
+func (i *Inst) IsPrefetchWith(info *Info) bool {
+	return info.IsLoad && (i.Op == OpPREFQ || i.Dst.IsZero())
 }
 
 // String renders the instruction in the paper's assembly-ish style.

@@ -346,7 +346,6 @@ var infos = [opMax]Info{
 	OpVCLRM: {Name: "vclrm", Group: GVC, FU: FUVCtl, Latency: 1, WritesMask: true},
 }
 
-// Lookup returns the metadata for op.
 // Flops returns the per-element flop count of op.
 func (in *Info) Flops() uint64 {
 	if in.FlopsPer == 0 {
@@ -358,6 +357,15 @@ func (in *Info) Flops() uint64 {
 	return uint64(in.FlopsPer)
 }
 
+// IsVector reports whether the opcode executes in the Vbox.
+func (in *Info) IsVector() bool { return in.Group != GScalar }
+
+// IsVMem reports whether the opcode is a vector memory access.
+func (in *Info) IsVMem() bool {
+	return (in.Group == GSM || in.Group == GRM) && (in.IsLoad || in.IsStore)
+}
+
+// Lookup returns the metadata for op.
 func Lookup(op Op) *Info {
 	if int(op) >= len(infos) || infos[op].Name == "" {
 		return &Info{Name: "invalid", Group: GScalar, FU: FUNone, Latency: 1}
@@ -367,10 +375,7 @@ func Lookup(op Op) *Info {
 
 // IsVector reports whether op is one of the new Tarantula instructions
 // (executed by the Vbox rather than the EV8 core).
-func (op Op) IsVector() bool {
-	g := Lookup(op).Group
-	return g != GScalar
-}
+func (op Op) IsVector() bool { return Lookup(op).IsVector() }
 
 // NumVectorOps returns the count of distinct new vector opcodes, checked by a
 // test against the paper's "45 new instructions (not counting data-type

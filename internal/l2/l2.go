@@ -119,9 +119,9 @@ type L2 struct {
 	// be written through first.
 	OnPBitInvalidate func(lineAddr uint64) bool
 
-	readQ, writeQ []*SliceOp
-	scalarQ       []scalarReq
-	retryQ        []*SliceOp
+	readQ, writeQ sched.Ring[*SliceOp]
+	scalarQ       sched.Ring[scalarReq]
+	retryQ        sched.Ring[*SliceOp]
 
 	// retrySliceFn re-queues a slice after a retry delay; bound once so the
 	// (hot) fill-completion and MAF-retry paths schedule without closures.
@@ -168,7 +168,7 @@ func New(cfg Config, reg *metrics.Registry, z *zbox.Zbox) *L2 {
 		fills:      make(map[uint64]*pendingFill),
 		wheel:      sched.NewWheel(),
 	}
-	c.retrySliceFn = func(_ uint64, a any) { c.retryQ = append(c.retryQ, a.(*SliceOp)) }
+	c.retrySliceFn = func(_ uint64, a any) { c.retryQ.Push(a.(*SliceOp)) }
 	m := reg.Scope("l2")
 	c.hits = m.Counter("hits")
 	c.misses = m.Counter("misses")
@@ -182,11 +182,11 @@ func New(cfg Config, reg *metrics.Registry, z *zbox.Zbox) *L2 {
 	c.mafPeak = m.Counter("maf_peak")
 	c.mafFullStalls = m.Counter("maf_full_stalls")
 	m.Gauge("read_q", "Vector read slices queued at the L2.",
-		func(uint64) int { return len(c.readQ) })
+		func(uint64) int { return c.readQ.Len() })
 	m.Gauge("write_q", "Vector write slices queued at the L2.",
-		func(uint64) int { return len(c.writeQ) })
+		func(uint64) int { return c.writeQ.Len() })
 	m.Gauge("retry_q", "Woken slices awaiting replay.",
-		func(uint64) int { return len(c.retryQ) })
+		func(uint64) int { return c.retryQ.Len() })
 	m.Gauge("maf", "Occupied miss-address-file entries.",
 		func(uint64) int { return len(c.fills) })
 	return c
@@ -313,10 +313,10 @@ func (c *L2) SubmitSlice(op *SliceOp) bool {
 	if op.Write {
 		q = &c.writeQ
 	}
-	if len(*q) >= c.cfg.SliceQueue {
+	if q.Len() >= c.cfg.SliceQueue {
 		return false
 	}
-	*q = append(*q, op)
+	q.Push(op)
 	return true
 }
 
@@ -324,32 +324,32 @@ func (c *L2) SubmitSlice(op *SliceOp) bool {
 // (an L1 refill). The P-bit is set: the core now has the line. done fires
 // when the line is available to the L1.
 func (c *L2) ScalarRead(cy uint64, addr uint64, done func(cycle uint64)) {
-	c.scalarQ = append(c.scalarQ, scalarReq{addr: c.line(addr), done: done})
+	c.scalarQ.Push(scalarReq{addr: c.line(addr), done: done})
 }
 
 // ScalarPrefetch is a non-binding scalar prefetch: it fills the L2 (and is
 // dropped on MAF pressure) but never blocks the requester.
 func (c *L2) ScalarPrefetch(cy uint64, addr uint64) {
-	c.scalarQ = append(c.scalarQ, scalarReq{addr: c.line(addr), pref: true})
+	c.scalarQ.Push(scalarReq{addr: c.line(addr), pref: true})
 }
 
 // ScalarWrite drains one store (or an L1 dirty writeback) into the cache,
 // setting the P-bit, per the write-buffer behaviour of §3.4. done, if
 // non-nil, fires when the write is durably in the L2 (DrainM waits on it).
 func (c *L2) ScalarWrite(cy uint64, addr uint64, done func(cycle uint64)) {
-	c.scalarQ = append(c.scalarQ, scalarReq{addr: c.line(addr), write: true, done: done})
+	c.scalarQ.Push(scalarReq{addr: c.line(addr), write: true, done: done})
 }
 
 // WH64 allocates the line dirty without a memory read (the write-hint that
 // saves read-for-ownership traffic). The allocation bypasses the L1, so the
 // P-bit is not set and later vector stores do not pay invalidates.
 func (c *L2) WH64(cy uint64, addr uint64, done func(cycle uint64)) {
-	c.scalarQ = append(c.scalarQ, scalarReq{addr: c.line(addr), write: true, wh64: true, done: done})
+	c.scalarQ.Push(scalarReq{addr: c.line(addr), write: true, wh64: true, done: done})
 }
 
 // Busy reports whether the cache still has work in flight.
 func (c *L2) Busy() bool {
-	return len(c.readQ)+len(c.writeQ)+len(c.scalarQ)+len(c.retryQ)+len(c.fills) > 0 ||
+	return c.readQ.Len()+c.writeQ.Len()+c.scalarQ.Len()+c.retryQ.Len()+len(c.fills) > 0 ||
 		c.wheel.Pending()
 }
 
@@ -364,35 +364,23 @@ func (c *L2) Tick(cy uint64) {
 
 	// Replays have priority over new slices: a woken slice walks the pipe
 	// again ahead of fresh traffic (it holds a MAF entry others may need).
-	if len(c.retryQ) > 0 {
-		op := c.retryQ[0]
-		if c.tryBus(cy, op) {
-			c.retryQ = c.retryQ[1:]
-			c.sliceReplays.Inc()
-			c.lookupSlice(cy, op)
-		}
+	if c.retryQ.Len() > 0 && c.tryBus(cy, c.retryQ.Peek()) {
+		c.sliceReplays.Inc()
+		c.lookupSlice(cy, c.retryQ.Pop())
 	}
 
 	// Accept at most one new slice per direction per cycle, bus permitting.
-	if len(c.readQ) > 0 && c.readQ[0] != nil {
-		if op := c.readQ[0]; c.tryBus(cy, op) {
-			c.readQ = c.readQ[1:]
-			c.lookupSlice(cy, op)
-		}
+	if c.readQ.Len() > 0 && c.tryBus(cy, c.readQ.Peek()) {
+		c.lookupSlice(cy, c.readQ.Pop())
 	}
-	if len(c.writeQ) > 0 {
-		if op := c.writeQ[0]; c.tryBus(cy, op) {
-			c.writeQ = c.writeQ[1:]
-			c.lookupSlice(cy, op)
-		}
+	if c.writeQ.Len() > 0 && c.tryBus(cy, c.writeQ.Peek()) {
+		c.lookupSlice(cy, c.writeQ.Pop())
 	}
 
 	// Two scalar requests per cycle (a line read + a line write stream,
 	// EV8's 273 GB/s sustainable figure from Table 3).
-	for n := 0; n < 2 && len(c.scalarQ) > 0; n++ {
-		req := c.scalarQ[0]
-		c.scalarQ = c.scalarQ[1:]
-		c.lookupScalar(cy, req)
+	for n := 0; n < 2 && c.scalarQ.Len() > 0; n++ {
+		c.lookupScalar(cy, c.scalarQ.Pop())
 	}
 }
 
@@ -605,7 +593,7 @@ func (c *L2) lookupScalar(cy uint64, req scalarReq) {
 		if !c.requestFill(req.addr, nil, req.write) {
 			// MAF full: retry the scalar request next cycle.
 			c.mafFullStalls.Inc()
-			c.wheel.At(cy+1, func() { c.scalarQ = append(c.scalarQ, req) })
+			c.wheel.At(cy+1, func() { c.scalarQ.Push(req) })
 			return
 		}
 		pf = c.fills[req.addr]
@@ -629,5 +617,5 @@ func (c *L2) lookupScalar(cy uint64, req scalarReq) {
 
 // Depths reports the cache's queue occupancies for profiling tools.
 func (c *L2) Depths() (readQ, writeQ, retryQ, maf int) {
-	return len(c.readQ), len(c.writeQ), len(c.retryQ), len(c.fills)
+	return c.readQ.Len(), c.writeQ.Len(), c.retryQ.Len(), len(c.fills)
 }

@@ -16,8 +16,8 @@ type Point struct {
 // have been taken the oldest are overwritten, so an arbitrarily long run
 // costs O(Cap) memory and the retained window always ends at the present.
 type Series struct {
-	every  uint64
-	names  []string
+	every uint64
+	names []string
 	buf   []Point
 	next  int // ring write position
 	n     int // total points ever added

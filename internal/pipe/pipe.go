@@ -5,8 +5,6 @@
 package pipe
 
 import (
-	"container/heap"
-
 	"repro/internal/arch"
 	"repro/internal/isa"
 )
@@ -35,6 +33,10 @@ type UOp struct {
 	Site uint32
 	Inst isa.Inst
 	Eff  arch.Effect
+	// Info is Inst's opcode metadata, looked up once when the core fills
+	// the record at fetch; the core and the Vbox read it instead of
+	// decoding the opcode again at every stage.
+	Info *isa.Info
 
 	State State
 
@@ -48,10 +50,19 @@ type UOp struct {
 	DoneCyc  uint64
 
 	// VBox bookkeeping.
-	SlicesOut int  // slices still in flight in the L2
-	InVbox    bool // dispatched over the 3-instruction bus
-	AgenDone  bool // address generation finished
-	ScalarsIn bool // scalar operands transferred over the operand buses
+	SlicesOut int // slices still in flight in the L2
+}
+
+// Fill makes u the record of a newly fetched instruction: it sets every
+// field, clearing what the record's previous op left, and keeps the backing
+// array of Consumers, which that op drained when it completed. Assigning
+// field by field writes the record in place, where a composite literal
+// would be built in a temporary and copied.
+func (u *UOp) Fill(seq uint64, site uint32, in *isa.Inst, eff *arch.Effect, fetchCyc uint64) {
+	u.Seq, u.Site, u.Inst, u.Eff, u.Info = seq, site, *in, *eff, in.Info()
+	u.State, u.Deps, u.Consumers = StateWaiting, 0, u.Consumers[:0]
+	u.FetchCyc, u.ReadyCyc, u.DoneCyc = fetchCyc, 0, 0
+	u.SlicesOut = 0
 }
 
 // MarkReady transitions the op to Ready at cycle c, recording when its last
@@ -65,28 +76,63 @@ func (u *UOp) MarkReady(c uint64) {
 
 // ---- ready queue (oldest-first issue policy) ----
 
-// ReadyQueue is a min-heap of ready ops ordered by sequence number, so the
-// schedulers issue oldest-first like real wakeup/select logic.
-type ReadyQueue struct{ h uopHeap }
+// ReadyQueue is a binary min-heap of ready ops ordered by sequence number,
+// so the schedulers issue oldest-first like real wakeup/select logic.
+// Sequence numbers are unique, so the pop order is fully determined.
+type ReadyQueue struct{ h []*UOp }
 
-func (q *ReadyQueue) Push(u *UOp) { heap.Push(&q.h, u) }
-func (q *ReadyQueue) Pop() *UOp   { return heap.Pop(&q.h).(*UOp) }
-func (q *ReadyQueue) Peek() *UOp  { return q.h[0] }
-func (q *ReadyQueue) Len() int    { return len(q.h) }
+// Len returns the number of queued ops.
+func (q *ReadyQueue) Len() int { return len(q.h) }
 
-type uopHeap []*UOp
+// Peek returns the oldest queued op without removing it.
+func (q *ReadyQueue) Peek() *UOp { return q.h[0] }
 
-func (h uopHeap) Len() int            { return len(h) }
-func (h uopHeap) Less(i, j int) bool  { return h[i].Seq < h[j].Seq }
-func (h uopHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *uopHeap) Push(x interface{}) { *h = append(*h, x.(*UOp)) }
-func (h *uopHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return x
+// Push queues u.
+func (q *ReadyQueue) Push(u *UOp) {
+	q.h = append(q.h, u)
+	h := q.h
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p].Seq <= u.Seq {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = u
+}
+
+// Pop removes and returns the oldest queued op.
+func (q *ReadyQueue) Pop() *UOp {
+	h := q.h
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	h = h[:n]
+	q.h = h
+	if n == 0 {
+		return top
+	}
+	// Sift last down from the root.
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].Seq < h[c].Seq {
+			c = r
+		}
+		if last.Seq <= h[c].Seq {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = last
+	return top
 }
 
 // ---- functional unit pools ----

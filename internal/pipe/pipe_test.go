@@ -1,6 +1,8 @@
 package pipe
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -42,6 +44,36 @@ func TestReadyQueueProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadyQueueInterleaved: under random interleaved pushes and pops of
+// unique sequence numbers, every pop returns the oldest queued op, checked
+// against a sorted model of the queue.
+func TestReadyQueueInterleaved(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var q ReadyQueue
+	var model []uint64
+	seqs := rng.Perm(5000)
+	for step := 0; len(seqs) > 0 || len(model) > 0; step++ {
+		if len(seqs) > 0 && (len(model) == 0 || rng.Intn(3) > 0) {
+			s := uint64(seqs[0])
+			seqs = seqs[1:]
+			q.Push(&UOp{Seq: s})
+			model = append(model, s)
+			continue
+		}
+		slices.Sort(model)
+		if got := q.Peek().Seq; got != model[0] {
+			t.Fatalf("step %d: Peek seq %d, want %d", step, got, model[0])
+		}
+		if got := q.Pop().Seq; got != model[0] {
+			t.Fatalf("step %d: Pop seq %d, want %d", step, got, model[0])
+		}
+		model = model[1:]
+		if q.Len() != len(model) {
+			t.Fatalf("step %d: Len %d, want %d", step, q.Len(), len(model))
+		}
 	}
 }
 

@@ -85,7 +85,7 @@ type VBox struct {
 	queued     int
 	vregsInUse int // physical vector registers held by in-flight writers
 	readyArith pipe.ReadyQueue
-	readyMem   []*pipe.UOp // FIFO: the address generators serialise these
+	readyMem   sched.Ring[*pipe.UOp] // FIFO: the address generators serialise these
 
 	portFree []uint64
 
@@ -95,8 +95,8 @@ type VBox struct {
 	agFree   uint64 // address generators busy until
 	memInFly int
 
-	readSubQ  []pendingSlice
-	writeSubQ []pendingSlice
+	readSubQ  sched.Ring[pendingSlice]
+	writeSubQ sched.Ring[pendingSlice]
 
 	tlb         []laneTLB
 	lastPage    uint64
@@ -156,14 +156,13 @@ func New(cfg Config, reg *metrics.Registry, l2c *l2.L2) *VBox {
 	m.Gauge("queued", "Dispatched, waiting vector instructions.",
 		func(uint64) int { return v.queued })
 	m.Gauge("slices_wait", "Slices generated but not yet accepted by the L2.",
-		func(uint64) int { return len(v.readSubQ) + len(v.writeSubQ) })
+		func(uint64) int { return v.readSubQ.Len() + v.writeSubQ.Len() })
 	return v
 }
 
 // hasVDest reports whether u allocates a physical vector register.
 func hasVDest(u *pipe.UOp) bool {
-	return u.Inst.Dst.Kind == isa.KindVec && !u.Inst.Dst.IsZero() &&
-		!u.Inst.Info().IsStore
+	return u.Inst.Dst.Kind == isa.KindVec && !u.Inst.Dst.IsZero() && !u.Info.IsStore
 }
 
 // Dispatch accepts a renamed vector instruction from the core's bus; false
@@ -180,7 +179,6 @@ func (v *VBox) Dispatch(cy uint64, u *pipe.UOp) bool {
 		v.vregsInUse++
 	}
 	v.queued++
-	u.InVbox = true
 	return true
 }
 
@@ -196,8 +194,8 @@ func (v *VBox) finish(cy uint64, u *pipe.UOp) {
 // MarkReady is called by the core's wakeup logic when the op's last source
 // operand (scalar or vector) completes.
 func (v *VBox) MarkReady(cy uint64, u *pipe.UOp) {
-	if u.Inst.IsVMem() {
-		v.readyMem = append(v.readyMem, u)
+	if u.Info.IsVMem() {
+		v.readyMem.Push(u)
 	} else {
 		v.readyArith.Push(u)
 	}
@@ -206,7 +204,7 @@ func (v *VBox) MarkReady(cy uint64, u *pipe.UOp) {
 // Busy reports in-flight Vbox work.
 func (v *VBox) Busy() bool {
 	return v.queued > 0 || v.memInFly > 0 || v.readyArith.Len() > 0 ||
-		len(v.readyMem) > 0 || len(v.readSubQ) > 0 || len(v.writeSubQ) > 0 ||
+		v.readyMem.Len() > 0 || v.readSubQ.Len() > 0 || v.writeSubQ.Len() > 0 ||
 		v.wheel.Pending()
 }
 
@@ -225,9 +223,8 @@ func (v *VBox) issue(cy uint64) {
 	}
 	// One memory instruction can enter the address generators per cycle;
 	// head-of-line only, since the AG stage serialises them anyway.
-	if len(v.readyMem) > 0 && v.issueMem(cy, v.readyMem[0]) {
-		copy(v.readyMem, v.readyMem[1:])
-		v.readyMem = v.readyMem[:len(v.readyMem)-1]
+	if v.readyMem.Len() > 0 && v.issueMem(cy, v.readyMem.Peek()) {
+		v.readyMem.Pop()
 	}
 	// Arithmetic issues oldest-first while ports accept.
 	for issued := 0; v.readyArith.Len() > 0 && issued < v.cfg.Ports; issued++ {
@@ -241,8 +238,8 @@ func (v *VBox) issue(cy uint64) {
 // needsOperandBus reports how many scalar operands ride the operand buses
 // for this instruction ("all vector instructions except those of the VV
 // group require a scalar operand", §3.3).
-func needsOperandBus(in *isa.Inst) int {
-	switch in.Info().Group {
+func needsOperandBus(info *isa.Info) int {
+	switch info.Group {
 	case isa.GVV:
 		return 0
 	case isa.GSM, isa.GRM, isa.GVS, isa.GVC:
@@ -279,10 +276,10 @@ func (v *VBox) tryIssueArith(cy uint64, u *pipe.UOp) bool {
 	if port == -1 {
 		return false
 	}
-	if !v.takeOperandBus(cy, needsOperandBus(&u.Inst)) {
+	if !v.takeOperandBus(cy, needsOperandBus(u.Info)) {
 		return false
 	}
-	info := u.Inst.Info()
+	info := u.Info
 	occ := v.occupancy(u)
 	if info.Unpipelined {
 		// Divide/sqrt iterate in the lanes: the port is held for the whole
@@ -315,12 +312,12 @@ func (v *VBox) issueMem(cy uint64, u *pipe.UOp) bool {
 	if v.agFree > cy {
 		return false
 	}
-	if !v.takeOperandBus(cy, needsOperandBus(&u.Inst)) {
+	if !v.takeOperandBus(cy, needsOperandBus(u.Info)) {
 		return false
 	}
 
-	write := u.Inst.Info().IsStore
-	prefetch := u.Inst.IsPrefetch()
+	write := u.Info.IsStore
+	prefetch := u.Inst.IsPrefetchWith(u.Info)
 
 	// TLB: translate every active element's page in the lane that generates
 	// it. Misses on prefetches are squashed (§2).
@@ -365,7 +362,7 @@ func (v *VBox) issueMem(cy uint64, u *pipe.UOp) bool {
 	ops := make([]l2.SliceOp, len(slices))
 	for i, s := range slices {
 		ops[i] = l2.SliceOp{Slice: s, Write: write, Done: sliceDone}
-		*q = append(*q, pendingSlice{op: &ops[i], availCy: agStart + uint64(i)})
+		q.Push(pendingSlice{op: &ops[i], availCy: agStart + uint64(i)})
 	}
 	return true
 }
@@ -375,7 +372,7 @@ func (v *VBox) issueMem(cy uint64, u *pipe.UOp) bool {
 // number of address-generation cycles consumed.
 func (v *VBox) buildSlices(u *pipe.UOp) ([]creorder.Slice, int) {
 	eff := &u.Eff
-	group := u.Inst.Info().Group
+	group := u.Info.Group
 	tag0 := v.tagSeq
 
 	if group == isa.GSM {
@@ -435,14 +432,9 @@ func (v *VBox) buildSlices(u *pipe.UOp) ([]creorder.Slice, int) {
 // submitSlices pushes at most one available slice per direction into the L2
 // each cycle, preserving pipeline order.
 func (v *VBox) submitSlices(cy uint64) {
-	if len(v.readSubQ) > 0 && v.readSubQ[0].availCy <= cy {
-		if v.l2c.SubmitSlice(v.readSubQ[0].op) {
-			v.readSubQ = v.readSubQ[1:]
-		}
-	}
-	if len(v.writeSubQ) > 0 && v.writeSubQ[0].availCy <= cy {
-		if v.l2c.SubmitSlice(v.writeSubQ[0].op) {
-			v.writeSubQ = v.writeSubQ[1:]
+	for _, q := range [...]*sched.Ring[pendingSlice]{&v.readSubQ, &v.writeSubQ} {
+		if q.Len() > 0 && q.Peek().availCy <= cy && v.l2c.SubmitSlice(q.Peek().op) {
+			q.Pop()
 		}
 	}
 }
@@ -480,6 +472,18 @@ func (t *laneTLB) insert(page uint64) {
 	t.pages[page] = t.tick
 }
 
+// inPage reports whether every address lies in page. Each address is
+// compared: a strided access's addresses are monotone, so its first and last
+// would bound it, but a gather's middle elements can lie in any page.
+func (v *VBox) inPage(addrs []uint64, page uint64) bool {
+	for _, a := range addrs {
+		if a>>v.cfg.PageBits != page {
+			return false
+		}
+	}
+	return true
+}
+
 // tlbCheck translates every active element and returns the stall cycles due
 // to TLB refills. Strategy (1) refills only missing lanes (one trap per
 // batch of misses); strategy (2) peeks at vs and refills every mapping the
@@ -487,12 +491,8 @@ func (t *laneTLB) insert(page uint64) {
 func (v *VBox) tlbCheck(u *pipe.UOp) uint64 {
 	// Fast path: the common case is an access confined to one recently
 	// used 512 MB page (every lane already maps it).
-	if n := len(u.Eff.Addrs); n > 0 {
-		lo := u.Eff.Addrs[0] >> v.cfg.PageBits
-		hi := u.Eff.Addrs[n-1] >> v.cfg.PageBits
-		if lo == hi && lo == v.lastPage && v.lastPageHot {
-			return 0
-		}
+	if len(u.Eff.Addrs) > 0 && v.lastPageHot && v.inPage(u.Eff.Addrs, v.lastPage) {
+		return 0
 	}
 	misses := 0
 	for i, a := range u.Eff.Addrs {
@@ -519,9 +519,9 @@ func (v *VBox) tlbCheck(u *pipe.UOp) uint64 {
 			}
 		}
 	}
-	if n := len(u.Eff.Addrs); n > 0 {
+	if len(u.Eff.Addrs) > 0 {
 		lo := u.Eff.Addrs[0] >> v.cfg.PageBits
-		if lo == u.Eff.Addrs[n-1]>>v.cfg.PageBits {
+		if v.inPage(u.Eff.Addrs, lo) {
 			v.lastPage, v.lastPageHot = lo, true
 		} else {
 			v.lastPageHot = false
@@ -550,7 +550,7 @@ func (v *VBox) Snapshot(cy uint64) Utilization {
 	u := Utilization{
 		MemInFly:   v.memInFly,
 		Queued:     v.queued,
-		SlicesWait: len(v.readSubQ) + len(v.writeSubQ),
+		SlicesWait: v.readSubQ.Len() + v.writeSubQ.Len(),
 	}
 	for _, free := range v.portFree {
 		if free > cy {

@@ -83,3 +83,37 @@ func TestOccupancyCeiling(t *testing.T) {
 		}
 	}
 }
+
+// TestTLBFastPathChecksEveryGatherElement: once page 0 is the hot page, a
+// gather whose first and last elements lie in page 0 but whose middle
+// element lies in page 1 must still translate page 1 and pay the refill.
+func TestTLBFastPathChecksEveryGatherElement(t *testing.T) {
+	v := testVBox(64)
+	access := func(addrs ...uint64) *pipe.UOp {
+		u := &pipe.UOp{}
+		for i, a := range addrs {
+			u.Eff.Addrs = append(u.Eff.Addrs, a)
+			u.Eff.ElemIdx = append(u.Eff.ElemIdx, uint8(i))
+		}
+		return u
+	}
+	page := uint64(1) << v.cfg.PageBits
+	// Map page 0 in every lane (the test machine refills all lanes in one
+	// trap), making it the hot page.
+	if got := v.tlbCheck(access(64, 128)); got != 200 {
+		t.Fatalf("first touch of page 0 stalled %d cycles, want the 200-cycle refill", got)
+	}
+	if got := v.tlbCheck(access(64, 128, 192)); got != 0 {
+		t.Fatalf("access within the mapped hot page stalled %d cycles, want 0", got)
+	}
+	misses := v.tlbMisses.Value()
+	if got := v.tlbCheck(access(64, page+64, 128)); got != 200 {
+		t.Errorf("gather touching pages 0, 1, 0 stalled %d cycles, want the 200-cycle refill", got)
+	}
+	if v.tlbMisses.Value() != misses+1 {
+		t.Errorf("gather touching pages 0, 1, 0 missed %d times, want 1", v.tlbMisses.Value()-misses)
+	}
+	if v.lastPageHot {
+		t.Error("a gather spanning two pages left a hot page behind")
+	}
+}

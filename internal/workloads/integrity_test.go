@@ -26,11 +26,13 @@ func TestInvariantCheckerCleanAllWorkloads(t *testing.T) {
 
 // TestInvariantCheckerCleanScalarMachine repeats the drill on the EV8
 // scalar-only machine for one L2-resident and one memory-bound kernel, the
-// pair the CI smoke job also exercises.
+// pair the CI smoke job also exercises, plus linpack100, whose stores keep
+// the store-disambiguation table busy: the store-queue check reads it at
+// every retiring store.
 func TestInvariantCheckerCleanScalarMachine(t *testing.T) {
 	cfg := *sim.EV8()
 	cfg.Check = true
-	for _, name := range []string{"dgemm", "streams_copy"} {
+	for _, name := range []string{"dgemm", "streams_copy", "linpack100"} {
 		b, err := Get(name)
 		if err != nil {
 			t.Fatal(err)

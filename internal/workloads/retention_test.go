@@ -64,3 +64,32 @@ func TestKeptResultsDoNotPinChips(t *testing.T) {
 		}
 	}
 }
+
+// TestScalarCoreAllocsPerInstruction pins the host allocations of a scalar
+// run, the kind every Fig. 7–9 speedup divides by. The reorder buffer holds
+// its records, every chip-loop queue is a ring, and store disambiguation is
+// an open-addressed table, so a retired instruction costs no allocation on
+// its own; what remains is per L1 miss (its MSHR entry and fill callback)
+// and trace generation. The whole process's mallocs are counted, the trace
+// producer included.
+func TestScalarCoreAllocsPerInstruction(t *testing.T) {
+	b, err := Get("linpack100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := b.Run(sim.EV8(), Test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	retired := res.Stats.ScalarIns + res.Stats.VectorIns
+	perIns := float64(after.Mallocs-before.Mallocs) / float64(retired)
+	t.Logf("%d mallocs over %d retired instructions: %.4f per instruction",
+		after.Mallocs-before.Mallocs, retired, perIns)
+	if perIns > 0.05 {
+		t.Errorf("%.4f mallocs per retired instruction, want at most 0.05", perIns)
+	}
+}

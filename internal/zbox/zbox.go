@@ -52,7 +52,7 @@ type request struct {
 }
 
 type port struct {
-	queue     []request
+	queue     sched.Ring[request]
 	busyUntil uint64
 	lastKind  Kind
 	openRow   []uint64 // per device; ^0 = closed
@@ -99,7 +99,7 @@ func New(cfg Config, reg *metrics.Registry) *Zbox {
 // by address bits just above the line offset.
 func (z *Zbox) Request(addr uint64, kind Kind, done func(cycle uint64)) {
 	p := z.ports[int(addr>>6)%len(z.ports)]
-	p.queue = append(p.queue, request{addr: addr, kind: kind, done: done})
+	p.queue.Push(request{addr: addr, kind: kind, done: done})
 }
 
 // Busy reports whether any transactions are queued, in flight, or have
@@ -109,7 +109,7 @@ func (z *Zbox) Busy() bool {
 		return true
 	}
 	for _, p := range z.ports {
-		if len(p.queue) > 0 {
+		if p.queue.Len() > 0 {
 			return true
 		}
 	}
@@ -121,11 +121,10 @@ func (z *Zbox) Busy() bool {
 func (z *Zbox) Tick(c uint64) {
 	z.wheel.Advance(c)
 	for pi, p := range z.ports {
-		if p.busyUntil > c || len(p.queue) == 0 {
+		if p.busyUntil > c || p.queue.Len() == 0 {
 			continue
 		}
-		req := p.queue[0]
-		p.queue = p.queue[1:]
+		req := p.queue.Pop()
 		occ := z.cfg.LineCycles
 
 		// Open-row model: sequential streams stay within a page and pay
@@ -177,7 +176,7 @@ func callDone(cy uint64, a any) { a.(func(uint64))(cy) }
 func (z *Zbox) QueueDepth() int {
 	n := 0
 	for _, p := range z.ports {
-		n += len(p.queue)
+		n += p.queue.Len()
 	}
 	return n
 }
