@@ -7,19 +7,15 @@
 //
 //	tarload -addr http://127.0.0.1:8077 -c 32 -n 128 \
 //	        -benches streams_copy -configs EV8,EV8+,T,T4 -scale test
-//	tarload -addr 127.0.0.1:8077 -addr 127.0.0.1:8078 -addr 127.0.0.1:8079 -n 256
 //
-// Repeating -addr drives a cluster: submissions round-robin across the
-// nodes (each job's status polls stay on its node), latency percentiles
-// are computed over the merged raw samples from every node, and the
-// server-side counters in the report are summed fleet-wide. Pointing a
-// single -addr at tarrouter works too — the router speaks the same wire
-// protocol.
+// -addr is the server's base URL; a bare host:port means http://host:port.
 //
 // Because the server deduplicates by content address, a -n much larger than
 // the distinct set size is the interesting regime: the run above performs
 // exactly 4 simulations no matter how many of the 128 requests overlap.
-// -out writes a machine-readable JSON report (the BENCH_serve baseline).
+// -out writes a machine-readable JSON report, a record of the smoke run;
+// tarbench's serve-cold and serve-replay workloads measure the service's
+// throughput.
 //
 // -sweep switches to sweep-shaped traffic: instead of hammering /v1/jobs,
 // tarload posts one design-space sweep (axes like
@@ -46,12 +42,7 @@ import (
 )
 
 type report struct {
-	Addr string `json:"addr"`
-	// Nodes lists every target when -addr was repeated (cluster runs):
-	// requests round-robin across them and the server counters below are
-	// summed fleet-wide. Latency percentiles are computed over the merged
-	// raw per-request samples, never by averaging per-node percentiles.
-	Nodes       []string `json:"nodes,omitempty"`
+	Addr        string   `json:"addr"`
 	Concurrency int      `json:"concurrency"`
 	Requests    int      `json:"requests"`
 	Benches     []string `json:"benches"`
@@ -152,27 +143,8 @@ type expSeries struct {
 	CacheHits    float64 `json:"cache_hits"`
 }
 
-// addrList collects repeated -addr flags (each value may also be
-// comma-separated).
-type addrList []string
-
-func (a *addrList) String() string { return strings.Join(*a, ",") }
-
-func (a *addrList) Set(v string) error {
-	for _, s := range strings.Split(v, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			if !strings.Contains(s, "://") {
-				s = "http://" + s
-			}
-			*a = append(*a, strings.TrimRight(s, "/"))
-		}
-	}
-	return nil
-}
-
 func main() {
-	var addrs addrList
-	flag.Var(&addrs, "addr", "tarserved base URL; repeat to round-robin a cluster's nodes (default http://127.0.0.1:8077)")
+	addrFlag := flag.String("addr", "http://127.0.0.1:8077", "tarserved base URL (a bare host:port means http://host:port)")
 	conc := flag.Int("c", 32, "concurrent clients")
 	n := flag.Int("n", 128, "total job submissions")
 	benches := flag.String("benches", "streams_copy", "comma-separated benchmark names")
@@ -186,10 +158,11 @@ func main() {
 	baseline := flag.String("baseline", "", "sweep mode: baseline configuration for speedups (default: the swept configuration)")
 	flag.Parse()
 
-	if len(addrs) == 0 {
-		addrs = addrList{"http://127.0.0.1:8077"}
+	addr := strings.TrimRight(*addrFlag, "/")
+	if !strings.Contains(addr, "://") {
+		addr = "http://" + addr
 	}
-	serverBackend, err := probeBackend(addrs[0])
+	serverBackend, err := probeBackend(addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tarload: healthz probe:", err)
 	}
@@ -202,7 +175,7 @@ func main() {
 	cs := strings.Split(*configs, ",")
 
 	if *sweepAxes != "" {
-		runSweepMode(addrs[0], serverBackend, bs, cs[0], *baseline, *scale, *sweepAxes, *out)
+		runSweepMode(addr, serverBackend, bs, cs[0], *baseline, *scale, *sweepAxes, *out)
 		return
 	}
 
@@ -234,11 +207,8 @@ func main() {
 			defer wg.Done()
 			for i := range work {
 				p := set[i%len(set)]
-				// Round-robin across nodes; one job's submit and status polls
-				// stay on the same node (ids are node-local).
-				nodeAddr := addrs[i%len(addrs)]
 				t0 := time.Now()
-				oc, err := runJob(nodeAddr, p.bench, p.config, *scale, *wait)
+				oc, err := runJob(addr, p.bench, p.config, *scale, *wait)
 				lat := time.Since(t0)
 				mu.Lock()
 				retries += oc.retries
@@ -271,7 +241,7 @@ func main() {
 	wall := time.Since(start)
 
 	rep := report{
-		Addr: addrs[0], Concurrency: *conc, Requests: *n,
+		Addr: addr, Concurrency: *conc, Requests: *n,
 		Benches: bs, Configs: cs, Scale: *scale, Backend: serverBackend,
 		WallSeconds: wall.Seconds(),
 		Throughput:  float64(*n) / wall.Seconds(),
@@ -279,17 +249,12 @@ func main() {
 		Shed: shed, DeadlineExceeded: deadlineExceeded,
 		WorkerCrashes: workerCrashes, Retries: retries,
 	}
-	if len(addrs) > 1 {
-		rep.Nodes = addrs
-	}
-	// Percentiles over the merged raw samples from every node — merging
-	// per-node p99s would understate the cluster tail.
 	sort.Float64s(latencies)
 	if len(latencies) > 0 {
 		rep.P50Ms = latencies[len(latencies)/2]
 		rep.P99Ms = latencies[int(0.99*float64(len(latencies)-1))]
 	}
-	if m, exps, err := scrapeCluster(addrs); err == nil {
+	if m, exps, err := scrapeMetrics(addr); err == nil {
 		rep.CacheHits = m["tarserved_cache_hits_total"]
 		rep.CacheMisses = m["tarserved_cache_misses_total"]
 		rep.DedupJoined = m["tarserved_dedup_joined_total"]
@@ -620,48 +585,6 @@ func runJob(addr, bench, config, scale string, wait time.Duration) (outcome, err
 		oc.code = st.Error.Code
 	}
 	return oc, nil
-}
-
-// scrapeCluster scrapes every node's /metrics and folds them into one
-// fleet-wide view: plain counters are summed (a cluster's sims_started is
-// the sum of each node's), and per-experiment rows are merged by key —
-// with cross-node dedup each experiment simulates on one node, so the
-// first row carrying its series wins while cache hits accumulate.
-func scrapeCluster(addrs []string) (map[string]float64, []expSeries, error) {
-	total := map[string]float64{}
-	byKey := map[string]*expSeries{}
-	var firstErr error
-	scraped := 0
-	for _, a := range addrs {
-		m, exps, err := scrapeMetrics(a)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		scraped++
-		for k, v := range m {
-			total[k] += v
-		}
-		for _, e := range exps {
-			if have, ok := byKey[e.Key]; ok {
-				have.CacheHits += e.CacheHits
-			} else {
-				cp := e
-				byKey[e.Key] = &cp
-			}
-		}
-	}
-	if scraped == 0 {
-		return nil, nil, firstErr
-	}
-	merged := make([]expSeries, 0, len(byKey))
-	for _, e := range byKey {
-		merged = append(merged, *e)
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Key < merged[j].Key })
-	return total, merged, nil
 }
 
 // scrapeMetrics pulls the plain counters and the labeled per-experiment

@@ -10,14 +10,6 @@
 //	tarserved -addr :8077 -workers 8 -cache 4096 -max-deadline 5m
 //	tarserved -addr :8077 -backend subprocess -worker-bin ./tarworker
 //	tarserved -addr :8077 -store-dir /var/lib/tarserved -queue-wait 2m
-//	tarserved -addr :8077 -store-dir /shared -store-shared \
-//	    -advertise 127.0.0.1:8077 -peers 127.0.0.1:8077,127.0.0.1:8078
-//
-// The last form is cluster mode: -peers lists every member (self included),
-// -advertise is how peers reach this node, and -store-shared points every
-// node at one content-addressed directory so any node's cache hit is every
-// node's. Experiments are placed on a consistent-hash ring by confhash and
-// forwarded to their owning node; tarrouter is the matching front door.
 //
 // With -store-dir, completed results are persisted to a crash-safe disk
 // store (temp-file + fsync + rename, schema-versioned, corrupt files
@@ -35,8 +27,8 @@
 //	            retried on another worker (-job-retries, exponential
 //	            backoff). Results are byte-identical to in-process runs.
 //
-// API sketch (see README.md for the endpoint and error-code tables,
-// DESIGN.md for the full contract):
+// API sketch (see README.md for the endpoint table, DESIGN.md for the
+// error-code table and the full contract):
 //
 //	POST /v1/jobs                {"bench":"dgemm","config":"T","scale":"test"}
 //	GET  /v1/jobs/{id}?wait=30s  long-poll job status
@@ -71,25 +63,9 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/serve"
 )
-
-// peerList collects -peers values: the flag may be repeated, and each value
-// may itself be a comma-separated list.
-type peerList []string
-
-func (p *peerList) String() string { return strings.Join(*p, ",") }
-
-func (p *peerList) Set(v string) error {
-	for _, a := range strings.Split(v, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			*p = append(*p, a)
-		}
-	}
-	return nil
-}
 
 func main() {
 	addr := flag.String("addr", ":8077", "listen address")
@@ -112,12 +88,6 @@ func main() {
 	killWorker := flag.String("kill-worker", "", "fault drill: comma-separated bench@config cells whose subprocess worker is SIGKILLed mid-job on first attempt")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file, finalized at drained shutdown")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at drained shutdown")
-	nodeID := flag.String("node-id", "", "this node's name in a cluster; surfaced on /healthz and stamped into forward markers (default: the -advertise address)")
-	advertiseAddr := flag.String("advertise", "", "this node's address as peers see it (e.g. 127.0.0.1:8077); enables cluster mode together with -peers")
-	var peers peerList
-	flag.Var(&peers, "peers", "every cluster member's advertise address, self included (repeatable and/or comma-separated)")
-	storeShared := flag.Bool("store-shared", false, "treat -store-dir as a cluster-shared directory: every read goes to the filesystem so peers' writes are visible immediately (disables the local scan index and byte-cap eviction)")
-	probeInterval := flag.Duration("probe-interval", 2*time.Second, "cluster peer health-probe interval")
 	flag.Parse()
 
 	if *cpuprofile != "" {
@@ -176,29 +146,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tarserved: chaos armed (%s, seed %d) — this server sheds and fails on purpose\n", *chaos, *chaosSeed)
 	}
 
-	var store serve.Store
-	var err error
-	if *storeShared {
-		if *storeDir == "" {
-			fmt.Fprintln(os.Stderr, "tarserved: -store-shared requires -store-dir (the shared cluster directory)")
-			os.Exit(2)
-		}
-		store, err = serve.OpenSharedStore(*storeDir, *cache, diskChaos)
-	} else {
-		store, err = serve.OpenStore(*storeDir, *cache, *storeMaxBytes, diskChaos)
-	}
+	store, err := serve.OpenStore(*storeDir, *cache, *storeMaxBytes, diskChaos)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tarserved:", err)
 		os.Exit(2)
 	}
 	if *storeDir != "" {
 		st := store.Status()
-		if *storeShared {
-			fmt.Fprintf(os.Stderr, "tarserved: shared store %s (direct reads, no local index)\n", *storeDir)
-		} else {
-			fmt.Fprintf(os.Stderr, "tarserved: disk store %s: %d artifacts warm-started (%d bytes), %d quarantined\n",
-				*storeDir, st.WarmStart, st.DiskBytes, st.Quarantined)
-		}
+		fmt.Fprintf(os.Stderr, "tarserved: disk store %s: %d artifacts warm-started (%d bytes), %d quarantined\n",
+			*storeDir, st.WarmStart, st.DiskBytes, st.Quarantined)
 	}
 
 	opts := serve.Options{
@@ -250,36 +206,6 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "tarserved: unknown -backend %q (want inprocess or subprocess)\n", *backend)
 		os.Exit(2)
-	}
-
-	// Cluster mode: place every experiment on the consistent-hash ring over
-	// the peer set and forward mis-routed flights to their owner. The shared
-	// store (and the forward marker protocol) guarantees each unique confhash
-	// simulates once fleet-wide regardless of which node clients talk to.
-	var stopProber func()
-	if *advertiseAddr != "" || len(peers) > 0 {
-		if *advertiseAddr == "" || len(peers) == 0 {
-			fmt.Fprintln(os.Stderr, "tarserved: cluster mode needs both -advertise and -peers")
-			os.Exit(2)
-		}
-		if *nodeID == "" {
-			*nodeID = *advertiseAddr
-		}
-		members := cluster.NewMembership(append([]string{*advertiseAddr}, peers...))
-		opts.Router = cluster.NewForwarder(*advertiseAddr, *nodeID, members)
-		opts.NodeID = *nodeID
-		opts.ClusterInfo = func() (uint64, int) {
-			_, gen := members.Ring()
-			return gen, len(members.Alive())
-		}
-		stopProber = members.StartProber(*probeInterval)
-		fmt.Fprintf(os.Stderr, "tarserved: cluster mode: node %s advertising %s, %d configured members\n",
-			*nodeID, *advertiseAddr, len(members.Peers()))
-	} else if *nodeID != "" {
-		opts.NodeID = *nodeID
-	}
-	if stopProber != nil {
-		defer stopProber()
 	}
 
 	s := serve.New(opts)

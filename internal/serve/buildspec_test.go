@@ -77,56 +77,41 @@ func TestBuildSpecCrossPathEquivalence(t *testing.T) {
 	}
 }
 
-// RouteKey is the cluster placement identity: a pure function of the
-// request bytes, computed with zero server defaults so every node and
-// router agrees on the owner no matter what defaults they would apply at
-// execution time. Anything that changes the experiment's confhash —
-// including integrity knobs like an explicit deadline — changes placement,
-// because it names a different cache entry.
+// The content key places a request's result in the store: it is a pure
+// function of the request and the defaults, so resolving the same request
+// again yields the same key, and anything that names a different
+// experiment — an explicit deadline (part of the integrity envelope),
+// another config, a knob — yields a different one.
 func TestRouteKeyPlacementIdentity(t *testing.T) {
+	defaults := SpecDefaults{DefaultDeadline: 2 * time.Minute, MaxDeadline: 5 * time.Minute}
+	key := func(r *SubmitRequest) string {
+		t.Helper()
+		sp, cfg, scale, err := BuildSpec(r, defaults)
+		if err != nil {
+			t.Fatalf("BuildSpec: %v", err)
+		}
+		return confhash.Key(sp.Bench, scale.String(), cfg)
+	}
 	base := func() *SubmitRequest {
 		return &SubmitRequest{Bench: "dgemm", Config: "T", Scale: "test"}
 	}
-	k0, err := RouteKey(base())
-	if err != nil {
-		t.Fatal(err)
+	k0 := key(base())
+	if again := key(base()); again != k0 {
+		t.Errorf("content key not deterministic: %s vs %s", again, k0)
 	}
-
-	// An explicit deadline is part of the confhash identity (a different
-	// integrity envelope is a different experiment), so it legitimately
-	// routes elsewhere — what matters is that it does so deterministically.
 	withDeadline := base()
 	withDeadline.DeadlineMs = 30000
-	kd, err := RouteKey(withDeadline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kd == k0 {
-		t.Error("explicit deadline did not change the confhash identity")
-	}
-	if kd2, _ := RouteKey(withDeadline); kd2 != kd {
-		t.Errorf("deadline-carrying request not deterministic: %s vs %s", kd2, kd)
-	}
-
 	otherConfig := base()
 	otherConfig.Config = "EV8"
-	if k, _ := RouteKey(otherConfig); k == k0 {
-		t.Error("different config produced the same route key")
-	}
-
 	withKnob := base()
 	withKnob.Knobs = map[string]float64{"lanes": 8}
-	if k, _ := RouteKey(withKnob); k == k0 {
-		t.Error("knob perturbation produced the same route key")
-	}
-
-	// Placement must also agree with zero-default resolution no matter what
-	// server-side defaults the executing node would apply.
-	again, err := RouteKey(base())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != k0 {
-		t.Errorf("route key not deterministic: %s vs %s", again, k0)
+	for name, r := range map[string]*SubmitRequest{
+		"explicit deadline": withDeadline,
+		"other config":      otherConfig,
+		"knob":              withKnob,
+	} {
+		if key(r) == k0 {
+			t.Errorf("%s did not change the content key", name)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/confhash"
 	"repro/internal/dse"
 	"repro/internal/faults"
 	"repro/internal/sim"
@@ -53,12 +52,6 @@ type SubmitRequest struct {
 	// axes (lanes, l2_kb, zbox_ports, clock_ghz, pump, phys_vregs) before
 	// simulation. Unknown names or out-of-range values are bad_request.
 	Knobs map[string]float64 `json:"knobs,omitempty"`
-
-	// Forwarded marks a request that arrived with the cluster forward
-	// marker (ForwardedHeader): a peer routed it here deliberately, so this
-	// node must execute it locally rather than forward it again. Set from
-	// the header by the HTTP layer, never from the request body.
-	Forwarded bool `json:"-"`
 }
 
 // JobSpec is the fully-resolved description of one simulation: a
@@ -89,17 +82,6 @@ type JobSpec struct {
 	// they ride in the spec rather than the sim.Config hash.
 	SampleEvery uint64 `json:"sample_every,omitempty"`
 	SampleCap   int    `json:"sample_cap,omitempty"`
-
-	// Route is the cluster placement key (RouteKey of the originating
-	// request): the identity the consistent-hash ring places, computed
-	// without any server-local defaults so every node and router agrees on
-	// the owner. Empty outside cluster mode. Never serialized — placement
-	// is a routing concern, not part of the execution protocol.
-	Route string `json:"-"`
-	// NoForward pins the spec to this node: it arrived with the forward
-	// marker (a peer routed or hedged it here), so forwarding it again
-	// would loop. Never serialized.
-	NoForward bool `json:"-"`
 }
 
 // CellKey is the sweep-cell vocabulary ("bench@config") shared with the
@@ -159,9 +141,7 @@ func (sp *JobSpec) Build() (*sim.Config, workloads.Scale, error) {
 
 // SpecDefaults are the server-side knobs folded into a request when it is
 // resolved into a JobSpec: deadline defaulting and clamping, plus the
-// observability sampler. The zero value applies nothing — the resolution a
-// cluster router uses for placement, so every node computes the same
-// identity for the same request bytes.
+// observability sampler. The zero value applies nothing.
 type SpecDefaults struct {
 	// DefaultDeadline is applied when the request sets no deadline_ms;
 	// MaxDeadline clamps what a request may ask for. Zero disables each.
@@ -176,10 +156,9 @@ type SpecDefaults struct {
 // BuildSpec is the single request→spec build path: it resolves a
 // SubmitRequest against the given defaults and validates it by assembling
 // the decorated machine configuration plus the parsed scale. Every
-// consumer goes through here — the HTTP server (via its own defaults), the
-// cluster router (via zero defaults, for placement), and both execution
-// backends (via JobSpec.Build on the resolved spec) — so one request
-// resolves to identical simulation inputs everywhere.
+// consumer goes through here — the HTTP server (via its own defaults) and
+// both execution backends (via JobSpec.Build on the resolved spec) — so
+// one request resolves to identical simulation inputs everywhere.
 func BuildSpec(req *SubmitRequest, d SpecDefaults) (*JobSpec, *sim.Config, workloads.Scale, error) {
 	sp := &JobSpec{
 		Bench:         req.Bench,
@@ -216,42 +195,16 @@ func BuildSpec(req *SubmitRequest, d SpecDefaults) (*JobSpec, *sim.Config, workl
 	return sp, cfg, scale, nil
 }
 
-// RouteKey is a request's cluster placement identity: its confhash when
-// resolved with zero server defaults. Ring placement must be a pure
-// function of the request bytes — two nodes with different deadline or
-// sampling settings still agree on the owner — while the execution-time
-// content key (defaults applied) keeps governing caching and dedup.
-func RouteKey(req *SubmitRequest) (string, error) {
-	sp, cfg, scale, err := BuildSpec(req, SpecDefaults{})
-	if err != nil {
-		return "", err
-	}
-	return confhash.Key(sp.Bench, scale.String(), cfg), nil
-}
-
 // resolveSpec turns a request into the fully-resolved JobSpec (server
-// defaults applied) plus its built configuration and scale, decorating it
-// with the cluster routing fields when this server is part of a ring.
-// Validation failures are client errors (HTTP 400).
+// defaults applied) plus its built configuration and scale. Validation
+// failures are client errors (HTTP 400).
 func (s *Server) resolveSpec(req *SubmitRequest) (*JobSpec, *sim.Config, workloads.Scale, error) {
-	sp, cfg, scale, err := BuildSpec(req, SpecDefaults{
+	return BuildSpec(req, SpecDefaults{
 		DefaultDeadline: s.opts.DefaultDeadline,
 		MaxDeadline:     s.opts.MaxDeadline,
 		SampleEvery:     s.opts.SampleEvery,
 		SampleCap:       s.opts.SampleCap,
 	})
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	sp.NoForward = req.Forwarded
-	if s.opts.Router != nil && !req.Forwarded {
-		route, err := RouteKey(req)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		sp.Route = route
-	}
-	return sp, cfg, scale, nil
 }
 
 // job is the server-side record of one submission. Fields are guarded by
@@ -334,16 +287,12 @@ const (
 	// ErrCodeWorkerCrash: a subprocess worker died mid-job and the retry
 	// budget is exhausted. HTTP 500.
 	ErrCodeWorkerCrash = "worker_crash"
-	// ErrCodePeerUnreachable: cluster mode only — every node that could own
-	// the experiment was unreachable, so the request could not be routed.
-	// Retryable; the experiment itself is fine. HTTP 502.
-	ErrCodePeerUnreachable = "peer_unreachable"
 )
 
 // ErrorCodeStatus is the closed /v1 error-code set and each code's HTTP
 // status — the single source of truth the documentation table in DESIGN.md
-// is asserted against, and the map cluster components use to reconstruct a
-// JobError from a peer's wire envelope.
+// is asserted against, and the status a failed sweep answers with for its
+// baseline's code.
 var ErrorCodeStatus = map[string]int{
 	ErrCodeBadRequest:       400,
 	ErrCodeNotFound:         404,
@@ -354,7 +303,6 @@ var ErrorCodeStatus = map[string]int{
 	ErrCodeCheckFailed:      422,
 	ErrCodeInternal:         500,
 	ErrCodeWorkerCrash:      500,
-	ErrCodePeerUnreachable:  502,
 }
 
 // ErrorJSON is the stable /v1 error envelope body. Code is always present;

@@ -65,15 +65,6 @@ type metrics struct {
 	sweepExperiments uint64
 	sweepsRunning    int
 
-	// Cluster counters: flights handed to the owning peer instead of the
-	// local backend (jobsForwarded), flights executed locally because their
-	// owner was unreachable (forwardFallback), and forwarded submissions
-	// that were answered by this node's store or joined an in-flight run —
-	// the fleet-wide single-flight payoff (crossNodeDedup).
-	jobsForwarded   uint64
-	forwardFallback uint64
-	crossNodeDedup  uint64
-
 	// Warm-up snapshot counters: simulations whose warm-up phase was
 	// restored from a stored chip snapshot (snapHits) or simulated and
 	// captured (snapMisses), and the cumulative simulated cycles those
@@ -212,9 +203,6 @@ func (m *metrics) render(w io.Writer, st StoreStatus, poisoned int) {
 	counter("tarserved_snapshot_hits_total", "Simulations whose warm-up phase was restored from a stored chip snapshot.", m.snapHits)
 	counter("tarserved_snapshot_misses_total", "Simulations that simulated (and captured) their warm-up phase.", m.snapMisses)
 	counter("tarserved_warmup_cycles_saved_total", "Simulated cycles avoided by restoring warm-up snapshots.", m.warmupCyclesSaved)
-	counter("tarserved_jobs_forwarded_total", "Flights routed to the owning cluster peer instead of the local backend.", m.jobsForwarded)
-	counter("tarserved_forward_fallback_total", "Flights executed locally because their owning peer was unreachable.", m.forwardFallback)
-	counter("tarserved_cross_node_dedup_total", "Forwarded submissions answered by this node's store or an in-flight run.", m.crossNodeDedup)
 	counter("tarserved_shed_queue_full_total", "Submissions refused because the queue was full or the estimated wait exceeded the deadline.", m.shedQueueFull)
 	counter("tarserved_shed_deadline_total", "Queued jobs shed because their deadline expired before a worker freed up.", m.shedDeadline)
 	counter("tarserved_poison_shed_total", "Submissions refused because their confhash is quarantined after crash-looping workers.", m.poisonShed)

@@ -24,7 +24,7 @@ import (
 // ---- disk store ----
 //
 // Byte-level store mechanics (eviction atime ordering, torn-write chaos,
-// shared-directory visibility) live in internal/store. The tests here pin
+// unindexed direct reads) live in internal/store. The tests here pin
 // the serve-layer contract on top of it: artifact encoding, on-disk layout,
 // and the decoded round trip through the Store adapter.
 

@@ -61,37 +61,6 @@ func defaultRun(bench string, cfg *sim.Config, scale workloads.Scale) (*workload
 // when Options.PoisonTTL is zero.
 const defaultPoisonTTL = 10 * time.Minute
 
-// ForwardedHeader marks a submission that was routed here by a cluster
-// peer (its value is the sender's node id). A request carrying it is
-// pinned to this node — forwarded again it would loop — and counts toward
-// the cross-node dedup statistics when the local store or an in-flight run
-// answers it.
-const ForwardedHeader = "X-Tarantula-Forwarded"
-
-// RouteVerdict is a Router's decision about one flight.
-type RouteVerdict int
-
-const (
-	// RouteLocal: this node owns the spec's route key — execute it here.
-	RouteLocal RouteVerdict = iota
-	// RouteRemote: the owning peer executed the spec; the returned
-	// result/error is the flight's outcome.
-	RouteRemote
-	// RouteFallback: the owning peer is unreachable — execute locally so a
-	// dead node degrades placement, never availability.
-	RouteFallback
-)
-
-// Router is the cluster forwarding hook, consulted by a worker before it
-// executes a flight on the local backend. Implementations place the spec's
-// Route key on the ring and, when a peer owns it, run the experiment there
-// end to end. A Router must never fail a job because a peer was
-// unreachable: it reports RouteFallback and the local backend runs the
-// simulation.
-type Router interface {
-	Execute(spec *JobSpec) (*workloads.Result, *JobError, RouteVerdict)
-}
-
 // Options configures a Server. Zero values select sensible defaults.
 type Options struct {
 	// Workers bounds concurrent simulations (default GOMAXPROCS).
@@ -142,16 +111,6 @@ type Options struct {
 	// Run substitutes the in-process execution function (tests only).
 	// Ignored when Backend is set.
 	Run RunFunc
-	// Router arms cluster mode: workers consult it before executing a
-	// flight locally, and requests carry placement identities (RouteKey).
-	// Nil (the default) keeps every flight local.
-	Router Router
-	// NodeID names this node in a cluster; surfaced on /healthz and used as
-	// the forward-marker value. Empty outside cluster mode.
-	NodeID string
-	// ClusterInfo reports the node's ring view for /healthz (ring
-	// generation and live peer count). Nil outside cluster mode.
-	ClusterInfo func() (generation uint64, peers int)
 }
 
 // poisonRecord is one quarantined confhash: the worker_crash envelope its
@@ -344,28 +303,6 @@ func (s *Server) worker() {
 		s.m.mu.Lock()
 		s.m.queued -= wereQueued
 		s.m.running += n
-		s.m.mu.Unlock()
-
-		// Cluster routing: hand the flight to the peer that owns its route
-		// key. A remote execution occupies this worker slot (backpressure
-		// stays honest) but runs no local simulation — sims_started counts
-		// only simulations this node's backend performed, which is what
-		// makes cluster-wide dedup observable.
-		if r := s.opts.Router; r != nil && !f.spec.NoForward {
-			if res, jobErr, verdict := r.Execute(f.spec); verdict == RouteRemote {
-				s.m.mu.Lock()
-				s.m.jobsForwarded++
-				s.m.mu.Unlock()
-				s.complete(f, res, jobErr, -1)
-				continue
-			} else if verdict == RouteFallback {
-				s.m.mu.Lock()
-				s.m.forwardFallback++
-				s.m.mu.Unlock()
-			}
-		}
-
-		s.m.mu.Lock()
 		s.m.simsStarted++
 		s.m.mu.Unlock()
 		execStart := time.Now()
@@ -574,9 +511,6 @@ func (s *Server) Submit(req *SubmitRequest) (*JobStatus, error) {
 		s.m.submitted++
 		s.m.cacheHits++
 		s.m.done++
-		if req.Forwarded {
-			s.m.crossNodeDedup++
-		}
 		s.m.recordLatency(0)
 		s.m.bumpExperimentHitLocked(key)
 		s.m.mu.Unlock()
@@ -598,9 +532,6 @@ func (s *Server) Submit(req *SubmitRequest) (*JobStatus, error) {
 		s.m.submitted++
 		s.m.cacheMisses++
 		s.m.dedupJoined++
-		if req.Forwarded {
-			s.m.crossNodeDedup++
-		}
 		if j.state == StateRunning {
 			s.m.running++
 		} else {
@@ -751,7 +682,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "bad JSON: "+err.Error())
 		return
 	}
-	req.Forwarded = r.Header.Get(ForwardedHeader) != ""
 	st, err := s.Submit(&req)
 	if err != nil {
 		writeJobError(w, toJobError(err))
@@ -895,15 +825,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"store":         s.store.Status(),
 		"shed":          shed,
 		"poisoned":      poisoned,
-	}
-	if s.opts.NodeID != "" {
-		node := map[string]any{"node_id": s.opts.NodeID}
-		if s.opts.ClusterInfo != nil {
-			gen, peers := s.opts.ClusterInfo()
-			node["ring_generation"] = gen
-			node["peers"] = peers
-		}
-		body["node"] = node
 	}
 	code := http.StatusOK
 	switch {

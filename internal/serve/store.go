@@ -11,10 +11,9 @@ import (
 )
 
 // Store is the pluggable result store: completed experiments keyed by
-// confhash content address within one JobResult schema version. It is the
-// seam the cluster's shared store plugs into — the server only ever talks
-// to this interface, whether the implementation is the in-memory tier, the
-// crash-safe disk store, or the shared-directory cluster store.
+// confhash content address within one JobResult schema version. The server
+// only ever talks to this interface, whether the implementation is the
+// in-memory tier or the memory tier over the crash-safe disk store.
 //
 // The contract every implementation must honor: Get either returns a result
 // whose JobResult encoding is byte-identical to what Put received (the
@@ -77,7 +76,7 @@ type SnapshotStore interface {
 // StoreStatus is the store-health block reported on /healthz and rendered
 // as tarserved_store_* series on /metrics.
 type StoreStatus struct {
-	// Tier names the configuration: "mem", "mem+disk" or "mem+shared".
+	// Tier names the configuration: "mem" or "mem+disk".
 	Tier string `json:"tier"`
 	// MemEntries/DiskEntries count resident artifacts per tier.
 	MemEntries  int `json:"mem_entries"`
@@ -180,23 +179,6 @@ func OpenStore(dir string, memEntries int, maxBytes int64, chaos *faults.Config)
 		return nil, fmt.Errorf("serve: disk store: %w", err)
 	}
 	return &storeAdapter{inner: store.NewTiered(mem, disk)}, nil
-}
-
-// OpenSharedStore builds the cluster store: the memory tier in front of a
-// shared-directory (NFS-style) tier that many nodes point at the same
-// path. Every artifact namespace is read directly from the filesystem with
-// read-time validation, so any node's Put is every node's hit — the
-// cluster-wide cache that makes cross-node single-flight cheap. No node
-// indexes or evicts the shared directory: it is a fleet resource no single
-// process owns.
-func OpenSharedStore(dir string, memEntries int, chaos *faults.Config) (Store, error) {
-	cfg := storeConfig(memEntries)
-	mem := store.NewMem(cfg)
-	shared, err := store.OpenShared(dir, faults.New(chaos), cfg)
-	if err != nil {
-		return nil, fmt.Errorf("serve: shared store: %w", err)
-	}
-	return &storeAdapter{inner: store.NewTiered(mem, shared)}, nil
 }
 
 // newMemStore is the default store when none is configured: memory-only.

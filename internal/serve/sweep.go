@@ -412,16 +412,23 @@ func (s *Server) finishSweep(sw *sweep, start time.Time, abort *JobError) {
 		sw.state = StateFailed
 		sw.err = abort
 	case base.failed > 0 || base.done < len(benches):
+		// The sweep fails with its baseline's code, and answers with that
+		// code's status from the closed table.
+		code := base.errCode
+		if code == "" {
+			code = ErrCodeWedge
+		}
+		status, ok := ErrorCodeStatus[code]
+		if !ok {
+			status = http.StatusInternalServerError
+		}
 		sw.state = StateFailed
 		sw.err = &JobError{
-			Status: http.StatusUnprocessableEntity,
+			Status: status,
 			JSON: ErrorJSON{
-				Code:    ErrCodeWedge,
+				Code:    code,
 				Message: fmt.Sprintf("baseline %q failed (%s); no reference to normalize speedups against", sw.spec.Baseline, base.errCode),
 			},
-		}
-		if base.errCode != "" {
-			sw.err.JSON.Code = base.errCode
 		}
 	default:
 		sw.state = StateDone

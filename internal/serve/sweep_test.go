@@ -326,6 +326,50 @@ func TestSweepKnobsEndpoint(t *testing.T) {
 	}
 }
 
+// TestSweepFailedBaselineStatus: a sweep whose baseline fails answers
+// GET /v1/sweeps/{id}/result with the baseline's code and that code's HTTP
+// status from the closed table — a panicking run is internal/500, a wedge
+// stays wedge/422.
+func TestSweepFailedBaselineStatus(t *testing.T) {
+	wedge := &sim.WedgeError{Config: "T", Reason: sim.ReasonWatchdog, Cycle: 4242, Window: 100, Retired: 7}
+	for _, tc := range []struct {
+		name string
+		run  RunFunc
+		code string
+	}{
+		{"panic", func(string, *sim.Config, workloads.Scale) (*workloads.Result, error) {
+			panic("model bug")
+		}, ErrCodeInternal},
+		{"wedge", func(string, *sim.Config, workloads.Scale) (*workloads.Result, error) {
+			return nil, wedge
+		}, ErrCodeWedge},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := newTestServer(t, Options{Run: tc.run, Workers: 2})
+			st, _ := postSweep(t, ts.URL, dse.Spec{Config: "T", Benches: []string{"dgemm"}, Scale: "test",
+				Axes: map[string]dse.Axis{"lanes": {Values: []float64{8}}}})
+			if fin := waitSweepDone(t, ts.URL, st.ID); fin.State != StateFailed {
+				t.Fatalf("sweep finished %s, want failed", fin.State)
+			}
+			resp, err := http.Get(ts.URL + "/v1/sweeps/" + st.ID + "/result")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var envelope struct {
+				Error ErrorJSON `json:"error"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&envelope)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if envelope.Error.Code != tc.code || resp.StatusCode != ErrorCodeStatus[tc.code] {
+				t.Errorf("result: HTTP %d code %q, want %d %q", resp.StatusCode, envelope.Error.Code, ErrorCodeStatus[tc.code], tc.code)
+			}
+		})
+	}
+}
+
 // newSweepServerAt builds a server over a disk-backed store in dir without
 // registering cleanup, so restart tests control the lifecycle explicitly.
 func newSweepServerAt(t *testing.T, dir string, run RunFunc) (*httptest.Server, func()) {

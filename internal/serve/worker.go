@@ -119,12 +119,6 @@ func workerExecute(spec *JobSpec) (res *workloads.Result, err error) {
 	return b.Run(cfg, scale)
 }
 
-// DecodeResult reconstructs a workloads.Result from its wire form — the
-// exported face of resultFromWire, used by the cluster forwarder to turn a
-// peer's artifact back into a local result with the byte-equality contract
-// intact.
-func DecodeResult(jr *JobResult) (*workloads.Result, error) { return resultFromWire(jr) }
-
 // resultFromWire reconstructs a workloads.Result from a worker's JobResult.
 // Only the fields EncodeResult reads are rebuilt; because stats counters are
 // integers and series samples round-trip exactly through JSON, re-encoding

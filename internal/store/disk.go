@@ -12,7 +12,7 @@ import (
 )
 
 // DefaultMaxBytes bounds a disk store when no cap is configured: 1 GiB per
-// evicting namespace, far beyond any single-node sweep at today's scales.
+// evicting namespace, far beyond any sweep at today's scales.
 const DefaultMaxBytes = 1 << 30
 
 // Disk is the crash-safe tier: one file per artifact under
@@ -24,14 +24,11 @@ const DefaultMaxBytes = 1 << 30
 //
 // Namespaces with ScanOnOpen are indexed at open (the warm start) and evict
 // least-recently-accessed artifacts by a logical access clock against the
-// byte cap. Namespaces without it are read directly from the filesystem on
-// every Get — the shared-directory mode, where another process (a cluster
-// peer over NFS) may have written the file after this store opened.
+// byte cap. Namespaces without it are unindexed: every Get reads the file
+// directly, and a missing file is a plain miss.
 type Disk struct {
-	root     string
 	quarDir  string
 	maxBytes int64
-	shared   bool
 	inj      *faults.Injector
 
 	mu       sync.Mutex
@@ -60,35 +57,12 @@ type diskEntry struct {
 // that survives validation is the warm start, served without re-simulation.
 // inj arms fault injection (pass faults.New(nil) for none).
 func OpenDisk(root string, maxBytes int64, inj *faults.Injector, cfg Config) (*Disk, error) {
-	return openDisk(root, maxBytes, inj, cfg, false)
-}
-
-// OpenShared opens the shared-directory (NFS-style) tier at root: every
-// namespace reads files directly per Get with read-time validation, puts
-// are atomic renames (content-addressed last-writer-wins across writers),
-// and nothing is indexed or evicted — the directory is a cluster-wide
-// resource no single node owns, so no single node may count or delete its
-// contents. Any node's Put is every node's hit.
-func OpenShared(root string, inj *faults.Injector, cfg Config) (*Disk, error) {
-	shared := make(Config, len(cfg))
-	for ns, pol := range cfg {
-		pol.ScanOnOpen = false
-		pol.DiskEvict = false
-		pol.VerifyOnRead = pol.Validate != nil
-		shared[ns] = pol
-	}
-	return openDisk(root, 0, inj, shared, true)
-}
-
-func openDisk(root string, maxBytes int64, inj *faults.Injector, cfg Config, shared bool) (*Disk, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
 	}
 	d := &Disk{
-		root:     root,
 		quarDir:  filepath.Join(root, "quarantine"),
 		maxBytes: maxBytes,
-		shared:   shared,
 		inj:      inj,
 		ns:       make(map[Namespace]*diskNS, len(cfg)),
 	}
@@ -229,13 +203,11 @@ func (d *Disk) Get(ns Namespace, key string) ([]byte, bool) {
 	return raw, true
 }
 
-// Put persists one artifact with the atomic write protocol. For indexed
-// namespaces, content-addressed idempotence makes a re-put of a resident
-// key a no-op — exactly what the tiered store's single-flight contract
-// needs. For direct-read (shared) namespaces, an existing file is likewise
-// left alone: same key, same bytes, and a concurrent peer's rename already
-// made it durable. Failures (real or injected) cost durability for this
-// one artifact, nothing else.
+// Put persists one artifact with the atomic write protocol. Content-
+// addressed idempotence makes a re-put of a resident key a no-op — exactly
+// what the tiered store's single-flight contract needs: an indexed
+// namespace checks its index, an unindexed one the file itself. Failures
+// (real or injected) cost durability for this one artifact, nothing else.
 func (d *Disk) Put(ns Namespace, key string, blob []byte) {
 	if !SafeKey(key) {
 		return
@@ -352,8 +324,8 @@ func (d *Disk) evictLocked(s *diskNS) {
 	}
 }
 
-// Len reports an indexed namespace's resident artifacts (0 for direct-read
-// namespaces, whose population no single process owns).
+// Len reports an indexed namespace's resident artifacts (0 for unindexed
+// namespaces, which keep no count).
 func (d *Disk) Len(ns Namespace) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -366,11 +338,7 @@ func (d *Disk) Len(ns Namespace) int {
 func (d *Disk) Status() Status {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	tier := "disk"
-	if d.shared {
-		tier = "shared"
-	}
-	st := Status{Tier: tier, IOErrors: d.ioErrors, NS: make(map[Namespace]NSStatus, len(d.ns))}
+	st := Status{Tier: "disk", IOErrors: d.ioErrors, NS: make(map[Namespace]NSStatus, len(d.ns))}
 	for ns, s := range d.ns {
 		st.NS[ns] = NSStatus{
 			DiskEntries: len(s.entries),

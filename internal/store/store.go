@@ -2,9 +2,8 @@
 // tarserved. One generic interface — Get/Put/Len/Status/Close keyed by
 // (namespace, content key) — replaces the three near-identical store faces
 // the serve layer grew (results, sweep blobs, chip snapshots), so the memory
-// tier, the crash-safe disk tier, quarantine, eviction and the shared-
-// directory (cluster) tier are each written exactly once and every artifact
-// kind gets them for free.
+// tier, the crash-safe disk tier, quarantine and eviction are each written
+// exactly once and every artifact kind gets them for free.
 //
 // The store moves opaque bytes. What the bytes mean — JobResult JSON, sweep
 // blobs, snapshot envelopes — belongs to the caller, which injects a
@@ -66,9 +65,7 @@ type Policy struct {
 	// ScanOnOpen indexes and validates the namespace directory when the
 	// disk tier opens (quarantining anything Validate rejects) and serves
 	// gets from that index. Namespaces without it read files directly on
-	// every Get — the mode the shared-directory cluster tier uses for all
-	// namespaces, since another process may have written the file after
-	// this one opened.
+	// every Get, and a missing file is a plain miss.
 	ScanOnOpen bool
 	// VerifyOnRead re-runs Validate on every disk read, quarantining rot
 	// that postdates the open-time scan.
@@ -118,8 +115,7 @@ type NSStatus struct {
 
 // Status is the whole-store health block.
 type Status struct {
-	// Tier names the composition: "mem", "disk", "shared", "mem+disk" or
-	// "mem+shared".
+	// Tier names the composition: "mem", "disk" or "mem+disk".
 	Tier string
 	// IOErrors counts disk reads/writes that failed (real or injected).
 	IOErrors uint64

@@ -71,12 +71,15 @@ func openTestDisk(t *testing.T, dir string, maxBytes int64, inj *faults.Injector
 
 // TestDiskStoreRoundTripAndWarmStart: a put survives a process "restart"
 // (reopening the store on the same directory) byte-identically — the
-// crash-recovery primitive everything else builds on.
+// crash-recovery primitive everything else builds on. The unindexed sweeps
+// namespace survives too, read straight from its file, and a key it never
+// stored is a plain miss rather than an I/O error.
 func TestDiskStoreRoundTripAndWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	d := openTestDisk(t, dir, 0, nil)
 	d.Put(Results, "aaaa1111", blobFor("aaaa1111", "alpha"))
 	d.Put(Results, "bbbb2222", blobFor("bbbb2222", "beta"))
+	d.Put(Sweeps, "swp00000", []byte("sweep-blob"))
 	if d.Len(Results) != 2 {
 		t.Fatalf("len = %d, want 2", d.Len(Results))
 	}
@@ -93,6 +96,15 @@ func TestDiskStoreRoundTripAndWarmStart(t *testing.T) {
 	raw, ok := d2.Get(Results, "aaaa1111")
 	if !ok || !bytes.Equal(raw, blobFor("aaaa1111", "alpha")) {
 		t.Fatalf("warm-started get = %q ok=%v", raw, ok)
+	}
+	if raw, ok := d2.Get(Sweeps, "swp00000"); !ok || !bytes.Equal(raw, []byte("sweep-blob")) {
+		t.Fatalf("reopened sweep get = %q ok=%v", raw, ok)
+	}
+	if _, ok := d2.Get(Sweeps, "feed0000"); ok {
+		t.Fatal("unknown sweep key served something")
+	}
+	if io := d2.Status().IOErrors; io != 0 {
+		t.Fatalf("direct-read miss counted as I/O error: %d", io)
 	}
 }
 
@@ -194,6 +206,44 @@ func TestDiskStoreCorruptionQuarantine(t *testing.T) {
 	}
 	if got := d2.Status().NS[Results].Quarantined; got != uint64(len(bad))+1 {
 		t.Fatalf("read-time quarantine not counted: %d", got)
+	}
+}
+
+// TestSharedStoreReadValidation: a namespace read straight from its files
+// (no open-time scan to trust) validates on every read, quarantining a
+// corrupt file rather than serving it, and a plain miss is not an I/O
+// error.
+func TestSharedStoreReadValidation(t *testing.T) {
+	cfg := testConfig()
+	pol := cfg[Results]
+	pol.ScanOnOpen, pol.DiskEvict = false, false
+	cfg[Results] = pol
+	a, err := OpenDisk(t.TempDir(), 0, faults.New(nil), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Put(Results, "cafe0123", blobFor("cafe0123", "ok"))
+	if raw, ok := a.Get(Results, "cafe0123"); !ok || !bytes.Equal(raw, blobFor("cafe0123", "ok")) {
+		t.Fatalf("direct read = %q ok=%v", raw, ok)
+	}
+	path := a.ns[Results].path("cafe0123")
+	if err := os.WriteFile(path, []byte("blo"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := a.Get(Results, "cafe0123"); ok {
+		t.Fatal("direct read served corrupt bytes")
+	}
+	if q := a.Status().NS[Results].Quarantined; q != 1 {
+		t.Fatalf("quarantined = %d, want 1", q)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatal("corrupt file still at final path")
+	}
+	if _, ok := a.Get(Results, "feed0000"); ok {
+		t.Fatal("miss served something")
+	}
+	if io := a.Status().IOErrors; io != 0 {
+		t.Fatalf("miss counted as I/O error: %d", io)
 	}
 }
 
@@ -380,101 +430,5 @@ func TestMemUnconfiguredNamespace(t *testing.T) {
 	}
 	if m.Len(Sweeps) != 0 {
 		t.Fatal("unconfigured namespace has entries")
-	}
-}
-
-// ---- shared-directory (cluster) tier ----
-
-// TestSharedStoreCrossProcessVisibility is the cluster-store property: two
-// stores opened on the same directory (two nodes on one NFS mount) see
-// each other's writes without reopening, because nothing is indexed — any
-// node's Put is every node's hit.
-func TestSharedStoreCrossProcessVisibility(t *testing.T) {
-	dir := t.TempDir()
-	inj := faults.New(nil)
-	a, err := OpenShared(dir, inj, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := OpenShared(dir, inj, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// b opened before a's put: visibility must not depend on open order.
-	a.Put(Results, "aaaa1111", blobFor("aaaa1111", "from-a"))
-	raw, ok := b.Get(Results, "aaaa1111")
-	if !ok || !bytes.Equal(raw, blobFor("aaaa1111", "from-a")) {
-		t.Fatalf("peer write invisible: %q ok=%v", raw, ok)
-	}
-	// All namespaces share: sweeps and snapshots too.
-	a.Put(Sweeps, "swp00000", []byte("sweep-blob"))
-	if raw, ok := b.Get(Sweeps, "swp00000"); !ok || !bytes.Equal(raw, []byte("sweep-blob")) {
-		t.Fatalf("peer sweep blob invisible: %q ok=%v", raw, ok)
-	}
-	a.Put(Snapshots, "snp00000", blobFor("snp00000", "snap"))
-	if _, ok := b.Get(Snapshots, "snp00000"); !ok {
-		t.Fatal("peer snapshot invisible")
-	}
-	if st := a.Status(); st.Tier != "shared" {
-		t.Fatalf("tier = %q, want shared", st.Tier)
-	}
-}
-
-// TestSharedStoreReadValidation: a shared store validates on every read
-// (there is no open-time scan to trust), quarantining corrupt files.
-func TestSharedStoreReadValidation(t *testing.T) {
-	dir := t.TempDir()
-	a, err := OpenShared(dir, faults.New(nil), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Put(Results, "cafe0123", blobFor("cafe0123", "ok"))
-	path := a.ns[Results].path("cafe0123")
-	if err := os.WriteFile(path, []byte("blo"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := a.Get(Results, "cafe0123"); ok {
-		t.Fatal("shared store served corrupt bytes")
-	}
-	if q := a.Status().NS[Results].Quarantined; q != 1 {
-		t.Fatalf("quarantined = %d, want 1", q)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("corrupt file still at final path")
-	}
-	// Plain misses are not I/O errors.
-	if _, ok := a.Get(Results, "feed0000"); ok {
-		t.Fatal("miss served something")
-	}
-	if io := a.Status().IOErrors; io != 0 {
-		t.Fatalf("miss counted as I/O error: %d", io)
-	}
-}
-
-// TestSharedTieredCluster: the full per-node composition — memory tier
-// over the shared directory — gives node B a warm hit for node A's write,
-// the "any node's cache hit is every node's cache hit" contract.
-func TestSharedTieredCluster(t *testing.T) {
-	dir := t.TempDir()
-	inj := faults.New(nil)
-	openNode := func() *Tiered {
-		sh, err := OpenShared(dir, inj, testConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return NewTiered(NewMem(testConfig()), sh)
-	}
-	nodeA, nodeB := openNode(), openNode()
-	nodeA.Put(Results, "aaaa1111", blobFor("aaaa1111", "from-a"))
-	raw, ok := nodeB.Get(Results, "aaaa1111")
-	if !ok || !bytes.Equal(raw, blobFor("aaaa1111", "from-a")) {
-		t.Fatalf("cluster hit missed: %q ok=%v", raw, ok)
-	}
-	// The hit promoted into B's memory tier.
-	if n := nodeB.Len(Results); n != 1 {
-		t.Fatalf("promotion missed: mem len = %d", n)
-	}
-	if st := nodeB.Status(); st.Tier != "mem+shared" || st.NS[Results].WarmHits != 1 {
-		t.Fatalf("cluster status = %+v", st)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// Tiered layers the memory tier over a disk (or shared-directory) tier:
+// Tiered layers the memory tier over the disk tier:
 // gets read through (memory first, disk on miss, promoting hits), puts
 // write through to both. Per-key shard locks serialize a disk load against
 // a concurrent completion of the same content key, so an artifact finishing
