@@ -65,6 +65,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/serve"
+	"repro/internal/store"
 )
 
 func main() {
@@ -146,21 +147,21 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tarserved: chaos armed (%s, seed %d) — this server sheds and fails on purpose\n", *chaos, *chaosSeed)
 	}
 
-	store, err := serve.OpenStore(*storeDir, *cache, *storeMaxBytes, diskChaos)
+	db, err := serve.OpenStore(*storeDir, *cache, *storeMaxBytes, diskChaos)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tarserved:", err)
 		os.Exit(2)
 	}
 	if *storeDir != "" {
-		st := store.Status()
+		r := db.Status().NS[store.Results]
 		fmt.Fprintf(os.Stderr, "tarserved: disk store %s: %d artifacts warm-started (%d bytes), %d quarantined\n",
-			*storeDir, st.WarmStart, st.DiskBytes, st.Quarantined)
+			*storeDir, r.WarmStart, r.DiskBytes, r.Quarantined)
 	}
 
 	opts := serve.Options{
 		Workers:         *workers,
 		QueueDepth:      *queue,
-		Store:           store,
+		Store:           db,
 		QueueWait:       *queueWait,
 		DefaultDeadline: *jobDeadline,
 		MaxDeadline:     *maxDeadline,

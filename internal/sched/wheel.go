@@ -33,10 +33,9 @@ const (
 )
 
 // event is one scheduled callback. Events are wheel-owned and recycled
-// through a free list; callers hold them only via Handle.
+// through a free list; callers never hold them.
 type event struct {
 	cycle uint64
-	gen   uint64 // bumped on recycle so stale Handles cannot cancel
 	fn    func()
 	// AtCall form: fnc(cycle, arg). Splitting the callback from its operand
 	// lets hot paths schedule a long-lived func value plus a pointer-shaped
@@ -45,16 +44,6 @@ type event struct {
 	fnc  func(uint64, any)
 	arg  any
 	next *event
-}
-
-// live reports whether the event still has a callback (not cancelled).
-func (e *event) live() bool { return e.fn != nil || e.fnc != nil }
-
-// Handle identifies a scheduled event for cancellation. The zero Handle is
-// valid and cancels nothing.
-type Handle struct {
-	e   *event
-	gen uint64
 }
 
 // list is an intrusive FIFO of events; registration order is preserved
@@ -85,7 +74,7 @@ func (l *list) pop() *event {
 }
 
 // level is one ring of the hierarchy: level L's slots are 64^L cycles wide.
-// occ has bit s set iff slot s holds at least one event (possibly cancelled).
+// occ has bit s set iff slot s holds at least one event.
 type level struct {
 	occ  uint64
 	slot [slotCount]list
@@ -95,15 +84,15 @@ type level struct {
 // The zero value is ready to use (base 0). Not safe for concurrent use —
 // each component owns its wheel, like the maps it replaces.
 //
-// Invariant (restored after every Advance): every live event sits at the
-// lowest level whose slot width can still distinguish it from base, i.e.
-// level floor(log64(cycle XOR base)). Crossing a slot-0 window boundary
+// Invariant (restored after every Advance): every event filed in a slot sits
+// at the lowest level whose slot width can still distinguish it from base,
+// i.e. level floor(log64(cycle XOR base)). Crossing a slot-0 window boundary
 // cascades the entered higher-level slot down, so an event always reaches
 // level 0 before its cycle comes up.
 type Wheel struct {
 	base     uint64 // cycle of the last Advance (or 0)
-	n        int    // live (scheduled, not cancelled) events, stranded included
-	resident int    // events (cancelled husks included) filed in level slots
+	n        int    // scheduled, not yet fired events, stranded included
+	resident int    // events filed in level slots
 	levels   [numLevels]level
 
 	free *event
@@ -124,61 +113,46 @@ func (w *Wheel) alloc() *event {
 
 func (w *Wheel) recycle(e *event) {
 	e.fn, e.fnc, e.arg = nil, nil, nil
-	e.gen++
 	e.next = w.free
 	w.free = e
 }
 
 // At schedules fn to run when Advance reaches exactly cycle c, after every
-// event already scheduled for c. The returned Handle cancels it; callers
-// that never cancel may discard the Handle. Scheduling at or before the
-// last advanced cycle parks the event as stranded (it never fires but stays
-// pending), except during Advance(c) itself, where an At(c, fn) joins the
-// currently firing batch.
-func (w *Wheel) At(c uint64, fn func()) Handle {
+// event already scheduled for c. Scheduling at or before the last advanced
+// cycle parks the event as stranded (it never fires but stays pending),
+// except during Advance(c) itself, where an At(c, fn) joins the currently
+// firing batch.
+func (w *Wheel) At(c uint64, fn func()) {
 	e := w.alloc()
 	e.cycle, e.fn = c, fn
 	w.n++
 	w.place(e)
-	return Handle{e: e, gen: e.gen}
 }
 
 // AtCall schedules fn(c, arg) with the same semantics as At. It exists for
 // allocation-free scheduling on hot paths: fn is typically a long-lived
 // method value stored once at construction, and arg a pointer, so neither
 // the callback nor its operand escapes per event.
-func (w *Wheel) AtCall(c uint64, fn func(uint64, any), arg any) Handle {
+func (w *Wheel) AtCall(c uint64, fn func(uint64, any), arg any) {
 	e := w.alloc()
 	e.cycle, e.fnc, e.arg = c, fn, arg
 	w.n++
 	w.place(e)
-	return Handle{e: e, gen: e.gen}
 }
 
-// Cancel removes a scheduled event. It reports whether the event was still
-// pending; cancelling an already-fired, already-cancelled or zero Handle is
-// a harmless no-op. The event's slot entry is reclaimed lazily, when its
-// slot is fired or re-filed.
-func (w *Wheel) Cancel(h Handle) bool {
-	if h.e == nil || h.e.gen != h.gen || !h.e.live() {
-		return false
-	}
-	h.e.fn, h.e.fnc, h.e.arg = nil, nil, nil
-	w.n--
-	return true
-}
-
-// Pending reports whether any live events remain (stranded ones included).
+// Pending reports whether any events remain (stranded ones included).
 func (w *Wheel) Pending() bool { return w.n > 0 }
 
-// Len returns the number of live events (stranded ones included).
+// Len returns the number of scheduled, not yet fired events (stranded ones
+// included).
 func (w *Wheel) Len() int { return w.n }
 
 // place files e at the level/slot determined by the highest bit in which its
-// cycle differs from base. Events at or before base are stranded.
+// cycle differs from base. An event before base is stranded: it is dropped
+// from the wheel for good but stays counted by Pending and Len, mirroring
+// an unvisited key in the old map wheels.
 func (w *Wheel) place(e *event) {
 	if e.cycle < w.base {
-		w.strandEvent(e)
 		return
 	}
 	d := e.cycle ^ w.base
@@ -190,15 +164,6 @@ func (w *Wheel) place(e *event) {
 	w.levels[lv].slot[s].push(e)
 	w.levels[lv].occ |= 1 << uint(s)
 	w.resident++
-}
-
-// strandEvent takes e out of the wheel for good. A live stranded event never
-// fires but stays counted by Pending and Len (until cancelled), mirroring an
-// unvisited key in the old map wheels; a cancelled husk is recycled.
-func (w *Wheel) strandEvent(e *event) {
-	if !e.live() {
-		w.recycle(e)
-	}
 }
 
 // Advance moves the wheel to cycle c and fires, in registration order, every
@@ -248,10 +213,6 @@ func (w *Wheel) moveBase(c uint64) {
 			l.occ &^= 1 << idx
 			for e := l.slot[idx].pop(); e != nil; e = l.slot[idx].pop() {
 				w.resident--
-				if !e.live() {
-					w.recycle(e)
-					continue
-				}
 				w.place(e)
 			}
 		}
@@ -259,7 +220,8 @@ func (w *Wheel) moveBase(c uint64) {
 	}
 }
 
-// strandSlots strands every event in the level's slots selected by mask.
+// strandSlots strands every event in the level's slots selected by mask
+// (see place).
 func (w *Wheel) strandSlots(lv int, mask uint64) {
 	l := &w.levels[lv]
 	for mask != 0 {
@@ -267,7 +229,6 @@ func (w *Wheel) strandSlots(lv int, mask uint64) {
 		mask &^= 1 << s
 		for e := l.slot[s].pop(); e != nil; e = l.slot[s].pop() {
 			w.resident--
-			w.strandEvent(e)
 		}
 		l.occ &^= 1 << s
 	}
@@ -284,13 +245,12 @@ func (w *Wheel) fire(c uint64) {
 	}
 	for e := l.slot[s].pop(); e != nil; e = l.slot[s].pop() {
 		w.resident--
+		w.n--
 		fn, fnc, arg := e.fn, e.fnc, e.arg
 		w.recycle(e)
 		if fnc != nil {
-			w.n--
 			fnc(c, arg)
-		} else if fn != nil {
-			w.n--
+		} else {
 			fn()
 		}
 	}

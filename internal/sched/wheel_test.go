@@ -95,51 +95,6 @@ func TestWheelSameCycleReschedule(t *testing.T) {
 	}
 }
 
-// TestWheelCancel: a cancelled event never fires, cancellation is
-// idempotent, and a Handle goes stale once its event has fired.
-func TestWheelCancel(t *testing.T) {
-	w := NewWheel()
-	fired := map[string]bool{}
-	hKeep := w.At(10, func() { fired["keep"] = true })
-	hDrop := w.At(10, func() { fired["drop"] = true })
-	hFar := w.At(1<<30, func() { fired["far"] = true })
-	if !w.Cancel(hDrop) {
-		t.Fatal("Cancel(pending) = false, want true")
-	}
-	if w.Cancel(hDrop) {
-		t.Fatal("second Cancel = true, want false (idempotent)")
-	}
-	if !w.Cancel(hFar) {
-		t.Fatal("Cancel(far pending) = false, want true")
-	}
-	if w.Len() != 1 {
-		t.Fatalf("Len() = %d after cancels, want 1", w.Len())
-	}
-	w.Advance(10)
-	if w.Pending() {
-		t.Fatal("Pending() after the only live event fired")
-	}
-	if !fired["keep"] || fired["drop"] || fired["far"] {
-		t.Fatalf("fired = %v, want only keep", fired)
-	}
-	if w.Cancel(hKeep) {
-		t.Fatal("Cancel(fired) = true, want false (stale handle)")
-	}
-	if w.Cancel(Handle{}) {
-		t.Fatal("Cancel(zero Handle) = true, want false")
-	}
-	// A recycled event slot must not be cancellable through the old handle.
-	var ranNew bool
-	w.At(20, func() { ranNew = true })
-	if w.Cancel(hKeep) || w.Cancel(hDrop) {
-		t.Fatal("stale handle cancelled a recycled event")
-	}
-	w.Advance(20)
-	if !ranNew {
-		t.Fatal("recycled-slot event did not fire")
-	}
-}
-
 // TestWheelStranding pins the map-wheel compatibility semantics: an event at
 // a cycle Advance skipped never fires, but it keeps the wheel Pending —
 // exactly like an unvisited map key.
@@ -189,45 +144,33 @@ func TestWheelAdvanceSkipsNothingDue(t *testing.T) {
 }
 
 // TestWheelRandomizedAgainstModel drives the wheel through a long random
-// schedule/advance/cancel workload and checks every observable (firing
-// sequence, Pending, Len) against a brute-force reference with the same
+// schedule/advance workload and checks every observable (firing sequence,
+// Pending, Len) against a brute-force reference with the same
 // exact-cycle-plus-stranding semantics.
 func TestWheelRandomizedAgainstModel(t *testing.T) {
 	type mev struct {
-		cycle     uint64
-		id        int
-		cancelled bool
-		stranded  bool
+		cycle    uint64
+		id       int
+		stranded bool
 	}
 	rng := splitmix64(42)
 	w := NewWheel()
 	var model []*mev
-	handles := map[int]Handle{}
 	var got, want []int
 	now := uint64(0)
 	nextID := 0
 	for step := 0; step < 20000; step++ {
-		switch rng.next() % 8 {
+		switch rng.next() % 7 {
 		case 0, 1, 2, 3: // schedule at a future cycle
 			c := now + 1 + rng.next()%(1<<(rng.next()%20))
 			id := nextID
 			nextID++
 			model = append(model, &mev{cycle: c, id: id})
-			handles[id] = w.At(c, func() { got = append(got, id) })
-		case 4: // cancel a random live model event
-			for _, m := range model {
-				if !m.cancelled && !m.stranded && m.cycle > now {
-					if !w.Cancel(handles[m.id]) {
-						t.Fatalf("step %d: Cancel(live id=%d) = false", step, m.id)
-					}
-					m.cancelled = true
-					break
-				}
-			}
-		case 5, 6: // advance to the next live future event (skipping none)
+			w.At(c, func() { got = append(got, id) })
+		case 4, 5: // advance to the next live future event (skipping none)
 			n := ^uint64(0)
 			for _, m := range model {
-				if !m.cancelled && !m.stranded && m.cycle > now && m.cycle < n {
+				if !m.stranded && m.cycle > now && m.cycle < n {
 					n = m.cycle
 				}
 			}
@@ -237,16 +180,16 @@ func TestWheelRandomizedAgainstModel(t *testing.T) {
 			now = n
 			w.Advance(now)
 			for _, m := range model {
-				if m.cycle == now && !m.cancelled && !m.stranded {
+				if m.cycle == now && !m.stranded {
 					want = append(want, m.id)
 					m.stranded = true // consumed
 				}
 			}
-		case 7: // jump past events, stranding them
+		case 6: // jump past events, stranding them
 			now += 1 + rng.next()%2048
 			w.Advance(now)
 			for _, m := range model {
-				if m.cycle == now && !m.cancelled && !m.stranded {
+				if m.cycle == now && !m.stranded {
 					want = append(want, m.id)
 					m.stranded = true // consumed
 				}
@@ -261,15 +204,12 @@ func TestWheelRandomizedAgainstModel(t *testing.T) {
 			t.Fatalf("firing %d: got id=%d, model id=%d", i, got[i], want[i])
 		}
 	}
-	// Live events = scheduled, not cancelled, not fired (stranded-by-skip
-	// events count as live-but-dead, exactly like unvisited map keys).
+	// Live events = scheduled, not fired (stranded-by-skip events count as
+	// live-but-dead, exactly like unvisited map keys).
 	live := 0
 	for _, m := range model {
-		if !m.cancelled && !m.stranded && m.cycle <= now {
-			live++ // stranded by a case-7 jump
-		}
-		if !m.cancelled && !m.stranded && m.cycle > now {
-			live++
+		if !m.stranded {
+			live++ // pending, or stranded by a case-6 jump
 		}
 	}
 	if w.Len() != live {

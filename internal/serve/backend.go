@@ -2,10 +2,8 @@ package serve
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 
-	chipmetrics "repro/internal/metrics"
 	"repro/internal/workloads"
 )
 
@@ -26,16 +24,25 @@ type Backend interface {
 	// goroutine. Concurrency is bounded by the server's worker pool, not
 	// by the backend.
 	Execute(spec *JobSpec) (*workloads.Result, error)
-	// Alive reports the execution slots currently able to take work: the
-	// configured pool size for the in-process backend, live worker
-	// processes for the subprocess fleet.
-	Alive() int
-	// Registry exposes the backend's gauge set (workers.alive,
-	// workers.restarts, workers.retries, ...) for the /metrics exposition.
-	Registry() *chipmetrics.Registry
+	// Workers reports the fleet's health for /healthz and the
+	// tarserved_workers_* series on /metrics.
+	Workers() WorkerStats
 	// Close releases backend resources (kills idle workers). Called once,
 	// after the server's drain completes.
 	Close()
+}
+
+// WorkerStats is a backend's fleet health.
+type WorkerStats struct {
+	// Alive counts the execution slots currently able to take work: the
+	// configured pool size for the in-process backend, live worker
+	// processes for the subprocess fleet.
+	Alive int
+	// Restarts counts worker processes respawned after an unexpected
+	// death, and Retries jobs re-executed after one (both always 0
+	// in-process).
+	Restarts int
+	Retries  int
 }
 
 // inProcessBackend runs simulations as goroutines in the server process —
@@ -43,11 +50,8 @@ type Backend interface {
 // detected by the simulator's own watchdog/deadline machinery, not by
 // killing anything.
 type inProcessBackend struct {
-	run     RunFunc
-	workers int
-	reg     *chipmetrics.Registry
-	alive   atomic.Int64
-	closed  sync.Once
+	run   RunFunc
+	alive atomic.Int64
 }
 
 // newInProcessBackend wraps run (the real simulator, or a test stub) as a
@@ -59,26 +63,25 @@ func newInProcessBackend(run RunFunc, workers int) *inProcessBackend {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	b := &inProcessBackend{run: run, workers: workers, reg: chipmetrics.NewRegistry()}
+	b := &inProcessBackend{run: run}
 	b.alive.Store(int64(workers))
-	b.reg.RegisterGauge("workers.alive", "Execution slots able to take work.",
-		func(uint64) int { return int(b.alive.Load()) })
-	b.reg.RegisterGauge("workers.restarts", "Worker processes respawned after dying (always 0 in-process).",
-		func(uint64) int { return 0 })
-	b.reg.RegisterGauge("workers.retries", "Jobs re-executed after a worker death (always 0 in-process).",
-		func(uint64) int { return 0 })
 	return b
 }
 
-func (b *inProcessBackend) Kind() string                    { return "inprocess" }
-func (b *inProcessBackend) Alive() int                      { return int(b.alive.Load()) }
-func (b *inProcessBackend) Registry() *chipmetrics.Registry { return b.reg }
-func (b *inProcessBackend) Close()                          { b.closed.Do(func() { b.alive.Store(0) }) }
+func (b *inProcessBackend) Kind() string         { return "inprocess" }
+func (b *inProcessBackend) Workers() WorkerStats { return WorkerStats{Alive: int(b.alive.Load())} }
+func (b *inProcessBackend) Close()               { b.alive.Store(0) }
 
-// Execute runs the spec in this process with panic isolation, mirroring
-// the sweep runner's per-cell recovery: a model bug in one experiment must
-// not take the service down.
-func (b *inProcessBackend) Execute(spec *JobSpec) (res *workloads.Result, err error) {
+func (b *inProcessBackend) Execute(spec *JobSpec) (*workloads.Result, error) {
+	return execute(spec, b.run)
+}
+
+// execute builds the spec and runs it through run with panic isolation,
+// mirroring the sweep runner's per-cell recovery: a model bug in one
+// experiment must not take the service down. It is the one execution path
+// of both backends — the in-process pool passes its RunFunc, tarworker
+// passes defaultRun — so their failures classify identically.
+func execute(spec *JobSpec, run RunFunc) (res *workloads.Result, err error) {
 	cfg, scale, buildErr := spec.Build()
 	if buildErr != nil {
 		return nil, &JobError{Status: 400, JSON: ErrorJSON{Code: ErrCodeBadRequest, Message: buildErr.Error()}}
@@ -88,7 +91,7 @@ func (b *inProcessBackend) Execute(spec *JobSpec) (res *workloads.Result, err er
 			res, err = nil, panicError{p}
 		}
 	}()
-	return b.run(spec.Bench, cfg, scale)
+	return run(spec.Bench, cfg, scale)
 }
 
 var _ Backend = (*inProcessBackend)(nil)

@@ -169,10 +169,12 @@ func (m *metrics) quantiles() (p50, p99 float64, n uint64) {
 	return at(0.50), at(0.99), n
 }
 
-// render writes the Prometheus exposition. st is the store's health block
-// and poisoned the count of quarantined confhashes, both sampled by the
-// caller (store and server have their own locks).
-func (m *metrics) render(w io.Writer, st StoreStatus, poisoned int) {
+// render writes the Prometheus exposition: the whole service in one
+// scrape. st is the store's health block, ws the backend's fleet health,
+// queueDepth the flights waiting for an execution slot and poisoned the
+// count of quarantined confhashes, all sampled by the caller (store,
+// backend and server have their own locks).
+func (m *metrics) render(w io.Writer, st StoreStatus, ws WorkerStats, queueDepth, poisoned int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	counter := func(name, help string, v uint64) {
@@ -211,6 +213,10 @@ func (m *metrics) render(w io.Writer, st StoreStatus, poisoned int) {
 	gauge("tarserved_cache_entries", "Entries resident in the result cache.", st.MemEntries)
 	gauge("tarserved_poisoned_confhashes", "Confhashes currently quarantined by the crash circuit breaker.", poisoned)
 	fmt.Fprintf(w, "# HELP tarserved_job_ewma_seconds EWMA of simulation execution seconds, the admission controller's wait estimator.\n# TYPE tarserved_job_ewma_seconds gauge\ntarserved_job_ewma_seconds %g\n", m.ewmaJob)
+	gauge("tarserved_workers_alive", "Execution slots able to take work (live worker processes for the subprocess backend).", ws.Alive)
+	gauge("tarserved_workers_restarts", "Worker processes respawned after an unexpected death (always 0 in-process).", ws.Restarts)
+	gauge("tarserved_workers_retries", "Jobs re-executed after a worker death (always 0 in-process).", ws.Retries)
+	gauge("tarserved_workers_queue_depth", "Flights waiting for an execution slot.", queueDepth)
 	renderStore(w, st)
 	p50, p99, n := m.quantiles()
 	fmt.Fprintf(w, "# HELP tarserved_job_latency_seconds Job latency, submit to terminal state.\n")

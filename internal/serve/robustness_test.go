@@ -26,7 +26,7 @@ import (
 // Byte-level store mechanics (eviction atime ordering, torn-write chaos,
 // unindexed direct reads) live in internal/store. The tests here pin
 // the serve-layer contract on top of it: artifact encoding, on-disk layout,
-// and the decoded round trip through the Store adapter.
+// and the decoded round trip through putResult and getResult.
 
 // artifactPath is the serve layer's on-disk layout contract: one result
 // artifact per file, under a schema-versioned directory. External tooling
@@ -44,12 +44,12 @@ func TestDiskStoreRoundTripAndWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Put("aaaa1111", fakeResult("dgemm", "T"))
-	d.Put("bbbb2222", fakeResult("streams_copy", "T"))
-	if d.Len() != 2 {
-		t.Fatalf("len = %d, want 2", d.Len())
+	putResult(d, "aaaa1111", fakeResult("dgemm", "T"))
+	putResult(d, "bbbb2222", fakeResult("streams_copy", "T"))
+	if n := storeStatus(d.Status()).MemEntries; n != 2 {
+		t.Fatalf("entries = %d, want 2", n)
 	}
-	if _, ok := d.Get("aaaa1111"); !ok {
+	if _, ok := getResult(d, "aaaa1111"); !ok {
 		t.Fatal("get missed a just-put artifact")
 	}
 	d.Close()
@@ -60,11 +60,11 @@ func TestDiskStoreRoundTripAndWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := d2.Status()
+	st := storeStatus(d2.Status())
 	if st.WarmStart != 2 || st.DiskEntries != 2 || st.Quarantined != 0 {
 		t.Fatalf("warm-start status = %+v", st)
 	}
-	res, ok := d2.Get("aaaa1111")
+	res, ok := getResult(d2, "aaaa1111")
 	if !ok || res.Bench != "dgemm" {
 		t.Fatalf("warm-started get = %+v ok=%v", res, ok)
 	}
@@ -109,8 +109,8 @@ func TestDiskStoreCorruptionQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Put("good0000", fakeResult("dgemm", "T"))
-	d.Put("good1111", fakeResult("streams_copy", "T"))
+	putResult(d, "good0000", fakeResult("dgemm", "T"))
+	putResult(d, "good1111", fakeResult("streams_copy", "T"))
 	d.Close()
 	valid, err := os.ReadFile(artifactPath(dir, "good0000"))
 	if err != nil {
@@ -131,17 +131,17 @@ func TestDiskStoreCorruptionQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("corrupt files must not fail the open: %v", err)
 	}
-	st := d2.Status()
+	st := storeStatus(d2.Status())
 	wantQuar := uint64(len(corruptions) + 1)
 	if st.Quarantined != wantQuar || st.WarmStart != 2 || st.DiskEntries != 2 {
 		t.Fatalf("status after corrupt open = %+v, want %d quarantined / 2 warm", st, wantQuar)
 	}
 	for _, c := range corruptions {
-		if _, ok := d2.Get("bad_" + c.name); ok {
+		if _, ok := getResult(d2, "bad_"+c.name); ok {
 			t.Fatalf("corrupt artifact %q was served", c.name)
 		}
 	}
-	if _, ok := d2.Get("good0000"); !ok {
+	if _, ok := getResult(d2, "good0000"); !ok {
 		t.Fatal("valid artifact lost in the corrupt sweep")
 	}
 	quar, _ := os.ReadDir(filepath.Join(dir, "quarantine"))
@@ -156,10 +156,10 @@ func TestDiskStoreCorruptionQuarantine(t *testing.T) {
 	if err := os.WriteFile(artifactPath(dir, "good1111"), valid[:10], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := d2.Get("good1111"); ok {
+	if _, ok := getResult(d2, "good1111"); ok {
 		t.Fatal("post-open corruption was served")
 	}
-	if got := d2.Status().Quarantined; got != wantQuar+1 {
+	if got := storeStatus(d2.Status()).Quarantined; got != wantQuar+1 {
 		t.Fatalf("read-time quarantine not counted: %d, want %d", got, wantQuar+1)
 	}
 }
@@ -198,7 +198,7 @@ func FuzzDiskArtifactDecode(f *testing.F) {
 // copy. Run under -race in CI.
 func TestTieredStoreSingleFlight(t *testing.T) {
 	dir := t.TempDir()
-	store, err := OpenStore(dir, 16, 0, nil)
+	db, err := OpenStore(dir, 16, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,29 +212,29 @@ func TestTieredStoreSingleFlight(t *testing.T) {
 			defer wg.Done()
 			for n := 0; n < 50; n++ {
 				if i%2 == 0 {
-					store.Put(key, res)
-				} else if got, ok := store.Get(key); ok && got.Bench != "dgemm" {
+					putResult(db, key, res)
+				} else if got, ok := getResult(db, key); ok && got.Bench != "dgemm" {
 					t.Errorf("torn read: %+v", got)
 				}
 			}
 		}(i)
 	}
 	wg.Wait()
-	got, ok := store.Get(key)
+	got, ok := getResult(db, key)
 	if !ok || got.Bench != "dgemm" {
 		t.Fatalf("artifact lost after concurrent traffic: %+v ok=%v", got, ok)
 	}
-	if st := store.Status(); st.Tier != "mem+disk" || st.IOErrors != 0 {
+	if st := db.Status(); st.Tier != "mem+disk" || st.IOErrors != 0 {
 		t.Fatalf("tiered status = %+v", st)
 	}
-	store.Close()
+	db.Close()
 	// The disk tier ends with exactly one copy: a reopen warm-starts
 	// exactly one artifact.
 	reopened, err := OpenStore(dir, 16, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := reopened.Status(); st.DiskEntries != 1 || st.WarmStart != 1 {
+	if st := storeStatus(reopened.Status()); st.DiskEntries != 1 || st.WarmStart != 1 {
 		t.Fatalf("disk tier after concurrent traffic = %+v, want exactly 1 entry", st)
 	}
 }
@@ -253,7 +253,7 @@ func TestChaosDiskStore(t *testing.T) {
 	}
 	const n = 60
 	for i := 0; i < n; i++ {
-		d.Put(fmt.Sprintf("chaos%02d", i), fakeResult("dgemm", "T"))
+		putResult(d, fmt.Sprintf("chaos%02d", i), fakeResult("dgemm", "T"))
 	}
 	if st := d.Status(); st.IOErrors == 0 {
 		t.Fatalf("chaos campaign injected no I/O errors: %+v", st)
@@ -265,13 +265,13 @@ func TestChaosDiskStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	st := d2.Status()
+	st := storeStatus(d2.Status())
 	if st.Quarantined == 0 {
 		t.Fatalf("no torn write reached the quarantine path: %+v", st)
 	}
 	served := 0
 	for i := 0; i < n; i++ {
-		res, ok := d2.Get(fmt.Sprintf("chaos%02d", i))
+		res, ok := getResult(d2, fmt.Sprintf("chaos%02d", i))
 		if !ok {
 			continue // lost to an injected write error or torn — an honest miss
 		}
@@ -330,7 +330,7 @@ func TestRestartRecoveryE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := store2.Status(); st.WarmStart != len(cells) {
+	if st := storeStatus(store2.Status()); st.WarmStart != len(cells) {
 		t.Fatalf("warm start recovered %d artifacts, want %d: %+v", st.WarmStart, len(cells), st)
 	}
 	_, ts2 := newTestServer(t, Options{Workers: 2, Store: store2})

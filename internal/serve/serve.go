@@ -1,8 +1,8 @@
 // Package serve turns the Tarantula simulator into a long-lived,
 // multi-tenant job service: experiments are submitted over JSON/HTTP, keyed
 // by their confhash content address, deduplicated against in-flight runs,
-// answered from a pluggable result store when possible, and executed on a
-// bounded worker pool otherwise. The server exposes Prometheus metrics and
+// answered from the result store when possible, and executed on a bounded
+// worker pool otherwise. The server exposes Prometheus metrics and
 // drains in-flight simulations on shutdown, so a deploy never truncates a
 // half-finished experiment.
 //
@@ -16,9 +16,11 @@
 // wedged machine surfaces as a structured HTTP 422 with error code "wedge"
 // — never a hung connection or an anonymous 500.
 //
-// Results live behind the Store interface: the in-memory LRU alone, or the
-// LRU tiered over a crash-safe disk store so a restarted server warm-starts
-// from its previous life's artifacts. Under overload the server sheds load
+// Results, sweep blobs and warm-up chip snapshots live in one
+// content-addressed store, internal/store's Interface, which the server
+// calls directly by namespace: the in-memory tier alone, or the memory tier
+// over a crash-safe disk store so a restarted server warm-starts from its
+// previous life's artifacts. Under overload the server sheds load
 // structurally rather than degrading: the admission controller refuses
 // submissions whose estimated queue wait would blow their deadline
 // (queue_full + Retry-After), queued jobs whose deadline expires are shed
@@ -34,12 +36,12 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/confhash"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/workloads"
 )
 
@@ -69,13 +71,10 @@ type Options struct {
 	// overflow rejects the submission with 503 rather than queueing
 	// unboundedly.
 	QueueDepth int
-	// CacheEntries bounds the LRU result cache (default 4096). Ignored
-	// when Store is set.
-	CacheEntries int
-	// Store substitutes the result store. Nil selects the in-memory LRU
-	// bounded by CacheEntries; OpenStore builds the tiered disk-backed
-	// store tarserved uses.
-	Store Store
+	// Store holds results, sweep blobs and warm-up snapshots. Nil selects
+	// the memory-only store with its default bounds; OpenStore builds the
+	// store tarserved uses, memory-only or tiered over a disk directory.
+	Store store.Interface
 	// QueueWait bounds how long a job may wait for a worker before being
 	// shed with code "deadline_exceeded"; it is also the admission
 	// controller's wait budget (submissions whose estimated wait exceeds
@@ -125,7 +124,7 @@ type poisonRecord struct {
 type Server struct {
 	opts    Options
 	backend Backend
-	store   Store
+	store   store.Interface
 	m       *metrics
 	mux     *http.ServeMux
 
@@ -178,24 +177,19 @@ func New(opts Options) *Server {
 		stopJanitor: make(chan struct{}),
 	}
 	if s.store == nil {
-		s.store = newMemStore(opts.CacheEntries)
+		s.store = store.NewMem(storeConfig(0))
 	}
 	if s.backend == nil {
 		run := opts.Run
 		if run == nil {
-			// Warm-up snapshot reuse rides the in-process execution path
-			// when the store can hold snapshots. Test stubs (opts.Run) and
-			// the subprocess backend keep the plain path: a subprocess
-			// worker has no handle on the server's store.
-			if ss, ok := s.store.(SnapshotStore); ok {
-				run = s.snapshotRun(ss)
-			}
+			// Warm-up snapshot reuse rides the in-process execution path.
+			// Test stubs (opts.Run) and the subprocess backend keep the
+			// plain path: a subprocess worker has no handle on the
+			// server's store.
+			run = s.snapshotRun()
 		}
 		s.backend = newInProcessBackend(run, opts.Workers)
 	}
-	s.backend.Registry().RegisterGauge("workers.queue_depth",
-		"Flights waiting for an execution slot.",
-		func(uint64) int { return len(s.queue) })
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleList)
@@ -227,9 +221,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Backend returns the execution backend (for health introspection and
 // tests).
 func (s *Server) Backend() Backend { return s.backend }
-
-// Store returns the result store (for health introspection and tests).
-func (s *Server) Store() Store { return s.store }
 
 // Drain stops intake (new submissions get 503), lets queued and in-flight
 // simulations finish, stops the shed janitor, closes the backend and the
@@ -374,7 +365,7 @@ func (s *Server) shedExpired() {
 // of crash-looping the fleet again.
 func (s *Server) complete(f *flight, res *workloads.Result, jobErr *JobError, execSec float64) {
 	if jobErr == nil {
-		s.store.Put(f.key, res)
+		putResult(s.store, f.key, res)
 		s.m.recordExperiment(f.key, f.spec.Bench, res.Config, res)
 	}
 	now := time.Now()
@@ -503,7 +494,7 @@ func (s *Server) Submit(req *SubmitRequest) (*JobStatus, error) {
 	s.order = append(s.order, j.id)
 	s.gcLocked()
 
-	if res, ok := s.store.Get(key); ok {
+	if res, ok := getResult(s.store, key); ok {
 		j.state, j.res, j.cacheHit = StateDone, res, true
 		close(j.done)
 		s.mu.Unlock()
@@ -787,13 +778,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	poisoned := len(s.poison)
 	s.mu.Unlock()
-	s.m.render(w, s.store.Status(), poisoned)
-	// Backend gauges (workers.alive → tarserved_workers_alive, ...) ride
-	// the same exposition so one scrape sees the whole service.
-	for _, g := range s.backend.Registry().Gauges() {
-		name := "tarserved_" + strings.ReplaceAll(g.Name, ".", "_")
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, g.Help, name, name, g.Read(0))
-	}
+	s.m.render(w, storeStatus(s.store.Status()), s.backend.Workers(), len(s.queue), poisoned)
 }
 
 // handleHealthz reports liveness plus the execution backend's health
@@ -816,13 +801,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"poisoned":          s.m.poisonShed,
 	}
 	s.m.mu.Unlock()
-	alive := s.backend.Alive()
+	alive := s.backend.Workers().Alive
 	body := map[string]any{
 		"status":        "ok",
 		"backend":       s.backend.Kind(),
 		"workers_alive": alive,
 		"queue_depth":   len(s.queue),
-		"store":         s.store.Status(),
+		"store":         storeStatus(s.store.Status()),
 		"shed":          shed,
 		"poisoned":      poisoned,
 	}

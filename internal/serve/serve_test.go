@@ -355,23 +355,27 @@ func TestResultBytesMatchCLIEncoding(t *testing.T) {
 	}
 }
 
-// TestLRUEviction bounds the cache.
+// TestLRUEviction: the memory-only serve store keeps results in an LRU
+// bounded by its entry count (tarserved's -cache).
 func TestLRUEviction(t *testing.T) {
-	c := newMemStore(2)
-	c.Put("a", fakeResult("a", "T"))
-	c.Put("b", fakeResult("b", "T"))
-	if _, ok := c.Get("a"); !ok {
+	c, err := OpenStore("", 2, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	putResult(c, "a", fakeResult("a", "T"))
+	putResult(c, "b", fakeResult("b", "T"))
+	if _, ok := getResult(c, "a"); !ok {
 		t.Fatal("a evicted too early")
 	}
-	c.Put("c", fakeResult("c", "T")) // evicts b (a was refreshed by get)
-	if _, ok := c.Get("b"); ok {
+	putResult(c, "c", fakeResult("c", "T")) // evicts b (a was refreshed by get)
+	if _, ok := getResult(c, "b"); ok {
 		t.Fatal("b survived past the bound")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := getResult(c, "a"); !ok {
 		t.Fatal("recently-used a was evicted")
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
+	if n := storeStatus(c.Status()).MemEntries; n != 2 {
+		t.Fatalf("entries = %d, want 2", n)
 	}
 }
 
@@ -392,8 +396,8 @@ func TestMetricsQuantiles(t *testing.T) {
 		t.Errorf("p99 = %v", p99)
 	}
 	var buf bytes.Buffer
-	m.render(&buf, StoreStatus{Tier: "mem", MemEntries: 3}, 0)
-	for _, want := range []string{"tarserved_job_latency_seconds{quantile=\"0.5\"}", "tarserved_cache_entries 3"} {
+	m.render(&buf, StoreStatus{Tier: "mem", MemEntries: 3}, WorkerStats{Alive: 2}, 1, 0)
+	for _, want := range []string{"tarserved_job_latency_seconds{quantile=\"0.5\"}", "tarserved_cache_entries 3", "tarserved_workers_alive 2", "tarserved_workers_queue_depth 1"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("render missing %q", want)
 		}

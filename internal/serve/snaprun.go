@@ -7,6 +7,7 @@ import (
 	"repro/internal/confhash"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
+	"repro/internal/store"
 	"repro/internal/workloads"
 )
 
@@ -24,9 +25,8 @@ type warmupFlight struct {
 }
 
 // snapshotRun wraps the default execution path with warm-up snapshot
-// reuse against ss. It is installed as the in-process backend's RunFunc
-// when the server's store carries the SnapshotStore face and no test stub
-// overrides Run.
+// reuse against the store's snapshots namespace. It is installed as the
+// in-process backend's RunFunc unless a test stub overrides Run.
 //
 // Reuse is skipped — falling back to a plain straight run — whenever a
 // snapshot could be refused or observable: benchmarks without a warm-up
@@ -36,7 +36,7 @@ type warmupFlight struct {
 // fails to restore (corruption past the envelope check, schema or counter
 // skew) also falls back; restore failure is always a cache miss, never a
 // job failure.
-func (s *Server) snapshotRun(ss SnapshotStore) RunFunc {
+func (s *Server) snapshotRun() RunFunc {
 	var mu sync.Mutex
 	flights := make(map[string]*warmupFlight)
 	return func(bench string, cfg *sim.Config, scale workloads.Scale) (*workloads.Result, error) {
@@ -66,7 +66,7 @@ func (s *Server) snapshotRun(ss SnapshotStore) RunFunc {
 			}
 			return res, err
 		}
-		if blob, ok := ss.GetSnapshot(wkey); ok {
+		if blob, ok := s.store.Get(store.Snapshots, wkey); ok {
 			return restored(blob)
 		}
 		mu.Lock()
@@ -104,7 +104,7 @@ func (s *Server) snapshotRun(ss SnapshotStore) RunFunc {
 		}()
 		res, err := b.RunOpt(cfg, scale, workloads.RunOpts{
 			OnWarmupSnapshot: func(_ uint64, blob []byte) {
-				ss.PutSnapshot(wkey, blob)
+				s.store.Put(store.Snapshots, wkey, blob)
 				publish(blob)
 			},
 		})

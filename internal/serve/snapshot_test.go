@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dse"
 	"repro/internal/snapshot"
+	"repro/internal/store"
 )
 
 // snapBlob builds a small, valid snapshot-envelope blob (not a full chip
@@ -55,6 +56,19 @@ func TestSweepWarmupSharedOnce(t *testing.T) {
 	if got := metric(t, ts.URL, "tarserved_warmup_cycles_saved_total"); got <= 0 {
 		t.Errorf("warmup cycles saved = %v, want > 0", got)
 	}
+
+	// A later experiment with the same warm-up key finds no flight in
+	// progress: its warm-up must come from the store's snapshots namespace.
+	job, _ := submit(t, ts.URL, SubmitRequest{Bench: "rndcopy", Config: "T", Scale: "test", Knobs: map[string]float64{"phys_vregs": 80}})
+	if done := waitDone(t, ts.URL, job.ID); done.State != StateDone {
+		t.Fatalf("follow-up job failed: %+v", done.Error)
+	}
+	if got := metric(t, ts.URL, "tarserved_snapshot_hits_total"); got != 3 {
+		t.Errorf("snapshot hits after follow-up = %v, want 3 (restored from the store)", got)
+	}
+	if got := metric(t, ts.URL, "tarserved_snapshot_misses_total"); got != 1 {
+		t.Errorf("snapshot misses after follow-up = %v, want 1", got)
+	}
 }
 
 // snapPath is the snapshot namespace's on-disk layout contract under a
@@ -68,17 +82,16 @@ func snapPath(dir, key string) string {
 // quarantined at open — never served, never fatal.
 func TestDiskSnapshotRoundTripAndRecovery(t *testing.T) {
 	dir := t.TempDir()
-	store, err := OpenStore(dir, 16, 0, nil)
+	db, err := OpenStore(dir, 16, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := store.(SnapshotStore)
-	ss.PutSnapshot("warmkey0", snapBlob("alpha"))
-	ss.PutSnapshot("warmkey1", snapBlob("beta"))
-	if st := store.Status(); st.SnapEntries != 2 || st.SnapBytes <= 0 {
+	db.Put(store.Snapshots, "warmkey0", snapBlob("alpha"))
+	db.Put(store.Snapshots, "warmkey1", snapBlob("beta"))
+	if st := storeStatus(db.Status()); st.SnapEntries != 2 || st.SnapBytes <= 0 {
 		t.Fatalf("status after puts: %+v", st)
 	}
-	store.Close()
+	db.Close()
 
 	// Damage one snapshot on disk and drop a truncated alien file plus tmp
 	// debris next to it before reopening.
@@ -99,19 +112,18 @@ func TestDiskSnapshotRoundTripAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store2, err := OpenStore(dir, 16, 0, nil)
+	db2, err := OpenStore(dir, 16, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store2.Close()
-	ss2 := store2.(SnapshotStore)
-	if blob, ok := ss2.GetSnapshot("warmkey0"); !ok || snapshot.Verify(blob) != nil {
+	defer db2.Close()
+	if blob, ok := db2.Get(store.Snapshots, "warmkey0"); !ok || snapshot.Verify(blob) != nil {
 		t.Error("intact snapshot did not survive reopen")
 	}
-	if _, ok := ss2.GetSnapshot("warmkey1"); ok {
+	if _, ok := db2.Get(store.Snapshots, "warmkey1"); ok {
 		t.Error("damaged snapshot was served")
 	}
-	st := store2.Status()
+	st := storeStatus(db2.Status())
 	if st.SnapQuarantined != 2 {
 		t.Errorf("quarantined = %d, want 2 (damaged + truncated)", st.SnapQuarantined)
 	}
@@ -137,7 +149,7 @@ func TestDiskSnapshotReadTimeQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1.(SnapshotStore).PutSnapshot("warmkey0", snapBlob("gamma"))
+	s1.Put(store.Snapshots, "warmkey0", snapBlob("gamma"))
 	s1.Close()
 
 	s2, err := OpenStore(dir, 16, 0, nil) // open-time scan sees intact bytes
@@ -151,10 +163,10 @@ func TestDiskSnapshotReadTimeQuarantine(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s2.(SnapshotStore).GetSnapshot("warmkey0"); ok {
+	if _, ok := s2.Get(store.Snapshots, "warmkey0"); ok {
 		t.Fatal("post-open corruption was served")
 	}
-	if st := s2.Status(); st.SnapQuarantined != 1 || st.SnapEntries != 0 {
+	if st := storeStatus(s2.Status()); st.SnapQuarantined != 1 || st.SnapEntries != 0 {
 		t.Errorf("status after read-time quarantine: %+v", st)
 	}
 }
@@ -162,15 +174,14 @@ func TestDiskSnapshotReadTimeQuarantine(t *testing.T) {
 // TestDiskSnapshotRejectsInvalidPut: the store refuses to persist bytes
 // that fail envelope verification, and unsafe keys never touch the disk.
 func TestDiskSnapshotRejectsInvalidPut(t *testing.T) {
-	store, err := OpenStore(t.TempDir(), 16, 0, nil)
+	db, err := OpenStore(t.TempDir(), 16, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store.Close()
-	ss := store.(SnapshotStore)
-	ss.PutSnapshot("badblob0", []byte("not a snapshot"))
-	ss.PutSnapshot("../evil", snapBlob("delta"))
-	if st := store.Status(); st.SnapEntries != 0 {
+	defer db.Close()
+	db.Put(store.Snapshots, "badblob0", []byte("not a snapshot"))
+	db.Put(store.Snapshots, "../evil", snapBlob("delta"))
+	if st := storeStatus(db.Status()); st.SnapEntries != 0 {
 		t.Errorf("invalid put was persisted: %+v", st)
 	}
 }
@@ -182,16 +193,15 @@ func TestDiskSnapshotRejectsInvalidPut(t *testing.T) {
 // filesystem are the observables.)
 func TestDiskSnapshotEviction(t *testing.T) {
 	dir := t.TempDir()
-	store, err := OpenStore(dir, 16, 200, nil)
+	db, err := OpenStore(dir, 16, 200, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store.Close()
-	ss := store.(SnapshotStore)
-	ss.PutSnapshot("snapa000", snapBlob("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"))
-	ss.PutSnapshot("snapb000", snapBlob("bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb"))
-	ss.PutSnapshot("snapc000", snapBlob("cccccccccccccccccccccccccccccccccccccccc"))
-	st := store.Status()
+	defer db.Close()
+	db.Put(store.Snapshots, "snapa000", snapBlob("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"))
+	db.Put(store.Snapshots, "snapb000", snapBlob("bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb"))
+	db.Put(store.Snapshots, "snapc000", snapBlob("cccccccccccccccccccccccccccccccccccccccc"))
+	st := storeStatus(db.Status())
 	if st.SnapEvicted == 0 {
 		t.Fatalf("byte cap did not evict: %+v", st)
 	}

@@ -10,69 +10,6 @@ import (
 	"repro/internal/workloads"
 )
 
-// Store is the pluggable result store: completed experiments keyed by
-// confhash content address within one JobResult schema version. The server
-// only ever talks to this interface, whether the implementation is the
-// in-memory tier or the memory tier over the crash-safe disk store.
-//
-// The contract every implementation must honor: Get either returns a result
-// whose JobResult encoding is byte-identical to what Put received (the
-// content address makes that checkable) or reports a miss — a store may
-// lose artifacts (eviction, I/O faults, corruption quarantine) but may
-// never serve a wrong or corrupt one.
-//
-// All three faces (Store, BlobStore, SnapshotStore) are served by one
-// generic content-addressed implementation, internal/store, with typed
-// namespaces; this typed surface is the adapter that keeps serve call
-// sites working in terms of decoded results.
-type Store interface {
-	// Get returns the stored result for a content key, or a miss. A miss
-	// is always safe: the caller re-simulates.
-	Get(key string) (*workloads.Result, bool)
-	// Put stores a completed result under its content key. Best-effort:
-	// a failed put costs durability, never correctness.
-	Put(key string, res *workloads.Result)
-	// Len reports resident entries (the fastest tier's count for a
-	// multi-tier store).
-	Len() int
-	// Status reports the store's health for /healthz and /metrics.
-	Status() StoreStatus
-	// Close releases store resources. Idempotent.
-	Close() error
-}
-
-// BlobStore is the optional second face of a Store: schema-versioned
-// aggregate blobs (completed sweep results) keyed by content address,
-// alongside the per-experiment artifacts. The built-in stores implement
-// it; the server feature-detects with a type assertion so substitute
-// stores in tests stay valid without blob support — they just lose sweep
-// durability, never correctness (a blob miss replays the sweep through the
-// per-experiment store, which dedups the actual simulations).
-type BlobStore interface {
-	// GetBlob returns the stored blob bytes for a content key, or a miss.
-	GetBlob(key string) ([]byte, bool)
-	// PutBlob stores blob bytes under a content key. Best-effort, like Put.
-	PutBlob(key string, raw []byte)
-}
-
-// SnapshotStore is the optional third face of a Store: chip snapshot blobs
-// (the internal/snapshot binary encoding) keyed by warm-up content address
-// (confhash.WarmupKey). Like BlobStore it is feature-detected with a type
-// assertion, so substitute stores without it just lose warm-up reuse —
-// every experiment re-simulates its own warm-up, never incorrectly.
-//
-// The safety contract mirrors the artifact one, with the extra teeth the
-// snapshot envelope provides: implementations must never return a blob
-// that fails snapshot.Verify — a damaged file is quarantined and reported
-// as a miss, and a miss always just costs the warm-up simulation.
-type SnapshotStore interface {
-	// GetSnapshot returns the stored snapshot blob for a warm-up key, or a
-	// miss.
-	GetSnapshot(key string) ([]byte, bool)
-	// PutSnapshot stores a snapshot blob under a warm-up key. Best-effort.
-	PutSnapshot(key string, blob []byte)
-}
-
 // StoreStatus is the store-health block reported on /healthz and rendered
 // as tarserved_store_* series on /metrics.
 type StoreStatus struct {
@@ -130,8 +67,6 @@ func storeConfig(memEntries int) store.Config {
 				return err
 			},
 			ScanOnOpen:     true,
-			VerifyOnRead:   true,
-			DiskEvict:      true,
 			TornWriteChaos: true,
 			MemEntries:     memEntries,
 			MemLRU:         true,
@@ -156,9 +91,7 @@ func storeConfig(memEntries int) store.Config {
 				return snapshot.Verify(raw)
 			},
 			ScanOnOpen:    true,
-			VerifyOnRead:  true,
 			ValidateOnPut: true,
-			DiskEvict:     true,
 			MemBytes:      maxSnapBytes,
 		},
 	}
@@ -166,82 +99,49 @@ func storeConfig(memEntries int) store.Config {
 
 // OpenStore builds the production store: the bounded in-memory tier alone
 // when dir is empty, or the memory tier as a read-through/write-through
-// cache in front of the crash-safe disk store at dir. chaos arms the disk
-// tier's fault-injection hooks (nil = none).
-func OpenStore(dir string, memEntries int, maxBytes int64, chaos *faults.Config) (Store, error) {
+// cache in front of the crash-safe disk store at dir. memEntries bounds
+// the memory tier's results (0 = 4096); chaos arms the disk tier's
+// fault-injection hooks (nil = none).
+func OpenStore(dir string, memEntries int, maxBytes int64, chaos *faults.Config) (store.Interface, error) {
 	cfg := storeConfig(memEntries)
 	mem := store.NewMem(cfg)
 	if dir == "" {
-		return &storeAdapter{inner: mem}, nil
+		return mem, nil
 	}
 	disk, err := store.OpenDisk(dir, maxBytes, faults.New(chaos), cfg)
 	if err != nil {
 		return nil, fmt.Errorf("serve: disk store: %w", err)
 	}
-	return &storeAdapter{inner: store.NewTiered(mem, disk)}, nil
+	return store.NewTiered(mem, disk), nil
 }
 
-// newMemStore is the default store when none is configured: memory-only.
-func newMemStore(memEntries int) Store {
-	return &storeAdapter{inner: store.NewMem(storeConfig(memEntries))}
-}
-
-// storeAdapter keeps the serve call sites speaking in decoded results and
-// typed faces while the underlying store moves opaque bytes by
-// (namespace, key). The encode/decode round trip is byte-stable (the
-// cross-backend byte-identity test pins it), so a result surviving the
-// adapter is the same artifact the API serves.
-type storeAdapter struct {
-	inner store.Interface
-}
-
-func (a *storeAdapter) Get(key string) (*workloads.Result, bool) {
-	raw, ok := a.inner.Get(store.Results, key)
-	if !ok {
-		return nil, false
-	}
-	res, err := decodeArtifact(key, raw)
-	if err != nil {
-		return nil, false
-	}
-	return res, true
-}
-
-func (a *storeAdapter) Put(key string, res *workloads.Result) {
+// putResult stores res under its content key as the JobResult artifact the
+// API serves. Best-effort, like every Put: a failure costs durability,
+// never correctness.
+func putResult(st store.Interface, key string, res *workloads.Result) {
 	raw, err := json.Marshal(EncodeResult(key, res))
 	if err != nil {
 		return
 	}
-	a.inner.Put(store.Results, key, raw)
+	st.Put(store.Results, key, raw)
 }
 
-func (a *storeAdapter) Len() int { return a.inner.Len(store.Results) }
-
-func (a *storeAdapter) GetBlob(key string) ([]byte, bool) {
-	return a.inner.Get(store.Sweeps, key)
+// getResult returns the decoded result stored under a content key, or a
+// miss. The encode/decode round trip is byte-stable (the cross-backend
+// byte-identity test pins it), so a stored result re-encodes to the same
+// artifact the API served when it was computed.
+func getResult(st store.Interface, key string) (*workloads.Result, bool) {
+	raw, ok := st.Get(store.Results, key)
+	if !ok {
+		return nil, false
+	}
+	res, err := decodeArtifact(key, raw)
+	return res, err == nil
 }
 
-func (a *storeAdapter) PutBlob(key string, raw []byte) {
-	a.inner.Put(store.Sweeps, key, raw)
-}
-
-func (a *storeAdapter) GetSnapshot(key string) ([]byte, bool) {
-	return a.inner.Get(store.Snapshots, key)
-}
-
-func (a *storeAdapter) PutSnapshot(key string, blob []byte) {
-	a.inner.Put(store.Snapshots, key, blob)
-}
-
-func (a *storeAdapter) Status() StoreStatus {
-	return translateStatus(a.inner.Status())
-}
-
-func (a *storeAdapter) Close() error { return a.inner.Close() }
-
-// translateStatus maps the generic per-namespace store status onto the
-// stable wire shape /healthz and /metrics have always reported.
-func translateStatus(st store.Status) StoreStatus {
+// storeStatus maps the generic per-namespace store status onto the stable
+// wire shape /healthz and /metrics report.
+func storeStatus(st store.Status) StoreStatus {
 	r := st.NS[store.Results]
 	s := st.NS[store.Snapshots]
 	out := StoreStatus{Tier: st.Tier, MemEntries: r.MemEntries, IOErrors: st.IOErrors}
@@ -279,15 +179,5 @@ func decodeArtifact(key string, raw []byte) (*workloads.Result, error) {
 	if jr.Key != key {
 		return nil, fmt.Errorf("key mismatch: file named %s carries key %s", key, jr.Key)
 	}
-	res, err := resultFromWire(&jr)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return resultFromWire(&jr)
 }
-
-var (
-	_ Store         = (*storeAdapter)(nil)
-	_ BlobStore     = (*storeAdapter)(nil)
-	_ SnapshotStore = (*storeAdapter)(nil)
-)

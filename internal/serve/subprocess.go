@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/faults"
-	chipmetrics "repro/internal/metrics"
 	"repro/internal/workloads"
 )
 
@@ -57,7 +56,6 @@ type SubprocessOptions struct {
 // its one job and exits is a recycle, which is the normal path.
 type SubprocessBackend struct {
 	opts SubprocessOptions
-	reg  *chipmetrics.Registry
 	inj  *faults.Injector
 
 	jobs chan *dispatch
@@ -111,19 +109,12 @@ func NewSubprocessBackend(opts SubprocessOptions) (*SubprocessBackend, error) {
 	opts.Retry = opts.Retry.withDefaults()
 	b := &SubprocessBackend{
 		opts:  opts,
-		reg:   chipmetrics.NewRegistry(),
 		inj:   faults.New(opts.Faults),
 		jobs:  make(chan *dispatch),
 		stop:  make(chan struct{}),
 		sleep: time.Sleep,
 		busy:  make(map[int]int),
 	}
-	b.reg.RegisterGauge("workers.alive", "Live worker processes able to take work.",
-		func(uint64) int { return int(b.alive.Load()) })
-	b.reg.RegisterGauge("workers.restarts", "Worker processes respawned after an unexpected death.",
-		func(uint64) int { return int(b.restarts.Load()) })
-	b.reg.RegisterGauge("workers.retries", "Jobs re-executed after a worker death.",
-		func(uint64) int { return int(b.retries.Load()) })
 	for i := 0; i < opts.Workers; i++ {
 		b.wg.Add(1)
 		go b.slotLoop(i)
@@ -131,9 +122,15 @@ func NewSubprocessBackend(opts SubprocessOptions) (*SubprocessBackend, error) {
 	return b, nil
 }
 
-func (b *SubprocessBackend) Kind() string                    { return "subprocess" }
-func (b *SubprocessBackend) Alive() int                      { return int(b.alive.Load()) }
-func (b *SubprocessBackend) Registry() *chipmetrics.Registry { return b.reg }
+func (b *SubprocessBackend) Kind() string { return "subprocess" }
+
+func (b *SubprocessBackend) Workers() WorkerStats {
+	return WorkerStats{
+		Alive:    int(b.alive.Load()),
+		Restarts: int(b.restarts.Load()),
+		Retries:  int(b.retries.Load()),
+	}
+}
 
 // Close stops every slot and kills idle workers. Jobs already being served
 // run to completion first (the server drains before closing the backend).

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/faults"
-	chipmetrics "repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -339,21 +338,19 @@ func TestRetryCrashesRecoversAndPassesThrough(t *testing.T) {
 type fakeBackend struct {
 	kind  string
 	alive int
-	reg   *chipmetrics.Registry
 }
 
 func (f *fakeBackend) Kind() string { return f.kind }
 func (f *fakeBackend) Execute(spec *JobSpec) (*workloads.Result, error) {
 	return fakeResult(spec.Bench, spec.Config), nil
 }
-func (f *fakeBackend) Alive() int                      { return f.alive }
-func (f *fakeBackend) Registry() *chipmetrics.Registry { return f.reg }
-func (f *fakeBackend) Close()                          {}
+func (f *fakeBackend) Workers() WorkerStats { return WorkerStats{Alive: f.alive} }
+func (f *fakeBackend) Close()               {}
 
 // TestHealthzDegradedWhenNoWorkers: a fleet with zero live workers must
 // fail its health check even though the HTTP surface is up.
 func TestHealthzDegradedWhenNoWorkers(t *testing.T) {
-	fb := &fakeBackend{kind: "subprocess", alive: 0, reg: chipmetrics.NewRegistry()}
+	fb := &fakeBackend{kind: "subprocess", alive: 0}
 	_, ts := newTestServer(t, Options{Workers: 1, Backend: fb})
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dse"
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 // SweepSchemaVersion stamps the durable SweepResult encoding. Bumping it
@@ -46,7 +47,7 @@ type SweepPointResult struct {
 // SweepResult is the durable, schema-versioned outcome of one sweep: every
 // evaluated point with its per-bench cells and cost, plus the indices of
 // the Pareto frontier (no member dominated on {speedup↑, watts↓, mm²↓};
-// exact ties all kept). It is persisted through the store's BlobStore face
+// exact ties all kept). It is persisted in the store's sweeps namespace
 // keyed by the spec's content address, so a restarted server answers the
 // same spec without re-simulating anything.
 type SweepResult struct {
@@ -232,11 +233,7 @@ func (s *Server) StartSweep(spec *dse.Spec) (*SweepStatus, error) {
 
 // loadSweepBlob fetches and validates a persisted SweepResult, or nil.
 func (s *Server) loadSweepBlob(key string) *SweepResult {
-	bs, ok := s.store.(BlobStore)
-	if !ok {
-		return nil
-	}
-	raw, ok := bs.GetBlob(key)
+	raw, ok := s.store.Get(store.Sweeps, key)
 	if !ok {
 		return nil
 	}
@@ -481,10 +478,8 @@ func (s *Server) finishSweep(sw *sweep, start time.Time, abort *JobError) {
 	// (shed or failed points) replay next time, when capacity allows the
 	// missing points to actually run.
 	if state == StateDone && failedExp == 0 {
-		if bs, ok := s.store.(BlobStore); ok {
-			if raw, err := json.Marshal(result); err == nil {
-				bs.PutBlob(sw.key, raw)
-			}
+		if raw, err := json.Marshal(result); err == nil {
+			s.store.Put(store.Sweeps, sw.key, raw)
 		}
 	}
 

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +18,7 @@ import (
 	"repro/internal/dse"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/store"
 	"repro/internal/workloads"
 )
 
@@ -374,11 +378,11 @@ func TestSweepFailedBaselineStatus(t *testing.T) {
 // registering cleanup, so restart tests control the lifecycle explicitly.
 func newSweepServerAt(t *testing.T, dir string, run RunFunc) (*httptest.Server, func()) {
 	t.Helper()
-	store, err := OpenStore(dir, 128, 0, nil)
+	db, err := OpenStore(dir, 128, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Options{Run: run, Store: store, Workers: 4})
+	s := New(Options{Run: run, Store: db, Workers: 4})
 	ts := httptest.NewServer(s.Handler())
 	return ts, func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -452,36 +456,37 @@ func TestSweepRestartResume(t *testing.T) {
 	}
 }
 
-// TestBlobStoreRoundTrip pins the BlobStore face of both store tiers: blobs
-// survive a put/get cycle in memory and a reopen from disk.
-func TestBlobStoreRoundTrip(t *testing.T) {
+// TestSweepBlobRoundTrip pins the sweeps namespace of the serve store:
+// blobs survive a put/get cycle in memory and a reopen from disk, at the
+// documented on-disk path.
+func TestSweepBlobRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	store, err := OpenStore(dir, 8, 0, nil)
+	db, err := OpenStore(dir, 8, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs, ok := store.(BlobStore)
-	if !ok {
-		t.Fatal("tiered store does not implement BlobStore")
-	}
 	key := strings.Repeat("ab", 16)
-	if _, ok := bs.GetBlob(key); ok {
+	if _, ok := db.Get(store.Sweeps, key); ok {
 		t.Fatal("blob present before put")
 	}
 	raw := []byte(`{"schema":1,"key":"` + key + `"}`)
-	bs.PutBlob(key, raw)
-	got, ok := bs.GetBlob(key)
+	db.Put(store.Sweeps, key, raw)
+	got, ok := db.Get(store.Sweeps, key)
 	if !ok || !bytes.Equal(got, raw) {
 		t.Fatalf("round trip: ok=%v got=%s", ok, got)
 	}
-	store.Close()
+	db.Close()
+	path := filepath.Join(dir, "sweeps", fmt.Sprintf("schema-%d", SweepSchemaVersion), key+".json")
+	if disk, err := os.ReadFile(path); err != nil || !bytes.Equal(disk, raw) {
+		t.Fatalf("blob not at its on-disk path %s: %v", path, err)
+	}
 
 	reopened, err := OpenStore(dir, 8, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
-	got, ok = reopened.(BlobStore).GetBlob(key)
+	got, ok = reopened.Get(store.Sweeps, key)
 	if !ok || !bytes.Equal(got, raw) {
 		t.Fatalf("blob lost across reopen: ok=%v got=%s", ok, got)
 	}

@@ -82,7 +82,7 @@ func workerRun(r io.Reader, w io.Writer, afterStart func()) int {
 		afterStart()
 	}
 
-	res, runErr := workerExecute(&spec)
+	res, runErr := execute(&spec, defaultRun)
 	if runErr != nil {
 		je := toJobError(runErr)
 		if emitErr := emit(workerReply{OK: false, Status: je.Status, Error: &je.JSON}); emitErr != nil {
@@ -91,32 +91,13 @@ func workerRun(r io.Reader, w io.Writer, afterStart func()) int {
 		}
 		return 0
 	}
-	cfg, scale, _ := spec.Build() // already validated by workerExecute
+	cfg, scale, _ := spec.Build() // already validated by execute
 	key := confhash.Key(spec.Bench, scale.String(), cfg)
 	if err := emit(workerReply{OK: true, Result: EncodeResult(key, res)}); err != nil {
 		fmt.Fprintln(os.Stderr, "tarworker:", err)
 		return 2
 	}
 	return 0
-}
-
-// workerExecute builds and runs the spec with panic recovery, classifying
-// failures exactly as the in-process backend does.
-func workerExecute(spec *JobSpec) (res *workloads.Result, err error) {
-	cfg, scale, buildErr := spec.Build()
-	if buildErr != nil {
-		return nil, &JobError{Status: 400, JSON: ErrorJSON{Code: ErrCodeBadRequest, Message: buildErr.Error()}}
-	}
-	b, getErr := workloads.Get(spec.Bench)
-	if getErr != nil {
-		return nil, &JobError{Status: 400, JSON: ErrorJSON{Code: ErrCodeBadRequest, Message: getErr.Error()}}
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			res, err = nil, panicError{p}
-		}
-	}()
-	return b.Run(cfg, scale)
 }
 
 // resultFromWire reconstructs a workloads.Result from a worker's JobResult.

@@ -186,7 +186,7 @@ func (d *Disk) Get(ns Namespace, key string) ([]byte, bool) {
 		d.ioErrors++
 		return nil, false
 	}
-	if s.pol.VerifyOnRead && s.pol.Validate != nil {
+	if s.pol.Validate != nil {
 		if err := s.pol.Validate(key, raw); err != nil {
 			if e != nil {
 				delete(s.entries, key)
@@ -301,14 +301,12 @@ func (d *Disk) quarantineLocked(s *diskNS, key, path string) {
 	s.quarCount++
 }
 
-// evictLocked enforces the byte cap on one evicting namespace:
+// evictLocked enforces the byte cap on one indexed namespace:
 // least-recently-accessed artifacts are deleted until the namespace fits.
 // Each namespace accounts separately against the same cap, so one kind can
-// never push another out. Requires d.mu.
+// never push another out. An unindexed namespace counts no bytes, so it
+// never evicts. Requires d.mu.
 func (d *Disk) evictLocked(s *diskNS) {
-	if !s.pol.DiskEvict {
-		return
-	}
 	for s.total > d.maxBytes && len(s.entries) > 0 {
 		var coldKey string
 		var cold *diskEntry
@@ -322,17 +320,6 @@ func (d *Disk) evictLocked(s *diskNS) {
 		os.Remove(s.path(coldKey))
 		s.evicted++
 	}
-}
-
-// Len reports an indexed namespace's resident artifacts (0 for unindexed
-// namespaces, which keep no count).
-func (d *Disk) Len(ns Namespace) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if s, ok := d.ns[ns]; ok {
-		return len(s.entries)
-	}
-	return 0
 }
 
 func (d *Disk) Status() Status {

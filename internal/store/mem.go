@@ -108,17 +108,6 @@ func (s *memNS) evictLocked() {
 	}
 }
 
-// Len reports the namespace's resident entry count.
-func (m *Mem) Len(ns Namespace) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := m.space(ns)
-	if s == nil {
-		return 0
-	}
-	return s.order.Len()
-}
-
 // Status reports the memory-only store health.
 func (m *Mem) Status() Status {
 	m.mu.Lock()

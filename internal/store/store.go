@@ -1,9 +1,10 @@
 // Package store is the unified content-addressed artifact store behind
-// tarserved. One generic interface — Get/Put/Len/Status/Close keyed by
-// (namespace, content key) — replaces the three near-identical store faces
-// the serve layer grew (results, sweep blobs, chip snapshots), so the memory
-// tier, the crash-safe disk tier, quarantine and eviction are each written
-// exactly once and every artifact kind gets them for free.
+// tarserved. One generic interface — Get/Put/Status/Close keyed by
+// (namespace, content key) — serves every artifact kind the service keeps
+// (results, sweep blobs, chip snapshots), so the memory tier, the
+// crash-safe disk tier, quarantine and eviction are each written exactly
+// once and every artifact kind gets them for free. The serve layer calls
+// it directly; what distinguishes the kinds is its per-namespace Policy.
 //
 // The store moves opaque bytes. What the bytes mean — JobResult JSON, sweep
 // blobs, snapshot envelopes — belongs to the caller, which injects a
@@ -38,9 +39,8 @@ type Interface interface {
 	// Put stores bytes under a content key. Best-effort: a failed put
 	// costs durability, never correctness.
 	Put(ns Namespace, key string, blob []byte)
-	// Len reports resident entries in the fastest tier of a namespace.
-	Len(ns Namespace) int
-	// Status reports store health for /healthz and /metrics.
+	// Status reports store health, per namespace and tier, for /healthz
+	// and /metrics.
 	Status() Status
 	// Close releases store resources. Idempotent.
 	Close() error
@@ -60,23 +60,20 @@ type Policy struct {
 	// Ext is the artifact filename extension, e.g. ".json" or ".snap".
 	Ext string
 	// Validate checks raw bytes against their claimed key; nil accepts
-	// anything (the caller validates after load).
+	// anything (the caller validates after load). When set, every disk
+	// read re-runs it, quarantining rot that postdates the open-time scan.
 	Validate func(key string, raw []byte) error
 	// ScanOnOpen indexes and validates the namespace directory when the
-	// disk tier opens (quarantining anything Validate rejects) and serves
-	// gets from that index. Namespaces without it read files directly on
-	// every Get, and a missing file is a plain miss.
+	// disk tier opens (quarantining anything Validate rejects), serves
+	// gets from that index, and enforces the store byte cap on the
+	// namespace with least-recently-accessed eviction (each namespace
+	// accounts its bytes separately, so snapshots can never push results
+	// out). Namespaces without it read files directly on every Get, a
+	// missing file is a plain miss, and nothing is counted or evicted.
 	ScanOnOpen bool
-	// VerifyOnRead re-runs Validate on every disk read, quarantining rot
-	// that postdates the open-time scan.
-	VerifyOnRead bool
 	// ValidateOnPut refuses puts whose bytes fail Validate — the store
 	// never persists what it would later quarantine.
 	ValidateOnPut bool
-	// DiskEvict enforces the store byte cap on this namespace with
-	// least-recently-accessed eviction (each namespace accounts its bytes
-	// separately, so snapshots can never push results out).
-	DiskEvict bool
 	// TornWriteChaos opts this namespace into the injector's torn-write
 	// fault (a prefix landing at the final path, as if a crash beat the
 	// rename protocol), exercising read-time quarantine.

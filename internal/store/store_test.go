@@ -22,8 +22,6 @@ func testConfig() Config {
 			Ext:            ".json",
 			Validate:       validateBlob,
 			ScanOnOpen:     true,
-			VerifyOnRead:   true,
-			DiskEvict:      true,
 			TornWriteChaos: true,
 			MemEntries:     16,
 			MemLRU:         true,
@@ -35,9 +33,7 @@ func testConfig() Config {
 			Ext:           ".snap",
 			Validate:      validateBlob,
 			ScanOnOpen:    true,
-			VerifyOnRead:  true,
 			ValidateOnPut: true,
-			DiskEvict:     true,
 			MemBytes:      1 << 20,
 		},
 	}
@@ -80,8 +76,8 @@ func TestDiskStoreRoundTripAndWarmStart(t *testing.T) {
 	d.Put(Results, "aaaa1111", blobFor("aaaa1111", "alpha"))
 	d.Put(Results, "bbbb2222", blobFor("bbbb2222", "beta"))
 	d.Put(Sweeps, "swp00000", []byte("sweep-blob"))
-	if d.Len(Results) != 2 {
-		t.Fatalf("len = %d, want 2", d.Len(Results))
+	if n := d.Status().NS[Results].DiskEntries; n != 2 {
+		t.Fatalf("entries = %d, want 2", n)
 	}
 	if _, ok := d.Get(Results, "aaaa1111"); !ok {
 		t.Fatal("get missed a just-put artifact")
@@ -146,8 +142,9 @@ func TestDiskStoreNamespaceIsolation(t *testing.T) {
 	if bytes.Equal(r, s) {
 		t.Fatal("namespaces are not isolated")
 	}
-	if d.Len(Results) != 1 || d.Len(Snapshots) != 1 {
-		t.Fatalf("lens: results=%d snapshots=%d", d.Len(Results), d.Len(Snapshots))
+	st := d.Status()
+	if st.NS[Results].DiskEntries != 1 || st.NS[Snapshots].DiskEntries != 1 {
+		t.Fatalf("entries: results=%d snapshots=%d", st.NS[Results].DiskEntries, st.NS[Snapshots].DiskEntries)
 	}
 }
 
@@ -216,7 +213,7 @@ func TestDiskStoreCorruptionQuarantine(t *testing.T) {
 func TestSharedStoreReadValidation(t *testing.T) {
 	cfg := testConfig()
 	pol := cfg[Results]
-	pol.ScanOnOpen, pol.DiskEvict = false, false
+	pol.ScanOnOpen = false
 	cfg[Results] = pol
 	a, err := OpenDisk(t.TempDir(), 0, faults.New(nil), cfg)
 	if err != nil {
@@ -253,7 +250,7 @@ func TestDiskStoreValidateOnPut(t *testing.T) {
 	d := openTestDisk(t, t.TempDir(), 0, nil)
 	d.Put(Snapshots, "badblob0", []byte("not a valid blob"))
 	d.Put(Snapshots, "../evil", blobFor("../evil", "x"))
-	if n := d.Len(Snapshots); n != 0 {
+	if n := d.Status().NS[Snapshots].DiskEntries; n != 0 {
 		t.Fatalf("invalid put was persisted: %d entries", n)
 	}
 }
@@ -317,7 +314,7 @@ func TestTieredStoreSingleFlight(t *testing.T) {
 	if !ok || !bytes.Equal(got, blob) {
 		t.Fatalf("artifact lost after concurrent traffic: %q ok=%v", got, ok)
 	}
-	if n := disk.Len(Results); n != 1 {
+	if n := disk.Status().NS[Results].DiskEntries; n != 1 {
 		t.Fatalf("disk tier holds %d entries, want exactly 1", n)
 	}
 	if st := ts.Status(); st.Tier != "mem+disk" || st.IOErrors != 0 {
@@ -374,8 +371,8 @@ func TestMemLRUPolicy(t *testing.T) {
 	if _, ok := m.Get(Results, "a"); !ok {
 		t.Fatal("recently-used a was evicted")
 	}
-	if m.Len(Results) != 2 {
-		t.Fatalf("len = %d, want 2", m.Len(Results))
+	if n := m.Status().NS[Results].MemEntries; n != 2 {
+		t.Fatalf("entries = %d, want 2", n)
 	}
 }
 
@@ -428,7 +425,7 @@ func TestMemUnconfiguredNamespace(t *testing.T) {
 	if _, ok := m.Get(Sweeps, "a"); ok {
 		t.Fatal("unconfigured namespace retained data")
 	}
-	if m.Len(Sweeps) != 0 {
+	if n := m.Status().NS[Sweeps].MemEntries; n != 0 {
 		t.Fatal("unconfigured namespace has entries")
 	}
 }

@@ -67,10 +67,6 @@ func (t *Tiered) Put(ns Namespace, key string, blob []byte) {
 	t.disk.Put(ns, key, blob)
 }
 
-// Len reports the memory tier's count — the fastest tier, per the
-// interface contract.
-func (t *Tiered) Len(ns Namespace) int { return t.mem.Len(ns) }
-
 func (t *Tiered) Status() Status {
 	st := t.disk.Status()
 	st.Tier = "mem+" + st.Tier
