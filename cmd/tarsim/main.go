@@ -38,13 +38,9 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"repro/internal/arch"
-	"repro/internal/bench"
 	"repro/internal/faults"
-	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/vasm"
 	"repro/internal/workloads"
 )
 
@@ -63,10 +59,6 @@ func main() {
 	checkFlag := flag.Bool("check", false, "run the microarchitectural invariant checker (ROB order, store queue, L1/L2 inclusion)")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget for the run (0 = none), e.g. 2m")
 	faultSeed := flag.Int64("faults", 0, "seed for the deterministic latency-jitter fault campaign (0 = off)")
-	benchOut := flag.String("bench-out", "", "measure simulator throughput (Table 4 kernels on T, linpack100 on EV8, full sweep) and append a row to this BENCH_sim.json file")
-	benchLabel := flag.String("bench-label", "dev", "label recorded in the -bench-out row")
-	benchScale := flag.String("bench-scale", "test", "input scale for -bench-out measurements")
-	benchCheck := flag.Bool("bench-check", false, "with -bench-out: fail if calibrated cycles/sec (mcps × calib_ms) regressed >20% vs the last committed calibrated row")
 	ckptAt := flag.Uint64("ckpt-at", 0, "checkpoint the chip at the first quiescent boundary at or after this cycle (0 = off)")
 	ckptDir := flag.String("ckpt-dir", "ckpt", "directory for -ckpt-at checkpoint files")
 	resume := flag.String("resume", "", "resume from a checkpoint file written by -ckpt-at (bench/config/scale come from the file)")
@@ -93,10 +85,6 @@ func main() {
 			b, _ := workloads.Get(n)
 			fmt.Printf("%-16s %-14s %s\n", n, b.Class, b.Desc)
 		}
-		return
-	}
-	if *benchOut != "" {
-		runBench(*benchOut, *benchLabel, *benchScale, *benchCheck)
 		return
 	}
 	var resumeBlob []byte
@@ -157,11 +145,11 @@ func main() {
 		*sample = 10_000 // tracing needs a sampling interval; pick a sane default
 	}
 	if *sample > 0 {
-		if *ckptAt > 0 {
-			fatalIf(fmt.Errorf("-ckpt-at is not supported with -sample (the sampled path runs the kernel without its warm-up)"))
-		}
-		runSampled(cfg, b, scale, *sample, *sampleCap, *traceOut, resumeBlob)
-		return
+		// The sampler only observes: the sampled run takes the plain run's
+		// path, warm-up and functional check included.
+		cc := *cfg
+		cc.EnableSampling(*sample, *sampleCap)
+		cfg = &cc
 	}
 	var opts workloads.RunOpts
 	var ckptPath string
@@ -198,7 +186,11 @@ func main() {
 		fmt.Printf("checkpoint written to %s (cycle %d)\n", ckptPath, boundary)
 	}
 	if res.WarmupRestored {
-		fmt.Printf("resumed from %s: %d warm-up cycles restored, not simulated\n", *resume, res.WarmupCycles)
+		if *sample > 0 {
+			fmt.Printf("time-travel: resumed at cycle %d, sampling the window from there\n", res.WarmupCycles)
+		} else {
+			fmt.Printf("resumed from %s: %d warm-up cycles restored, not simulated\n", *resume, res.WarmupCycles)
+		}
 	}
 	opc, fpc, mpc, other := res.OPC()
 	fmt.Printf("%s on %s (%s scale)\n", *bench, cfg.Name, scale)
@@ -215,42 +207,27 @@ func main() {
 		fmt.Println()
 		fmt.Print(res.Stats.Table())
 	}
+	if *sample > 0 {
+		printSeries(res.Series, cfg, *sample)
+	}
+	if *traceOut != "" {
+		f, err := os.Create(*traceOut)
+		fatalIf(err)
+		name := fmt.Sprintf("%s on %s (%s scale)", *bench, cfg.Name, scale)
+		fatalIf(metrics.WriteChromeTrace(f, name, cfg.CPUGHz, res.Series))
+		fatalIf(f.Close())
+		fmt.Printf("trace written to %s (load in chrome://tracing or ui.perfetto.dev)\n", *traceOut)
+	}
 }
 
-// runSampled executes the benchmark with the registry's cycle-interval
-// sampler armed, prints the series — interval IPC, interval raw memory
-// bandwidth and every registered occupancy gauge — and optionally exports it
-// as a Chrome trace-event file (-trace-out). With a resume blob it
-// time-travels instead: the chip restores to the checkpoint boundary and
-// only the post-checkpoint window is re-simulated under the profiler.
-func runSampled(cfg *sim.Config, b *workloads.Benchmark, scale workloads.Scale, every uint64, capacity int, traceOut string, resumeBlob []byte) {
-	var m *arch.Machine
-	var chip *sim.Chip
-	if resumeBlob != nil {
-		var err error
-		chip, m, err = sim.RestoreChip(cfg, resumeBlob)
-		fatalIf(err)
-		fmt.Printf("time-travel: resumed at cycle %d, sampling the window from there\n", chip.Clock())
-	} else {
-		m = archNew()
-		chip = sim.New(cfg)
-	}
-	chip.EnableSampling(every, capacity)
-	kernelFn := b.Scalar
-	if cfg.HasVbox {
-		kernelFn = b.Vector
-	}
-	tr := vasm.NewTrace(m, kernelFn(scale))
-	defer tr.Close()
-	out, err := sim.Execute(sim.RunSpec{Chip: chip, Trace: tr})
-	if err != nil {
-		fatalIf(err)
-	}
-
-	d := out.Series
+// printSeries prints the sampled series: interval IPC, interval raw memory
+// bandwidth and every registered occupancy gauge. With a resumed checkpoint
+// it covers only the post-checkpoint window (time-travel).
+func printSeries(d *metrics.SeriesDump, cfg *sim.Config, every uint64) {
 	if d == nil {
 		fatalIf(fmt.Errorf("no samples taken (run shorter than %d cycles?)", every))
 	}
+	fmt.Println()
 	fmt.Printf("%10s %8s %10s %10s", "cycle", "ipc", "mbs_raw", "retired")
 	for _, g := range d.Gauges {
 		fmt.Printf(" %*s", max(len(g), 6), g)
@@ -268,46 +245,7 @@ func runSampled(cfg *sim.Config, b *workloads.Benchmark, scale workloads.Scale, 
 	if d.Dropped > 0 {
 		fmt.Printf("(%d older points dropped by the ring bound; raise -sample-cap)\n", d.Dropped)
 	}
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		fatalIf(err)
-		name := fmt.Sprintf("%s on %s (%s scale)", b.Name, cfg.Name, scale)
-		err = metrics.WriteChromeTrace(f, name, cfg.CPUGHz, d)
-		fatalIf(err)
-		fatalIf(f.Close())
-		fmt.Printf("trace written to %s (load in chrome://tracing or ui.perfetto.dev)\n", traceOut)
-	}
 }
-
-// runBench measures simulator throughput on the Table 4 kernels on T and
-// linpack100 on EV8 (plus the sequential full-sweep wall clock and the
-// host's calibration loop) and appends the row to the BENCH_sim.json
-// trajectory. With check set, a >20%
-// drop in any kernel's calibrated throughput against the committed rows is
-// fatal — the CI bench-smoke job runs exactly this.
-func runBench(path, label, scaleFlag string, check bool) {
-	scale, err := workloads.ParseScale(scaleFlag)
-	fatalIf(err)
-	committed, err := bench.Load(path)
-	fatalIf(err)
-	row, err := bench.Run(bench.Options{
-		Label:    label,
-		Scale:    scale,
-		Progress: func(s string) { fmt.Println(s) },
-	})
-	fatalIf(err)
-	if check {
-		if err := bench.CheckRegression(committed, row); err != nil {
-			fmt.Fprintln(os.Stderr, "tarsim:", err)
-			os.Exit(1)
-		}
-		fmt.Println("regression gate: ok")
-	}
-	fatalIf(bench.Append(path, row))
-	fmt.Printf("row %q appended to %s\n", label, path)
-}
-
-func archNew() *arch.Machine { return arch.New(mem.New()) }
 
 func fatalIf(err error) {
 	if err != nil {

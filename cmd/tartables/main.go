@@ -9,7 +9,7 @@
 //
 // Scales: test (seconds), bench (default, tens of seconds to minutes),
 // full (minutes to tens of minutes). See EXPERIMENTS.md for the recorded
-// bench-scale outputs and the paper comparison.
+// outputs at bench scale and the paper comparison.
 //
 // Integrity flags: -check runs every cell under the invariant checker,
 // -deadline bounds each cell's wall-clock time (wedged cells become error

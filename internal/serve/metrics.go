@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -173,10 +174,19 @@ func (m *metrics) quantiles() (p50, p99 float64, n uint64) {
 // scrape. st is the store's health block, ws the backend's fleet health,
 // queueDepth the flights waiting for an execution slot and poisoned the
 // count of quarantined confhashes, all sampled by the caller (store,
-// backend and server have their own locks).
+// backend and server have their own locks). The scrape is rendered into a
+// buffer under m.mu and written after it is released, so a client that
+// stops reading cannot stall the job accounting that takes m.mu.
 func (m *metrics) render(w io.Writer, st StoreStatus, ws WorkerStats, queueDepth, poisoned int) {
+	var buf bytes.Buffer
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.renderLocked(&buf, st, ws, queueDepth, poisoned)
+	m.mu.Unlock()
+	w.Write(buf.Bytes())
+}
+
+// renderLocked writes the exposition. Requires m.mu.
+func (m *metrics) renderLocked(w io.Writer, st StoreStatus, ws WorkerStats, queueDepth, poisoned int) {
 	counter := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}

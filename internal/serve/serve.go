@@ -37,6 +37,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/confhash"
@@ -136,6 +137,11 @@ type Server struct {
 	queue    chan *flight
 	poison   map[string]*poisonRecord
 	draining bool
+
+	// stored counts results complete has put in the store. Submit looks
+	// the store up before taking mu and re-probes under mu when this moved
+	// meanwhile, so a flight that lands in between is not simulated twice.
+	stored atomic.Uint64
 
 	// Sweep orchestration state: sweep records by id, submission order for
 	// listing + GC, and the spec-key index that deduplicates identical
@@ -366,6 +372,7 @@ func (s *Server) shedExpired() {
 func (s *Server) complete(f *flight, res *workloads.Result, jobErr *JobError, execSec float64) {
 	if jobErr == nil {
 		putResult(s.store, f.key, res)
+		s.stored.Add(1)
 		s.m.recordExperiment(f.key, f.spec.Bench, res.Config, res)
 	}
 	now := time.Now()
@@ -459,6 +466,11 @@ func (s *Server) Submit(req *SubmitRequest) (*JobStatus, error) {
 	now := time.Now()
 	wait := s.queueWaitFor(req)
 
+	// The store lookup runs before s.mu: a Get may wait on the disk tier's
+	// write lock, and the decode is not free.
+	stored := s.stored.Load()
+	res, hit := getResult(s.store, key)
+
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -494,7 +506,12 @@ func (s *Server) Submit(req *SubmitRequest) (*JobStatus, error) {
 	s.order = append(s.order, j.id)
 	s.gcLocked()
 
-	if res, ok := getResult(s.store, key); ok {
+	if f, ok := s.flights[key]; !hit && (!ok || f.shed) && s.stored.Load() != stored {
+		// A flight may have put this result and left between the miss
+		// above and s.mu: look again rather than simulate it twice.
+		res, hit = getResult(s.store, key)
+	}
+	if hit {
 		j.state, j.res, j.cacheHit = StateDone, res, true
 		close(j.done)
 		s.mu.Unlock()
