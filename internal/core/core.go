@@ -98,8 +98,10 @@ type threadState struct {
 	nextFetch       *pipe.UOp // staged instruction (in the tail slot) that could not dispatch
 
 	// Store queue entries awaiting disambiguation checks: maps quadword
-	// address to the youngest in-flight store writing it.
-	stores storeTable
+	// address to the youngest renamed, unretired store writing it. Every
+	// entry names a store in the reorder buffer, so a table of twice the
+	// ring's slots is never more than half full.
+	stores sched.Table[pipe.UOp]
 
 	// addrOffset tags this thread's addresses in the shared memory
 	// hierarchy (each SMT thread has its own address space; the timing
@@ -222,7 +224,7 @@ func (c *Core) BindSMT(trs []*vasm.Trace) {
 			trace:      tr,
 			rob:        make([]pipe.UOp, slots),
 			robShare:   share,
-			stores:     newStoreTable(slots),
+			stores:     sched.NewTable[pipe.UOp](slots),
 			addrOffset: uint64(i) << 44,
 		})
 	}
@@ -315,7 +317,7 @@ func (c *Core) retire(cy uint64) {
 				}
 				if len(u.Eff.Addrs) > 0 {
 					addr := u.Eff.Addrs[0]
-					st := t.stores.get(addr)
+					st := t.stores.Get(addr)
 					// Store-queue consistency: the disambiguation table
 					// holds the YOUNGEST in-flight store per address. The
 					// retiring store is its thread's oldest in-flight op,
@@ -328,7 +330,7 @@ func (c *Core) retire(cy uint64) {
 					}
 					c.writeBuf.Push(wbEntry{addr: addr, wh64: in.Op == isa.OpWH64})
 					if st == u {
-						t.stores.del(addr)
+						t.stores.Del(addr)
 					}
 				}
 			}
@@ -492,7 +494,7 @@ func (c *Core) issueLoad(cy uint64, u *pipe.UOp) bool {
 	}
 	// Store-to-load forwarding: an older in-flight store to the same
 	// quadword supplies the data.
-	if st := c.threads[u.Inst.Thread].stores.get(addr); st != nil && st.Seq < u.Seq {
+	if st := c.threads[u.Inst.Thread].stores.Get(addr); st != nil && st.Seq < u.Seq {
 		if st.State == pipe.StateDone || st.State == pipe.StateRetired {
 			c.complete(cy+uint64(c.cfg.StoreForwardLat), u)
 		} else {
@@ -724,7 +726,7 @@ func (c *Core) renameOp(cy uint64, t *threadState, u *pipe.UOp) {
 		}
 	}
 	if u.Info.IsStore && !u.Info.IsVector() && len(u.Eff.Addrs) > 0 {
-		t.stores.set(u.Eff.Addrs[0], u)
+		t.stores.Set(u.Eff.Addrs[0], u)
 	}
 }
 

@@ -25,13 +25,14 @@ type CRBox struct {
 	Slices int
 }
 
-// Pack sorts the element addresses into conflict-free slices and returns
-// them along with the number of tournament rounds the packing took. Element
-// lane assignment follows the register file slicing (index mod 16). In the
-// worst case — all addresses on one bank — a 128-element instruction yields
-// 128 single-element slices (the paper's stated worst case). The slices'
-// elements share one backing array, cut with full slice expressions.
-func (cr *CRBox) Pack(elems []Elem, tag0 int) ([]Slice, int) {
+// Pack sorts the element addresses into conflict-free slices, written into
+// buf, and returns them along with the number of tournament rounds the
+// packing took. Element lane assignment follows the register file slicing
+// (index mod 16). In the worst case — all addresses on one bank — a
+// 128-element instruction yields 128 single-element slices (the paper's
+// stated worst case). The slices' elements share buf's element array, cut
+// with full slice expressions.
+func (cr *CRBox) Pack(elems []Elem, tag0 int, buf *Buf) ([]Slice, int) {
 	// The per-lane FIFOs share one array, lane after lane: lane l's pending
 	// elements are queue[next[l]:end[l]].
 	var next, end [isa.NumLanes]int
@@ -50,12 +51,12 @@ func (cr *CRBox) Pack(elems []Elem, tag0 int) ([]Slice, int) {
 		queue[end[l]] = e
 		end[l]++
 	}
-	// Each round's winners are appended to packed; cuts records where each
-	// round's slice ends.
-	packed := make([]Elem, 0, len(elems))
-	var cbuf [isa.VLMax]int
-	cuts := cbuf[:0]
+	// Each round's winners are appended to packed, and each round's slice
+	// is cut once the round ends.
+	buf.reset(len(elems))
+	packed, out := buf.Elems, buf.Slices
 	for len(packed) < len(elems) {
+		start := len(packed)
 		var bankUsed [NumBanks]bool
 		for l := 0; l < isa.NumLanes; l++ {
 			if next[l] == end[l] {
@@ -70,14 +71,10 @@ func (cr *CRBox) Pack(elems []Elem, tag0 int) ([]Slice, int) {
 			packed = append(packed, head)
 			next[l]++
 		}
-		cuts = append(cuts, len(packed))
+		cut := len(packed)
+		out = append(out, Slice{Tag: tag0 + len(out), Elems: packed[start:cut:cut], QWords: cut - start})
 	}
-	out := make([]Slice, len(cuts))
-	start := 0
-	for i, cut := range cuts {
-		out[i] = Slice{Tag: tag0 + i, Elems: packed[start:cut:cut], QWords: cut - start}
-		start = cut
-	}
+	buf.Elems, buf.Slices = packed, out
 	cr.Rounds += len(out)
 	cr.Slices += len(out)
 	return out, len(out)
@@ -86,14 +83,14 @@ func (cr *CRBox) Pack(elems []Elem, tag0 int) ([]Slice, int) {
 // PackStrided routes a self-conflicting strided access (σ·2^s, s > 4, or a
 // degenerate stride) through the CR box, per §3.4: "Any instruction with
 // such a stride is treated exactly like a gather/scatter."
-func (cr *CRBox) PackStrided(base uint64, strideBytes int64, active []bool, tag0 int) ([]Slice, int) {
-	var buf [isa.VLMax]Elem
-	elems := buf[:0]
+func (cr *CRBox) PackStrided(base uint64, strideBytes int64, active []bool, tag0 int, buf *Buf) ([]Slice, int) {
+	var ebuf [isa.VLMax]Elem
+	elems := ebuf[:0]
 	for i, act := range active {
 		if !act {
 			continue
 		}
 		elems = append(elems, Elem{Index: i, Addr: base + uint64(int64(i)*strideBytes)})
 	}
-	return cr.Pack(elems, tag0)
+	return cr.Pack(elems, tag0, buf)
 }

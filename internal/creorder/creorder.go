@@ -61,6 +61,27 @@ type Slice struct {
 	QWords int
 }
 
+// Buf holds one vector memory instruction's address-generation output: its
+// slices and the one element array they share. The caller owns it and
+// reuses it from instruction to instruction; every scheduling call
+// overwrites what the previous call wrote, so the slices a call returns
+// stay valid only until the Buf's next use. Once warm, a Buf makes address
+// generation allocation-free. The zero value is ready to use.
+type Buf struct {
+	Elems  []Elem
+	Slices []Slice
+}
+
+// reset empties b and makes room for n elements, so cutting slices out of
+// b.Elems while appending to it never moves the array under them.
+func (b *Buf) reset(n int) {
+	if cap(b.Elems) < n {
+		b.Elems = make([]Elem, 0, max(n, isa.VLMax))
+	}
+	b.Elems = b.Elems[:0]
+	b.Slices = b.Slices[:0]
+}
+
 // Mode says which address-generation path an access took.
 type Mode uint8
 
@@ -154,10 +175,10 @@ func romSchedule(base uint64, strideBytes int64) [][]int {
 }
 
 // ScheduleStrided partitions the active elements of a strided access into
-// conflict-free slices. base is the address of element 0, strideBytes the
-// byte distance between elements, and active[i] says whether element i
-// participates (vl and mask applied by the caller). The tag numbering starts
-// at tag0.
+// conflict-free slices, written into buf. base is the address of element 0,
+// strideBytes the byte distance between elements, and active[i] says
+// whether element i participates (vl and mask applied by the caller). The
+// tag numbering starts at tag0.
 //
 // The returned mode tells the caller which pipeline treatment (and timing)
 // applies. For ModeReorder the slice count is at most 8 for any σ odd,
@@ -165,13 +186,13 @@ func romSchedule(base uint64, strideBytes int64) [][]int {
 // the slices carry whole-line addresses. ModeCR is handled by the caller via
 // a CRBox (the address stream must be merged with scatter data availability
 // there), so this function never returns ModeCR slices itself.
-func ScheduleStrided(base uint64, strideBytes int64, active []bool, tag0 int) ([]Slice, Mode) {
+func ScheduleStrided(base uint64, strideBytes int64, active []bool, tag0 int, buf *Buf) ([]Slice, Mode) {
 	mode := ClassifyStride(strideBytes)
 	switch mode {
 	case ModePump:
-		return pumpSlices(base, active, tag0), ModePump
+		return pumpSlices(base, active, tag0, buf), ModePump
 	case ModeReorder:
-		return reorderSlices(base, strideBytes, active, tag0), ModeReorder
+		return reorderSlices(base, strideBytes, active, tag0, buf), ModeReorder
 	default:
 		return nil, ModeCR
 	}
@@ -182,10 +203,11 @@ func ScheduleStrided(base uint64, strideBytes int64, active []bool, tag0 int) ([
 // address generators emit the 16 line addresses and set the pump bit. A
 // misaligned base touches 17 lines and is forced to generate two pump
 // slices (§3.4 footnote).
-func pumpSlices(base uint64, active []bool, tag0 int) []Slice {
+func pumpSlices(base uint64, active []bool, tag0 int, buf *Buf) []Slice {
 	// A stride-1 access's line addresses never decrease, so an element
 	// either lands in the previous element's line or opens the next one.
-	elems := make([]Elem, 0, (len(active)+7)/8+1)
+	buf.reset((len(active)+7)/8 + 1)
+	elems := buf.Elems
 	var qw [isa.VLMax/8 + 1]int
 	lineQW := qw[:0] // quadwords per line
 	for i, act := range active {
@@ -199,6 +221,7 @@ func pumpSlices(base uint64, active []bool, tag0 int) []Slice {
 		}
 		lineQW[len(lineQW)-1]++
 	}
+	buf.Elems = elems
 	if len(elems) == 0 {
 		return nil
 	}
@@ -206,7 +229,7 @@ func pumpSlices(base uint64, active []bool, tag0 int) []Slice {
 	// each pump slice is conflict-free. An aligned 128-element access is
 	// one slice; a misaligned base straddles a block boundary and is forced
 	// to generate two slices, both with the pump bit set (§3.4 footnote 3).
-	out := make([]Slice, 0, 2)
+	out := buf.Slices
 	block := func(a uint64) uint64 { return a >> 10 }
 	for start := 0; start < len(elems); {
 		end := start + 1
@@ -220,6 +243,7 @@ func pumpSlices(base uint64, active []bool, tag0 int) []Slice {
 		out = append(out, s)
 		start = end
 	}
+	buf.Slices = out
 	return out
 }
 
@@ -228,19 +252,13 @@ func pumpSlices(base uint64, active []bool, tag0 int) []Slice {
 // bipartite matching and memoised (the "ROM"); the vl/mask filter is
 // applied on the way out, so short or masked vectors still follow the
 // full-vector requesting order — which is why they still pay all eight
-// address-generation cycles (§3.4). Every slice's elements share one
-// backing array, cut with full slice expressions so none can grow into
-// its neighbour.
-func reorderSlices(base uint64, strideBytes int64, active []bool, tag0 int) []Slice {
+// address-generation cycles (§3.4). Every slice's elements share buf's
+// element array, cut with full slice expressions so none can grow into its
+// neighbour.
+func reorderSlices(base uint64, strideBytes int64, active []bool, tag0 int, buf *Buf) []Slice {
 	sched := romSchedule(base, strideBytes)
-	n := 0
-	for _, act := range active[:min(len(active), isa.VLMax)] {
-		if act {
-			n++
-		}
-	}
-	elems := make([]Elem, 0, n)
-	out := make([]Slice, len(sched))
+	buf.reset(min(len(active), isa.VLMax))
+	elems, out := buf.Elems, buf.Slices
 	for g, group := range sched {
 		start := len(elems)
 		for _, idx := range group {
@@ -251,8 +269,9 @@ func reorderSlices(base uint64, strideBytes int64, active []bool, tag0 int) []Sl
 		// Empty groups still exist in the requesting order but produce no
 		// L2 traffic; the Vbox timing charges the address-generation cycle
 		// regardless, so we emit the (possibly empty) slice.
-		out[g] = Slice{Tag: tag0 + g, Elems: elems[start:len(elems):len(elems)], QWords: len(elems) - start}
+		out = append(out, Slice{Tag: tag0 + g, Elems: elems[start:len(elems):len(elems)], QWords: len(elems) - start})
 	}
+	buf.Elems, buf.Slices = elems, out
 	return out
 }
 
@@ -336,9 +355,9 @@ func computeSchedule(base uint64, strideBytes int64) [][]int {
 // ordinary reorderable strides — eight slices of sixteen quadwords instead
 // of one pump slice, which also multiplies MAF pressure by 8 on misses
 // (§6, "Stride-1 Double Bandwidth mode").
-func ScheduleStridedNoPump(base uint64, strideBytes int64, active []bool, tag0 int) ([]Slice, Mode) {
+func ScheduleStridedNoPump(base uint64, strideBytes int64, active []bool, tag0 int, buf *Buf) ([]Slice, Mode) {
 	if ClassifyStride(strideBytes) == ModePump {
-		return reorderSlices(base, strideBytes, active, tag0), ModeReorder
+		return reorderSlices(base, strideBytes, active, tag0, buf), ModeReorder
 	}
-	return ScheduleStrided(base, strideBytes, active, tag0)
+	return ScheduleStrided(base, strideBytes, active, tag0, buf)
 }

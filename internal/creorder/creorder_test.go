@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -80,7 +81,7 @@ func TestReorderTheorem(t *testing.T) {
 			stride := q * 8
 			for _, baseOff := range []uint64{0, 8, 64, 72, 512, 1016} {
 				base := uint64(1<<20) + baseOff
-				slices, mode := ScheduleStrided(base, stride, allActive(), 0)
+				slices, mode := ScheduleStrided(base, stride, allActive(), 0, new(Buf))
 				if mode != ModeReorder {
 					t.Fatalf("stride %d classified %s", stride, mode)
 				}
@@ -119,7 +120,7 @@ func TestReorderTheoremProperty(t *testing.T) {
 			return true
 		}
 		base := (uint64(baseSeed) * 8) % (1 << 18)
-		slices, mode := ScheduleStrided(1<<20+base, stride, allActive(), 0)
+		slices, mode := ScheduleStrided(1<<20+base, stride, allActive(), 0, new(Buf))
 		if mode != ModeReorder {
 			return false
 		}
@@ -153,7 +154,7 @@ func TestReorderShortVectorStillEightSlices(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		active[i] = true
 	}
-	slices, _ := ScheduleStrided(1<<20, 16, active, 0)
+	slices, _ := ScheduleStrided(1<<20, 16, active, 0, new(Buf))
 	if len(slices) > 8 {
 		t.Fatalf("%d slices for vl=40", len(slices))
 	}
@@ -170,7 +171,7 @@ func TestReorderShortVectorStillEightSlices(t *testing.T) {
 func TestPumpAligned(t *testing.T) {
 	// 128 consecutive quadwords from a line-aligned base: exactly 16 lines,
 	// one per bank, one pump slice.
-	slices, mode := ScheduleStrided(1<<20, 8, allActive(), 0)
+	slices, mode := ScheduleStrided(1<<20, 8, allActive(), 0, new(Buf))
 	if mode != ModePump {
 		t.Fatalf("mode %s", mode)
 	}
@@ -187,7 +188,7 @@ func TestPumpAligned(t *testing.T) {
 func TestPumpMisaligned(t *testing.T) {
 	// A base not aligned to a line boundary touches 17 lines → two pump
 	// slices (§3.4 footnote 3).
-	slices, mode := ScheduleStrided(1<<20+8, 8, allActive(), 0)
+	slices, mode := ScheduleStrided(1<<20+8, 8, allActive(), 0, new(Buf))
 	if mode != ModePump {
 		t.Fatalf("mode %s", mode)
 	}
@@ -204,7 +205,7 @@ func TestPumpShortVector(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		active[i] = true
 	}
-	slices, _ := ScheduleStrided(1<<20, 8, active, 0)
+	slices, _ := ScheduleStrided(1<<20, 8, active, 0, new(Buf))
 	if len(slices) != 1 {
 		t.Fatalf("%d slices", len(slices))
 	}
@@ -221,7 +222,7 @@ func TestCRBoxRandomPermutation(t *testing.T) {
 		elems[i] = Elem{Index: i, Addr: 1<<20 + uint64(perm[i])*8}
 	}
 	var cr CRBox
-	slices, rounds := cr.Pack(elems, 0)
+	slices, rounds := cr.Pack(elems, 0, new(Buf))
 	n := 0
 	for _, s := range slices {
 		checkConflictFree(t, s)
@@ -247,7 +248,7 @@ func TestCRBoxWorstCaseSingleBank(t *testing.T) {
 		elems[i] = Elem{Index: i, Addr: 1<<20 + uint64(i)*1024} // bank 0 every time
 	}
 	var cr CRBox
-	slices, _ := cr.Pack(elems, 0)
+	slices, _ := cr.Pack(elems, 0, new(Buf))
 	if len(slices) != isa.VLMax {
 		t.Fatalf("%d slices, want 128", len(slices))
 	}
@@ -267,7 +268,7 @@ func TestCRBoxPreservesPerLaneOrder(t *testing.T) {
 		elems[i] = Elem{Index: i, Addr: 1<<20 + uint64(rng.Intn(512))*8}
 	}
 	var cr CRBox
-	slices, _ := cr.Pack(elems, 0)
+	slices, _ := cr.Pack(elems, 0, new(Buf))
 	last := make(map[int]int)
 	for _, s := range slices {
 		for _, e := range s.Elems {
@@ -284,7 +285,7 @@ func TestCRBoxSelfConflictingStride(t *testing.T) {
 	// Stride of 2048 bytes (q=256 = 1·2^8): every address maps to bank of
 	// base; PackStrided must serialise completely.
 	var cr CRBox
-	slices, _ := cr.PackStrided(1<<20, 2048, allActive(), 0)
+	slices, _ := cr.PackStrided(1<<20, 2048, allActive(), 0, new(Buf))
 	if len(slices) != isa.VLMax {
 		t.Fatalf("self-conflicting stride gave %d slices, want 128", len(slices))
 	}
@@ -299,7 +300,7 @@ func TestCRBoxProperty(t *testing.T) {
 			elems[i] = Elem{Index: i, Addr: 1<<20 + uint64(o)*8}
 		}
 		var cr CRBox
-		slices, _ := cr.Pack(elems, 0)
+		slices, _ := cr.Pack(elems, 0, new(Buf))
 		n := 0
 		for _, s := range slices {
 			var banks [16]bool
@@ -323,8 +324,8 @@ func TestCRBoxProperty(t *testing.T) {
 func TestROMMemoisationConsistency(t *testing.T) {
 	// Two bases with the same offset pattern must produce the same element
 	// grouping (exercises the ROM hit path).
-	a1, _ := ScheduleStrided(1<<20+24*8, 24, allActive(), 0)
-	a2, _ := ScheduleStrided(5<<20+24*8, 24, allActive(), 0)
+	a1, _ := ScheduleStrided(1<<20+24*8, 24, allActive(), 0, new(Buf))
+	a2, _ := ScheduleStrided(5<<20+24*8, 24, allActive(), 0, new(Buf))
 	if len(a1) != len(a2) {
 		t.Fatalf("slice counts differ: %d vs %d", len(a1), len(a2))
 	}
@@ -343,10 +344,11 @@ func TestROMMemoisationConsistency(t *testing.T) {
 
 func BenchmarkReorderROMHit(b *testing.B) {
 	act := allActive()
-	ScheduleStrided(1<<20, 24, act, 0) // warm the ROM
+	var buf Buf
+	ScheduleStrided(1<<20, 24, act, 0, &buf) // warm the ROM and the Buf
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ScheduleStrided(1<<20, 24, act, 0)
+		ScheduleStrided(1<<20, 24, act, 0, &buf)
 	}
 }
 
@@ -356,10 +358,11 @@ func BenchmarkCRBoxPack(b *testing.B) {
 	for i := range elems {
 		elems[i] = Elem{Index: i, Addr: uint64(rng.Intn(1<<20)) &^ 7}
 	}
+	var buf Buf
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var cr CRBox
-		cr.Pack(elems, 0)
+		cr.Pack(elems, 0, &buf)
 	}
 }
 
@@ -368,7 +371,7 @@ func TestMaskedScheduleOnlyActiveElements(t *testing.T) {
 	for i := 0; i < isa.VLMax; i += 3 {
 		active[i] = true
 	}
-	slices, mode := ScheduleStrided(1<<20, 24, active, 0)
+	slices, mode := ScheduleStrided(1<<20, 24, active, 0, new(Buf))
 	if mode != ModeReorder {
 		t.Fatalf("mode %s", mode)
 	}
@@ -388,7 +391,7 @@ func TestMaskedScheduleOnlyActiveElements(t *testing.T) {
 }
 
 func TestNoPumpPathForcesReorder(t *testing.T) {
-	slices, mode := ScheduleStridedNoPump(1<<20, 8, allActive(), 0)
+	slices, mode := ScheduleStridedNoPump(1<<20, 8, allActive(), 0, new(Buf))
 	if mode != ModeReorder {
 		t.Fatalf("no-pump stride-1 mode = %s, want reorder", mode)
 	}
@@ -404,8 +407,8 @@ func TestNoPumpPathForcesReorder(t *testing.T) {
 }
 
 // TestAddressGenerationAllocs pins the host allocations of one vector
-// memory instruction's address generation: the slice headers and one
-// backing array their elements share, whatever the path.
+// memory instruction's address generation: none on any path, once the
+// caller's Buf has held an instruction.
 func TestAddressGenerationAllocs(t *testing.T) {
 	act := allActive()
 	rng := rand.New(rand.NewSource(3))
@@ -414,19 +417,71 @@ func TestAddressGenerationAllocs(t *testing.T) {
 		gather[i] = Elem{Index: i, Addr: uint64(rng.Intn(1<<20)) &^ 7}
 	}
 	var cr CRBox
+	var buf Buf
 	cases := []struct {
 		name string
-		want float64
 		run  func()
 	}{
-		{"reorder stride 3", 2, func() { ScheduleStrided(1<<20, 24, act, 0) }},
-		{"pump stride 1", 2, func() { ScheduleStrided(1<<20+8, 8, act, 0) }},
-		{"CR box gather", 2, func() { cr.Pack(gather, 0) }},
-		{"CR box self-conflicting stride", 2, func() { cr.PackStrided(1<<20, 2048, act, 0) }},
+		{"reorder stride 3", func() { ScheduleStrided(1<<20, 24, act, 0, &buf) }},
+		{"pump stride 1", func() { ScheduleStrided(1<<20+8, 8, act, 0, &buf) }},
+		{"no-pump stride 1", func() { ScheduleStridedNoPump(1<<20, 8, act, 0, &buf) }},
+		{"CR box gather", func() { cr.Pack(gather, 0, &buf) }},
+		{"CR box self-conflicting stride", func() { cr.PackStrided(1<<20, 2048, act, 0, &buf) }},
 	}
 	for _, c := range cases {
-		if got := testing.AllocsPerRun(100, c.run); got != c.want {
-			t.Errorf("%s: %.0f allocations per instruction, want %.0f", c.name, got, c.want)
+		c.run() // warm the Buf (and the schedule ROM)
+		if got := testing.AllocsPerRun(100, c.run); got != 0 {
+			t.Errorf("%s: %.0f allocations per instruction, want 0", c.name, got)
+		}
+	}
+}
+
+// TestBufReuseMatchesFresh: scheduling into a Buf that held a different
+// instruction must give exactly what a fresh Buf gives, on every path, so
+// reuse never leaks a previous instruction's slices or elements.
+func TestBufReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var cr CRBox
+	var warm Buf
+	for n := 0; n < 500; n++ {
+		active := make([]bool, 1+rng.Intn(isa.VLMax))
+		for i := range active {
+			active[i] = rng.Intn(4) != 0
+		}
+		base := 1<<20 + uint64(rng.Intn(1<<14))*8
+		stride := []int64{8, 16, 24, 2048, 8 * 96}[rng.Intn(5)]
+		gather := make([]Elem, 0, len(active))
+		for i, act := range active {
+			if act {
+				gather = append(gather, Elem{Index: i, Addr: uint64(rng.Intn(1<<20)) &^ 7})
+			}
+		}
+		var got, want []Slice
+		switch rng.Intn(4) {
+		case 0:
+			got, _ = ScheduleStrided(base, stride, active, n, &warm)
+			want, _ = ScheduleStrided(base, stride, active, n, new(Buf))
+		case 1:
+			got, _ = ScheduleStridedNoPump(base, stride, active, n, &warm)
+			want, _ = ScheduleStridedNoPump(base, stride, active, n, new(Buf))
+		case 2:
+			got, _ = cr.PackStrided(base, stride, active, n, &warm)
+			want, _ = cr.PackStrided(base, stride, active, n, new(Buf))
+		default:
+			got, _ = cr.Pack(gather, n, &warm)
+			want, _ = cr.Pack(gather, n, new(Buf))
+		}
+		if len(got) != len(want) {
+			t.Fatalf("instruction %d: %d slices from a reused Buf, %d from a fresh one", n, len(got), len(want))
+		}
+		for i := range got {
+			g, w := got[i], want[i]
+			if g.Tag != w.Tag || g.Pump != w.Pump || g.QWords != w.QWords || !slices.Equal(g.Elems, w.Elems) {
+				t.Fatalf("instruction %d slice %d: reused Buf gave %+v, fresh gave %+v", n, i, g, w)
+			}
+			if cap(g.Elems) != len(g.Elems) {
+				t.Fatalf("instruction %d slice %d: cap %d > len %d", n, i, cap(g.Elems), len(g.Elems))
+			}
 		}
 	}
 }
@@ -434,10 +489,10 @@ func TestAddressGenerationAllocs(t *testing.T) {
 // TestSlicesDoNotShareCapacity: slices cut from one backing array must not
 // be able to grow into their neighbours.
 func TestSlicesDoNotShareCapacity(t *testing.T) {
-	reorder, _ := ScheduleStrided(1<<20, 24, allActive(), 0)
-	pump, _ := ScheduleStrided(1<<20+8, 8, allActive(), 0)
+	reorder, _ := ScheduleStrided(1<<20, 24, allActive(), 0, new(Buf))
+	pump, _ := ScheduleStrided(1<<20+8, 8, allActive(), 0, new(Buf))
 	var cr CRBox
-	packed, _ := cr.PackStrided(1<<20, 2048, allActive(), 0)
+	packed, _ := cr.PackStrided(1<<20, 2048, allActive(), 0, new(Buf))
 	for _, group := range [][]Slice{reorder, pump, packed} {
 		for i, s := range group {
 			if cap(s.Elems) != len(s.Elems) {
@@ -455,7 +510,7 @@ func TestROMConcurrentUse(t *testing.T) {
 	strides := []int64{16, 24, 40, 56, 64, 8 * 312}
 	want := make([][]Slice, len(strides))
 	for i, st := range strides {
-		want[i], _ = ScheduleStrided(3<<20+uint64(i)*8, st, act, 0)
+		want[i], _ = ScheduleStrided(3<<20+uint64(i)*8, st, act, 0, new(Buf))
 	}
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
@@ -466,8 +521,8 @@ func TestROMConcurrentUse(t *testing.T) {
 			for n := 0; n < 50; n++ {
 				i := (g + n) % len(strides)
 				// Fresh keys force stores while other goroutines load.
-				ScheduleStrided(uint64(g*1024+n*8), strides[i]+int64(16*n), act, 0)
-				got, _ := ScheduleStrided(3<<20+uint64(i)*8, strides[i], act, 0)
+				ScheduleStrided(uint64(g*1024+n*8), strides[i]+int64(16*n), act, 0, new(Buf))
+				got, _ := ScheduleStrided(3<<20+uint64(i)*8, strides[i], act, 0, new(Buf))
 				if !reflect.DeepEqual(got, want[i]) {
 					errs <- fmt.Sprintf("goroutine %d: stride %d schedule differs", g, strides[i])
 					return

@@ -48,6 +48,11 @@ type Config struct {
 type SliceOp struct {
 	Slice creorder.Slice
 	Write bool
+	// Prefetch marks a slice nothing waits for: a vector prefetch's, which
+	// outlives its instruction. Its Done, if set, is called in the cycle of
+	// the lookup that completes the slice, only to say the cache holds the
+	// op no longer; no completion event is scheduled for it.
+	Prefetch bool
 	// Done is called when the slice's data transfer completes.
 	Done func(cycle uint64)
 
@@ -70,11 +75,26 @@ type way struct {
 	lru    uint64
 }
 
-// pendingFill tracks one in-flight line fetch and the slices sleeping on it.
-type pendingFill struct {
+// mafEntry is one miss-address-file entry: an in-flight line fetch, the
+// slices sleeping on it and the scalar requests waiting for it. The L2 owns
+// MAFSize entries for its whole life; a freed entry keeps its waiter
+// slices' storage and its fill-arrival callback, so a line fill allocates
+// nothing once the entries have been used.
+type mafEntry struct {
+	line     uint64
 	sleepers []*SliceOp
-	scalar   []func(cycle uint64) // scalar waiters (L1 refills)
-	forWrite bool
+	scalar   []scalarWaiter
+	// arrived is the Zbox completion callback of the entry's line read,
+	// bound once in New.
+	arrived func(cycle uint64)
+}
+
+// scalarWaiter is a scalar request (an L1 refill or a store drain) waiting
+// for a line fill.
+type scalarWaiter struct {
+	write bool
+	done  func(cycle uint64) // may be nil
+	lat   uint64             // load-to-use latency after the fill
 }
 
 // L2 is the cache model.
@@ -131,7 +151,10 @@ type L2 struct {
 	// across slices (it never escapes the call).
 	missScratch []uint64
 
-	fills map[uint64]*pendingFill // line addr -> fill in flight
+	// The MAF's MAFSize entries: mafFree holds the ones no fill occupies,
+	// and mafIndex maps the line of each occupied entry to it.
+	mafFree  []*mafEntry
+	mafIndex sched.Table[mafEntry]
 
 	readBusFree, writeBusFree uint64
 
@@ -165,8 +188,15 @@ func New(cfg Config, reg *metrics.Registry, z *zbox.Zbox) *L2 {
 		mask:       uint64(nsets - 1),
 		assoc:      uint64(cfg.Assoc),
 		chunkShift: shift,
-		fills:      make(map[uint64]*pendingFill),
+		mafFree:    make([]*mafEntry, cfg.MAFSize),
+		mafIndex:   sched.NewTable[mafEntry](cfg.MAFSize),
 		wheel:      sched.NewWheel(),
+	}
+	entries := make([]mafEntry, cfg.MAFSize)
+	for i := range entries {
+		e := &entries[i]
+		e.arrived = func(cy uint64) { c.fillArrived(cy, e) }
+		c.mafFree[i] = e
 	}
 	c.retrySliceFn = func(_ uint64, a any) { c.retryQ.Push(a.(*SliceOp)) }
 	m := reg.Scope("l2")
@@ -188,7 +218,7 @@ func New(cfg Config, reg *metrics.Registry, z *zbox.Zbox) *L2 {
 	m.Gauge("retry_q", "Woken slices awaiting replay.",
 		func(uint64) int { return c.retryQ.Len() })
 	m.Gauge("maf", "Occupied miss-address-file entries.",
-		func(uint64) int { return len(c.fills) })
+		func(uint64) int { return c.MAFInUse() })
 	return c
 }
 
@@ -349,12 +379,12 @@ func (c *L2) WH64(cy uint64, addr uint64, done func(cycle uint64)) {
 
 // Busy reports whether the cache still has work in flight.
 func (c *L2) Busy() bool {
-	return c.readQ.Len()+c.writeQ.Len()+c.scalarQ.Len()+c.retryQ.Len()+len(c.fills) > 0 ||
+	return c.readQ.Len()+c.writeQ.Len()+c.scalarQ.Len()+c.retryQ.Len()+c.MAFInUse() > 0 ||
 		c.wheel.Pending()
 }
 
 // MAFInUse returns the number of occupied miss entries.
-func (c *L2) MAFInUse() int { return len(c.fills) }
+func (c *L2) MAFInUse() int { return c.cfg.MAFSize - len(c.mafFree) }
 
 // ---- per-cycle processing ----
 
@@ -460,7 +490,11 @@ func (c *L2) lookupSlice(cy uint64, op *SliceOp) {
 		}
 		lat += c.cfg.Faults.L2Latency(cy)
 		if op.Done != nil {
-			c.wheel.AtCall(cy+lat, callDone, op.Done)
+			if op.Prefetch {
+				op.Done(cy)
+			} else {
+				c.wheel.AtCall(cy+lat, callDone, op.Done)
+			}
 		}
 		return
 	}
@@ -474,7 +508,7 @@ func (c *L2) lookupSlice(cy uint64, op *SliceOp) {
 	}
 	op.waiting = 0
 	for _, line := range missing {
-		if c.requestFill(line, op, op.Write) {
+		if c.requestFill(line, op) != nil {
 			op.waiting++
 		}
 	}
@@ -485,49 +519,63 @@ func (c *L2) lookupSlice(cy uint64, op *SliceOp) {
 	}
 }
 
-// requestFill attaches op to the in-flight fetch of line, creating it if
-// needed. Returns false when the MAF has no free entry.
-func (c *L2) requestFill(line uint64, op *SliceOp, forWrite bool) bool {
-	if pf, ok := c.fills[line]; ok {
-		if op != nil {
-			pf.sleepers = append(pf.sleepers, op)
+// requestFill attaches op (nil for a scalar request) to the in-flight fetch
+// of line, taking a free MAF entry and starting the fetch if there is none.
+// It returns the entry, or nil when the MAF has no free entry.
+func (c *L2) requestFill(line uint64, op *SliceOp) *mafEntry {
+	e := c.mafIndex.Get(line)
+	if e == nil {
+		n := len(c.mafFree)
+		if n == 0 {
+			return nil
 		}
-		pf.forWrite = pf.forWrite || forWrite
-		return true
+		e = c.mafFree[n-1]
+		c.mafFree = c.mafFree[:n-1]
+		e.line = line
+		c.mafIndex.Set(line, e)
+		c.mafPeak.Peak(uint64(c.MAFInUse()))
+		c.z.Request(line, zbox.Read, e.arrived)
 	}
-	if len(c.fills) >= c.cfg.MAFSize {
-		return false
-	}
-	pf := &pendingFill{forWrite: forWrite}
 	if op != nil {
-		pf.sleepers = append(pf.sleepers, op)
+		e.sleepers = append(e.sleepers, op)
 	}
-	c.fills[line] = pf
-	c.mafPeak.Peak(uint64(len(c.fills)))
-	c.z.Request(line, zbox.Read, func(cycle uint64) { c.fillArrived(cycle, line) })
-	return true
+	return e
 }
 
-// fillArrived installs the line and wakes sleepers whose waiting bits all
-// cleared; they move to the retry queue and walk the pipe again.
-func (c *L2) fillArrived(cy uint64, line uint64) {
-	pf := c.fills[line]
-	w := c.install(line, false)
+// fillArrived installs the entry's line, wakes sleepers whose waiting bits
+// all cleared (they move to the retry queue and walk the pipe again),
+// completes the scalar waiters and frees the entry. None of the waiters
+// reaches the MAF before the entry is free: woken slices replay through the
+// wheel, and a scalar done callback only queues new requests.
+func (c *L2) fillArrived(cy uint64, e *mafEntry) {
+	w := c.install(e.line, false)
 	if w == nil {
 		// Every way pinned by panicked slices: retry the install shortly.
-		c.wheel.At(cy+1, func() { c.fillArrived(cy+1, line) })
+		c.wheel.At(cy+1, func() { c.fillArrived(cy+1, e) })
 		return
 	}
-	delete(c.fills, line)
-	for _, op := range pf.sleepers {
+	c.mafIndex.Del(e.line)
+	for _, op := range e.sleepers {
 		op.waiting--
 		if op.waiting == 0 {
 			c.wheel.AtCall(cy+uint64(c.cfg.RetryDelay), c.retrySliceFn, op)
 		}
 	}
-	for _, done := range pf.scalar {
-		done(cy)
+	for _, sw := range e.scalar {
+		if w := c.probe(e.line); w != nil {
+			if sw.write {
+				c.markDirty(w)
+			}
+			w.pbit = true
+		}
+		if sw.done != nil {
+			sw.done(cy + sw.lat)
+		}
 	}
+	clear(e.sleepers)
+	clear(e.scalar)
+	e.sleepers, e.scalar = e.sleepers[:0], e.scalar[:0]
+	c.mafFree = append(c.mafFree, e)
 }
 
 // enterPanic pins the slice's lines so competing traffic cannot evict them
@@ -585,37 +633,21 @@ func (c *L2) lookupScalar(cy uint64, req scalarReq) {
 	c.misses.Inc()
 	if req.pref {
 		// Prefetches are dropped rather than stalled when the MAF is full.
-		c.requestFill(req.addr, nil, false)
+		c.requestFill(req.addr, nil)
 		return
 	}
-	pf, ok := c.fills[req.addr]
-	if !ok {
-		if !c.requestFill(req.addr, nil, req.write) {
-			// MAF full: retry the scalar request next cycle.
-			c.mafFullStalls.Inc()
-			c.wheel.At(cy+1, func() { c.scalarQ.Push(req) })
-			return
-		}
-		pf = c.fills[req.addr]
+	e := c.requestFill(req.addr, nil)
+	if e == nil {
+		// MAF full: retry the scalar request next cycle.
+		c.mafFullStalls.Inc()
+		c.wheel.At(cy+1, func() { c.scalarQ.Push(req) })
+		return
 	}
-	write := req.write
-	addr := req.addr
-	done := req.done
 	lat := uint64(c.cfg.ScalarLat) + c.cfg.Faults.L2Latency(cy)
-	pf.scalar = append(pf.scalar, func(cycle uint64) {
-		if w := c.probe(addr); w != nil {
-			if write {
-				c.markDirty(w)
-			}
-			w.pbit = true
-		}
-		if done != nil {
-			done(cycle + lat)
-		}
-	})
+	e.scalar = append(e.scalar, scalarWaiter{write: req.write, done: req.done, lat: lat})
 }
 
 // Depths reports the cache's queue occupancies for profiling tools.
 func (c *L2) Depths() (readQ, writeQ, retryQ, maf int) {
-	return c.readQ.Len(), c.writeQ.Len(), c.retryQ.Len(), len(c.fills)
+	return c.readQ.Len(), c.writeQ.Len(), c.retryQ.Len(), c.MAFInUse()
 }

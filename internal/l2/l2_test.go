@@ -319,3 +319,66 @@ func TestScalarPrefetchDoesNotBlock(t *testing.T) {
 		t.Fatalf("prefetched line not resident (hits=%d)", st.L2Hits)
 	}
 }
+
+// TestSteadyStateSliceMissAllocatesNothing pins the MAF's recycling: once
+// the entries and the tag-store chunks exist, a slice that misses on all 16
+// of its lines, sleeps in the MAF, is filled and replays allocates nothing.
+func TestSteadyStateSliceMissAllocatesNothing(t *testing.T) {
+	c, z, st := testSetup()
+	// Nine slices over the same 16 sets, one per 128 KiB set period of the
+	// 1 MiB 8-way cache: each evicts the least recently used of the other
+	// eight from every set, so every lookup of every slice misses.
+	var slices [9]creorder.Slice
+	for k := range slices {
+		slices[k] = mkSlice(0x40000+uint64(k)<<17, 16, false).Slice
+	}
+	completed := 0
+	done := func(uint64) { completed++ }
+	var op SliceOp
+	cy, k := uint64(0), 0
+	missFillReplay := func() {
+		op = SliceOp{Slice: slices[k%len(slices)], Done: done}
+		k++
+		if !c.SubmitSlice(&op) {
+			t.Fatal("the slice queue refused a slice")
+		}
+		cy = drive(c, z, cy, 10_000)
+	}
+	// Allocate the tag-store chunk and grow the rings, wheels and MAF
+	// waiter lists to their working size.
+	for range slices {
+		missFillReplay()
+	}
+	misses, replays := st.L2Misses, st.L2SliceReplays
+	if got := testing.AllocsPerRun(100, missFillReplay); got != 0 {
+		t.Errorf("%.1f allocations per slice miss, fill and replay, want 0", got)
+	}
+	// AllocsPerRun makes one warm-up run before the measured ones.
+	if st.L2Misses-misses != 101 || st.L2SliceReplays-replays != 101 || completed != len(slices)+101 {
+		t.Errorf("%d misses, %d replays and %d completions over 101 slices: not a miss, fill and replay each",
+			st.L2Misses-misses, st.L2SliceReplays-replays, completed-len(slices))
+	}
+}
+
+// TestPrefetchSliceReleasedAtLookup: a prefetch slice's Done says only that
+// the cache holds the op no longer. It fires in the cycle of the lookup
+// that completes the slice, and nothing is scheduled after it, so the
+// cache goes idle in that cycle.
+func TestPrefetchSliceReleasedAtLookup(t *testing.T) {
+	c, z, st := testSetup()
+	var released uint64
+	s := mkSlice(0x30000, 16, false)
+	s.Prefetch = true
+	s.Done = func(cy uint64) { released = cy }
+	c.SubmitSlice(s)
+	end := drive(c, z, 0, 10_000)
+	if released == 0 {
+		t.Fatal("the prefetch slice was never released")
+	}
+	if end != released {
+		t.Errorf("released at cycle %d, the cache went idle at %d", released, end)
+	}
+	if st.L2Misses != 1 || st.L2SliceReplays != 1 {
+		t.Errorf("%d misses and %d replays, want the one miss and replay of a cold slice", st.L2Misses, st.L2SliceReplays)
+	}
+}

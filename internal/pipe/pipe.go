@@ -48,9 +48,6 @@ type UOp struct {
 	FetchCyc uint64
 	ReadyCyc uint64 // cycle all operands became available
 	DoneCyc  uint64
-
-	// VBox bookkeeping.
-	SlicesOut int // slices still in flight in the L2
 }
 
 // Fill makes u the record of a newly fetched instruction: it sets every
@@ -62,7 +59,6 @@ func (u *UOp) Fill(seq uint64, site uint32, in *isa.Inst, eff *arch.Effect, fetc
 	u.Seq, u.Site, u.Inst, u.Eff, u.Info = seq, site, *in, *eff, in.Info()
 	u.State, u.Deps, u.Consumers = StateWaiting, 0, u.Consumers[:0]
 	u.FetchCyc, u.ReadyCyc, u.DoneCyc = fetchCyc, 0, 0
-	u.SlicesOut = 0
 }
 
 // MarkReady transitions the op to Ready at cycle c, recording when its last

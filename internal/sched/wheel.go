@@ -1,7 +1,8 @@
 // Package sched provides the simulator's event scheduling machinery: a
 // hierarchical timing wheel (Wheel) that each component (core, vbox, l2,
-// zbox) uses as its queue of completion events, and the FIFO ring (Ring)
-// behind the components' request queues. The chip loop ticks every
+// zbox) uses as its queue of completion events, the FIFO ring (Ring)
+// behind the components' request queues, and the open-addressed table
+// (Table) behind their per-address lookups. The chip loop ticks every
 // component once per cycle, and each tick advances the component's wheel to
 // that cycle, firing whatever is due.
 //

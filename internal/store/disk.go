@@ -208,54 +208,45 @@ func (d *Disk) Get(ns Namespace, key string) ([]byte, bool) {
 // what the tiered store's single-flight contract needs: an indexed
 // namespace checks its index, an unindexed one the file itself. Failures
 // (real or injected) cost durability for this one artifact, nothing else.
+//
+// Put-time validation, the temp-file write and its fsync run without d.mu,
+// so Get and Status (every /healthz and /metrics request) never wait behind
+// them. The existence re-check, the rename and the index update share one
+// critical section: a concurrent Get's quarantine cannot move a file that
+// was renamed in after the Get read it, and of two racing Puts of one key
+// only the first to reach the lock renames and counts it.
 func (d *Disk) Put(ns Namespace, key string, blob []byte) {
 	if !SafeKey(key) {
 		return
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	s, ok := d.ns[ns]
+	s, ok := d.ns[ns] // fixed at open; read without the lock
 	if !ok {
 		return
 	}
 	if s.pol.ValidateOnPut && s.pol.Validate != nil && s.pol.Validate(key, blob) != nil {
 		return
 	}
-	if s.pol.ScanOnOpen {
-		if _, ok := s.entries[key]; ok {
-			return
-		}
-	} else if _, err := os.Stat(s.path(key)); err == nil {
+	d.mu.Lock()
+	present := d.residentLocked(s, key)
+	d.mu.Unlock()
+	if present {
 		return
 	}
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
-		d.ioErrors++
+		d.countIOError()
 		return
 	}
 	if d.inj.DiskWriteError() {
-		d.ioErrors++
+		d.countIOError()
 		return
 	}
 	if s.pol.TornWriteChaos && d.inj.TornWrite() {
-		// Chaos: a prefix lands at the final path, as if a crash beat the
-		// atomic-rename protocol. The entry is registered so the next read
-		// exercises the quarantine path.
-		torn := blob[:len(blob)/2]
-		if err := os.WriteFile(s.path(key), torn, 0o644); err != nil {
-			d.ioErrors++
-			return
-		}
-		if s.pol.ScanOnOpen {
-			d.clock++
-			s.entries[key] = &diskEntry{size: int64(len(torn)), atime: d.clock}
-			s.total += int64(len(torn))
-			d.evictLocked(s)
-		}
+		d.putTorn(s, key, blob)
 		return
 	}
 	tmp, err := os.CreateTemp(s.dir, TmpPrefix+key+"-*")
 	if err != nil {
-		d.ioErrors++
+		d.countIOError()
 		return
 	}
 	tmpName := tmp.Name()
@@ -264,21 +255,70 @@ func (d *Disk) Put(ns Namespace, key string, blob []byte) {
 	cerr := tmp.Close()
 	if werr != nil || serr != nil || cerr != nil {
 		os.Remove(tmpName)
-		d.ioErrors++
+		d.countIOError()
+		return
+	}
+	d.mu.Lock()
+	if d.residentLocked(s, key) {
+		// A racing Put of the same key renamed first.
+		d.mu.Unlock()
+		os.Remove(tmpName)
 		return
 	}
 	if err := os.Rename(tmpName, s.path(key)); err != nil {
-		os.Remove(tmpName)
 		d.ioErrors++
+		d.mu.Unlock()
+		os.Remove(tmpName)
 		return
 	}
-	d.syncDir(s.dir)
 	if s.pol.ScanOnOpen {
 		d.clock++
 		s.entries[key] = &diskEntry{size: int64(len(blob)), atime: d.clock}
 		s.total += int64(len(blob))
 		d.evictLocked(s)
 	}
+	d.mu.Unlock()
+	d.syncDir(s.dir)
+}
+
+// putTorn is the torn-write chaos path: a prefix lands at the final path,
+// as if a crash beat the atomic-rename protocol. The entry is registered so
+// the next read exercises the quarantine path.
+func (d *Disk) putTorn(s *diskNS, key string, blob []byte) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.residentLocked(s, key) {
+		return // a racing Put stored it first
+	}
+	torn := blob[:len(blob)/2]
+	if err := os.WriteFile(s.path(key), torn, 0o644); err != nil {
+		d.ioErrors++
+		return
+	}
+	if s.pol.ScanOnOpen {
+		d.clock++
+		s.entries[key] = &diskEntry{size: int64(len(torn)), atime: d.clock}
+		s.total += int64(len(torn))
+		d.evictLocked(s)
+	}
+}
+
+// residentLocked reports whether key is already stored in s: an indexed
+// namespace asks its index, an unindexed one the file system. Requires d.mu.
+func (d *Disk) residentLocked(s *diskNS, key string) bool {
+	if s.pol.ScanOnOpen {
+		_, ok := s.entries[key]
+		return ok
+	}
+	_, err := os.Stat(s.path(key))
+	return err == nil
+}
+
+// countIOError counts one failed disk read or write.
+func (d *Disk) countIOError() {
+	d.mu.Lock()
+	d.ioErrors++
+	d.mu.Unlock()
 }
 
 // syncDir flushes the directory entry so the rename itself is durable.

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/faults"
 )
@@ -427,5 +428,88 @@ func TestMemUnconfiguredNamespace(t *testing.T) {
 	}
 	if n := m.Status().NS[Sweeps].MemEntries; n != 0 {
 		t.Fatal("unconfigured namespace has entries")
+	}
+}
+
+// TestDiskStorePutDoesNotBlockStatus: a put whose validation, write or
+// fsync is slow must not stall the health and metrics paths. A namespace
+// whose Validate parks one key's put leaves Status() and a Get of another
+// key answering; once released, the parked put lands.
+func TestDiskStorePutDoesNotBlockStatus(t *testing.T) {
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var park sync.Once // the put's validation parks; later reads do not
+	cfg := testConfig()
+	pol := cfg[Snapshots]
+	pol.Validate = func(key string, raw []byte) error {
+		if key == "parked00" {
+			park.Do(func() {
+				close(entered)
+				<-release
+			})
+		}
+		return validateBlob(key, raw)
+	}
+	cfg[Snapshots] = pol
+	d, err := OpenDisk(t.TempDir(), 0, faults.New(nil), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Put(Results, "other000", blobFor("other000", "x"))
+
+	putDone := make(chan struct{})
+	go func() {
+		defer close(putDone)
+		d.Put(Snapshots, "parked00", blobFor("parked00", "x"))
+	}()
+	<-entered
+	answered := make(chan bool)
+	go func() {
+		d.Status()
+		_, ok := d.Get(Results, "other000")
+		answered <- ok
+	}()
+	select {
+	case ok := <-answered:
+		if !ok {
+			t.Error("Get of another key missed while a put was parked")
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("Status and Get waited behind a parked put")
+	}
+	close(release)
+	<-putDone
+	if _, ok := d.Get(Snapshots, "parked00"); !ok {
+		t.Error("the parked put was not persisted once released")
+	}
+}
+
+// TestDiskStoreRacingPutsCountOnce: concurrent puts of one key write one
+// file, count its bytes once and leave no temp files behind.
+func TestDiskStoreRacingPutsCountOnce(t *testing.T) {
+	dir := t.TempDir()
+	d := openTestDisk(t, dir, 0, nil)
+	const key = "race0000"
+	blob := blobFor(key, "payload")
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d.Put(Snapshots, key, blob)
+		}()
+	}
+	wg.Wait()
+	st := d.Status().NS[Snapshots]
+	if st.DiskEntries != 1 || st.DiskBytes != int64(len(blob)) {
+		t.Errorf("8 racing puts of one key: %d entries, %d bytes; want 1 entry of %d bytes",
+			st.DiskEntries, st.DiskBytes, len(blob))
+	}
+	names, err := os.ReadDir(filepath.Join(dir, "snapshots", "schema-1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 1 || names[0].Name() != key+".snap" {
+		t.Errorf("namespace directory holds %d files, want only %s.snap", len(names), key)
 	}
 }

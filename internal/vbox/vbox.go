@@ -115,11 +115,64 @@ type VBox struct {
 	// buildSlices calls instead of allocated per vector memory instruction.
 	activeScratch [isa.VLMax]bool
 	elemScratch   []creorder.Elem
+
+	// freeRecs lists the slice records no instruction holds.
+	freeRecs *memRecord
 }
 
 type pendingSlice struct {
 	op      *l2.SliceOp
 	availCy uint64 // cycle the address generators produce it
+}
+
+// memRecord is one vector memory instruction's slice storage: its
+// address-generation output, the slice requests the submit queues and the
+// L2 point into, and the completion callback all its slices share, bound
+// once when the record is made. The Vbox recycles a record once the L2 has
+// finished every one of its slices and so holds none of its requests; in
+// steady state a vector memory instruction allocates nothing.
+type memRecord struct {
+	v    *VBox
+	u    *pipe.UOp // the instruction waiting on the slices; nil for a prefetch
+	out  int       // slices the L2 has not finished
+	buf  creorder.Buf
+	ops  []l2.SliceOp
+	done func(cycle uint64) // sliceDone, bound once
+	next *memRecord         // free list link
+}
+
+// takeRecord returns a free slice record, making one when none is free.
+func (v *VBox) takeRecord() *memRecord {
+	r := v.freeRecs
+	if r == nil {
+		r = &memRecord{v: v}
+		r.done = r.sliceDone
+		return r
+	}
+	v.freeRecs, r.next = r.next, nil
+	return r
+}
+
+// freeRecord returns r to the free list.
+func (v *VBox) freeRecord(r *memRecord) {
+	r.u = nil
+	r.next = v.freeRecs
+	v.freeRecs = r
+}
+
+// sliceDone is the L2's callback for each of the record's slices. After the
+// last one, a load or store schedules its register writeback and
+// completion, and the record is free.
+func (r *memRecord) sliceDone(doneCy uint64) {
+	r.out--
+	if r.out > 0 {
+		return
+	}
+	v := r.v
+	if r.u != nil {
+		v.wheel.AtCall(doneCy+uint64(v.cfg.WritebackLat), v.memFinishFn, r.u)
+	}
+	v.freeRecord(r)
 }
 
 // New returns a Vbox bound to the L2, registering its counters and
@@ -326,7 +379,8 @@ func (v *VBox) issueMem(cy uint64, u *pipe.UOp) bool {
 		agStart += v.tlbCheck(u)
 	}
 
-	slices, agCycles := v.buildSlices(u)
+	r := v.takeRecord()
+	slices, agCycles := v.buildSlices(u, &r.buf)
 	v.addrGenCycles.Add(uint64(agCycles))
 	v.agFree = agStart + uint64(agCycles)
 	v.queued--
@@ -334,43 +388,40 @@ func (v *VBox) issueMem(cy uint64, u *pipe.UOp) bool {
 
 	if len(slices) == 0 {
 		// vl=0 or fully masked-off: nothing to transfer.
+		v.freeRecord(r)
 		v.wheel.AtCall(v.agFree, v.memFinishFn, u)
 		return true
 	}
 
-	var sliceDone func(uint64)
+	r.out = len(slices)
 	if prefetch {
 		// Prefetches do not block: the instruction completes once its
 		// addresses are generated; the slices fill the L2 in the background.
 		v.wheel.AtCall(v.agFree, v.memFinishFn, u)
 	} else {
-		u.SlicesOut = len(slices)
-		// One Done callback per instruction, shared by all its slices.
-		sliceDone = func(doneCy uint64) {
-			u.SlicesOut--
-			if u.SlicesOut == 0 {
-				v.wheel.AtCall(doneCy+uint64(v.cfg.WritebackLat), v.memFinishFn, u)
-			}
-		}
+		r.u = u
 	}
 	q := &v.readSubQ
 	if write {
 		q = &v.writeSubQ
 	}
-	// The instruction's slice requests are one allocation; the submit queue
-	// points into it until the L2 accepts each.
-	ops := make([]l2.SliceOp, len(slices))
+	// The submit queue points into the record's slice requests until the
+	// L2 accepts each.
+	if cap(r.ops) < len(slices) {
+		r.ops = make([]l2.SliceOp, len(slices))
+	}
+	ops := r.ops[:len(slices)]
 	for i, s := range slices {
-		ops[i] = l2.SliceOp{Slice: s, Write: write, Done: sliceDone}
+		ops[i] = l2.SliceOp{Slice: s, Write: write, Prefetch: prefetch, Done: r.done}
 		q.Push(pendingSlice{op: &ops[i], availCy: agStart + uint64(i)})
 	}
 	return true
 }
 
 // buildSlices runs the address-generation path for a vector memory
-// instruction: pump / reorder ROM / CR box. It returns the slices and the
-// number of address-generation cycles consumed.
-func (v *VBox) buildSlices(u *pipe.UOp) ([]creorder.Slice, int) {
+// instruction: pump / reorder ROM / CR box, writing into buf. It returns the
+// slices and the number of address-generation cycles consumed.
+func (v *VBox) buildSlices(u *pipe.UOp, buf *creorder.Buf) ([]creorder.Slice, int) {
 	eff := &u.Eff
 	group := u.Info.Group
 	tag0 := v.tagSeq
@@ -384,9 +435,9 @@ func (v *VBox) buildSlices(u *pipe.UOp) ([]creorder.Slice, int) {
 		var slices []creorder.Slice
 		var mode creorder.Mode
 		if v.cfg.PumpEnabled {
-			slices, mode = creorder.ScheduleStrided(eff.Base, eff.Stride, active, tag0)
+			slices, mode = creorder.ScheduleStrided(eff.Base, eff.Stride, active, tag0, buf)
 		} else {
-			slices, mode = creorder.ScheduleStridedNoPump(eff.Base, eff.Stride, active, tag0)
+			slices, mode = creorder.ScheduleStridedNoPump(eff.Base, eff.Stride, active, tag0, buf)
 		}
 		switch mode {
 		case creorder.ModePump:
@@ -406,7 +457,7 @@ func (v *VBox) buildSlices(u *pipe.UOp) ([]creorder.Slice, int) {
 		default:
 			// Self-conflicting stride: "treated exactly like a
 			// gather/scatter and run through the CR box" (§3.4).
-			slices, rounds := v.cr.PackStrided(eff.Base, eff.Stride, active, tag0)
+			slices, rounds := v.cr.PackStrided(eff.Base, eff.Stride, active, tag0, buf)
 			v.tagSeq += len(slices)
 			v.crRounds.Add(uint64(rounds))
 			v.crSlices.Add(uint64(len(slices)))
@@ -422,7 +473,7 @@ func (v *VBox) buildSlices(u *pipe.UOp) ([]creorder.Slice, int) {
 	for i, a := range eff.Addrs {
 		elems[i] = creorder.Elem{Index: int(eff.ElemIdx[i]), Addr: a}
 	}
-	slices, rounds := v.cr.Pack(elems, tag0)
+	slices, rounds := v.cr.Pack(elems, tag0, buf)
 	v.tagSeq += len(slices)
 	v.crRounds.Add(uint64(rounds))
 	v.crSlices.Add(uint64(len(slices)))

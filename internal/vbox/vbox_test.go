@@ -3,6 +3,7 @@ package vbox
 import (
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/l2"
 	"repro/internal/metrics"
 	"repro/internal/pipe"
@@ -10,6 +11,13 @@ import (
 )
 
 func testVBox(queue int) *VBox {
+	v, _ := testVBoxZbox(queue)
+	return v
+}
+
+// testVBoxZbox is testVBox that also returns the memory controller, for
+// tests that tick the whole memory pipeline.
+func testVBoxZbox(queue int) (*VBox, *zbox.Zbox) {
 	reg := metrics.NewRegistry()
 	z := zbox.New(zbox.Config{
 		Ports: 8, LineCycles: 16, BaseLatency: 100,
@@ -28,7 +36,7 @@ func testVBox(queue int) *VBox {
 		WritebackLat: 2,
 	}, reg, l2c)
 	v.OnDone = func(uint64, *pipe.UOp) {}
-	return v
+	return v, z
 }
 
 func TestDispatchBackpressure(t *testing.T) {
@@ -115,5 +123,61 @@ func TestTLBFastPathChecksEveryGatherElement(t *testing.T) {
 	}
 	if v.lastPageHot {
 		t.Error("a gather spanning two pages left a hot page behind")
+	}
+}
+
+// TestSliceRecordsAreRecycled: once every slice of a load and of a prefetch
+// has completed, both instructions' records are back on the free list, and
+// later instructions reuse them instead of making new ones.
+func TestSliceRecordsAreRecycled(t *testing.T) {
+	v, z := testVBoxZbox(64)
+	done := 0
+	v.OnDone = func(uint64, *pipe.UOp) { done++ }
+	// A stride-1 access of 128 quadwords: one pump slice per 1 KiB block.
+	vload := func(dst isa.Reg, base uint64) *pipe.UOp {
+		u := &pipe.UOp{Inst: isa.Inst{Op: isa.OpVLDQ, Dst: dst, Src2: isa.R(1)}}
+		u.Info = u.Inst.Info()
+		u.Eff.VL, u.Eff.Stride, u.Eff.Base = isa.VLMax, 8, base
+		for i := 0; i < isa.VLMax; i++ {
+			u.Eff.Addrs = append(u.Eff.Addrs, base+uint64(i)*8)
+			u.Eff.ElemIdx = append(u.Eff.ElemIdx, uint8(i))
+		}
+		return u
+	}
+	freeRecords := func() int {
+		n := 0
+		for r := v.freeRecs; r != nil; r = r.next {
+			n++
+		}
+		return n
+	}
+	cy := uint64(0)
+	run := func(us ...*pipe.UOp) {
+		for _, u := range us {
+			if !v.Dispatch(cy, u) {
+				t.Fatal("dispatch refused")
+			}
+			v.MarkReady(cy, u)
+		}
+		for start := cy; v.Busy() || v.l2c.Busy() || z.Busy(); {
+			cy++
+			if cy-start > 100_000 {
+				t.Fatal("the memory pipeline never drained")
+			}
+			z.Tick(cy)
+			v.l2c.Tick(cy)
+			v.Tick(cy)
+		}
+	}
+	run(vload(isa.V(1), 1<<20), vload(isa.VZero, 2<<20))
+	if done != 2 {
+		t.Fatalf("%d of 2 instructions completed", done)
+	}
+	if n := freeRecords(); n != 2 {
+		t.Fatalf("%d records free after a load and a prefetch drained, want 2", n)
+	}
+	run(vload(isa.V(2), 3<<20), vload(isa.VZero, 4<<20))
+	if n := freeRecords(); n != 2 {
+		t.Fatalf("%d records free after a second pair drained, want the first pair's 2 again", n)
 	}
 }

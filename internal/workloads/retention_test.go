@@ -93,3 +93,32 @@ func TestScalarCoreAllocsPerInstruction(t *testing.T) {
 		t.Errorf("%.4f mallocs per retired instruction, want at most 0.05", perIns)
 	}
 }
+
+// TestVectorAllocsPerInstruction is the vector twin of
+// TestScalarCoreAllocsPerInstruction: swim on T moves every access through
+// the address generators and the L2's MAF as slices. The Vbox recycles each
+// instruction's slice records and the MAF its entries, so neither a slice
+// nor a line fill allocates; what remains is trace generation and the
+// first use of each record, entry and tag-store chunk. The whole process's
+// mallocs are counted.
+func TestVectorAllocsPerInstruction(t *testing.T) {
+	b, err := Get("swim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := b.Run(sim.T(), Test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	retired := res.Stats.ScalarIns + res.Stats.VectorIns
+	perIns := float64(after.Mallocs-before.Mallocs) / float64(retired)
+	t.Logf("%d mallocs over %d retired instructions (%d vector): %.4f per instruction",
+		after.Mallocs-before.Mallocs, retired, res.Stats.VectorIns, perIns)
+	if perIns > 0.5 {
+		t.Errorf("%.4f mallocs per retired instruction, want at most 0.5", perIns)
+	}
+}
