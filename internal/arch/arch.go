@@ -24,7 +24,11 @@ type Machine struct {
 	VS int64                 // vector stride in bytes (64-bit register)
 	VM [isa.VLMax]bool       // vector mask
 
-	// Bump arenas behind Effect.Addrs / Effect.ElemIdx. Timing models keep
+	// discard is where writes to v31 land; v31 reads as zeroRow.
+	discard [isa.VLMax]uint64
+
+	// Bump arenas behind Effect.Addrs and a masked access's Effect.ElemIdx
+	// (an unmasked one's is a prefix of the shared elemIdx). Timing models keep
 	// those slice headers inside in-flight uops, so carved-out regions are
 	// never rewritten — a full arena is abandoned to the collector and a
 	// fresh chunk started. This amortises what used to be one (or two)
@@ -61,7 +65,8 @@ type Effect struct {
 	// even when masking leaves holes in Addrs.
 	Base uint64
 	// ElemIdx holds, parallel to Addrs, the vector element index of each
-	// active address — the Vbox needs it to assign lanes.
+	// active address — the Vbox needs it to assign lanes. It is read-only:
+	// unmasked accesses share one backing array.
 	ElemIdx []uint8
 	// Active is the number of elements that actually executed (vl minus
 	// masked-off elements).
@@ -154,20 +159,42 @@ func (m *Machine) vreg(r isa.Reg) *[isa.VLMax]uint64 {
 	return &m.V[r.Idx]
 }
 
-// vread returns element i of vector register r, honouring v31 = 0.
-func (m *Machine) vread(r isa.Reg, i int) uint64 {
-	if r.Idx == 31 {
-		return 0
+// zeroRow is the row v31 reads as. Nothing writes it.
+var zeroRow [isa.VLMax]uint64
+
+// elemIdx holds every element index in order: the ElemIdx of an unmasked
+// vector memory instruction is a prefix of it.
+var elemIdx = func() (t [isa.VLMax]uint8) {
+	for i := range t {
+		t[i] = uint8(i)
 	}
-	return m.vreg(r)[i]
+	return t
+}()
+
+// src returns the row vector register r reads, honouring v31 = 0.
+func (m *Machine) src(r isa.Reg) *[isa.VLMax]uint64 {
+	if r.Idx == 31 {
+		return &zeroRow
+	}
+	return m.vreg(r)
 }
 
-// vwrite writes element i of vector register r unless r is v31.
-func (m *Machine) vwrite(r isa.Reg, i int, v uint64) {
+// dst returns the row vector register r writes; a write to v31 lands in
+// the machine's discard row and is never read.
+func (m *Machine) dst(r isa.Reg) *[isa.VLMax]uint64 {
 	if r.Idx == 31 {
-		return
+		return &m.discard
 	}
-	m.vreg(r)[i] = v
+	return m.vreg(r)
+}
+
+// mask returns the mask an instruction executes under: nil when it is
+// unmasked, so every element below vl is active.
+func (m *Machine) mask(in *isa.Inst) *[isa.VLMax]bool {
+	if in.Masked {
+		return &m.VM
+	}
+	return nil
 }
 
 func f64(bits uint64) float64 { return math.Float64frombits(bits) }
@@ -179,29 +206,38 @@ func b2q(b bool) uint64 {
 	return 0
 }
 
-// Step executes one instruction and returns its dynamic effect. Branch
-// targets are not followed here; the caller (the vasm trace builder or the
-// program Runner) owns control flow.
-func (m *Machine) Step(in *isa.Inst) Effect {
+// Step executes one instruction and writes its dynamic effect into eff,
+// every field of it, so one record can be reused from instruction to
+// instruction: the trace builder executes straight into its batch slot.
+// Branch targets are not followed here; the caller (the vasm trace builder
+// or the program Runner) owns control flow.
+//
+// A vector instruction costs per instruction, not per element: it resolves
+// its registers and its mask mode once, and runs unmasked as whole-row
+// loops. Elements at vl..127 are UNPREDICTABLE per the ISA (§2, Figure 1);
+// they are left unchanged, which is one legal behaviour.
+func (m *Machine) Step(in *isa.Inst, eff *Effect) {
+	*eff = Effect{}
 	info := in.Info()
 	switch info.Group {
 	case isa.GScalar:
-		return m.stepScalar(in, info)
+		m.stepScalar(in, eff)
 	case isa.GVV:
-		return m.stepVV(in)
+		m.stepVV(in, eff)
 	case isa.GVS:
-		return m.stepVS(in)
+		m.stepVS(in, eff)
 	case isa.GSM:
-		return m.stepSM(in, info)
+		m.stepSM(in, info, eff)
 	case isa.GRM:
-		return m.stepRM(in, info)
+		m.stepRM(in, info, eff)
 	case isa.GVC:
-		return m.stepVC(in)
+		m.stepVC(in, eff)
+	default:
+		panic("arch: unknown group")
 	}
-	panic("arch: unknown group")
 }
 
-func (m *Machine) stepScalar(in *isa.Inst, info *isa.Info) Effect {
+func (m *Machine) stepScalar(in *isa.Inst, eff *Effect) {
 	var a, b uint64
 	if in.Src1.Valid() {
 		a = m.rr(in.Src1)
@@ -268,33 +304,41 @@ func (m *Machine) stepScalar(in *isa.Inst, info *isa.Info) Effect {
 	case isa.OpLDQ, isa.OpLDT:
 		ea := m.rr(in.Src2) + uint64(in.Imm)
 		m.wr(in.Dst, m.Mem.LoadQ(ea))
-		return Effect{Addrs: m.addr1(ea), Active: 1}
+		eff.Addrs = m.addr1(ea)
 	case isa.OpPREFQ:
 		ea := m.rr(in.Src2) + uint64(in.Imm)
-		return Effect{Addrs: m.addr1(ea), Active: 1}
+		eff.Addrs = m.addr1(ea)
 	case isa.OpSTQ, isa.OpSTT:
 		ea := m.rr(in.Src2) + uint64(in.Imm)
 		m.Mem.StoreQ(ea, m.rr(in.Src1))
-		return Effect{Addrs: m.addr1(ea), Active: 1}
+		eff.Addrs = m.addr1(ea)
 	case isa.OpWH64:
 		ea := (m.rr(in.Src2) + uint64(in.Imm)) &^ 63
 		m.Mem.ZeroLine(ea)
-		return Effect{Addrs: m.addr1(ea), Active: 1}
+		eff.Addrs = m.addr1(ea)
 
+	// A branch records its outcome and no active element.
 	case isa.OpBR:
-		return Effect{Taken: true}
+		eff.Taken = true
+		return
 	case isa.OpBEQ:
-		return Effect{Taken: a == 0}
+		eff.Taken = a == 0
+		return
 	case isa.OpBNE:
-		return Effect{Taken: a != 0}
+		eff.Taken = a != 0
+		return
 	case isa.OpBLT:
-		return Effect{Taken: int64(a) < 0}
+		eff.Taken = int64(a) < 0
+		return
 	case isa.OpBLE:
-		return Effect{Taken: int64(a) <= 0}
+		eff.Taken = int64(a) <= 0
+		return
 	case isa.OpBGT:
-		return Effect{Taken: int64(a) > 0}
+		eff.Taken = int64(a) > 0
+		return
 	case isa.OpBGE:
-		return Effect{Taken: int64(a) >= 0}
+		eff.Taken = int64(a) >= 0
+		return
 
 	case isa.OpHALT, isa.OpDRAINM:
 		// No architectural effect; DrainM ordering is a timing-model
@@ -302,47 +346,76 @@ func (m *Machine) stepScalar(in *isa.Inst, info *isa.Info) Effect {
 	default:
 		panic(fmt.Sprintf("arch: unimplemented scalar op %s", in.Op))
 	}
-	_ = info
-	return Effect{Active: 1}
+	eff.Active = 1
 }
 
-// active reports whether element i executes given vl and the mask mode.
-func (m *Machine) active(in *isa.Inst, i int) bool {
-	if uint64(i) >= m.VL {
-		return false
-	}
-	return !in.Masked || m.VM[i]
-}
-
-func (m *Machine) stepVV(in *isa.Inst) Effect {
+func (m *Machine) stepVV(in *isa.Inst, eff *Effect) {
 	vl := int(m.VL)
-	act := 0
-	for i := 0; i < vl; i++ {
-		if !m.active(in, i) {
-			continue
-		}
-		act++
-		a := m.vread(in.Src1, i)
-		var r uint64
-		switch {
-		case in.Op == isa.OpVSQRTT || in.Op == isa.OpVCVTQT || in.Op == isa.OpVCVTTQ:
-			r = vvUnary(in.Op, a)
-		case in.Op == isa.OpVMERG:
-			if m.VM[i] {
-				r = a
-			} else {
-				r = m.vread(in.Src2, i)
+	a, d := m.src(in.Src1)[:vl], m.dst(in.Dst)[:vl]
+	eff.VL = vl
+	mask := m.mask(in)
+	if mask == nil {
+		eff.Active = vl
+		switch in.Op {
+		case isa.OpVADDT:
+			b := m.src(in.Src2)[:vl]
+			for i := range d {
+				d[i] = bits(f64(a[i]) + f64(b[i]))
 			}
-		case in.Op == isa.OpVFMAT:
-			r = bits(f64(m.vread(in.Dst, i)) + f64(a)*f64(m.vread(in.Src2, i)))
-		default:
-			r = vvBinary(in.Op, a, m.vread(in.Src2, i))
+			return
+		case isa.OpVSUBT:
+			b := m.src(in.Src2)[:vl]
+			for i := range d {
+				d[i] = bits(f64(a[i]) - f64(b[i]))
+			}
+			return
+		case isa.OpVMULT:
+			b := m.src(in.Src2)[:vl]
+			for i := range d {
+				d[i] = bits(f64(a[i]) * f64(b[i]))
+			}
+			return
 		}
-		m.vwrite(in.Dst, i, r)
 	}
-	// Elements at vl..127 are UNPREDICTABLE per the ISA (§2, Figure 1); we
-	// leave them unchanged, which is one legal behaviour.
-	return Effect{VL: vl, Active: act}
+	act := 0
+	switch in.Op {
+	case isa.OpVSQRTT, isa.OpVCVTQT, isa.OpVCVTTQ:
+		for i := range d {
+			if mask == nil || mask[i] {
+				act++
+				d[i] = vvUnary(in.Op, a[i])
+			}
+		}
+	case isa.OpVMERG:
+		b := m.src(in.Src2)[:vl]
+		for i := range d {
+			if mask == nil || mask[i] {
+				act++
+				if m.VM[i] {
+					d[i] = a[i]
+				} else {
+					d[i] = b[i]
+				}
+			}
+		}
+	case isa.OpVFMAT:
+		b, c := m.src(in.Src2)[:vl], m.src(in.Dst)[:vl]
+		for i := range d {
+			if mask == nil || mask[i] {
+				act++
+				d[i] = bits(f64(c[i]) + f64(a[i])*f64(b[i]))
+			}
+		}
+	default:
+		b := m.src(in.Src2)[:vl]
+		for i := range d {
+			if mask == nil || mask[i] {
+				act++
+				d[i] = vvBinary(in.Op, a[i], b[i])
+			}
+		}
+	}
+	eff.Active = act
 }
 
 func vvUnary(op isa.Op, a uint64) uint64 {
@@ -407,81 +480,155 @@ func vvBinary(op isa.Op, a, b uint64) uint64 {
 	panic(fmt.Sprintf("arch: bad binary %s", op))
 }
 
-func (m *Machine) stepVS(in *isa.Inst) Effect {
+func (m *Machine) stepVS(in *isa.Inst, eff *Effect) {
 	vl := int(m.VL)
 	s := m.rr(in.Src2)
+	a, d := m.src(in.Src1)[:vl], m.dst(in.Dst)[:vl]
+	eff.VL = vl
+	mask := m.mask(in)
+	if mask == nil {
+		eff.Active = vl
+		switch in.Op {
+		case isa.OpVSADDT:
+			for i := range d {
+				d[i] = bits(f64(a[i]) + f64(s))
+			}
+			return
+		case isa.OpVSMULT:
+			for i := range d {
+				d[i] = bits(f64(a[i]) * f64(s))
+			}
+			return
+		case isa.OpVSFMAT:
+			c := m.src(in.Dst)[:vl]
+			for i := range d {
+				d[i] = bits(f64(c[i]) + f64(a[i])*f64(s))
+			}
+			return
+		}
+	}
 	act := 0
-	for i := 0; i < vl; i++ {
-		if !m.active(in, i) {
-			continue
+	if in.Op == isa.OpVSFMAT {
+		c := m.src(in.Dst)[:vl]
+		for i := range d {
+			if mask == nil || mask[i] {
+				act++
+				d[i] = bits(f64(c[i]) + f64(a[i])*f64(s))
+			}
 		}
-		act++
-		if in.Op == isa.OpVSFMAT {
-			m.vwrite(in.Dst, i, bits(f64(m.vread(in.Dst, i))+f64(m.vread(in.Src1, i))*f64(s)))
-		} else {
-			m.vwrite(in.Dst, i, vvBinary(in.Op, m.vread(in.Src1, i), s))
+	} else {
+		for i := range d {
+			if mask == nil || mask[i] {
+				act++
+				d[i] = vvBinary(in.Op, a[i], s)
+			}
 		}
 	}
-	return Effect{VL: vl, Active: act}
+	eff.Active = act
 }
 
-func (m *Machine) stepSM(in *isa.Inst, info *isa.Info) Effect {
+func (m *Machine) stepSM(in *isa.Inst, info *isa.Info, eff *Effect) {
 	vl := int(m.VL)
 	base := m.rr(in.Src2) + uint64(in.Imm)
+	stride := m.VS
+	eff.VL, eff.Stride, eff.Base = vl, stride, base
+	// A load to v31 is a prefetch: no architectural effect.
+	prefetch := info.IsLoad && in.Dst.Idx == 31
+	if m.mask(in) == nil {
+		addrs := m.newAddrs(vl)[:vl]
+		ea := base
+		for i := range addrs {
+			addrs[i] = ea
+			ea += uint64(stride)
+		}
+		eff.Addrs, eff.ElemIdx, eff.Active = addrs, elemIdx[:vl:vl], vl
+		switch {
+		case info.IsStore:
+			m.Mem.StoreQStrided(base, stride, m.src(in.Src1)[:vl])
+		case !prefetch:
+			m.Mem.LoadQStrided(m.dst(in.Dst)[:vl], base, stride)
+		}
+		return
+	}
+	var row *[isa.VLMax]uint64
+	switch {
+	case info.IsStore:
+		row = m.src(in.Src1)
+	case !prefetch:
+		row = m.dst(in.Dst)
+	}
 	addrs := m.newAddrs(vl)
 	idxs := m.newIdxs(vl)
 	for i := 0; i < vl; i++ {
-		if !m.active(in, i) {
+		if !m.VM[i] {
 			continue
 		}
-		ea := base + uint64(int64(i)*m.VS)
+		ea := base + uint64(int64(i)*stride)
 		addrs = append(addrs, ea)
 		idxs = append(idxs, uint8(i))
-		if info.IsLoad {
-			if in.Dst.Idx != 31 { // prefetch: no architectural effect
-				m.vwrite(in.Dst, i, m.Mem.LoadQ(ea))
-			}
-		} else {
-			m.Mem.StoreQ(ea, m.vread(in.Src1, i))
+		switch {
+		case info.IsStore:
+			m.Mem.StoreQ(ea, row[i])
+		case !prefetch:
+			row[i] = m.Mem.LoadQ(ea)
 		}
 	}
-	return Effect{VL: vl, Stride: m.VS, Base: base, Addrs: addrs, ElemIdx: idxs, Active: len(addrs)}
+	eff.Addrs, eff.ElemIdx, eff.Active = addrs, idxs, len(addrs)
 }
 
-func (m *Machine) stepRM(in *isa.Inst, info *isa.Info) Effect {
+func (m *Machine) stepRM(in *isa.Inst, info *isa.Info, eff *Effect) {
 	vl := int(m.VL)
 	base := m.rr(in.Src2) + uint64(in.Imm)
-	addrs := m.newAddrs(vl)
-	idxs := m.newIdxs(vl)
-	for i := 0; i < vl; i++ {
-		if !m.active(in, i) {
-			continue
-		}
-		ea := base + m.vread(in.Idx, i)
-		addrs = append(addrs, ea)
-		idxs = append(idxs, uint8(i))
-		if info.IsLoad {
-			if in.Dst.Idx != 31 {
-				m.vwrite(in.Dst, i, m.Mem.LoadQ(ea))
-			}
-		} else {
-			m.Mem.StoreQ(ea, m.vread(in.Src1, i))
+	eff.VL, eff.Base = vl, base
+	off := m.src(in.Idx)[:vl]
+	var row *[isa.VLMax]uint64
+	switch {
+	case info.IsStore:
+		row = m.src(in.Src1)
+	case in.Dst.Idx != 31: // a gather to v31 is a prefetch
+		row = m.dst(in.Dst)
+	}
+	access := func(i int, ea uint64) {
+		switch {
+		case info.IsStore:
+			m.Mem.StoreQ(ea, row[i])
+		case row != nil:
+			row[i] = m.Mem.LoadQ(ea)
 		}
 	}
-	return Effect{VL: vl, Base: base, Addrs: addrs, ElemIdx: idxs, Active: len(addrs)}
+	if m.mask(in) == nil {
+		addrs := m.newAddrs(vl)[:vl]
+		for i, o := range off {
+			addrs[i] = base + o
+		}
+		eff.Addrs, eff.ElemIdx, eff.Active = addrs, elemIdx[:vl:vl], vl
+		for i, ea := range addrs {
+			access(i, ea)
+		}
+		return
+	}
+	addrs := m.newAddrs(vl)
+	idxs := m.newIdxs(vl)
+	for i, o := range off {
+		if !m.VM[i] {
+			continue
+		}
+		ea := base + o
+		addrs = append(addrs, ea)
+		idxs = append(idxs, uint8(i))
+		access(i, ea)
+	}
+	eff.Addrs, eff.ElemIdx, eff.Active = addrs, idxs, len(addrs)
 }
 
-func (m *Machine) stepVC(in *isa.Inst) Effect {
+func (m *Machine) stepVC(in *isa.Inst, eff *Effect) {
 	switch in.Op {
 	case isa.OpSETVL:
 		v := m.rr(in.Src1)
 		if v > isa.VLMax {
 			v = isa.VLMax
 		}
-		if v == 0 {
-			v = 0 // vl=0: subsequent vector ops are no-ops
-		}
-		m.VL = v
+		m.VL = v // vl=0: subsequent vector ops are no-ops
 	case isa.OpSETVS:
 		m.VS = int64(m.rr(in.Src1))
 	case isa.OpSETVM:
@@ -495,14 +642,14 @@ func (m *Machine) stepVC(in *isa.Inst) Effect {
 		}
 	case isa.OpVEXTR:
 		idx := int(m.rr(in.Src2) & (isa.VLMax - 1))
-		m.wr(in.Dst, m.vread(in.Src1, idx))
+		m.wr(in.Dst, m.src(in.Src1)[idx])
 	case isa.OpVINS:
 		idx := int(m.rr(in.Src2) & (isa.VLMax - 1))
-		m.vwrite(in.Dst, idx, m.rr(in.Src1))
+		m.dst(in.Dst)[idx] = m.rr(in.Src1)
 	default:
 		panic(fmt.Sprintf("arch: unimplemented VC op %s", in.Op))
 	}
-	return Effect{VL: int(m.VL), Active: 1}
+	eff.VL, eff.Active = int(m.VL), 1
 }
 
 // ReadF returns scalar float register n as a float64.

@@ -30,7 +30,7 @@ func TestScalarALU(t *testing.T) {
 		{isa.OpCMPLE, 0},
 	}
 	for _, c := range cases {
-		m.Step(&isa.Inst{Op: c.op, Dst: isa.R(3), Src1: isa.R(1), Src2: isa.R(2)})
+		step(m, &isa.Inst{Op: c.op, Dst: isa.R(3), Src1: isa.R(1), Src2: isa.R(2)})
 		if m.R[3] != c.want {
 			t.Errorf("%s: got %d, want %d", c.op, m.R[3], c.want)
 		}
@@ -41,7 +41,7 @@ func TestS8ADDQ(t *testing.T) {
 	m := newM()
 	m.R[1] = 3
 	m.R[2] = 100
-	m.Step(&isa.Inst{Op: isa.OpS8ADDQ, Dst: isa.R(3), Src1: isa.R(1), Src2: isa.R(2)})
+	step(m, &isa.Inst{Op: isa.OpS8ADDQ, Dst: isa.R(3), Src1: isa.R(1), Src2: isa.R(2)})
 	if m.R[3] != 124 {
 		t.Fatalf("s8addq = %d, want 124", m.R[3])
 	}
@@ -49,8 +49,8 @@ func TestS8ADDQ(t *testing.T) {
 
 func TestR31ReadsZeroAndIgnoresWrites(t *testing.T) {
 	m := newM()
-	m.Step(&isa.Inst{Op: isa.OpLDA, Dst: isa.RZero, Src1: isa.RZero, Imm: 42})
-	m.Step(&isa.Inst{Op: isa.OpADDQ, Dst: isa.R(1), Src1: isa.RZero, Src2: isa.RZero})
+	step(m, &isa.Inst{Op: isa.OpLDA, Dst: isa.RZero, Src1: isa.RZero, Imm: 42})
+	step(m, &isa.Inst{Op: isa.OpADDQ, Dst: isa.R(1), Src1: isa.RZero, Src2: isa.RZero})
 	if m.R[1] != 0 {
 		t.Fatalf("r31 leaked a value: %d", m.R[1])
 	}
@@ -60,16 +60,16 @@ func TestScalarFP(t *testing.T) {
 	m := newM()
 	m.WriteF(1, 6.0)
 	m.WriteF(2, 1.5)
-	m.Step(&isa.Inst{Op: isa.OpDIVT, Dst: isa.F(3), Src1: isa.F(1), Src2: isa.F(2)})
+	step(m, &isa.Inst{Op: isa.OpDIVT, Dst: isa.F(3), Src1: isa.F(1), Src2: isa.F(2)})
 	if got := m.ReadF(3); got != 4.0 {
 		t.Fatalf("divt = %v", got)
 	}
-	m.Step(&isa.Inst{Op: isa.OpSQRTT, Dst: isa.F(4), Src1: isa.F(3)})
+	step(m, &isa.Inst{Op: isa.OpSQRTT, Dst: isa.F(4), Src1: isa.F(3)})
 	if got := m.ReadF(4); got != 2.0 {
 		t.Fatalf("sqrtt = %v", got)
 	}
 	m.R[5] = 9
-	m.Step(&isa.Inst{Op: isa.OpCVTQT, Dst: isa.F(6), Src1: isa.R(5)})
+	step(m, &isa.Inst{Op: isa.OpCVTQT, Dst: isa.F(6), Src1: isa.R(5)})
 	if got := m.ReadF(6); got != 9.0 {
 		t.Fatalf("cvtqt = %v", got)
 	}
@@ -79,11 +79,11 @@ func TestScalarMemory(t *testing.T) {
 	m := newM()
 	m.R[1] = 0x1000
 	m.R[2] = 0x5a5a
-	eff := m.Step(&isa.Inst{Op: isa.OpSTQ, Src1: isa.R(2), Src2: isa.R(1), Imm: 8})
+	eff := step(m, &isa.Inst{Op: isa.OpSTQ, Src1: isa.R(2), Src2: isa.R(1), Imm: 8})
 	if len(eff.Addrs) != 1 || eff.Addrs[0] != 0x1008 {
 		t.Fatalf("store effect addrs = %v", eff.Addrs)
 	}
-	m.Step(&isa.Inst{Op: isa.OpLDQ, Dst: isa.R(3), Src2: isa.R(1), Imm: 8})
+	step(m, &isa.Inst{Op: isa.OpLDQ, Dst: isa.R(3), Src2: isa.R(1), Imm: 8})
 	if m.R[3] != 0x5a5a {
 		t.Fatalf("load = %#x", m.R[3])
 	}
@@ -92,14 +92,14 @@ func TestScalarMemory(t *testing.T) {
 func TestBranchEffects(t *testing.T) {
 	m := newM()
 	m.R[1] = 0
-	if !m.Step(&isa.Inst{Op: isa.OpBEQ, Src1: isa.R(1)}).Taken {
+	if !step(m, &isa.Inst{Op: isa.OpBEQ, Src1: isa.R(1)}).Taken {
 		t.Error("beq on zero should be taken")
 	}
-	if m.Step(&isa.Inst{Op: isa.OpBNE, Src1: isa.R(1)}).Taken {
+	if step(m, &isa.Inst{Op: isa.OpBNE, Src1: isa.R(1)}).Taken {
 		t.Error("bne on zero should not be taken")
 	}
 	m.R[1] = ^uint64(0) // -1
-	if !m.Step(&isa.Inst{Op: isa.OpBLT, Src1: isa.R(1)}).Taken {
+	if !step(m, &isa.Inst{Op: isa.OpBLT, Src1: isa.R(1)}).Taken {
 		t.Error("blt on -1 should be taken")
 	}
 }
@@ -112,8 +112,8 @@ func TestVectorAddAndVL(t *testing.T) {
 		m.V[2][i] = 0xfeed
 	}
 	m.R[9] = 10
-	m.Step(&isa.Inst{Op: isa.OpSETVL, Src1: isa.R(9)})
-	eff := m.Step(&isa.Inst{Op: isa.OpVADDQ, Dst: isa.V(2), Src1: isa.V(0), Src2: isa.V(1)})
+	step(m, &isa.Inst{Op: isa.OpSETVL, Src1: isa.R(9)})
+	eff := step(m, &isa.Inst{Op: isa.OpVADDQ, Dst: isa.V(2), Src1: isa.V(0), Src2: isa.V(1)})
 	if eff.VL != 10 || eff.Active != 10 {
 		t.Fatalf("eff = %+v", eff)
 	}
@@ -131,7 +131,7 @@ func TestVectorAddAndVL(t *testing.T) {
 func TestSetVLClamps(t *testing.T) {
 	m := newM()
 	m.R[1] = 500
-	m.Step(&isa.Inst{Op: isa.OpSETVL, Src1: isa.R(1)})
+	step(m, &isa.Inst{Op: isa.OpSETVL, Src1: isa.R(1)})
 	if m.VL != isa.VLMax {
 		t.Fatalf("vl = %d, want clamp to %d", m.VL, isa.VLMax)
 	}
@@ -143,7 +143,7 @@ func TestVectorScalarOperate(t *testing.T) {
 		m.WriteVF(0, i, float64(i))
 	}
 	m.WriteF(7, 2.5)
-	m.Step(&isa.Inst{Op: isa.OpVSMULT, Dst: isa.V(1), Src1: isa.V(0), Src2: isa.F(7)})
+	step(m, &isa.Inst{Op: isa.OpVSMULT, Dst: isa.V(1), Src1: isa.V(0), Src2: isa.F(7)})
 	for i := 0; i < isa.VLMax; i++ {
 		if got := m.ReadVF(1, i); got != float64(i)*2.5 {
 			t.Fatalf("v1[%d] = %v", i, got)
@@ -160,14 +160,14 @@ func TestMaskPipelineFromPaper(t *testing.T) {
 		m.WriteVF(1, i, float64(i%4)) // B: .gt.2 for i%4 == 3
 	}
 	// v6 = A != 0
-	m.Step(&isa.Inst{Op: isa.OpVCMPNE, Dst: isa.V(6), Src1: isa.V(0), Src2: isa.VZero})
+	step(m, &isa.Inst{Op: isa.OpVCMPNE, Dst: isa.V(6), Src1: isa.V(0), Src2: isa.VZero})
 	// v7 = B > 2, computed as !(B <= 2): vscmptle then xor with 1.
 	m.WriteF(2, 2.0)
 	m.R[10] = 1
-	m.Step(&isa.Inst{Op: isa.OpVSCMPTLE, Dst: isa.V(7), Src1: isa.V(1), Src2: isa.F(2)})
-	m.Step(&isa.Inst{Op: isa.OpVSXOR, Dst: isa.V(7), Src1: isa.V(7), Src2: isa.R(10)})
-	m.Step(&isa.Inst{Op: isa.OpVAND, Dst: isa.V(8), Src1: isa.V(6), Src2: isa.V(7)})
-	m.Step(&isa.Inst{Op: isa.OpSETVM, Src1: isa.V(8)})
+	step(m, &isa.Inst{Op: isa.OpVSCMPTLE, Dst: isa.V(7), Src1: isa.V(1), Src2: isa.F(2)})
+	step(m, &isa.Inst{Op: isa.OpVSXOR, Dst: isa.V(7), Src1: isa.V(7), Src2: isa.R(10)})
+	step(m, &isa.Inst{Op: isa.OpVAND, Dst: isa.V(8), Src1: isa.V(6), Src2: isa.V(7)})
+	step(m, &isa.Inst{Op: isa.OpSETVM, Src1: isa.V(8)})
 	for i := 0; i < isa.VLMax; i++ {
 		want := (i%2 != 0) && (float64(i%4) > 2.0)
 		if m.VM[i] != want {
@@ -180,7 +180,7 @@ func TestMaskPipelineFromPaper(t *testing.T) {
 		m.V[4][i] = 7
 		m.V[5][i] = 0xbeef
 	}
-	eff := m.Step(&isa.Inst{Op: isa.OpVADDQ, Dst: isa.V(5), Src1: isa.V(3), Src2: isa.V(4), Masked: true})
+	eff := step(m, &isa.Inst{Op: isa.OpVADDQ, Dst: isa.V(5), Src1: isa.V(3), Src2: isa.V(4), Masked: true})
 	want := 0
 	for i := 0; i < isa.VLMax; i++ {
 		if m.VM[i] {
@@ -205,8 +205,8 @@ func TestStridedLoadStore(t *testing.T) {
 	}
 	m.R[1] = base
 	m.R[2] = 16 // stride 2 quadwords
-	m.Step(&isa.Inst{Op: isa.OpSETVS, Src1: isa.R(2)})
-	eff := m.Step(&isa.Inst{Op: isa.OpVLDQ, Dst: isa.V(0), Src2: isa.R(1)})
+	step(m, &isa.Inst{Op: isa.OpSETVS, Src1: isa.R(2)})
+	eff := step(m, &isa.Inst{Op: isa.OpVLDQ, Dst: isa.V(0), Src2: isa.R(1)})
 	if eff.Stride != 16 || len(eff.Addrs) != isa.VLMax {
 		t.Fatalf("effect = %+v", eff)
 	}
@@ -221,8 +221,8 @@ func TestStridedLoadStore(t *testing.T) {
 	// Store it back densely elsewhere.
 	m.R[3] = 0x40000
 	m.R[4] = 8
-	m.Step(&isa.Inst{Op: isa.OpSETVS, Src1: isa.R(4)})
-	m.Step(&isa.Inst{Op: isa.OpVSTQ, Src1: isa.V(0), Src2: isa.R(3)})
+	step(m, &isa.Inst{Op: isa.OpSETVS, Src1: isa.R(4)})
+	step(m, &isa.Inst{Op: isa.OpVSTQ, Src1: isa.V(0), Src2: isa.R(3)})
 	for i := 0; i < isa.VLMax; i++ {
 		if got := m.Mem.LoadQ(0x40000 + uint64(i)*8); got != uint64(2*i)*3 {
 			t.Fatalf("stored[%d] = %d", i, got)
@@ -241,7 +241,7 @@ func TestGatherScatter(t *testing.T) {
 		m.V[1][i] = uint64((isa.VLMax - 1 - i) * 8)
 	}
 	m.R[1] = base
-	m.Step(&isa.Inst{Op: isa.OpVGATHQ, Dst: isa.V(2), Idx: isa.V(1), Src2: isa.R(1)})
+	step(m, &isa.Inst{Op: isa.OpVGATHQ, Dst: isa.V(2), Idx: isa.V(1), Src2: isa.R(1)})
 	for i := 0; i < isa.VLMax; i++ {
 		if m.V[2][i] != uint64(isa.VLMax-1-i)+1000 {
 			t.Fatalf("gather[%d] = %d", i, m.V[2][i])
@@ -249,7 +249,7 @@ func TestGatherScatter(t *testing.T) {
 	}
 	// Scatter increments back to distinct slots.
 	m.R[2] = 0x80000
-	m.Step(&isa.Inst{Op: isa.OpVSCATQ, Src1: isa.V(2), Idx: isa.V(1), Src2: isa.R(2)})
+	step(m, &isa.Inst{Op: isa.OpVSCATQ, Src1: isa.V(2), Idx: isa.V(1), Src2: isa.R(2)})
 	for i := 0; i < isa.VLMax; i++ {
 		off := uint64((isa.VLMax - 1 - i) * 8)
 		if got := m.Mem.LoadQ(0x80000 + off); got != uint64(isa.VLMax-1-i)+1000 {
@@ -262,12 +262,12 @@ func TestPrefetchToV31HasNoEffect(t *testing.T) {
 	m := newM()
 	m.R[1] = 0x30000
 	m.V[31][0] = 0 // v31 is hardwired anyway
-	eff := m.Step(&isa.Inst{Op: isa.OpVLDQ, Dst: isa.VZero, Src2: isa.R(1)})
+	eff := step(m, &isa.Inst{Op: isa.OpVLDQ, Dst: isa.VZero, Src2: isa.R(1)})
 	if len(eff.Addrs) != isa.VLMax {
 		t.Fatal("prefetch should still generate addresses")
 	}
 	// Reading v31 in an add still yields zeros.
-	m.Step(&isa.Inst{Op: isa.OpVADDQ, Dst: isa.V(0), Src1: isa.VZero, Src2: isa.VZero})
+	step(m, &isa.Inst{Op: isa.OpVADDQ, Dst: isa.V(0), Src1: isa.VZero, Src2: isa.VZero})
 	for i := 0; i < isa.VLMax; i++ {
 		if m.V[0][i] != 0 {
 			t.Fatal("v31 should read as zero")
@@ -279,12 +279,12 @@ func TestVExtrVIns(t *testing.T) {
 	m := newM()
 	m.V[4][17] = 0xabc
 	m.R[2] = 17
-	m.Step(&isa.Inst{Op: isa.OpVEXTR, Dst: isa.R(3), Src1: isa.V(4), Src2: isa.R(2)})
+	step(m, &isa.Inst{Op: isa.OpVEXTR, Dst: isa.R(3), Src1: isa.V(4), Src2: isa.R(2)})
 	if m.R[3] != 0xabc {
 		t.Fatalf("vextr = %#x", m.R[3])
 	}
 	m.R[4] = 0x123
-	m.Step(&isa.Inst{Op: isa.OpVINS, Dst: isa.V(5), Src1: isa.R(4), Src2: isa.R(2)})
+	step(m, &isa.Inst{Op: isa.OpVINS, Dst: isa.V(5), Src1: isa.R(4), Src2: isa.R(2)})
 	if m.V[5][17] != 0x123 {
 		t.Fatalf("vins = %#x", m.V[5][17])
 	}
@@ -297,7 +297,7 @@ func TestVMerge(t *testing.T) {
 		m.V[1][i] = 2
 		m.VM[i] = i%3 == 0
 	}
-	m.Step(&isa.Inst{Op: isa.OpVMERG, Dst: isa.V(2), Src1: isa.V(0), Src2: isa.V(1)})
+	step(m, &isa.Inst{Op: isa.OpVMERG, Dst: isa.V(2), Src1: isa.V(0), Src2: isa.V(1)})
 	for i := 0; i < isa.VLMax; i++ {
 		want := uint64(2)
 		if i%3 == 0 {
@@ -317,9 +317,9 @@ func TestVectorAddCommutes(t *testing.T) {
 			m.V[1][i] = b[i]
 		}
 		m.R[1] = 8
-		m.Step(&isa.Inst{Op: isa.OpSETVL, Src1: isa.R(1)})
-		m.Step(&isa.Inst{Op: isa.OpVADDQ, Dst: isa.V(2), Src1: isa.V(0), Src2: isa.V(1)})
-		m.Step(&isa.Inst{Op: isa.OpVADDQ, Dst: isa.V(3), Src1: isa.V(1), Src2: isa.V(0)})
+		step(m, &isa.Inst{Op: isa.OpSETVL, Src1: isa.R(1)})
+		step(m, &isa.Inst{Op: isa.OpVADDQ, Dst: isa.V(2), Src1: isa.V(0), Src2: isa.V(1)})
+		step(m, &isa.Inst{Op: isa.OpVADDQ, Dst: isa.V(3), Src1: isa.V(1), Src2: isa.V(0)})
 		for i := 0; i < 8; i++ {
 			if m.V[2][i] != m.V[3][i] {
 				return false
@@ -338,7 +338,7 @@ func TestGatherScatterRoundTripProperty(t *testing.T) {
 	f := func(seed uint64, data [16]uint64) bool {
 		m := newM()
 		m.R[9] = 16
-		m.Step(&isa.Inst{Op: isa.OpSETVL, Src1: isa.R(9)})
+		step(m, &isa.Inst{Op: isa.OpSETVL, Src1: isa.R(9)})
 		// Build 16 distinct offsets by hashing slot i.
 		used := map[uint64]bool{}
 		for i := 0; i < 16; i++ {
@@ -351,8 +351,8 @@ func TestGatherScatterRoundTripProperty(t *testing.T) {
 			m.V[0][i] = data[i]
 		}
 		m.R[1] = 0x100000
-		m.Step(&isa.Inst{Op: isa.OpVSCATQ, Src1: isa.V(0), Idx: isa.V(1), Src2: isa.R(1)})
-		m.Step(&isa.Inst{Op: isa.OpVGATHQ, Dst: isa.V(2), Idx: isa.V(1), Src2: isa.R(1)})
+		step(m, &isa.Inst{Op: isa.OpVSCATQ, Src1: isa.V(0), Idx: isa.V(1), Src2: isa.R(1)})
+		step(m, &isa.Inst{Op: isa.OpVGATHQ, Dst: isa.V(2), Idx: isa.V(1), Src2: isa.R(1)})
 		for i := 0; i < 16; i++ {
 			if m.V[2][i] != data[i] {
 				return false
@@ -405,12 +405,12 @@ func TestRunnerRunaway(t *testing.T) {
 func TestCVTTQTruncates(t *testing.T) {
 	m := newM()
 	m.WriteF(1, 3.99)
-	m.Step(&isa.Inst{Op: isa.OpCVTTQ, Dst: isa.R(2), Src1: isa.F(1)})
+	step(m, &isa.Inst{Op: isa.OpCVTTQ, Dst: isa.R(2), Src1: isa.F(1)})
 	if m.R[2] != 3 {
 		t.Fatalf("cvttq(3.99) = %d", m.R[2])
 	}
 	m.WriteF(1, -3.99)
-	m.Step(&isa.Inst{Op: isa.OpCVTTQ, Dst: isa.R(2), Src1: isa.F(1)})
+	step(m, &isa.Inst{Op: isa.OpCVTTQ, Dst: isa.R(2), Src1: isa.F(1)})
 	if int64(m.R[2]) != -3 {
 		t.Fatalf("cvttq(-3.99) = %d", int64(m.R[2]))
 	}
@@ -420,8 +420,8 @@ func TestVMaxMinT(t *testing.T) {
 	m := newM()
 	m.WriteVF(0, 0, 1.5)
 	m.WriteVF(1, 0, -2.5)
-	m.Step(&isa.Inst{Op: isa.OpVMAXT, Dst: isa.V(2), Src1: isa.V(0), Src2: isa.V(1)})
-	m.Step(&isa.Inst{Op: isa.OpVMINT, Dst: isa.V(3), Src1: isa.V(0), Src2: isa.V(1)})
+	step(m, &isa.Inst{Op: isa.OpVMAXT, Dst: isa.V(2), Src1: isa.V(0), Src2: isa.V(1)})
+	step(m, &isa.Inst{Op: isa.OpVMINT, Dst: isa.V(3), Src1: isa.V(0), Src2: isa.V(1)})
 	if m.ReadVF(2, 0) != 1.5 || m.ReadVF(3, 0) != -2.5 {
 		t.Fatalf("max/min = %v/%v", m.ReadVF(2, 0), m.ReadVF(3, 0))
 	}
@@ -431,7 +431,7 @@ func TestFPSpecials(t *testing.T) {
 	m := newM()
 	m.WriteF(1, 1.0)
 	m.WriteF(2, 0.0)
-	m.Step(&isa.Inst{Op: isa.OpDIVT, Dst: isa.F(3), Src1: isa.F(1), Src2: isa.F(2)})
+	step(m, &isa.Inst{Op: isa.OpDIVT, Dst: isa.F(3), Src1: isa.F(1), Src2: isa.F(2)})
 	if !math.IsInf(m.ReadF(3), 1) {
 		t.Fatalf("1/0 = %v, want +Inf", m.ReadF(3))
 	}

@@ -190,7 +190,7 @@ func TestEveryOpcodeExecutes(t *testing.T) {
 		if c.setup != nil {
 			c.setup(m)
 		}
-		m.Step(&c.inst)
+		step(m, &c.inst)
 		if !c.want(m) {
 			t.Errorf("%s: semantics check failed", c.name)
 		}

@@ -17,6 +17,7 @@ type Program []isa.Inst
 // functional-machine analogue of a free-running core.
 func (m *Machine) Run(p Program, maxSteps int) (int, error) {
 	pc := 0
+	var eff Effect
 	for n := 0; n < maxSteps; n++ {
 		if pc < 0 || pc >= len(p) {
 			return n, fmt.Errorf("arch: pc %d out of range (len %d)", pc, len(p))
@@ -25,7 +26,7 @@ func (m *Machine) Run(p Program, maxSteps int) (int, error) {
 		if in.Op == isa.OpHALT {
 			return n + 1, nil
 		}
-		eff := m.Step(in)
+		m.Step(in, &eff)
 		if in.Info().IsBranch && eff.Taken {
 			pc = int(in.Imm)
 		} else {

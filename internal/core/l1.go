@@ -26,8 +26,11 @@ func newL1(bytes, assoc, line int) *l1cache {
 		line >>= 1
 		c.lgLine++
 	}
+	// Every set is cut from one backing array; the full slice expressions
+	// keep a set from growing into the next.
+	ways := make([]l1way, nsets*assoc)
 	for i := range c.sets {
-		c.sets[i] = make([]l1way, assoc)
+		c.sets[i] = ways[i*assoc : (i+1)*assoc : (i+1)*assoc]
 	}
 	return c
 }

@@ -89,6 +89,14 @@ type mafEntry struct {
 	arrived func(cycle uint64)
 }
 
+// Initial waiter capacity of a MAF entry. Across the vector Table 2
+// kernels on T, over 99% of fills wake at most four slices, and almost none
+// has more than one scalar waiter.
+const (
+	mafSleepers = 4
+	mafScalar   = 2
+)
+
 // scalarWaiter is a scalar request (an L1 refill or a store drain) waiting
 // for a line fill.
 type scalarWaiter struct {
@@ -192,9 +200,17 @@ func New(cfg Config, reg *metrics.Registry, z *zbox.Zbox) *L2 {
 		mafIndex:   sched.NewTable[mafEntry](cfg.MAFSize),
 		wheel:      sched.NewWheel(),
 	}
+	// Each entry's waiter slices start with room carved from two shared
+	// arrays, so a fresh L2's first fills do not grow them by appends. The
+	// full slice expressions cap each entry at its own share: an entry that
+	// outgrows it reallocates instead of writing into its neighbour's.
 	entries := make([]mafEntry, cfg.MAFSize)
+	sleepers := make([]*SliceOp, cfg.MAFSize*mafSleepers)
+	scalar := make([]scalarWaiter, cfg.MAFSize*mafScalar)
 	for i := range entries {
 		e := &entries[i]
+		e.sleepers = sleepers[i*mafSleepers : i*mafSleepers : (i+1)*mafSleepers]
+		e.scalar = scalar[i*mafScalar : i*mafScalar : (i+1)*mafScalar]
 		e.arrived = func(cy uint64) { c.fillArrived(cy, e) }
 		c.mafFree[i] = e
 	}

@@ -320,6 +320,36 @@ func TestScalarPrefetchDoesNotBlock(t *testing.T) {
 	}
 }
 
+// TestMAFEntriesStartWithWaiterRoom: a fresh L2's MAF entries have room
+// for their first waiters without appends growing them, and an entry that
+// outgrows its share of the shared arrays reallocates instead of writing
+// into its neighbour's.
+func TestMAFEntriesStartWithWaiterRoom(t *testing.T) {
+	c, _, _ := testSetup()
+	for i, e := range c.mafFree {
+		if len(e.sleepers) != 0 || cap(e.sleepers) != mafSleepers || len(e.scalar) != 0 || cap(e.scalar) != mafScalar {
+			t.Fatalf("entry %d starts with sleepers %d/%d and scalar waiters %d/%d (len/cap), want 0/%d and 0/%d",
+				i, len(e.sleepers), cap(e.sleepers), len(e.scalar), cap(e.scalar), mafSleepers, mafScalar)
+		}
+	}
+	// The free stack holds the entries in array order, so its last two are
+	// neighbours in the shared arrays; the lower one outgrows its share.
+	first, next := c.mafFree[len(c.mafFree)-2], c.mafFree[len(c.mafFree)-1]
+	ops := make([]SliceOp, mafSleepers+1)
+	for i := range ops {
+		first.sleepers = append(first.sleepers, &ops[i])
+	}
+	for range mafScalar + 1 {
+		first.scalar = append(first.scalar, scalarWaiter{write: true})
+	}
+	if s := next.sleepers[:1]; s[0] != nil {
+		t.Error("an entry's sleepers spilled into its neighbour's")
+	}
+	if s := next.scalar[:1]; s[0].write {
+		t.Error("an entry's scalar waiters spilled into its neighbour's")
+	}
+}
+
 // TestSteadyStateSliceMissAllocatesNothing pins the MAF's recycling: once
 // the entries and the tag-store chunks exist, a slice that misses on all 16
 // of its lines, sleeps in the MAF, is filled and replays allocates nothing.

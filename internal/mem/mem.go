@@ -4,7 +4,10 @@
 // workloads) stay cheap to host.
 package mem
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // FrameBits is the log2 of the lazy-allocation frame size. 1 MiB frames keep
 // the frame map small while avoiding huge up-front allocations.
@@ -20,6 +23,11 @@ type Memory struct {
 	frames map[uint64][]byte
 	// Size tracks the highest touched address + 1, for reporting.
 	size uint64
+	// last and lastID cache the most recently used frame: consecutive
+	// accesses mostly stay in one frame, which then costs no map lookup.
+	// LoadState replaces the frames and so clears the cache.
+	last   []byte
+	lastID uint64
 }
 
 // New returns an empty memory.
@@ -28,18 +36,22 @@ func New() *Memory {
 }
 
 func (m *Memory) frame(addr uint64) []byte {
+	if end := addr + 1; end > m.size {
+		m.size = end
+	}
+	id := addr >> FrameBits
+	if id == m.lastID && m.last != nil {
+		return m.last
+	}
 	if m.frames == nil {
 		m.frames = make(map[uint64][]byte)
 	}
-	id := addr >> FrameBits
 	f, ok := m.frames[id]
 	if !ok {
 		f = make([]byte, FrameSize)
 		m.frames[id] = f
 	}
-	if end := addr + 1; end > m.size {
-		m.size = end
-	}
+	m.last, m.lastID = f, id
 	return f
 }
 
@@ -89,6 +101,62 @@ func (m *Memory) StoreQ(addr, v uint64) {
 	b[7] = byte(v >> 56)
 	if end := addr + 8; end > m.size {
 		m.size = end
+	}
+}
+
+// LoadQStrided reads len(dst) quadwords, at base, base+stride,
+// base+2·stride and so on, into dst in element order. It is LoadQ per
+// element, with the same alignment panic and high-water mark, but it looks
+// each frame up once for the run of elements that lie in it.
+func (m *Memory) LoadQStrided(dst []uint64, base uint64, stride int64) {
+	if (base|uint64(stride))&7 != 0 {
+		// Some element is unaligned: LoadQ panics at the first one.
+		for i := range dst {
+			dst[i] = m.LoadQ(base + uint64(int64(i)*stride))
+		}
+		return
+	}
+	var f []byte
+	id, hi := ^uint64(0), uint64(0)
+	addr := base
+	for i := range dst {
+		if addr>>FrameBits != id {
+			id = addr >> FrameBits
+			f = m.frame(addr)
+		}
+		hi = max(hi, addr)
+		dst[i] = binary.LittleEndian.Uint64(f[addr&(FrameSize-1):])
+		addr += uint64(stride)
+	}
+	if len(dst) > 0 && hi+1 > m.size {
+		m.size = hi + 1
+	}
+}
+
+// StoreQStrided writes src's quadwords at base, base+stride, base+2·stride
+// and so on, in element order, so a later element wins where addresses
+// repeat. It is StoreQ per element, looking each frame up once.
+func (m *Memory) StoreQStrided(base uint64, stride int64, src []uint64) {
+	if (base|uint64(stride))&7 != 0 {
+		for i, v := range src {
+			m.StoreQ(base+uint64(int64(i)*stride), v)
+		}
+		return
+	}
+	var f []byte
+	id, hi := ^uint64(0), uint64(0)
+	addr := base
+	for _, v := range src {
+		if addr>>FrameBits != id {
+			id = addr >> FrameBits
+			f = m.frame(addr)
+		}
+		hi = max(hi, addr)
+		binary.LittleEndian.PutUint64(f[addr&(FrameSize-1):], v)
+		addr += uint64(stride)
+	}
+	if len(src) > 0 && hi+8 > m.size {
+		m.size = hi + 8
 	}
 }
 

@@ -32,6 +32,7 @@ func (m *Memory) LoadState(r *snapshot.Reader) error {
 	m.size = r.U64()
 	n := r.Len(8)
 	m.frames = make(map[uint64][]byte, n)
+	m.last = nil
 	for i := 0; i < n; i++ {
 		id := r.U64()
 		f := r.Bytes()

@@ -192,8 +192,7 @@ func TestBranchMispredictCharged(t *testing.T) {
 		site := b.Site()
 		for i := 0; i < 400; i++ {
 			b.OpImm(isa.OpADDQ, isa.R(1), isa.RZero, int64(i%2))
-			eff := b.EmitAt(isa.Inst{Op: isa.OpBNE, Src1: isa.R(1), Imm: 1}, site)
-			_ = eff
+			b.EmitAt(isa.Inst{Op: isa.OpBNE, Src1: isa.R(1), Imm: 1}, site)
 		}
 		b.Halt()
 	})

@@ -69,6 +69,17 @@ func f64(v float64) uint64 {
 	return mathBits(v)
 }
 
+// TestNewChipAllocations pins what building a chip costs the allocator;
+// serve-cold builds one per job. The L1 cuts its 512 sets from one array
+// and the L2 its MAF entries' waiter room from two, where one allocation
+// per set made 733 in all; 224 remain.
+func TestNewChipAllocations(t *testing.T) {
+	cfg := T()
+	if got := testing.AllocsPerRun(10, func() { New(cfg) }); got > 256 {
+		t.Errorf("sim.New(T()) made %.0f allocations, want at most 256", got)
+	}
+}
+
 func TestDaxpyOnTarantula(t *testing.T) {
 	const n = 16 * 1024
 	out := execute(t, RunSpec{Config: T(), Kernel: vecDaxpy(n)})

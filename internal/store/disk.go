@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -156,51 +157,85 @@ func (s *diskNS) path(key string) string { return filepath.Join(s.dir, key+s.pol
 // Get loads one artifact. A read failure is a transient miss; a validation
 // failure quarantines the file and misses. Either way the caller
 // re-simulates — the store never serves bytes it cannot vouch for.
+//
+// The read and the validation (for snapshots, a full snapshot.Verify) run
+// without d.mu, so Status and Put never wait behind them. The lock is taken
+// to look the entry up and again to record the access or to quarantine a
+// file that failed validation, and only if it is still the one that was
+// read: an indexed namespace's index must still hold the entry that was
+// read, an unindexed namespace's path the same file. A Put that replaced it
+// meanwhile stored a good file, and that is never moved aside.
 func (d *Disk) Get(ns Namespace, key string) ([]byte, bool) {
 	if !SafeKey(key) {
 		return nil, false
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	s, ok := d.ns[ns]
+	s, ok := d.ns[ns] // fixed at open; read without the lock
 	if !ok {
 		return nil, false
 	}
 	var e *diskEntry
+	d.mu.Lock()
 	if s.pol.ScanOnOpen {
 		// Indexed namespace: the index is the source of truth.
 		if e, ok = s.entries[key]; !ok {
+			d.mu.Unlock()
 			return nil, false
 		}
 	}
 	if d.inj.DiskReadError() {
 		d.ioErrors++
+		d.mu.Unlock()
 		return nil, false
 	}
+	d.mu.Unlock()
 	path := s.path(key)
-	raw, err := os.ReadFile(path)
+	raw, file, err := readFile(path)
 	if err != nil {
 		if os.IsNotExist(err) && !s.pol.ScanOnOpen {
 			return nil, false // direct-read miss, not an I/O fault
 		}
-		d.ioErrors++
+		d.countIOError()
 		return nil, false
 	}
-	if s.pol.Validate != nil {
-		if err := s.pol.Validate(key, raw); err != nil {
-			if e != nil {
-				delete(s.entries, key)
-				s.total -= e.size
-			}
+	valid := s.pol.Validate == nil || s.pol.Validate(key, raw) == nil
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if valid {
+		if e != nil {
+			d.clock++
+			e.atime = d.clock
+		}
+		return raw, true
+	}
+	switch {
+	case e != nil && s.entries[key] == e:
+		delete(s.entries, key)
+		s.total -= e.size
+		d.quarantineLocked(s, key, path)
+	case e == nil:
+		if cur, err := os.Stat(path); err == nil && os.SameFile(cur, file) {
 			d.quarantineLocked(s, key, path)
-			return nil, false
 		}
 	}
-	if e != nil {
-		d.clock++
-		e.atime = d.clock
+	return nil, false
+}
+
+// readFile reads the file at path and returns its bytes with the identity
+// of the file they came from.
+func readFile(path string) ([]byte, os.FileInfo, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
 	}
-	return raw, true
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, nil, err
+	}
+	var buf bytes.Buffer
+	buf.Grow(int(info.Size()) + bytes.MinRead)
+	_, err = buf.ReadFrom(f)
+	return buf.Bytes(), info, err
 }
 
 // Put persists one artifact with the atomic write protocol. Content-

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -511,5 +512,115 @@ func TestDiskStoreRacingPutsCountOnce(t *testing.T) {
 	}
 	if len(names) != 1 || names[0].Name() != key+".snap" {
 		t.Errorf("namespace directory holds %d files, want only %s.snap", len(names), key)
+	}
+}
+
+// parkingValidate returns a validator that parks the first validation of
+// key made after arm is closed, until release is closed; entered is closed
+// when it parks. Every other call validates at once.
+func parkingValidate(key string, arm, entered, release chan struct{}) func(string, []byte) error {
+	var parked atomic.Bool
+	return func(k string, raw []byte) error {
+		select {
+		case <-arm:
+			if k == key && parked.CompareAndSwap(false, true) {
+				close(entered)
+				<-release
+			}
+		default:
+		}
+		return validateBlob(k, raw)
+	}
+}
+
+// TestDiskStoreGetDoesNotBlockStatus: a read whose validation is slow (a
+// snapshot read verifies the whole blob) must not stall the health and
+// metrics paths. While a Get parks in Validate, Status() and a Put of
+// another key answer; once released, the parked Get is served.
+func TestDiskStoreGetDoesNotBlockStatus(t *testing.T) {
+	arm, entered, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	cfg := testConfig()
+	pol := cfg[Snapshots]
+	pol.Validate = parkingValidate("parked00", arm, entered, release)
+	cfg[Snapshots] = pol
+	d, err := OpenDisk(t.TempDir(), 0, faults.New(nil), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Put(Snapshots, "parked00", blobFor("parked00", "x"))
+	close(arm)
+
+	got := make(chan bool)
+	go func() {
+		_, ok := d.Get(Snapshots, "parked00")
+		got <- ok
+	}()
+	<-entered
+	answered := make(chan struct{})
+	go func() {
+		d.Status()
+		d.Put(Results, "other000", blobFor("other000", "x"))
+		close(answered)
+	}()
+	select {
+	case <-answered:
+	case <-time.After(5 * time.Second):
+		t.Error("Status and a Put of another key waited behind a parked Get")
+	}
+	close(release)
+	if !<-got {
+		t.Error("the parked Get missed once released")
+	}
+	<-answered
+	if _, ok := d.Get(Results, "other000"); !ok {
+		t.Error("the Put made while a Get was parked was not persisted")
+	}
+}
+
+// TestDiskStoreGetSparesRacingPut: a Get that read a corrupt file
+// quarantines it only if the index still holds the entry it read. Here a
+// second Get quarantines the rotten file first and a Put stores a good one
+// under the same key while the first Get is parked in Validate; releasing
+// it must leave the good file served.
+func TestDiskStoreGetSparesRacingPut(t *testing.T) {
+	arm, entered, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	cfg := testConfig()
+	pol := cfg[Results]
+	pol.Validate = parkingValidate("rot00000", arm, entered, release)
+	cfg[Results] = pol
+	dir := t.TempDir()
+	d, err := OpenDisk(dir, 0, faults.New(nil), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "rot00000"
+	d.Put(Results, key, blobFor(key, "x"))
+	path := d.ns[Results].path(key)
+	if err := os.WriteFile(path, []byte("rotten"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	close(arm)
+
+	first := make(chan bool)
+	go func() {
+		_, ok := d.Get(Results, key)
+		first <- ok
+	}()
+	<-entered
+	if _, ok := d.Get(Results, key); ok {
+		t.Fatal("a rotten file was served")
+	}
+	good := blobFor(key, "good")
+	d.Put(Results, key, good)
+	close(release)
+	if <-first {
+		t.Error("the parked Get served the rotten bytes it read")
+	}
+	raw, ok := d.Get(Results, key)
+	if !ok || !bytes.Equal(raw, good) {
+		t.Fatalf("after the race Get = %q, %v; want the good blob the racing Put stored", raw, ok)
+	}
+	if q := d.Status().NS[Results].Quarantined; q != 1 {
+		t.Errorf("%d files quarantined, want the one rotten file", q)
 	}
 }

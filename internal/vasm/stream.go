@@ -11,7 +11,43 @@ import (
 // functionally executes and records every instruction.
 type Kernel func(b *Builder)
 
-const batchSize = 4096
+// A trace crosses to its consumer in batches. The first holds firstBatch
+// records, so the chip loop starts on a kernel's first instructions instead
+// of waiting for a full batch, and each later one twice its predecessor, up
+// to batchSize.
+const (
+	firstBatch = 64
+	batchSize  = 1024
+)
+
+// freeBatches is the free list every trace takes its batches from and
+// returns them to, so a finished trace hands its batches to the next one.
+// It is bounded: beyond its capacity an exhausted batch is left to the
+// collector.
+var freeBatches = make(chan []DynInst, 16)
+
+// getBatch returns an empty batch of capacity batchSize.
+func getBatch() []DynInst {
+	select {
+	case b := <-freeBatches:
+		return b
+	default:
+		return make([]DynInst, 0, batchSize)
+	}
+}
+
+// putBatch returns an exhausted batch to the free list. Its records drop
+// their address slices first, so a batch waiting there keeps no finished
+// trace's address arenas reachable.
+func putBatch(b []DynInst) {
+	for i := range b {
+		b[i].Eff.Addrs, b[i].Eff.ElemIdx = nil, nil
+	}
+	select {
+	case freeBatches <- b[:0]:
+	default:
+	}
+}
 
 // Trace streams the dynamic instructions of a kernel to a consumer without
 // materialising the whole run. The kernel executes in a producer goroutine;
@@ -22,7 +58,6 @@ const batchSize = 4096
 // one.
 type Trace struct {
 	ch   chan []DynInst
-	free chan []DynInst // exhausted batches recycled back to the producer
 	done chan struct{}
 	cur  []DynInst
 	pos  int
@@ -38,7 +73,6 @@ type traceAbort struct{}
 func NewTrace(m *arch.Machine, kernel Kernel) *Trace {
 	t := &Trace{
 		ch:   make(chan []DynInst, 2),
-		free: make(chan []DynInst, 2),
 		done: make(chan struct{}),
 	}
 	go func() {
@@ -60,23 +94,15 @@ func NewTrace(m *arch.Machine, kernel Kernel) *Trace {
 				t.setErr(&BuildError{Cause: "kernel panic: " + fmt.Sprint(r)})
 			}
 		}()
-		newBatch := func() []DynInst {
-			select {
-			case b := <-t.free:
-				return b[:0]
-			default:
-				return make([]DynInst, 0, batchSize)
-			}
-		}
-		batch := newBatch()
+		batch, limit := getBatch(), firstBatch
 		b := NewBuilder(m, func() *DynInst {
-			if len(batch) == batchSize {
+			if len(batch) == limit {
 				select {
 				case t.ch <- batch:
 				case <-t.done:
 					panic(traceAbort{})
 				}
-				batch = newBatch()
+				batch, limit = getBatch(), min(2*limit, batchSize)
 			}
 			batch = batch[:len(batch)+1]
 			return &batch[len(batch)-1]
@@ -110,19 +136,18 @@ func (t *Trace) Err() error {
 
 // Next returns the next dynamic instruction, or nil at end of trace. The
 // returned pointer is valid only until the following batch boundary is
-// crossed — the exhausted batch is handed back to the producer for reuse
-// there — so the timing models copy what they retain.
+// crossed — the exhausted batch goes back to the free list there, for this
+// trace's producer or another trace's to refill — so the timing models copy
+// what they retain.
 func (t *Trace) Next() *DynInst {
 	for t.pos >= len(t.cur) {
+		if t.cur != nil {
+			putBatch(t.cur)
+			t.cur = nil
+		}
 		batch, ok := <-t.ch
 		if !ok {
 			return nil
-		}
-		if t.cur != nil {
-			select {
-			case t.free <- t.cur:
-			default:
-			}
 		}
 		t.cur, t.pos = batch, 0
 	}
@@ -135,7 +160,8 @@ func (t *Trace) Next() *DynInst {
 // Consumed returns how many instructions Next has handed out.
 func (t *Trace) Consumed() uint64 { return t.n }
 
-// Close releases the producer goroutine if the trace is abandoned early.
+// Close releases the producer goroutine if the trace is abandoned early,
+// and returns the trace's batches to the free list.
 func (t *Trace) Close() {
 	select {
 	case <-t.done:
@@ -143,7 +169,12 @@ func (t *Trace) Close() {
 		close(t.done)
 	}
 	// Drain so the producer's pending send completes and it exits.
-	for range t.ch {
+	for b := range t.ch {
+		putBatch(b)
+	}
+	if t.cur != nil {
+		putBatch(t.cur)
+		t.cur, t.pos = nil, 0
 	}
 }
 
@@ -157,7 +188,8 @@ func CollectChecked(m *arch.Machine, kernel Kernel) (out []DynInst, err error) {
 			if !ok {
 				panic(r)
 			}
-			err = ab.err
+			// The failing instruction took a record but never finished it.
+			out, err = out[:len(out)-1], ab.err
 		}
 	}()
 	b := NewBuilder(m, func() *DynInst {

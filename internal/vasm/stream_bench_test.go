@@ -24,11 +24,14 @@ func benchKernel(b *Builder) {
 	b.Halt()
 }
 
-// BenchmarkTraceStream measures the streaming trace machinery itself (no
-// timing model attached): instructions produced, batched across the channel
-// and consumed. The allocs/op column is the guard — batch recycling plus the
-// arch address arenas keep it to a few dozen allocations for the ~4600
-// instructions each iteration streams.
+// BenchmarkTraceStream measures trace generation with no timing model
+// attached: each of the ~4100 instructions an iteration streams is
+// executed by the functional machine straight into its batch slot, crosses
+// the channel in the 64-to-1024-record batch schedule and is consumed. Most
+// of the time is arch's per-instruction vector execution; most of the
+// bytes are the fresh machine's memory frames. The allocs/op column is the
+// guard: the shared batch free list and the arch address arenas keep it to
+// a few dozen.
 func BenchmarkTraceStream(b *testing.B) {
 	b.ReportAllocs()
 	var insts uint64

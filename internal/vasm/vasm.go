@@ -58,9 +58,10 @@ type Builder struct {
 }
 
 // NewBuilder returns a Builder bound to machine m; slot returns the record
-// to fill for each executed instruction, so the ~140-byte DynInst is written
-// exactly once, in place, instead of staged through a scratch copy. The heap
-// starts at 1 MiB to keep address 0 out of the workloads' way.
+// to fill for each executed instruction, and the machine executes straight
+// into it, so the ~140-byte DynInst is written once, in place, instead of
+// staged through a temporary copy. The heap starts at 1 MiB to keep address 0
+// out of the workloads' way.
 func NewBuilder(m *arch.Machine, slot func() *DynInst) *Builder {
 	return &Builder{M: m, slot: slot, heap: 1 << 20}
 }
@@ -72,38 +73,38 @@ func (b *Builder) Site() uint32 {
 }
 
 // Emit executes in on the functional machine and appends it to the trace.
-func (b *Builder) Emit(in isa.Inst) arch.Effect {
-	return b.EmitAt(in, b.Site())
+func (b *Builder) Emit(in isa.Inst) {
+	b.emitAt(in, b.Site())
 }
 
 // EmitAt is Emit with an explicit static-site id, for kernels that re-emit
 // the same branch site across iterations (the predictor's key).
-func (b *Builder) EmitAt(in isa.Inst, site uint32) arch.Effect {
-	return b.emitAt(in, site)
+func (b *Builder) EmitAt(in isa.Inst, site uint32) {
+	b.emitAt(in, site)
 }
 
-func (b *Builder) emitAt(in isa.Inst, site uint32) arch.Effect {
-	eff := b.step(&in, site)
-	b.seq++
+func (b *Builder) emitAt(in isa.Inst, site uint32) {
 	d := b.slot()
-	d.Seq, d.Site, d.Inst, d.Eff = b.seq, site, in, eff
-	return eff
+	d.Inst = in
+	b.step(d, site)
+	b.seq++
+	d.Seq, d.Site = b.seq, site
 }
 
-// step executes in on the functional machine, converting a machine panic
-// (unimplemented op, bad register class, bad memory access) into a
-// positional BuildError and unwinding the kernel via buildAbort.
-func (b *Builder) step(in *isa.Inst, site uint32) arch.Effect {
+// step executes d.Inst on the functional machine into d.Eff, converting a
+// machine panic (unimplemented op, bad register class, bad memory access)
+// into a positional BuildError and unwinding the kernel via buildAbort.
+func (b *Builder) step(d *DynInst, site uint32) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(buildAbort); ok {
 				panic(r) // already positional; keep unwinding
 			}
-			b.err = &BuildError{Seq: b.seq + 1, Site: site, Inst: *in, Cause: fmt.Sprint(r)}
+			b.err = &BuildError{Seq: b.seq + 1, Site: site, Inst: d.Inst, Cause: fmt.Sprint(r)}
 			panic(buildAbort{b.err})
 		}
 	}()
-	return b.M.Step(in)
+	b.M.Step(&d.Inst, &d.Eff)
 }
 
 // Err returns the positional error of the first failed instruction, or nil.

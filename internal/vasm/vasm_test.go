@@ -1,6 +1,8 @@
 package vasm
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/arch"
@@ -252,5 +254,128 @@ func TestBuilderCount(t *testing.T) {
 	})
 	if b.Count() != 3 {
 		t.Fatalf("Count = %d", b.Count())
+	}
+}
+
+// drainFreeBatches empties the shared batch free list, so a test sees only
+// the batches its own traces return.
+func drainFreeBatches() {
+	for {
+		select {
+		case <-freeBatches:
+		default:
+			return
+		}
+	}
+}
+
+// streamBatches runs a trace of k to the end and returns the backing array
+// of every batch it delivered, in order.
+func streamBatches(t *testing.T, k Kernel) []*DynInst {
+	t.Helper()
+	tr := NewTrace(newM(), k)
+	var seen []*DynInst
+	for d := tr.Next(); d != nil; d = tr.Next() {
+		if first := &tr.cur[0]; len(seen) == 0 || seen[len(seen)-1] != first {
+			seen = append(seen, first)
+		}
+	}
+	if err := tr.Err(); err != nil {
+		t.Fatal(err)
+	}
+	tr.Close()
+	return seen
+}
+
+// TestTraceBatchesGrowAndAreReused: a trace's batches start at firstBatch
+// records and double up to batchSize; a finished trace returns them to the
+// free list with no address slices left in their records, and the next
+// trace fills the same batches instead of allocating its own.
+func TestTraceBatchesGrowAndAreReused(t *testing.T) {
+	drainFreeBatches()
+	k := daxpyKernel(1<<20, 2<<20, 512*isa.VLMax, 2.0)
+	tr := NewTrace(newM(), k)
+	var sizes []int
+	for d := tr.Next(); d != nil; d = tr.Next() {
+		if tr.pos == 1 {
+			sizes = append(sizes, len(tr.cur))
+		}
+	}
+	tr.Close()
+	want := []int{64, 128, 256, 512, 1024, 1024}
+	if len(sizes) < len(want) {
+		t.Fatalf("batch sizes %v, want at least %v", sizes, want)
+	}
+	for i, w := range want {
+		if sizes[i] != w {
+			t.Fatalf("batch sizes %v, want them to start %v", sizes, want)
+		}
+	}
+	for b := range len(freeBatches) {
+		batch := <-freeBatches
+		for i := range batch[:cap(batch)] {
+			if d := &batch[:cap(batch)][i]; d.Eff.Addrs != nil || d.Eff.ElemIdx != nil {
+				t.Fatalf("free batch %d record %d still holds an address slice", b, i)
+			}
+		}
+		freeBatches <- batch
+	}
+
+	// The second trace's producer takes its first batch from the free list
+	// the first trace filled. Later batches come from there too while the
+	// list has some; how many the two traces hold at once depends on
+	// scheduling, so only the first is certain.
+	drainFreeBatches()
+	first := streamBatches(t, k)
+	second := streamBatches(t, k)
+	returned := map[*DynInst]bool{}
+	for _, b := range first {
+		returned[b] = true
+	}
+	if !returned[second[0]] {
+		t.Fatal("the second trace allocated its first batch instead of reusing one the first trace returned")
+	}
+}
+
+// TestConcurrentTracesShareTheFreeList: traces running at once, as serve
+// workers, parallel sweeps and SMT threads do, take batches from and return
+// them to the one free list, and each still delivers its own kernel's
+// instructions intact. Run under -race in CI.
+func TestConcurrentTracesShareTheFreeList(t *testing.T) {
+	const traces = 4
+	var wg sync.WaitGroup
+	errs := make(chan error, traces)
+	for g := range traces {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n := (4 + g) * isa.VLMax
+			k := daxpyKernel(1<<20, 2<<20, n, float64(g))
+			want := Collect(newM(), k)
+			for round := 0; round < 3; round++ {
+				tr := NewTrace(newM(), k)
+				i := 0
+				for d := tr.Next(); d != nil; d = tr.Next() {
+					w := &want[i]
+					if d.Seq != w.Seq || d.Inst != w.Inst || len(d.Eff.Addrs) != len(w.Eff.Addrs) ||
+						(len(d.Eff.Addrs) > 0 && d.Eff.Addrs[0] != w.Eff.Addrs[0]) {
+						errs <- fmt.Errorf("trace %d round %d: record %d differs from Collect's", g, round, i)
+						tr.Close()
+						return
+					}
+					i++
+				}
+				tr.Close()
+				if i != len(want) {
+					errs <- fmt.Errorf("trace %d round %d: %d records, want %d", g, round, i, len(want))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

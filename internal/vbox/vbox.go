@@ -523,10 +523,14 @@ func (t *laneTLB) insert(page uint64) {
 	t.pages[page] = t.tick
 }
 
-// inPage reports whether every address lies in page. Each address is
-// compared: a strided access's addresses are monotone, so its first and last
-// would bound it, but a gather's middle elements can lie in any page.
-func (v *VBox) inPage(addrs []uint64, page uint64) bool {
+// inPage reports whether every address of u's access lies in page. A
+// strided access's addresses are monotone, so its first and last bound the
+// rest; a gather's middle elements can lie in any page, so each is compared.
+func (v *VBox) inPage(u *pipe.UOp, page uint64) bool {
+	addrs := u.Eff.Addrs
+	if u.Info != nil && u.Info.Group == isa.GSM {
+		return addrs[0]>>v.cfg.PageBits == page && addrs[len(addrs)-1]>>v.cfg.PageBits == page
+	}
 	for _, a := range addrs {
 		if a>>v.cfg.PageBits != page {
 			return false
@@ -542,7 +546,7 @@ func (v *VBox) inPage(addrs []uint64, page uint64) bool {
 func (v *VBox) tlbCheck(u *pipe.UOp) uint64 {
 	// Fast path: the common case is an access confined to one recently
 	// used 512 MB page (every lane already maps it).
-	if len(u.Eff.Addrs) > 0 && v.lastPageHot && v.inPage(u.Eff.Addrs, v.lastPage) {
+	if len(u.Eff.Addrs) > 0 && v.lastPageHot && v.inPage(u, v.lastPage) {
 		return 0
 	}
 	misses := 0
@@ -572,7 +576,7 @@ func (v *VBox) tlbCheck(u *pipe.UOp) uint64 {
 	}
 	if len(u.Eff.Addrs) > 0 {
 		lo := u.Eff.Addrs[0] >> v.cfg.PageBits
-		if v.inPage(u.Eff.Addrs, lo) {
+		if v.inPage(u, lo) {
 			v.lastPage, v.lastPageHot = lo, true
 		} else {
 			v.lastPageHot = false

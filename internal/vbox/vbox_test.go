@@ -126,6 +126,44 @@ func TestTLBFastPathChecksEveryGatherElement(t *testing.T) {
 	}
 }
 
+// TestTLBFastPathChecksStridedEndpoints is the strided twin of
+// TestTLBFastPathChecksEveryGatherElement: the fast path compares only a
+// strided access's first and last addresses, so once page 0 is the hot
+// page, a strided access whose last element crosses into page 1 must still
+// translate page 1 and pay the refill.
+func TestTLBFastPathChecksStridedEndpoints(t *testing.T) {
+	v := testVBox(64)
+	strided := func(base uint64, n int) *pipe.UOp {
+		u := &pipe.UOp{Inst: isa.Inst{Op: isa.OpVLDQ, Dst: isa.V(1), Src2: isa.R(1)}}
+		u.Info = u.Inst.Info()
+		u.Eff.VL, u.Eff.Stride, u.Eff.Base = n, 8, base
+		for i := 0; i < n; i++ {
+			u.Eff.Addrs = append(u.Eff.Addrs, base+uint64(i)*8)
+			u.Eff.ElemIdx = append(u.Eff.ElemIdx, uint8(i))
+		}
+		return u
+	}
+	page := uint64(1) << v.cfg.PageBits
+	if got := v.tlbCheck(strided(64, 16)); got != 200 {
+		t.Fatalf("first touch of page 0 stalled %d cycles, want the 200-cycle refill", got)
+	}
+	// 64 quadwords ending at the last quadword of page 0.
+	if got := v.tlbCheck(strided(page-64*8, 64)); got != 0 {
+		t.Fatalf("strided access within the mapped hot page stalled %d cycles, want 0", got)
+	}
+	misses := v.tlbMisses.Value()
+	// The same access one quadword later: its last element is page 1's first.
+	if got := v.tlbCheck(strided(page-63*8, 64)); got != 200 {
+		t.Errorf("strided access crossing into page 1 stalled %d cycles, want the 200-cycle refill", got)
+	}
+	if v.tlbMisses.Value() != misses+1 {
+		t.Errorf("strided access crossing into page 1 missed %d times, want 1", v.tlbMisses.Value()-misses)
+	}
+	if v.lastPageHot {
+		t.Error("a strided access spanning two pages left a hot page behind")
+	}
+}
+
 // TestSliceRecordsAreRecycled: once every slice of a load and of a prefetch
 // has completed, both instructions' records are back on the free list, and
 // later instructions reuse them instead of making new ones.
