@@ -48,10 +48,6 @@ type report struct {
 	Benches     []string `json:"benches"`
 	Configs     []string `json:"configs"`
 	Scale       string   `json:"scale"`
-	// Backend is the server's execution backend as reported by /healthz
-	// (inprocess or subprocess), so a stored baseline names the execution
-	// path it measured.
-	Backend string `json:"backend,omitempty"`
 
 	WallSeconds  float64 `json:"wall_seconds"`
 	Throughput   float64 `json:"throughput_jobs_per_sec"`
@@ -62,28 +58,21 @@ type report struct {
 	ClientErrors int     `json:"client_errors"`
 	// Robustness outcomes: Shed counts submissions the server refused with
 	// "queue_full" (after any Retry-After retries were spent),
-	// DeadlineExceeded jobs shed in the queue with "deadline_exceeded",
-	// WorkerCrashes jobs that exhausted the fleet's retry budget, and
+	// DeadlineExceeded jobs shed in the queue with "deadline_exceeded", and
 	// Retries the client-side resubmissions Retry-After earned. Under
 	// overload these are expected, structured outcomes (-allow-shed), not
 	// failures.
 	Shed             int     `json:"shed"`
 	DeadlineExceeded int     `json:"deadline_exceeded"`
-	WorkerCrashes    int     `json:"worker_crashes"`
 	Retries          int     `json:"client_retries"`
 	CacheHits        float64 `json:"server_cache_hits"`
 	CacheMisses      float64 `json:"server_cache_misses"`
 	DedupJoined      float64 `json:"server_dedup_joined"`
 	SimsStarted      float64 `json:"server_sims_started"`
 	SimsCompleted    float64 `json:"server_sims_completed"`
-	// WorkerRetries/WorkerRestarts are the subprocess fleet's recovery
-	// counters (0 on the in-process backend).
-	WorkerRetries  float64 `json:"server_worker_retries"`
-	WorkerRestarts float64 `json:"server_worker_restarts"`
 	// The server's own overload counters, scraped after the run.
 	ServerShedQueueFull float64 `json:"server_shed_queue_full"`
 	ServerShedDeadline  float64 `json:"server_shed_deadline"`
-	ServerPoisonShed    float64 `json:"server_poison_shed"`
 	// Warm-up snapshot counters: runs that forked from a stored post-warm-up
 	// chip snapshot (hits) vs runs that had to simulate the warm-up (misses),
 	// the simulated cycles that reuse avoided, and the snapshot store's
@@ -152,7 +141,6 @@ func main() {
 	scale := flag.String("scale", "test", "input scale: test, bench or full")
 	wait := flag.Duration("wait", 30*time.Second, "long-poll interval per status request")
 	out := flag.String("out", "", "write the JSON report to this file (default stdout)")
-	wantBackend := flag.String("backend", "", "assert the server runs this execution backend (inprocess or subprocess) before loading it")
 	allowShed := flag.Bool("allow-shed", false, "treat queue_full and deadline_exceeded outcomes as expected overload shedding, not run failures")
 	sweepAxes := flag.String("sweep", "", `sweep mode: axes spec like "lanes=8,16;l2_kb=4096,16384" posted to /v1/sweeps instead of job traffic`)
 	baseline := flag.String("baseline", "", "sweep mode: baseline configuration for speedups (default: the swept configuration)")
@@ -162,20 +150,11 @@ func main() {
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
 	}
-	serverBackend, err := probeBackend(addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tarload: healthz probe:", err)
-	}
-	if *wantBackend != "" && serverBackend != *wantBackend {
-		fmt.Fprintf(os.Stderr, "tarload: server runs backend %q, want %q\n", serverBackend, *wantBackend)
-		os.Exit(1)
-	}
-
 	bs := strings.Split(*benches, ",")
 	cs := strings.Split(*configs, ",")
 
 	if *sweepAxes != "" {
-		runSweepMode(addr, serverBackend, bs, cs[0], *baseline, *scale, *sweepAxes, *out)
+		runSweepMode(addr, bs, cs[0], *baseline, *scale, *sweepAxes, *out)
 		return
 	}
 
@@ -195,7 +174,6 @@ func main() {
 		clientErr        int
 		shed             int
 		deadlineExceeded int
-		workerCrashes    int
 		retries          int
 	)
 	start := time.Now()
@@ -223,9 +201,6 @@ func main() {
 					shed++
 				case oc.code == "deadline_exceeded":
 					deadlineExceeded++
-				case oc.code == "worker_crash":
-					workerCrashes++
-					failed++
 				default:
 					failed++
 				}
@@ -242,12 +217,11 @@ func main() {
 
 	rep := report{
 		Addr: addr, Concurrency: *conc, Requests: *n,
-		Benches: bs, Configs: cs, Scale: *scale, Backend: serverBackend,
+		Benches: bs, Configs: cs, Scale: *scale,
 		WallSeconds: wall.Seconds(),
 		Throughput:  float64(*n) / wall.Seconds(),
 		Done:        done, Failed: failed, ClientErrors: clientErr,
-		Shed: shed, DeadlineExceeded: deadlineExceeded,
-		WorkerCrashes: workerCrashes, Retries: retries,
+		Shed: shed, DeadlineExceeded: deadlineExceeded, Retries: retries,
 	}
 	sort.Float64s(latencies)
 	if len(latencies) > 0 {
@@ -260,11 +234,8 @@ func main() {
 		rep.DedupJoined = m["tarserved_dedup_joined_total"]
 		rep.SimsStarted = m["tarserved_sims_started_total"]
 		rep.SimsCompleted = m["tarserved_sims_completed_total"]
-		rep.WorkerRetries = m["tarserved_workers_retries"]
-		rep.WorkerRestarts = m["tarserved_workers_restarts"]
 		rep.ServerShedQueueFull = m["tarserved_shed_queue_full_total"]
 		rep.ServerShedDeadline = m["tarserved_shed_deadline_total"]
-		rep.ServerPoisonShed = m["tarserved_poison_shed_total"]
 		rep.SnapshotHits = m["tarserved_snapshot_hits_total"]
 		rep.SnapshotMisses = m["tarserved_snapshot_misses_total"]
 		rep.WarmupCyclesSaved = m["tarserved_warmup_cycles_saved_total"]
@@ -352,7 +323,7 @@ type sweepStatusWire struct {
 // runSweepMode posts one sweep and follows it to a terminal state, recording
 // per-point completion latencies along the way, then writes the report and
 // exits with the sweep's fate.
-func runSweepMode(addr, serverBackend string, benches []string, config, baseline, scale, axesSpec, out string) {
+func runSweepMode(addr string, benches []string, config, baseline, scale, axesSpec, out string) {
 	axes, err := parseAxes(axesSpec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tarload: -sweep:", err)
@@ -454,8 +425,7 @@ func runSweepMode(addr, serverBackend string, benches []string, config, baseline
 
 	rep := report{
 		Addr: addr, Benches: benches, Configs: []string{config}, Scale: scale,
-		Backend: serverBackend, WallSeconds: wall.Seconds(),
-		Done: st.Done, Failed: st.Failed, Shed: st.Shed,
+		WallSeconds: wall.Seconds(), Done: st.Done, Failed: st.Failed, Shed: st.Shed,
 		Sweeps: []sweepReport{sr},
 	}
 	fmt.Fprintf(os.Stderr,
@@ -479,22 +449,6 @@ func runSweepMode(addr, serverBackend string, benches []string, config, baseline
 		}
 		os.Exit(1)
 	}
-}
-
-// probeBackend asks /healthz which execution backend the server runs.
-func probeBackend(addr string) (string, error) {
-	resp, err := http.Get(addr + "/healthz")
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	var hz struct {
-		Backend string `json:"backend"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
-		return "", err
-	}
-	return hz.Backend, nil
 }
 
 // outcome is one job's terminal fate: its state ("done", "failed" or
@@ -560,8 +514,8 @@ func runJob(addr, bench, config, scale string, wait time.Duration) (outcome, err
 		}
 		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
 			if st.Error != nil {
-				// A structured terminal envelope (e.g. a poisoned confhash's
-				// recorded worker_crash) is an outcome, not a client error.
+				// A structured terminal envelope is an outcome, not a client
+				// error.
 				oc.state, oc.code = "failed", st.Error.Code
 				return oc, nil
 			}

@@ -1,14 +1,13 @@
 // Command tarserved runs the Tarantula simulator as a long-lived job
 // service: a JSON-over-HTTP API to submit experiments, poll or long-poll
-// their status, and fetch results, backed by a bounded worker pool, a
-// content-addressed LRU result cache with in-flight deduplication, and a
-// Prometheus /metrics endpoint.
+// their status, and fetch results, backed by a bounded pool of worker
+// goroutines, a content-addressed LRU result cache with in-flight
+// deduplication, and a Prometheus /metrics endpoint.
 //
 // Usage:
 //
 //	tarserved -addr :8077
 //	tarserved -addr :8077 -workers 8 -cache 4096 -max-deadline 5m
-//	tarserved -addr :8077 -backend subprocess -worker-bin ./tarworker
 //	tarserved -addr :8077 -store-dir /var/lib/tarserved -queue-wait 2m
 //
 // With -store-dir, completed results are persisted to a crash-safe disk
@@ -19,13 +18,11 @@
 // error code "deadline_exceeded" (504), and submissions whose estimated
 // wait is hopeless are refused up front with "queue_full" + Retry-After.
 //
-// Execution backends (-backend):
-//
-//	inprocess   simulations run as goroutines in this process (default)
-//	subprocess  each simulation runs in its own tarworker process; a
-//	            wedged or crashing worker is SIGKILLed and the job is
-//	            retried on another worker (-job-retries, exponential
-//	            backoff). Results are byte-identical to in-process runs.
+// Simulations run in this process. A panicking model build fails its job
+// with "internal", and a wedged one, or a kernel that stalls past its
+// deadline (-job-deadline), fails it with "wedge" and frees its worker. A
+// hard crash or an out-of-memory kill takes the server down; restarted over
+// the same -store-dir, it warm-starts from the results already stored.
 //
 // API sketch (see README.md for the endpoint table, DESIGN.md for the
 // error-code table and the full contract):
@@ -54,9 +51,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"os/exec"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -81,12 +76,8 @@ func main() {
 	storeDir := flag.String("store-dir", "", "persist results to this directory (crash-safe disk store; empty = memory only)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "disk-store byte cap; least-recently-accessed artifacts are evicted past it (0 = 1 GiB)")
 	queueWait := flag.Duration("queue-wait", 5*time.Minute, "max time a job may wait for a worker before being shed with deadline_exceeded; also the admission controller's wait budget (0 = no shedding)")
-	chaos := flag.String("chaos", "", "chaos campaigns, comma-separated: disk (inject disk-store I/O errors and torn writes), killstorm (SIGKILL subprocess workers on early attempts), flood (tiny queue and short waits to force structural shedding)")
+	chaos := flag.String("chaos", "", "chaos campaigns, comma-separated: disk (inject disk-store I/O errors and torn writes), flood (tiny queue and short waits to force structural shedding)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "deterministic seed for -chaos campaigns")
-	backend := flag.String("backend", "inprocess", "execution backend: inprocess or subprocess")
-	workerBin := flag.String("worker-bin", "", "tarworker binary for -backend subprocess (default: tarworker next to this binary, else $PATH)")
-	jobRetries := flag.Int("job-retries", 2, "times a job is requeued after a worker death (subprocess backend)")
-	killWorker := flag.String("kill-worker", "", "fault drill: comma-separated bench@config cells whose subprocess worker is SIGKILLed mid-job on first attempt")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file, finalized at drained shutdown")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at drained shutdown")
 	flag.Parse()
@@ -119,18 +110,14 @@ func main() {
 	}
 
 	// Resolve the -chaos campaigns before anything opens: disk chaos arms
-	// the store's injector, killstorm the subprocess fleet's, and flood
-	// shrinks the queue so saturation (and its structured shedding) is
-	// reachable without megascale load.
+	// the store's injector, and flood shrinks the queue so saturation (and
+	// its structured shedding) is reachable without megascale load.
 	var diskChaos *faults.Config
-	killStorm := false
 	for _, c := range strings.Split(*chaos, ",") {
 		switch strings.TrimSpace(c) {
 		case "":
 		case "disk":
 			diskChaos = faults.DiskChaos(*chaosSeed)
-		case "killstorm":
-			killStorm = true
 		case "flood":
 			if *queue > 2 {
 				*queue = 2
@@ -139,7 +126,7 @@ func main() {
 				*queueWait = 250 * time.Millisecond
 			}
 		default:
-			fmt.Fprintf(os.Stderr, "tarserved: unknown -chaos campaign %q (want disk, killstorm or flood)\n", c)
+			fmt.Fprintf(os.Stderr, "tarserved: unknown -chaos campaign %q (want disk or flood)\n", c)
 			os.Exit(2)
 		}
 	}
@@ -158,7 +145,7 @@ func main() {
 			*storeDir, r.WarmStart, r.DiskBytes, r.Quarantined)
 	}
 
-	opts := serve.Options{
+	s := serve.New(serve.Options{
 		Workers:         *workers,
 		QueueDepth:      *queue,
 		Store:           db,
@@ -167,56 +154,14 @@ func main() {
 		MaxDeadline:     *maxDeadline,
 		SampleEvery:     *sample,
 		SampleCap:       *sampleCap,
-	}
-	switch *backend {
-	case "inprocess":
-		if *killWorker != "" {
-			fmt.Fprintln(os.Stderr, "tarserved: -kill-worker requires -backend subprocess (there is no process to kill in-process)")
-			os.Exit(2)
-		}
-		if killStorm {
-			fmt.Fprintln(os.Stderr, "tarserved: -chaos killstorm requires -backend subprocess (there is no process to kill in-process)")
-			os.Exit(2)
-		}
-	case "subprocess":
-		var fcfg *faults.Config
-		switch {
-		case killStorm && *killWorker != "":
-			fmt.Fprintln(os.Stderr, "tarserved: -chaos killstorm and -kill-worker are mutually exclusive")
-			os.Exit(2)
-		case killStorm:
-			// Storm depth 2 with the default retry budget of 2 means every
-			// job survives on its third attempt: maximum fleet churn, zero
-			// permanently lost work.
-			fcfg = faults.KillStorm(*chaosSeed, 2)
-		case *killWorker != "":
-			fcfg = faults.WorkerKiller(strings.Split(*killWorker, ",")...)
-			fmt.Fprintf(os.Stderr, "tarserved: fault drill armed: SIGKILL worker of %s on first attempt\n", *killWorker)
-		}
-		be, err := serve.NewSubprocessBackend(serve.SubprocessOptions{
-			WorkerBin: resolveWorkerBin(*workerBin),
-			Workers:   *workers,
-			Retry:     serve.RetryPolicy{MaxRetries: *jobRetries},
-			Faults:    fcfg,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tarserved:", err)
-			os.Exit(2)
-		}
-		opts.Backend = be
-	default:
-		fmt.Fprintf(os.Stderr, "tarserved: unknown -backend %q (want inprocess or subprocess)\n", *backend)
-		os.Exit(2)
-	}
-
-	s := serve.New(opts)
+	})
 	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "tarserved: listening on %s (%s backend)\n", *addr, s.Backend().Kind())
+	fmt.Fprintf(os.Stderr, "tarserved: listening on %s\n", *addr)
 
 	select {
 	case sig := <-sigc:
@@ -237,23 +182,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tarserved: shutdown:", err)
 	}
 	fmt.Fprintln(os.Stderr, "tarserved: drained, exiting")
-}
-
-// resolveWorkerBin finds the tarworker binary: an explicit -worker-bin wins,
-// then a tarworker next to this executable (the usual deploy layout), then
-// whatever $PATH offers. The backend validates the final choice.
-func resolveWorkerBin(explicit string) string {
-	if explicit != "" {
-		return explicit
-	}
-	if exe, err := os.Executable(); err == nil {
-		sibling := filepath.Join(filepath.Dir(exe), "tarworker")
-		if _, err := os.Stat(sibling); err == nil {
-			return sibling
-		}
-	}
-	if p, err := exec.LookPath("tarworker"); err == nil {
-		return p
-	}
-	return "tarworker" // let the backend report the lookup failure
 }

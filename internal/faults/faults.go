@@ -42,22 +42,6 @@ type Config struct {
 	// watchdog must convert the wedge into a WedgeError instead of a hang.
 	StallStormFrom uint64
 
-	// WorkerKill arms the out-of-process fault drill: the subprocess
-	// execution backend SIGKILLs the worker of every targeted cell mid-job,
-	// on the job's first attempt only. The server-visible contract under
-	// test is that the job still completes — retried on another worker —
-	// and the service itself never notices beyond a retry counter. The
-	// in-process backend ignores the flag (there is no process to kill).
-	WorkerKill bool
-
-	// WorkerKillStorm escalates the drill into a storm: targeted cells'
-	// workers are SIGKILLed on every attempt below the value, so a storm
-	// deeper than the retry budget deterministically exhausts it. The
-	// contract under test shifts from "the retry recovers" to "the server
-	// sheds with a structured worker_crash envelope and quarantines the
-	// poisoned confhash instead of retry-looping the fleet to death".
-	WorkerKillStorm int
-
 	// DiskErrPct injects I/O errors into the disk result store with the
 	// given percent probability per read or write. A failed write costs
 	// durability for that one artifact (the miss re-simulates); a failed
@@ -114,25 +98,6 @@ func Storm(seed int64, from uint64) *Config {
 		from = 100_000
 	}
 	return &Config{Seed: seed, StallStormFrom: from}
-}
-
-// WorkerKiller is the canned out-of-process campaign (tarserved
-// -kill-worker): SIGKILL the subprocess worker of each listed cell mid-job,
-// first attempt only. No timing perturbation — the fault is the process
-// death itself.
-func WorkerKiller(cells ...string) *Config {
-	return &Config{WorkerKill: true, Cells: cells}
-}
-
-// KillStorm is the canned worker-kill storm (tarserved -chaos storm):
-// targeted cells' workers are SIGKILLed on every attempt below depth. With
-// depth within the retry budget the job survives the storm; past it the
-// server must shed with worker_crash and poison the confhash.
-func KillStorm(seed int64, depth int, cells ...string) *Config {
-	if depth <= 0 {
-		depth = 2
-	}
-	return &Config{Seed: seed, WorkerKillStorm: depth, Cells: cells}
 }
 
 // DiskChaos is the canned disk-store campaign (tarserved -chaos disk): one
@@ -227,22 +192,6 @@ func (i *Injector) StallVPorts(cy uint64) bool {
 		return false
 	}
 	return i.roll(streamVPort, cy, 0)%100 < uint64(i.cfg.VPortStallPct)
-}
-
-// KillWorker reports whether the subprocess backend should SIGKILL the
-// worker executing the given cell on this attempt (0-based). The plain
-// drill (WorkerKill) fires on the first attempt only, so the retried job
-// always completes — it proves recovery, not permanent denial. A storm
-// (WorkerKillStorm) fires on every attempt below its depth, so a storm
-// deeper than the retry budget proves the shed-and-quarantine path instead.
-func (i *Injector) KillWorker(key string, attempt int) bool {
-	if i == nil || !i.cfg.Targets(key) {
-		return false
-	}
-	if i.cfg.WorkerKillStorm > 0 && attempt < i.cfg.WorkerKillStorm {
-		return true
-	}
-	return i.cfg.WorkerKill && attempt == 0
 }
 
 // serviceRoll draws the next decision for a service-layer stream: the op

@@ -96,50 +96,6 @@ func TestNilInjectorSafe(t *testing.T) {
 	}
 }
 
-// TestKillWorker pins the out-of-process drill's selection rules: targeted
-// cell only, first attempt only, nil-safe, and off unless armed.
-func TestKillWorker(t *testing.T) {
-	i := faults.New(faults.WorkerKiller("dgemm@T", "streams_copy@EV8"))
-	if !i.KillWorker("dgemm@T", 0) || !i.KillWorker("streams_copy@EV8", 0) {
-		t.Error("targeted cell not killed on first attempt")
-	}
-	if i.KillWorker("dgemm@T", 1) || i.KillWorker("dgemm@T", 2) {
-		t.Error("retry attempt killed: the drill must prove recovery, not permanent denial")
-	}
-	if i.KillWorker("dgemm@EV8", 0) {
-		t.Error("untargeted cell killed")
-	}
-	if (*faults.Injector)(nil).KillWorker("dgemm@T", 0) {
-		t.Error("nil injector killed a worker")
-	}
-	// A campaign without WorkerKill never kills, even for targeted cells.
-	j := faults.New(&faults.Config{Cells: []string{"dgemm@T"}})
-	if j.KillWorker("dgemm@T", 0) {
-		t.Error("unarmed campaign killed a worker")
-	}
-}
-
-// TestKillStorm pins the storm escalation: targeted cells are killed on
-// every attempt below the depth, untargeted cells never, and the plain
-// drill's first-attempt-only rule is unchanged by an unarmed storm field.
-func TestKillStorm(t *testing.T) {
-	i := faults.New(faults.KillStorm(1, 3, "dgemm@T"))
-	for attempt := 0; attempt < 3; attempt++ {
-		if !i.KillWorker("dgemm@T", attempt) {
-			t.Errorf("storm depth 3 spared attempt %d", attempt)
-		}
-	}
-	if i.KillWorker("dgemm@T", 3) {
-		t.Error("storm killed past its depth")
-	}
-	if i.KillWorker("dgemm@EV8", 0) {
-		t.Error("storm killed an untargeted cell")
-	}
-	if (*faults.Injector)(nil).KillWorker("dgemm@T", 0) {
-		t.Error("nil injector stormed")
-	}
-}
-
 // TestDiskFaultHooks checks the service-layer hooks: nil-safe, off when
 // unarmed, deterministic per (seed, operation order), and firing at roughly
 // the configured rate.

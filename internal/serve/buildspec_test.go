@@ -9,11 +9,10 @@ import (
 )
 
 // The one-build-path contract: resolving a request through BuildSpec and
-// then replaying the resolved JobSpec through the worker wire path (JSON
-// round-trip + JobSpec.Build, exactly what tarworker does) must yield the
-// same spec bytes, the same decorated configuration, and the same
-// confhash. If these ever diverge, the subprocess backend would simulate a
-// different experiment than the in-process one under the same identity.
+// then rebuilding the resolved JobSpec (JobSpec.Build, exactly what the
+// worker does) must yield the same decorated configuration and the same
+// confhash. If these ever diverge, the worker would simulate a different
+// experiment than the one the request was keyed under.
 func TestBuildSpecCrossPathEquivalence(t *testing.T) {
 	req := &SubmitRequest{
 		Bench:     "dgemm",
@@ -41,32 +40,15 @@ func TestBuildSpecCrossPathEquivalence(t *testing.T) {
 		t.Errorf("sampler not applied: every=%d cap=%d", spec.SampleEvery, spec.SampleCap)
 	}
 
-	// The worker wire path: the spec crosses a process boundary as JSON.
-	wire, err := json.Marshal(spec)
+	cfg2, scale2, err := spec.Build()
 	if err != nil {
-		t.Fatal(err)
-	}
-	var replayed JobSpec
-	if err := json.Unmarshal(wire, &replayed); err != nil {
-		t.Fatal(err)
-	}
-	rewire, err := json.Marshal(&replayed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(wire) != string(rewire) {
-		t.Errorf("spec JSON not byte-stable across the wire:\n%s\n%s", wire, rewire)
-	}
-
-	cfg2, scale2, err := replayed.Build()
-	if err != nil {
-		t.Fatalf("replayed Build: %v", err)
+		t.Fatalf("rebuild: %v", err)
 	}
 	if scale != scale2 {
 		t.Errorf("scale diverged: %v vs %v", scale, scale2)
 	}
 	k1 := confhash.Key(spec.Bench, scale.String(), cfg)
-	k2 := confhash.Key(replayed.Bench, scale2.String(), cfg2)
+	k2 := confhash.Key(spec.Bench, scale2.String(), cfg2)
 	if k1 != k2 {
 		t.Errorf("confhash diverged across build paths: %s vs %s", k1, k2)
 	}

@@ -19,11 +19,8 @@ import (
 // meaningful within one schema, and CompareArtifacts refuses to compare
 // across versions. Version 1 was the pre-metrics encoding (no schema field,
 // no series); version 2 added both; version 3 replaced the ad-hoc error
-// bodies with the stable code-based envelope and extended the byte-equality
-// contract across execution backends: the same spec yields the same
-// JobResult bytes whether it ran in-process or in a tarworker subprocess
-// (the worker protocol itself is versioned by this constant); version 4
-// added the simulator-throughput fields (sim_cycles, sim_wall_ns, mcps).
+// bodies with the stable code-based envelope; version 4 added the
+// simulator-throughput fields (sim_cycles, sim_wall_ns, mcps).
 // Those are the one deliberate crack in the byte-equality contract — wall
 // time is a property of the host, not the experiment — so CompareArtifacts
 // canonicalises them away before comparing same-schema artifacts.

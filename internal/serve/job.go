@@ -56,10 +56,9 @@ type SubmitRequest struct {
 
 // JobSpec is the fully-resolved description of one simulation: a
 // SubmitRequest after server-side defaulting (deadline resolution and
-// clamping, observability knobs). It is the unit of work a Backend
-// executes and the exact JSON a subprocess worker receives on stdin, so
-// the same spec reproduces the same simulation — and the same JobResult
-// bytes — no matter which process runs it.
+// clamping, observability knobs). It is the unit of work a worker executes,
+// and the same spec reproduces the same simulation — and the same JobResult
+// bytes.
 type JobSpec struct {
 	Bench  string `json:"bench"`
 	Config string `json:"config"`
@@ -73,9 +72,7 @@ type JobSpec struct {
 	FaultSeed     int64  `json:"fault_seed,omitempty"`
 	FaultCampaign string `json:"fault_campaign,omitempty"`
 	// Knobs are the design-space-exploration perturbations applied to the
-	// named config inside Build — in the worker subprocess too, so a swept
-	// point simulates identically on every backend. (Go's canonical map
-	// marshalling keeps the wire encoding deterministic.)
+	// named config inside Build.
 	Knobs map[string]float64 `json:"knobs,omitempty"`
 	// SampleEvery/SampleCap arm the cycle-interval sampler. They live
 	// outside the confhash identity (observation, not configuration), so
@@ -84,14 +81,10 @@ type JobSpec struct {
 	SampleCap   int    `json:"sample_cap,omitempty"`
 }
 
-// CellKey is the sweep-cell vocabulary ("bench@config") shared with the
-// fault harness's Targets selection.
-func (sp *JobSpec) CellKey() string { return sp.Bench + "@" + sp.Config }
-
 // Build validates the spec and assembles the decorated machine
-// configuration plus the parsed scale. Both backends call it — the
-// in-process pool directly, the subprocess fleet inside the tarworker
-// binary — so a spec resolves to identical simulation inputs everywhere.
+// configuration plus the parsed scale. BuildSpec calls it when a request is
+// resolved and the worker again when it executes the spec, so both see
+// identical simulation inputs.
 func (sp *JobSpec) Build() (*sim.Config, workloads.Scale, error) {
 	if sp.Bench == "" {
 		return nil, 0, errors.New("missing bench")
@@ -156,9 +149,9 @@ type SpecDefaults struct {
 // BuildSpec is the single request→spec build path: it resolves a
 // SubmitRequest against the given defaults and validates it by assembling
 // the decorated machine configuration plus the parsed scale. Every
-// consumer goes through here — the HTTP server (via its own defaults) and
-// both execution backends (via JobSpec.Build on the resolved spec) — so
-// one request resolves to identical simulation inputs everywhere.
+// submission goes through here, a sweep's experiments included, and the
+// worker rebuilds the resolved spec with JobSpec.Build, so one request
+// resolves to identical simulation inputs everywhere.
 func BuildSpec(req *SubmitRequest, d SpecDefaults) (*JobSpec, *sim.Config, workloads.Scale, error) {
 	sp := &JobSpec{
 		Bench:         req.Bench,
@@ -281,12 +274,8 @@ const (
 	// ErrCodeCheckFailed: the simulation ran to completion but computed a
 	// functionally wrong answer. HTTP 422.
 	ErrCodeCheckFailed = "check_failed"
-	// ErrCodeInternal: a server-side fault (recovered panic, protocol
-	// corruption). HTTP 500.
+	// ErrCodeInternal: a server-side fault (a recovered panic). HTTP 500.
 	ErrCodeInternal = "internal"
-	// ErrCodeWorkerCrash: a subprocess worker died mid-job and the retry
-	// budget is exhausted. HTTP 500.
-	ErrCodeWorkerCrash = "worker_crash"
 )
 
 // ErrorCodeStatus is the closed /v1 error-code set and each code's HTTP
@@ -302,13 +291,11 @@ var ErrorCodeStatus = map[string]int{
 	ErrCodeWedge:            422,
 	ErrCodeCheckFailed:      422,
 	ErrCodeInternal:         500,
-	ErrCodeWorkerCrash:      500,
 }
 
 // ErrorJSON is the stable /v1 error envelope body. Code is always present;
 // Confhash identifies the experiment for errors attached to a resolved
-// job; the remaining fields carry WedgeError diagnostics for code "wedge"
-// and the execution count for code "worker_crash".
+// job; the remaining fields carry WedgeError diagnostics for code "wedge".
 type ErrorJSON struct {
 	Code     string `json:"code"`
 	Message  string `json:"message"`
@@ -319,17 +306,11 @@ type ErrorJSON struct {
 	Cycle     uint64 `json:"cycle,omitempty"`
 	Retired   uint64 `json:"retired,omitempty"`
 	Occupancy string `json:"occupancy,omitempty"`
-
-	// Attempts is how many times a job was executed before the server gave
-	// up (code "worker_crash" only).
-	Attempts int `json:"attempts,omitempty"`
 }
 
 // JobError is the normalized failure of one job execution: the stable wire
-// envelope plus its HTTP status. Every backend converts failures into this
-// form at the source — the in-process pool via toJobError, the subprocess
-// fleet inside the worker binary — so error bodies are byte-identical
-// across backends for the same deterministic failure.
+// envelope plus its HTTP status. The worker converts every failure into
+// this form via toJobError.
 type JobError struct {
 	Status int
 	JSON   ErrorJSON

@@ -36,7 +36,7 @@ type metrics struct {
 	mu sync.Mutex
 
 	submitted   uint64 // jobs accepted
-	rejected    uint64 // jobs refused (drain, queue overflow, admission, poison)
+	rejected    uint64 // jobs refused (drain, queue overflow, admission)
 	done        uint64 // jobs reaching StateDone
 	failed      uint64 // jobs reaching StateFailed
 	wedged      uint64 // subset of failed whose cause is a *sim.WedgeError
@@ -47,13 +47,11 @@ type metrics struct {
 	simsDone    uint64 // underlying simulations finished (either way)
 
 	// Overload-protection counters: submissions refused by the admission
-	// controller or queue bound (shedQueueFull), jobs shed from the queue
-	// when their deadline expired before a worker freed up (shedDeadline),
-	// and submissions refused because their confhash is quarantined after
-	// crash-looping the fleet (poisonShed).
+	// controller or queue bound (shedQueueFull), and jobs shed from the
+	// queue when their deadline expired before a worker freed up
+	// (shedDeadline).
 	shedQueueFull uint64
 	shedDeadline  uint64
-	poisonShed    uint64
 
 	// Sweep-orchestration counters: sweeps accepted, finished (either way),
 	// answered whole from the durable sweep store, joined onto an identical
@@ -171,22 +169,21 @@ func (m *metrics) quantiles() (p50, p99 float64, n uint64) {
 }
 
 // render writes the Prometheus exposition: the whole service in one
-// scrape. st is the store's health block, ws the backend's fleet health,
-// queueDepth the flights waiting for an execution slot and poisoned the
-// count of quarantined confhashes, all sampled by the caller (store,
-// backend and server have their own locks). The scrape is rendered into a
+// scrape. st is the store's health block, workers the pool size and
+// queueDepth the flights waiting for a worker, all sampled by the caller
+// (store and server have their own locks). The scrape is rendered into a
 // buffer under m.mu and written after it is released, so a client that
 // stops reading cannot stall the job accounting that takes m.mu.
-func (m *metrics) render(w io.Writer, st StoreStatus, ws WorkerStats, queueDepth, poisoned int) {
+func (m *metrics) render(w io.Writer, st StoreStatus, workers, queueDepth int) {
 	var buf bytes.Buffer
 	m.mu.Lock()
-	m.renderLocked(&buf, st, ws, queueDepth, poisoned)
+	m.renderLocked(&buf, st, workers, queueDepth)
 	m.mu.Unlock()
 	w.Write(buf.Bytes())
 }
 
 // renderLocked writes the exposition. Requires m.mu.
-func (m *metrics) renderLocked(w io.Writer, st StoreStatus, ws WorkerStats, queueDepth, poisoned int) {
+func (m *metrics) renderLocked(w io.Writer, st StoreStatus, workers, queueDepth int) {
 	counter := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
@@ -217,16 +214,12 @@ func (m *metrics) renderLocked(w io.Writer, st StoreStatus, ws WorkerStats, queu
 	counter("tarserved_warmup_cycles_saved_total", "Simulated cycles avoided by restoring warm-up snapshots.", m.warmupCyclesSaved)
 	counter("tarserved_shed_queue_full_total", "Submissions refused because the queue was full or the estimated wait exceeded the deadline.", m.shedQueueFull)
 	counter("tarserved_shed_deadline_total", "Queued jobs shed because their deadline expired before a worker freed up.", m.shedDeadline)
-	counter("tarserved_poison_shed_total", "Submissions refused because their confhash is quarantined after crash-looping workers.", m.poisonShed)
 	gauge("tarserved_jobs_queued", "Jobs waiting for a worker.", m.queued)
 	gauge("tarserved_jobs_running", "Jobs whose simulation is executing.", m.running)
 	gauge("tarserved_cache_entries", "Entries resident in the result cache.", st.MemEntries)
-	gauge("tarserved_poisoned_confhashes", "Confhashes currently quarantined by the crash circuit breaker.", poisoned)
 	fmt.Fprintf(w, "# HELP tarserved_job_ewma_seconds EWMA of simulation execution seconds, the admission controller's wait estimator.\n# TYPE tarserved_job_ewma_seconds gauge\ntarserved_job_ewma_seconds %g\n", m.ewmaJob)
-	gauge("tarserved_workers_alive", "Execution slots able to take work (live worker processes for the subprocess backend).", ws.Alive)
-	gauge("tarserved_workers_restarts", "Worker processes respawned after an unexpected death (always 0 in-process).", ws.Restarts)
-	gauge("tarserved_workers_retries", "Jobs re-executed after a worker death (always 0 in-process).", ws.Retries)
-	gauge("tarserved_workers_queue_depth", "Flights waiting for an execution slot.", queueDepth)
+	gauge("tarserved_workers_alive", "Workers in the simulation pool.", workers)
+	gauge("tarserved_workers_queue_depth", "Flights waiting for a worker.", queueDepth)
 	renderStore(w, st)
 	p50, p99, n := m.quantiles()
 	fmt.Fprintf(w, "# HELP tarserved_job_latency_seconds Job latency, submit to terminal state.\n")

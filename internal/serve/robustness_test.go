@@ -10,14 +10,15 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/isa"
 	"repro/internal/sim"
+	"repro/internal/vasm"
 	"repro/internal/workloads"
 )
 
@@ -537,106 +538,56 @@ func TestQueueWaitRequestClamp(t *testing.T) {
 	}
 }
 
-// TestPoisonBreaker: a confhash that crash-loops the subprocess fleet
-// through its whole retry budget trips the circuit breaker — the recorded
-// worker_crash envelope is replayed to resubmissions without spawning a
-// single further execution.
-func TestPoisonBreaker(t *testing.T) {
-	cell := "streams_copy@T"
-	_, ts, _ := newSubprocServer(t, 2, 0, faults.KillStorm(11, 10, cell))
-
-	st, _ := submit(t, ts.URL, SubmitRequest{Bench: "streams_copy", Config: "T", Scale: "test"})
-	fin := waitDone(t, ts.URL, st.ID)
-	if fin.State != StateFailed || fin.Error == nil || fin.Error.Code != ErrCodeWorkerCrash {
-		t.Fatalf("kill storm did not crash the job: %+v", fin)
-	}
-	started := metric(t, ts.URL, "tarserved_sims_started_total")
-
-	body, _ := json.Marshal(SubmitRequest{Bench: "streams_copy", Config: "T", Scale: "test"})
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var envelope struct {
-		Error ErrorJSON `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError || envelope.Error.Code != ErrCodeWorkerCrash {
-		t.Fatalf("poisoned resubmission = HTTP %d %+v", resp.StatusCode, envelope.Error)
-	}
-	if !strings.Contains(envelope.Error.Message, "quarantined") {
-		t.Fatalf("poisoned envelope does not say so: %q", envelope.Error.Message)
-	}
-	if envelope.Error.Confhash != fin.Key {
-		t.Fatalf("poisoned envelope confhash %q, want %q", envelope.Error.Confhash, fin.Key)
-	}
-	if got := metric(t, ts.URL, "tarserved_sims_started_total"); got != started {
-		t.Fatalf("poisoned resubmission started a simulation: %v -> %v", started, got)
-	}
-	if got := metric(t, ts.URL, "tarserved_poison_shed_total"); got != 1 {
-		t.Fatalf("poison_shed_total = %v, want 1", got)
-	}
-	if got := metric(t, ts.URL, "tarserved_poisoned_confhashes"); got != 1 {
-		t.Fatalf("poisoned_confhashes gauge = %v, want 1", got)
-	}
-
-	// An untargeted cell sails through the same fleet: the breaker is
-	// per-confhash, not global.
-	ok2, _ := submit(t, ts.URL, SubmitRequest{Bench: "dgemm", Config: "T", Scale: "test"})
-	if fin2 := waitDone(t, ts.URL, ok2.ID); fin2.State != StateDone {
-		t.Fatalf("healthy cell failed alongside the poisoned one: %+v", fin2)
-	}
-
-	// Healthz reports the breaker state.
-	hresp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var health struct {
-		Store    StoreStatus       `json:"store"`
-		Shed     map[string]uint64 `json:"shed"`
-		Poisoned int               `json:"poisoned"`
-	}
-	if err := json.NewDecoder(hresp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	hresp.Body.Close()
-	if health.Poisoned != 1 || health.Shed["poisoned"] != 1 || health.Store.Tier != "mem" {
-		t.Fatalf("healthz robustness block = %+v", health)
-	}
-}
-
-// TestPoisonTTLDisabled: a negative PoisonTTL turns the breaker off — the
-// crash-looping confhash is retried on resubmission rather than refused.
-func TestPoisonTTLDisabled(t *testing.T) {
-	runs := 0
-	s := New(Options{
-		Workers:   1,
-		PoisonTTL: -1,
+// TestStalledKernelFreesItsWorker: a kernel that stops calling the
+// Builder blocks the chip loop inside the trace, where no deadline poll
+// runs. The simulator must still fail the job at its deadline with a wedge,
+// and the pool's one worker must then be free to run the next job.
+func TestStalledKernelFreesItsWorker(t *testing.T) {
+	var stalled atomic.Bool
+	stalled.Store(true)
+	var runs atomic.Int64
+	_, ts := newTestServer(t, Options{
+		Workers: 1,
 		Run: func(bench string, cfg *sim.Config, scale workloads.Scale) (*workloads.Result, error) {
-			runs++
-			return nil, &JobError{Status: 500, JSON: ErrorJSON{Code: ErrCodeWorkerCrash, Message: "synthetic crash"}}
+			if runs.Add(1) > 1 {
+				return fakeResult(bench, cfg.Name), nil
+			}
+			out, err := sim.Execute(sim.RunSpec{Config: cfg, Kernel: func(b *vasm.Builder) {
+				b.Li(isa.R(1), 1)
+				for stalled.Load() {
+					runtime.Gosched()
+				}
+			}})
+			if err == nil {
+				err = fmt.Errorf("stalled kernel completed at cycle %d", out.Stats.Cycles)
+			}
+			return nil, err
 		},
 	})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.Drain(ctx)
-	}()
-	for i := 0; i < 2; i++ {
-		st, err := s.Submit(&SubmitRequest{Bench: "dgemm", Config: "T", Scale: "test"})
-		if err != nil {
-			t.Fatalf("submission %d refused: %v", i, err)
-		}
-		s.mu.Lock()
-		j := s.jobs[st.ID]
-		s.mu.Unlock()
-		<-j.done
+	t.Cleanup(func() { stalled.Store(false) })
+
+	st, _ := submit(t, ts.URL, SubmitRequest{Bench: "dgemm", Config: "T", Scale: "test", DeadlineMs: 200})
+	if fin := waitDone(t, ts.URL, st.ID); fin.State != StateFailed {
+		t.Fatalf("stalled job = %+v, want failed", fin)
 	}
-	if runs != 2 {
-		t.Fatalf("disabled breaker ran %d simulations, want 2", runs)
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct {
+		Error ErrorJSON `json:"error"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusUnprocessableEntity || body.Error.Code != ErrCodeWedge || body.Error.Reason != sim.ReasonDeadline {
+		t.Fatalf("stalled job result = HTTP %d %+v, want 422 wedge/%s", resp.StatusCode, body.Error, sim.ReasonDeadline)
+	}
+
+	next, _ := submit(t, ts.URL, SubmitRequest{Bench: "streams_copy", Config: "T", Scale: "test"})
+	if fin := waitDone(t, ts.URL, next.ID); fin.State != StateDone {
+		t.Fatalf("job after the stalled one = %+v, want done", fin)
 	}
 }

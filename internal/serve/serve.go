@@ -6,15 +6,12 @@
 // drains in-flight simulations on shutdown, so a deploy never truncates a
 // half-finished experiment.
 //
-// Execution is pluggable behind the Backend interface: the in-process pool
-// runs simulations as goroutines in the server binary (zero overhead), and
-// the subprocess fleet runs each job in its own tarworker process so a
-// wedged or crashing model build can be SIGKILLed and retried without
-// taking the service down. Both backends produce byte-identical JobResult
-// artifacts for the same spec, and every integrity feature (watchdog,
-// deadline, invariant checker, fault campaigns) remains a request knob. A
-// wedged machine surfaces as a structured HTTP 422 with error code "wedge"
-// — never a hung connection or an anonymous 500.
+// Simulations run on the worker pool's goroutines, in the server process. A
+// panic is recovered into error code "internal", and every integrity
+// feature (watchdog, deadline, invariant checker, fault campaigns) remains
+// a request knob: a wedged machine, or a kernel that stalls past its
+// deadline, surfaces as a structured HTTP 422 with error code "wedge" —
+// never a hung connection or an anonymous 500.
 //
 // Results, sweep blobs and warm-up chip snapshots live in one
 // content-addressed store, internal/store's Interface, which the server
@@ -23,10 +20,8 @@
 // previous life's artifacts. Under overload the server sheds load
 // structurally rather than degrading: the admission controller refuses
 // submissions whose estimated queue wait would blow their deadline
-// (queue_full + Retry-After), queued jobs whose deadline expires are shed
-// with deadline_exceeded before ever occupying a worker, and a confhash
-// that crash-loops the worker fleet is quarantined by a circuit breaker
-// instead of being retried forever.
+// (queue_full + Retry-After), and queued jobs whose deadline expires are
+// shed with deadline_exceeded before ever occupying a worker.
 package serve
 
 import (
@@ -46,23 +41,9 @@ import (
 	"repro/internal/workloads"
 )
 
-// RunFunc executes one experiment. The default runs the real simulator;
-// tests substitute counting or failing stubs. It is the in-process
-// backend's execution function — the subprocess backend replaces the whole
-// execution path, not just this hook.
+// RunFunc executes one experiment. The default runs the real simulator with
+// warm-up snapshot reuse; tests substitute counting or failing stubs.
 type RunFunc func(bench string, cfg *sim.Config, scale workloads.Scale) (*workloads.Result, error)
-
-func defaultRun(bench string, cfg *sim.Config, scale workloads.Scale) (*workloads.Result, error) {
-	b, err := workloads.Get(bench)
-	if err != nil {
-		return nil, err
-	}
-	return b.Run(cfg, scale)
-}
-
-// defaultPoisonTTL is how long a crash-looping confhash stays quarantined
-// when Options.PoisonTTL is zero.
-const defaultPoisonTTL = 10 * time.Minute
 
 // Options configures a Server. Zero values select sensible defaults.
 type Options struct {
@@ -83,12 +64,6 @@ type Options struct {
 	// may ask for less via queue_wait_ms, never more. Zero disables
 	// queue-wait shedding and admission control entirely.
 	QueueWait time.Duration
-	// PoisonTTL is how long the circuit breaker quarantines a confhash
-	// whose executions crash-looped the worker fleet: resubmissions are
-	// refused with the recorded worker_crash envelope instead of
-	// crash-looping again. Zero selects defaultPoisonTTL; negative
-	// disables the breaker.
-	PoisonTTL time.Duration
 	// DefaultDeadline is applied to jobs that do not set deadline_ms;
 	// MaxDeadline clamps what a request may ask for. Zero disables each.
 	DefaultDeadline time.Duration
@@ -105,29 +80,18 @@ type Options struct {
 	SampleEvery uint64
 	// SampleCap bounds retained points per run (0 = the sampler default).
 	SampleCap int
-	// Backend substitutes the execution backend. Nil selects the
-	// in-process pool (wrapping Run when set).
-	Backend Backend
-	// Run substitutes the in-process execution function (tests only).
-	// Ignored when Backend is set.
+	// Run substitutes the execution function (tests only).
 	Run RunFunc
-}
-
-// poisonRecord is one quarantined confhash: the worker_crash envelope its
-// executions earned, replayed to resubmissions until the TTL expires.
-type poisonRecord struct {
-	until time.Time
-	err   ErrorJSON
 }
 
 // Server is the simulation-as-a-service layer. Create with New, mount via
 // Handler, stop with Drain.
 type Server struct {
-	opts    Options
-	backend Backend
-	store   store.Interface
-	m       *metrics
-	mux     *http.ServeMux
+	opts  Options
+	run   RunFunc
+	store store.Interface
+	m     *metrics
+	mux   *http.ServeMux
 
 	mu       sync.Mutex
 	seq      int
@@ -135,7 +99,6 @@ type Server struct {
 	order    []string // job ids, submission order (listing + record GC)
 	flights  map[string]*flight
 	queue    chan *flight
-	poison   map[string]*poisonRecord
 	draining bool
 
 	// stored counts results complete has put in the store. Submit looks
@@ -171,13 +134,12 @@ func New(opts Options) *Server {
 	}
 	s := &Server{
 		opts:        opts,
-		backend:     opts.Backend,
+		run:         opts.Run,
 		store:       opts.Store,
 		m:           &metrics{},
 		jobs:        make(map[string]*job),
 		flights:     make(map[string]*flight),
 		queue:       make(chan *flight, opts.QueueDepth),
-		poison:      make(map[string]*poisonRecord),
 		sweeps:      make(map[string]*sweep),
 		sweepByKey:  make(map[string]*sweep),
 		stopJanitor: make(chan struct{}),
@@ -185,16 +147,8 @@ func New(opts Options) *Server {
 	if s.store == nil {
 		s.store = store.NewMem(storeConfig(0))
 	}
-	if s.backend == nil {
-		run := opts.Run
-		if run == nil {
-			// Warm-up snapshot reuse rides the in-process execution path.
-			// Test stubs (opts.Run) and the subprocess backend keep the
-			// plain path: a subprocess worker has no handle on the
-			// server's store.
-			run = s.snapshotRun()
-		}
-		s.backend = newInProcessBackend(run, opts.Workers)
+	if s.run == nil {
+		s.run = s.snapshotRun()
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -224,14 +178,9 @@ func New(opts Options) *Server {
 // Handler returns the HTTP surface.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Backend returns the execution backend (for health introspection and
-// tests).
-func (s *Server) Backend() Backend { return s.backend }
-
 // Drain stops intake (new submissions get 503), lets queued and in-flight
-// simulations finish, stops the shed janitor, closes the backend and the
-// store, and returns when the pool is idle or ctx expires. Safe to call
-// more than once.
+// simulations finish, stops the shed janitor, closes the store, and returns
+// when the pool is idle or ctx expires. Safe to call more than once.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
@@ -249,7 +198,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.sweepsWG.Wait()
 		s.workersWG.Wait()
 		s.janitorWG.Wait()
-		s.backend.Close()
 		s.store.Close()
 		close(idle)
 	}()
@@ -303,7 +251,7 @@ func (s *Server) worker() {
 		s.m.simsStarted++
 		s.m.mu.Unlock()
 		execStart := time.Now()
-		res, err := s.backend.Execute(f.spec)
+		res, err := execute(f.spec, s.run)
 		var jobErr *JobError
 		if err != nil {
 			jobErr = toJobError(err)
@@ -311,6 +259,25 @@ func (s *Server) worker() {
 		}
 		s.complete(f, res, jobErr, time.Since(execStart).Seconds())
 	}
+}
+
+// execute builds the spec and runs it through run with panic isolation,
+// mirroring the sweep runner's per-cell recovery: a model bug in one
+// experiment must not take the service down. A kernel that stalls is cut
+// off at the spec's deadline by the simulator itself (sim.Config.Deadline),
+// which frees the worker; the stalled goroutine lives on until its kernel
+// returns.
+func execute(spec *JobSpec, run RunFunc) (res *workloads.Result, err error) {
+	cfg, scale, buildErr := spec.Build()
+	if buildErr != nil {
+		return nil, &JobError{Status: 400, JSON: ErrorJSON{Code: ErrCodeBadRequest, Message: buildErr.Error()}}
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, panicError{p}
+		}
+	}()
+	return run(spec.Bench, cfg, scale)
 }
 
 // shedError is the terminal envelope of a job whose deadline expired while
@@ -364,11 +331,9 @@ func (s *Server) shedExpired() {
 }
 
 // complete publishes a flight's outcome to every attached job, feeds the
-// store, and updates the metrics. execSec is the backend execution time
-// feeding the admission controller's wait estimator; negative means the
-// flight was shed without executing. Crash-looped outcomes arm the circuit
-// breaker: the confhash is quarantined so resubmissions fail fast instead
-// of crash-looping the fleet again.
+// store, and updates the metrics. execSec is the execution time feeding the
+// admission controller's wait estimator; negative means the flight was shed
+// without executing.
 func (s *Server) complete(f *flight, res *workloads.Result, jobErr *JobError, execSec float64) {
 	if jobErr == nil {
 		putResult(s.store, f.key, res)
@@ -378,15 +343,6 @@ func (s *Server) complete(f *flight, res *workloads.Result, jobErr *JobError, ex
 	now := time.Now()
 	s.mu.Lock()
 	delete(s.flights, f.key)
-	if jobErr != nil && jobErr.JSON.Code == ErrCodeWorkerCrash && s.opts.PoisonTTL >= 0 {
-		ttl := s.opts.PoisonTTL
-		if ttl == 0 {
-			ttl = defaultPoisonTTL
-		}
-		ej := jobErr.JSON
-		ej.Message = "confhash quarantined after repeated worker crashes: " + ej.Message
-		s.poison[f.key] = &poisonRecord{until: now.Add(ttl), err: ej}
-	}
 	wereQueued, wereRunning := 0, 0
 	for _, j := range f.jobs {
 		switch j.state {
@@ -454,9 +410,8 @@ func (s *Server) queueWaitFor(req *SubmitRequest) time.Duration {
 // Submit registers one experiment and returns its status: answered from the
 // store (terminal immediately), attached to an identical in-flight run, or
 // queued as a fresh flight. A non-nil error is always a *JobError carrying
-// the stable envelope (bad_request, draining, queue_full, worker_crash for
-// a quarantined confhash). Exported for in-process embedding; the HTTP
-// handler is a thin wrapper.
+// the stable envelope (bad_request, draining, queue_full). Exported for
+// in-process embedding; the HTTP handler is a thin wrapper.
 func (s *Server) Submit(req *SubmitRequest) (*JobStatus, error) {
 	spec, cfg, scale, err := s.resolveSpec(req)
 	if err != nil {
@@ -478,19 +433,6 @@ func (s *Server) Submit(req *SubmitRequest) (*JobStatus, error) {
 		s.m.rejected++
 		s.m.mu.Unlock()
 		return nil, &JobError{Status: http.StatusServiceUnavailable, JSON: ErrorJSON{Code: ErrCodeDraining, Message: "server is draining"}}
-	}
-	if rec, ok := s.poison[key]; ok {
-		if now.After(rec.until) {
-			delete(s.poison, key)
-		} else {
-			s.mu.Unlock()
-			s.m.mu.Lock()
-			s.m.rejected++
-			s.m.poisonShed++
-			s.m.mu.Unlock()
-			ej := rec.err
-			return nil, &JobError{Status: http.StatusInternalServerError, JSON: ej}
-		}
 	}
 	s.seq++
 	j := &job{
@@ -733,8 +675,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 // handleResult returns the completed result (200), the job's progress (202
 // while not terminal), or the stable error envelope — 422 for wedges and
-// functional check failures, 500 for server-side faults and crash-looped
-// jobs whose retry budget ran out, 504 for jobs shed in the queue.
+// functional check failures, 500 for server-side faults, 504 for jobs shed
+// in the queue.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	j, ok := s.jobs[r.PathValue("id")]
@@ -792,49 +734,33 @@ func (s *Server) handleConfigs(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.mu.Lock()
-	poisoned := len(s.poison)
-	s.mu.Unlock()
-	s.m.render(w, storeStatus(s.store.Status()), s.backend.Workers(), len(s.queue), poisoned)
+	s.m.render(w, storeStatus(s.store.Status()), s.opts.Workers, len(s.queue))
 }
 
-// handleHealthz reports liveness plus the execution backend's health
-// (backend kind, live worker count, queue depth), the result store's
-// status block (tier, entry counts, disk bytes, warm-start and quarantine
-// counters) and the overload counters (sheds, deadline expiries, poisoned
-// confhashes). The status degrades to 503 while draining and when the
-// backend has no live workers — a fleet whose every worker is
-// crash-looping must fail its health check rather than accept jobs it
-// cannot run.
+// handleHealthz reports liveness plus the worker pool (size, queue depth),
+// the result store's status block (tier, entry counts, disk bytes,
+// warm-start and quarantine counters) and the overload counters (sheds and
+// deadline expiries). The status degrades to 503 while draining.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	draining := s.draining
-	poisoned := len(s.poison)
 	s.mu.Unlock()
 	s.m.mu.Lock()
 	shed := map[string]uint64{
 		"queue_full":        s.m.shedQueueFull,
 		"deadline_exceeded": s.m.shedDeadline,
-		"poisoned":          s.m.poisonShed,
 	}
 	s.m.mu.Unlock()
-	alive := s.backend.Workers().Alive
 	body := map[string]any{
 		"status":        "ok",
-		"backend":       s.backend.Kind(),
-		"workers_alive": alive,
+		"workers_alive": s.opts.Workers,
 		"queue_depth":   len(s.queue),
 		"store":         storeStatus(s.store.Status()),
 		"shed":          shed,
-		"poisoned":      poisoned,
 	}
 	code := http.StatusOK
-	switch {
-	case draining:
+	if draining {
 		body["status"] = "draining"
-		code = http.StatusServiceUnavailable
-	case alive == 0:
-		body["status"] = "degraded"
 		code = http.StatusServiceUnavailable
 	}
 	writeJSON(w, code, body)

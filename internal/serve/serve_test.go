@@ -396,11 +396,35 @@ func TestMetricsQuantiles(t *testing.T) {
 		t.Errorf("p99 = %v", p99)
 	}
 	var buf bytes.Buffer
-	m.render(&buf, StoreStatus{Tier: "mem", MemEntries: 3}, WorkerStats{Alive: 2}, 1, 0)
+	m.render(&buf, StoreStatus{Tier: "mem", MemEntries: 3}, 2, 1)
 	for _, want := range []string{"tarserved_job_latency_seconds{quantile=\"0.5\"}", "tarserved_cache_entries 3", "tarserved_workers_alive 2", "tarserved_workers_queue_depth 1"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("render missing %q", want)
 		}
+	}
+}
+
+// TestHealthzReportsWorkers: an idle server's /healthz reports ok, the
+// pool's worker count and an empty queue.
+func TestHealthzReportsWorkers(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 3, Run: func(b string, c *sim.Config, s workloads.Scale) (*workloads.Result, error) {
+		return fakeResult(b, c.Name), nil
+	}})
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var hz struct {
+		Status       string `json:"status"`
+		WorkersAlive int    `json:"workers_alive"`
+		QueueDepth   int    `json:"queue_depth"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
+		t.Fatal(err)
+	}
+	if hz.Status != "ok" || hz.WorkersAlive != 3 || hz.QueueDepth != 0 {
+		t.Fatalf("healthz body = %+v", hz)
 	}
 }
 

@@ -25,8 +25,8 @@ type warmupFlight struct {
 }
 
 // snapshotRun wraps the default execution path with warm-up snapshot
-// reuse against the store's snapshots namespace. It is installed as the
-// in-process backend's RunFunc unless a test stub overrides Run.
+// reuse against the store's snapshots namespace. It is the server's
+// RunFunc unless a test stub overrides Run.
 //
 // Reuse is skipped — falling back to a plain straight run — whenever a
 // snapshot could be refused or observable: benchmarks without a warm-up

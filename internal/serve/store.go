@@ -127,9 +127,9 @@ func putResult(st store.Interface, key string, res *workloads.Result) {
 }
 
 // getResult returns the decoded result stored under a content key, or a
-// miss. The encode/decode round trip is byte-stable (the cross-backend
-// byte-identity test pins it), so a stored result re-encodes to the same
-// artifact the API served when it was computed.
+// miss. The encode/decode round trip is byte-stable
+// (TestDiskStoreRoundTripAndWarmStart pins it), so a stored result
+// re-encodes to the same artifact the API served when it was computed.
 func getResult(st store.Interface, key string) (*workloads.Result, bool) {
 	raw, ok := st.Get(store.Results, key)
 	if !ok {
@@ -179,5 +179,23 @@ func decodeArtifact(key string, raw []byte) (*workloads.Result, error) {
 	if jr.Key != key {
 		return nil, fmt.Errorf("key mismatch: file named %s carries key %s", key, jr.Key)
 	}
-	return resultFromWire(&jr)
+	// Only the fields EncodeResult reads are rebuilt. Stats counters are
+	// integers and series samples round-trip exactly through JSON, so the
+	// result re-encodes to the stored bytes.
+	scale, err := workloads.ParseScale(jr.Scale)
+	if err != nil {
+		return nil, fmt.Errorf("artifact carries bad scale %q: %w", jr.Scale, err)
+	}
+	if jr.Stats == nil {
+		return nil, fmt.Errorf("artifact for %s@%s carries no stats", jr.Bench, jr.Config)
+	}
+	return &workloads.Result{
+		Bench:     jr.Bench,
+		Config:    jr.Config,
+		Scale:     scale,
+		Stats:     jr.Stats,
+		Series:    jr.Series,
+		SimCycles: jr.SimCycles,
+		WallNs:    jr.SimWallNs,
+	}, nil
 }

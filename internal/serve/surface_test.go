@@ -38,11 +38,9 @@ var serviceSeries = map[string]string{
 	"tarserved_warmup_cycles_saved_total": "counter",
 	"tarserved_shed_queue_full_total":     "counter",
 	"tarserved_shed_deadline_total":       "counter",
-	"tarserved_poison_shed_total":         "counter",
 	"tarserved_jobs_queued":               "gauge",
 	"tarserved_jobs_running":              "gauge",
 	"tarserved_cache_entries":             "gauge",
-	"tarserved_poisoned_confhashes":       "gauge",
 	"tarserved_job_ewma_seconds":          "gauge",
 	"tarserved_store_mem_entries":         "gauge",
 	"tarserved_store_disk_entries":        "gauge",
@@ -58,8 +56,6 @@ var serviceSeries = map[string]string{
 	"tarserved_snapshot_evicted":          "gauge",
 	"tarserved_job_latency_seconds":       "summary",
 	"tarserved_workers_alive":             "gauge",
-	"tarserved_workers_restarts":          "gauge",
-	"tarserved_workers_retries":           "gauge",
 	"tarserved_workers_queue_depth":       "gauge",
 
 	// Per-experiment summaries, present once an experiment completed.
@@ -76,7 +72,7 @@ var serviceSeries = map[string]string{
 // carries exactly the listed top-level and store keys, for a memory-only
 // store and a disk-backed one.
 func TestMetricsAndHealthzSurface(t *testing.T) {
-	healthzKeys := []string{"backend", "poisoned", "queue_depth", "shed", "status", "store", "workers_alive"}
+	healthzKeys := []string{"queue_depth", "shed", "status", "store", "workers_alive"}
 	for _, tc := range []struct {
 		name      string
 		disk      bool

@@ -265,7 +265,7 @@ func (s *Server) gcSweepsLocked() {
 
 // runSweep drives one sweep to a terminal state: every experiment (point ×
 // bench) is submitted through the ordinary job pipeline — confhash dedup,
-// result store, admission control, poison breaker — with a bounded
+// result store, admission control — with a bounded
 // in-flight window so a large grid cannot monopolize the queue. queue_full
 // rejections back off and retry (the admission controller's Retry-After is
 // the hint); draining aborts the sweep.
@@ -330,8 +330,9 @@ submitLoop:
 				continue
 			}
 			if st.State == StateDone || st.State == StateFailed {
-				// Terminal at submit (store hit, or poisoned at resolve):
-				// record straight from the returned status.
+				// Terminal at submit (a store hit, or a flight that ended
+				// before the status was taken): record straight from the
+				// returned status.
 				var cycles uint64
 				if st.Result != nil {
 					cycles = st.Result.Cycles

@@ -69,7 +69,9 @@ type RunSpec struct {
 // Outcome is the result of one Execute call. On failure the returned error
 // is a typed *WedgeError and the Outcome still carries the statistics and
 // machine state at the moment of failure — post-mortems read the partial
-// Outcome next to the error.
+// Outcome next to the error. After a ReasonDeadline wedge the kernel may
+// still be running on Machine (its trace was cut, not drained), so only
+// the statistics may be read then.
 type Outcome struct {
 	// Stats are the run's counters. For a Setup+Kernel run they cover the
 	// region of interest alone; otherwise they are the chip's counters

@@ -213,9 +213,10 @@ func (ch *Chip) tick(cy uint64) {
 // runBound is the chip loop: it ticks every component once per cycle until
 // every thread halts, then drains background traffic. trs are the bound
 // traces, polled for producer-side errors so a kernel that dies mid-trace
-// (and will therefore never emit HALT) is reported promptly rather than
-// after a full watchdog window. The sampler and the checker observe the
-// same loop; neither changes which cycles run.
+// (and will therefore never emit HALT) is reported once its records are
+// consumed rather than after a full watchdog window, and cut at the
+// deadline. The sampler and the checker observe the same loop; neither
+// changes which cycles run.
 func (ch *Chip) runBound(trs []*vasm.Trace) error {
 	start := ch.now
 	lastProgress := ch.now
@@ -230,6 +231,11 @@ func (ch *Chip) runBound(trs []*vasm.Trace) error {
 	var deadline time.Time
 	if ch.Cfg.Deadline > 0 {
 		deadline = time.Now().Add(ch.Cfg.Deadline)
+		// The polls run between ticks, but a kernel that stops calling the
+		// Builder leaves the core blocked inside Next. At the deadline the
+		// timer releases Next, so the next poll reports the deadline.
+		cut := time.AfterFunc(ch.Cfg.Deadline, func() { cutTraces(trs) })
+		defer cut.Stop()
 	}
 	iter := uint64(0)
 	for !ch.c.Halted() {
@@ -267,21 +273,40 @@ func (ch *Chip) runBound(trs []*vasm.Trace) error {
 		ch.now++
 		ch.tick(ch.now)
 		if iter&deadlineCheckMask == 0 && !deadline.IsZero() && time.Now().After(deadline) {
-			return ch.wedge(ReasonDeadline, wd)
+			return ch.deadlineWedge(trs, wd)
 		}
 		iter++
 	}
 	return nil
 }
 
+// cutTraces releases every trace's consumer and producer (vasm.Trace.Cut).
+func cutTraces(trs []*vasm.Trace) {
+	for _, tr := range trs {
+		tr.Cut()
+	}
+}
+
+// deadlineWedge reports a blown deadline. It cuts the traces first, so
+// their Close does not wait for a producer that may have stalled.
+func (ch *Chip) deadlineWedge(trs []*vasm.Trace, wd uint64) *WedgeError {
+	cutTraces(trs)
+	return ch.wedge(ReasonDeadline, wd)
+}
+
 // checkHealth is the periodic (every-4096-cycles) poll for conditions the
 // cycle loop itself cannot see: a blown wall-clock deadline and a trace
-// whose producer died (which would otherwise spin until the watchdog).
+// whose producer died (which would otherwise spin until the watchdog). A
+// dead trace is reported only once the core has drained it, so the cycle
+// and retired count depend on its records alone, not on host timing.
 func (ch *Chip) checkHealth(trs []*vasm.Trace, deadline time.Time, wd uint64) error {
 	if !deadline.IsZero() && time.Now().After(deadline) {
-		return ch.wedge(ReasonDeadline, wd)
+		return ch.deadlineWedge(trs, wd)
 	}
 	for _, tr := range trs {
+		if !tr.Drained() {
+			continue
+		}
 		if err := tr.Err(); err != nil {
 			w := ch.wedge(ReasonTrace, wd)
 			w.Cause = err

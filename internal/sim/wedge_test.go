@@ -2,7 +2,9 @@ package sim
 
 import (
 	"errors"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -130,6 +132,69 @@ func TestTraceDeathSurfacesAsWedge(t *testing.T) {
 	}
 	if !strings.Contains(be.Error(), "unaligned") {
 		t.Errorf("BuildError = %q missing the cause", be.Error())
+	}
+}
+
+// TestTraceDeathReportIsDeterministic: a dead trace is reported once the
+// core has drained it, so its cycle and retired count are the same on every
+// run. Reported as soon as the producer failed, they depended on how many
+// records the producer had sent when the poll came, which GOMAXPROCS=1 made
+// vary from run to run.
+func TestTraceDeathReportIsDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	kernel := func(b *vasm.Builder) {
+		for i := 0; i < 200_000; i++ {
+			b.AddImm(isa.R(1), isa.R(1), 1)
+		}
+		b.Li(isa.R(2), 1234) // not 8-aligned
+		b.LdT(isa.F(1), isa.R(2), 0)
+		b.Halt()
+	}
+	var first *WedgeError
+	for run := 0; run < 30; run++ {
+		_, err := Execute(RunSpec{Config: T(), Kernel: kernel})
+		var w *WedgeError
+		if !errors.As(err, &w) || w.Reason != ReasonTrace {
+			t.Fatalf("run %d: err = %v, want a %q *WedgeError", run, err, ReasonTrace)
+		}
+		if first == nil {
+			first = w
+			continue
+		}
+		if w.Cycle != first.Cycle || w.Retired != first.Retired {
+			t.Fatalf("run %d reported cycle=%d retired=%d, run 0 cycle=%d retired=%d",
+				run, w.Cycle, w.Retired, first.Cycle, first.Retired)
+		}
+	}
+}
+
+// TestStalledTraceFailsAtDeadline: a kernel that stops calling the Builder
+// leaves the core blocked inside Next, where no deadline poll runs. The
+// deadline must still fail the run, without waiting for the producer.
+func TestStalledTraceFailsAtDeadline(t *testing.T) {
+	var stalled atomic.Bool
+	stalled.Store(true)
+	t.Cleanup(func() { stalled.Store(false) })
+	cfg := *T()
+	cfg.Deadline = 200 * time.Millisecond
+	errc := make(chan error, 1)
+	go func() {
+		_, err := Execute(RunSpec{Config: &cfg, Kernel: func(b *vasm.Builder) {
+			b.Li(isa.R(1), 1)
+			for stalled.Load() {
+				runtime.Gosched()
+			}
+		}})
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		var w *WedgeError
+		if !errors.As(err, &w) || w.Reason != ReasonDeadline {
+			t.Fatalf("err = %v, want a %q *WedgeError", err, ReasonDeadline)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Execute still running 5 s after its 200 ms deadline")
 	}
 }
 

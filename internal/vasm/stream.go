@@ -3,6 +3,7 @@ package vasm
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/arch"
 )
@@ -52,16 +53,23 @@ func putBatch(b []DynInst) {
 // Trace streams the dynamic instructions of a kernel to a consumer without
 // materialising the whole run. The kernel executes in a producer goroutine;
 // instruction batches cross a channel. Close must be called if the consumer
-// abandons the trace early; Next returning nil means the kernel finished —
-// or died: check Err to distinguish, because a trace that aborts mid-kernel
-// never emits HALT and would otherwise leave the timing model waiting for
-// one.
+// abandons the trace early. Next returning nil means the kernel finished,
+// or died, or the trace was Cut: check Drained and Err to distinguish,
+// because a trace that aborts mid-kernel never emits HALT and would
+// otherwise leave the timing model waiting for one.
 type Trace struct {
 	ch   chan []DynInst
 	done chan struct{}
 	cur  []DynInst
 	pos  int
 	n    uint64
+
+	// drained is set, on the consumer's goroutine, once Next has found the
+	// producer finished and every record handed out.
+	drained bool
+
+	stop sync.Once   // closes done, for Cut or Close, whichever comes first
+	cut  atomic.Bool // Close does not wait for the producer
 
 	mu  sync.Mutex
 	err error
@@ -125,9 +133,10 @@ func (t *Trace) setErr(err error) {
 }
 
 // Err returns the error that aborted the producer, or nil. Safe to call
-// from the consumer while the producer is still running — the simulator
-// polls it mid-run so a dead trace (which will never emit HALT) is reported
-// promptly instead of after a multi-million-cycle watchdog window.
+// from the consumer while the producer is still running. Once Drained
+// reports true it is final: the simulator reads it then, so a dead trace
+// (which will never emit HALT) is reported at a cycle that depends only on
+// the records it held, not on how far the producer had got.
 func (t *Trace) Err() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -145,8 +154,22 @@ func (t *Trace) Next() *DynInst {
 			putBatch(t.cur)
 			t.cur = nil
 		}
-		batch, ok := <-t.ch
+		var (
+			batch []DynInst
+			ok    bool
+		)
+		select {
+		case batch, ok = <-t.ch:
+		default:
+			// The producer is behind: wait for it, or for Cut.
+			select {
+			case batch, ok = <-t.ch:
+			case <-t.done:
+				return nil
+			}
+		}
 		if !ok {
+			t.drained = true
 			return nil
 		}
 		t.cur, t.pos = batch, 0
@@ -160,17 +183,31 @@ func (t *Trace) Next() *DynInst {
 // Consumed returns how many instructions Next has handed out.
 func (t *Trace) Consumed() uint64 { return t.n }
 
+// Drained reports whether Next has returned nil because the producer
+// finished: the trace holds no further record, and Err is final. Call it
+// from the consumer's goroutine.
+func (t *Trace) Drained() bool { return t.drained }
+
+// Cut releases a consumer blocked in Next, which from then on returns nil
+// whenever no record is ready, and stops the producer at its next batch.
+// Close then returns without waiting for the producer, which may never
+// reach one: its goroutine lives on until the kernel returns or fills a
+// batch. Safe to call from any goroutine, more than once.
+func (t *Trace) Cut() {
+	t.cut.Store(true)
+	t.stop.Do(func() { close(t.done) })
+}
+
 // Close releases the producer goroutine if the trace is abandoned early,
-// and returns the trace's batches to the free list.
+// waits for it to exit unless the trace was Cut, and returns the trace's
+// batches to the free list.
 func (t *Trace) Close() {
-	select {
-	case <-t.done:
-	default:
-		close(t.done)
-	}
-	// Drain so the producer's pending send completes and it exits.
-	for b := range t.ch {
-		putBatch(b)
+	t.stop.Do(func() { close(t.done) })
+	if !t.cut.Load() {
+		// Wait for the producer to exit, recycling the batches it sent.
+		for b := range t.ch {
+			putBatch(b)
+		}
 	}
 	if t.cur != nil {
 		putBatch(t.cur)

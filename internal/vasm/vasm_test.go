@@ -162,6 +162,44 @@ func TestTraceEarlyClose(t *testing.T) {
 	tr.Close() // must not hang
 }
 
+// TestCutReleasesAStalledTrace: a consumer blocked in Next on a producer
+// that stopped calling the Builder is released by Cut from another
+// goroutine, and Close then returns without waiting for the producer. Only
+// a trace whose producer finished reports Drained.
+func TestCutReleasesAStalledTrace(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	tr := NewTrace(newM(), func(b *Builder) {
+		b.Li(isa.R(1), 1)
+		<-release
+	})
+	cut := make(chan struct{})
+	go func() {
+		tr.Cut()
+		close(cut)
+	}()
+	if d := tr.Next(); d != nil {
+		t.Fatalf("Next on a stalled trace = %v, want nil once cut", d)
+	}
+	if tr.Drained() {
+		t.Error("a cut trace reports Drained")
+	}
+	tr.Close() // must not wait for the stalled producer
+	tr.Cut()   // a second cut is harmless
+	<-cut
+
+	done := NewTrace(newM(), func(b *Builder) {
+		b.Li(isa.R(1), 1)
+		b.Halt()
+	})
+	for done.Next() != nil {
+	}
+	if !done.Drained() {
+		t.Error("a finished trace does not report Drained")
+	}
+	done.Close()
+}
+
 func TestAllocAlignmentAndPadding(t *testing.T) {
 	b := NewBuilder(newM(), func() *DynInst { return new(DynInst) })
 	a1 := b.Alloc(100, 64)
