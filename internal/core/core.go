@@ -170,7 +170,7 @@ func New(cfg Config, reg *metrics.Registry, l2c *l2.L2, vu VectorUnit) *Core {
 		cfg:      cfg,
 		l2:       l2c,
 		vu:       vu,
-		wheel:    sched.NewWheel(),
+		wheel:    new(sched.Wheel),
 		pred:     pipe.NewPredictor(),
 		intFU:    pipe.NewFUPool(cfg.IntWidth),
 		fpFU:     pipe.NewFUPool(cfg.FPWidth),

@@ -14,7 +14,6 @@ package faults
 import (
 	"hash/fnv"
 	"sync/atomic"
-	"time"
 )
 
 // Config describes one fault campaign. The zero value injects nothing.
@@ -226,24 +225,4 @@ func (i *Injector) TornWrite() bool {
 		return false
 	}
 	return i.serviceRoll(streamDiskTorn)%100 < uint64(i.cfg.DiskTornPct)
-}
-
-// Active reports whether the injector perturbs anything at all.
-func (i *Injector) Active() bool { return i != nil }
-
-// String summarises the campaign for log lines and error rows.
-func (i *Injector) String() string {
-	if i == nil {
-		return "faults: off"
-	}
-	return "faults: seeded campaign"
-}
-
-// Deadline is a small helper shared by the run harnesses: zero means no
-// deadline, anything else converts to an absolute wall-clock instant.
-func Deadline(d time.Duration) time.Time {
-	if d <= 0 {
-		return time.Time{}
-	}
-	return time.Now().Add(d)
 }

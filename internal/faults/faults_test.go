@@ -91,9 +91,6 @@ func TestNilInjectorSafe(t *testing.T) {
 	if i.StallFUs(1) || i.StallVPorts(1) {
 		t.Error("nil injector stalled a unit")
 	}
-	if i.Active() {
-		t.Error("nil injector reports active")
-	}
 }
 
 // TestDiskFaultHooks checks the service-layer hooks: nil-safe, off when

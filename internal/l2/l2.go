@@ -153,7 +153,10 @@ type L2 struct {
 
 	// retrySliceFn re-queues a slice after a retry delay; bound once so the
 	// (hot) fill-completion and MAF-retry paths schedule without closures.
-	retrySliceFn func(uint64, any)
+	// retryFillFn retries a fill's install when every way of its set is
+	// pinned, and retryScalarFn re-queues a scalar request the full MAF
+	// turned away.
+	retrySliceFn, retryFillFn, retryScalarFn func(uint64, any)
 
 	// missScratch backs lookupSlice's per-slice missing-line list, reused
 	// across slices (it never escapes the call).
@@ -198,7 +201,7 @@ func New(cfg Config, reg *metrics.Registry, z *zbox.Zbox) *L2 {
 		chunkShift: shift,
 		mafFree:    make([]*mafEntry, cfg.MAFSize),
 		mafIndex:   sched.NewTable[mafEntry](cfg.MAFSize),
-		wheel:      sched.NewWheel(),
+		wheel:      new(sched.Wheel),
 	}
 	// Each entry's waiter slices start with room carved from two shared
 	// arrays, so a fresh L2's first fills do not grow them by appends. The
@@ -215,6 +218,8 @@ func New(cfg Config, reg *metrics.Registry, z *zbox.Zbox) *L2 {
 		c.mafFree[i] = e
 	}
 	c.retrySliceFn = func(_ uint64, a any) { c.retryQ.Push(a.(*SliceOp)) }
+	c.retryFillFn = func(cy uint64, a any) { c.fillArrived(cy, a.(*mafEntry)) }
+	c.retryScalarFn = func(_ uint64, a any) { c.scalarQ.Push(a.(scalarReq)) }
 	m := reg.Scope("l2")
 	c.hits = m.Counter("hits")
 	c.misses = m.Counter("misses")
@@ -567,7 +572,7 @@ func (c *L2) fillArrived(cy uint64, e *mafEntry) {
 	w := c.install(e.line, false)
 	if w == nil {
 		// Every way pinned by panicked slices: retry the install shortly.
-		c.wheel.At(cy+1, func() { c.fillArrived(cy+1, e) })
+		c.wheel.AtCall(cy+1, c.retryFillFn, e)
 		return
 	}
 	c.mafIndex.Del(e.line)
@@ -656,7 +661,7 @@ func (c *L2) lookupScalar(cy uint64, req scalarReq) {
 	if e == nil {
 		// MAF full: retry the scalar request next cycle.
 		c.mafFullStalls.Inc()
-		c.wheel.At(cy+1, func() { c.scalarQ.Push(req) })
+		c.wheel.AtCall(cy+1, c.retryScalarFn, req)
 		return
 	}
 	lat := uint64(c.cfg.ScalarLat) + c.cfg.Faults.L2Latency(cy)

@@ -13,14 +13,18 @@ func testSetup() (*L2, *zbox.Zbox, *stats.Stats) { return testSetupBytes(1 << 20
 
 // testSetupBytes builds an 8-way cache of the given capacity over a small
 // memory system.
-func testSetupBytes(bytes int) (*L2, *zbox.Zbox, *stats.Stats) {
+func testSetupBytes(bytes int) (*L2, *zbox.Zbox, *stats.Stats) { return testSetupCache(bytes, 8) }
+
+// testSetupCache builds a cache of the given capacity and associativity
+// over a small memory system.
+func testSetupCache(bytes, assoc int) (*L2, *zbox.Zbox, *stats.Stats) {
 	reg := metrics.NewRegistry()
 	z := zbox.New(zbox.Config{
 		Ports: 8, LineCycles: 16, BaseLatency: 100,
 		RowBytes: 2048, DevicesPerPort: 32, RowMissCycles: 12, TurnCycles: 5,
 	}, reg)
 	c := New(Config{
-		Bytes: bytes, Assoc: 8, LineBytes: 64,
+		Bytes: bytes, Assoc: assoc, LineBytes: 64,
 		ScalarLat: 12, VecLatPump: 34, VecLatOdd: 38,
 		MAFSize: 64, ReplayThreshold: 8, RetryDelay: 6,
 		SliceQueue: 16, PBitPenalty: 12,
@@ -278,20 +282,35 @@ func TestPumpBusOccupancy(t *testing.T) {
 	}
 }
 
+// TestPanicModeOnRepeatedReplay: a scalar stream keeps evicting the lines
+// of a two-line slice from a 2-way cache, so the line found resident at one
+// lookup is gone by the replay that follows the other's fill. The second
+// miss enters panic mode, which pins the resident line while the other is
+// fetched; without the pin the slice starves.
 func TestPanicModeOnRepeatedReplay(t *testing.T) {
-	c, z, st := testSetup()
+	c, z, st := testSetupCache(1<<20, 2)
 	c.cfg.ReplayThreshold = 1
-	// A victim set under constant attack: the sleeping slice's line keeps
-	// being evicted by a stream of scalar fills mapping to the same set.
+	// Neighbouring lines sit in two sets served by two memory ports, and
+	// each set's next line lies 8192 sets (1<<19 bytes) further on.
+	const a, b, stride = 0xC0000, 0xC0040, 1 << 19
+	c.ScalarPrefetch(0, a)
+	cy := drive(c, z, 0, 10_000)
 	var done uint64
-	s := mkSlice(0xC0000, 1, false)
-	s.Done = func(cy uint64) { done = cy }
-	c.SubmitSlice(s)
-	cy := uint64(0)
-	for i := 0; done == 0 && i < 40_000; i++ {
+	s := mkSlice(a, 2, false)
+	s.Done = func(d uint64) { done = d }
+	// One scalar fill to each set every 32 cycles, within what a port
+	// serves (a line per 28 cycles), installs about four lines per set
+	// while either slice line is fetched; two evict an unpinned line.
+	for i := uint64(0); done == 0 && i < 40_000; i++ {
 		cy++
-		if i%3 == 0 {
-			c.ScalarRead(cy, 0xC0000+uint64(1+i/3)*(1<<17), nil)
+		switch i % 32 {
+		case 0:
+			c.ScalarRead(cy, a+(1+i/32)*stride, nil)
+		case 16:
+			c.ScalarRead(cy, b+(1+i/32)*stride, nil)
+		}
+		if i == 40 {
+			c.SubmitSlice(s)
 		}
 		z.Tick(cy)
 		c.Tick(cy)
@@ -300,7 +319,7 @@ func TestPanicModeOnRepeatedReplay(t *testing.T) {
 		t.Fatal("slice starved forever: panic mode failed to guarantee progress")
 	}
 	if st.L2PanicEvents == 0 {
-		t.Skip("slice completed without entering panic mode (no livelock arose)")
+		t.Fatal("slice completed without entering panic mode: no replay missed twice")
 	}
 }
 

@@ -19,18 +19,18 @@ func (s *splitmix64) next() uint64 {
 
 // TestWheelFiresInOrder is the core property: events fire in exact
 // (cycle, registration order) sequence, whatever order they were scheduled
-// in and however far apart their cycles are (crossing hierarchy levels).
+// in and however far apart their cycles are (past the wheel's horizon too).
 func TestWheelFiresInOrder(t *testing.T) {
 	rng := splitmix64(1)
-	w := NewWheel()
+	w := new(Wheel)
 	type ev struct {
 		cycle uint64
 		id    int
 	}
 	var want []ev
 	var got []ev
-	// Cycles spanning every hierarchy level: dense near the base, sparse out
-	// to 2^40, with deliberate duplicates to exercise same-cycle ordering.
+	// Cycles dense near the base and sparse out to 2^40, far past the
+	// horizon, with deliberate duplicates to exercise same-cycle ordering.
 	for id := 0; id < 2000; id++ {
 		var c uint64
 		switch id % 4 {
@@ -44,7 +44,7 @@ func TestWheelFiresInOrder(t *testing.T) {
 			c = rng.next() % (1 << 40)
 		}
 		want = append(want, ev{c, id})
-		w.At(c, func() { got = append(got, ev{c, id}) })
+		w.AtCall(c, func(uint64, any) { got = append(got, ev{c, id}) }, nil)
 	}
 	// Reference order: stable sort by cycle (registration order within one).
 	for i := 1; i < len(want); i++ {
@@ -75,16 +75,16 @@ func TestWheelFiresInOrder(t *testing.T) {
 // firing at cycle c joins the current batch, after everything already queued
 // for c — the upgrade over the old map wheel, which lost such events.
 func TestWheelSameCycleReschedule(t *testing.T) {
-	w := NewWheel()
+	w := new(Wheel)
 	var got []string
-	w.At(100, func() {
+	w.AtCall(100, func(uint64, any) {
 		got = append(got, "a")
-		w.At(100, func() {
+		w.AtCall(100, func(uint64, any) {
 			got = append(got, "a-child")
-			w.At(100, func() { got = append(got, "a-grandchild") })
-		})
-	})
-	w.At(100, func() { got = append(got, "b") })
+			w.AtCall(100, func(uint64, any) { got = append(got, "a-grandchild") }, nil)
+		}, nil)
+	}, nil)
+	w.AtCall(100, func(uint64, any) { got = append(got, "b") }, nil)
 	w.Advance(100)
 	want := []string{"a", "b", "a-child", "a-grandchild"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -99,10 +99,10 @@ func TestWheelSameCycleReschedule(t *testing.T) {
 // a cycle Advance skipped never fires, but it keeps the wheel Pending —
 // exactly like an unvisited map key.
 func TestWheelStranding(t *testing.T) {
-	w := NewWheel()
+	w := new(Wheel)
 	var fired []uint64
 	for _, c := range []uint64{5, 70, 70, 4100, 9000} {
-		w.At(c, func() { fired = append(fired, c) })
+		w.AtCall(c, func(uint64, any) { fired = append(fired, c) }, nil)
 	}
 	w.Advance(9000) // skips 5, 70, 70 and 4100
 	if fmt.Sprint(fired) != "[9000]" {
@@ -117,7 +117,7 @@ func TestWheelStranding(t *testing.T) {
 		t.Fatalf("stranded events fired late: fired=%v Len=%d", fired, w.Len())
 	}
 	// Scheduling at or before the advanced-past cycle strands immediately.
-	w.At(20000, func() { fired = append(fired, 20000) })
+	w.AtCall(20000, func(uint64, any) { fired = append(fired, 20000) }, nil)
 	w.Advance(30000)
 	if len(fired) != 1 || w.Len() != 5 {
 		t.Fatalf("at-base event fired: fired=%v Len=%d", fired, w.Len())
@@ -128,9 +128,9 @@ func TestWheelStranding(t *testing.T) {
 // event moves the base without firing or stranding anything — the chip loop
 // advances every component's wheel through such cycles all the time.
 func TestWheelAdvanceSkipsNothingDue(t *testing.T) {
-	w := NewWheel()
+	w := new(Wheel)
 	ran := false
-	w.At(1_000_000, func() { ran = true })
+	w.AtCall(1_000_000, func(uint64, any) { ran = true }, nil)
 	for _, c := range []uint64{10, 63, 64, 4095, 4096, 999_999} {
 		w.Advance(c)
 		if ran || w.Len() != 1 {
@@ -154,7 +154,7 @@ func TestWheelRandomizedAgainstModel(t *testing.T) {
 		stranded bool
 	}
 	rng := splitmix64(42)
-	w := NewWheel()
+	w := new(Wheel)
 	var model []*mev
 	var got, want []int
 	now := uint64(0)
@@ -166,7 +166,7 @@ func TestWheelRandomizedAgainstModel(t *testing.T) {
 			id := nextID
 			nextID++
 			model = append(model, &mev{cycle: c, id: id})
-			w.At(c, func() { got = append(got, id) })
+			w.AtCall(c, func(uint64, any) { got = append(got, id) }, nil)
 		case 4, 5: // advance to the next live future event (skipping none)
 			n := ^uint64(0)
 			for _, m := range model {
@@ -214,5 +214,35 @@ func TestWheelRandomizedAgainstModel(t *testing.T) {
 	}
 	if w.Len() != live {
 		t.Fatalf("Len() = %d, model says %d live events", w.Len(), live)
+	}
+}
+
+// TestWheelFarEventsKeepOrder: an event scheduled beyond the wheel's horizon
+// still fires in registration order against events scheduled for the same
+// cycle once that cycle came within range, and one an Advance jumps over is
+// stranded like any other.
+func TestWheelFarEventsKeepOrder(t *testing.T) {
+	w := new(Wheel)
+	var got []string
+	rec := func(_ uint64, a any) { got = append(got, a.(string)) }
+	w.AtCall(5000, func(c uint64, a any) {
+		rec(c, a)
+		w.AtCall(5000, rec, "C")
+	}, "A")
+	w.Advance(4500) // 5000 is now within 1024 cycles
+	w.AtCall(5000, rec, "B")
+	w.Advance(5000)
+	if fmt.Sprint(got) != "[A B C]" {
+		t.Fatalf("firing order = %v, want [A B C]", got)
+	}
+	if w.Pending() {
+		t.Fatalf("Len() = %d after the batch drained", w.Len())
+	}
+
+	w.AtCall(9000, rec, "D") // more than 1024 cycles ahead
+	w.Advance(12000)         // jumps over 9000
+	w.Advance(12001)
+	if len(got) != 3 || w.Len() != 1 {
+		t.Fatalf("jumped-over far event: fired=%v Len=%d, want it stranded and counted", got, w.Len())
 	}
 }

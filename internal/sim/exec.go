@@ -21,19 +21,11 @@ import (
 //   - Kernels: SMT — one kernel per hardware thread, each with its own
 //     architectural machine and address space, sharing caches, Vbox and the
 //     memory system.
-//   - Trace / Traces: drive a caller-assembled Chip with pre-built traces
-//     (the low-level surface tarsim's sampler path uses). Requires Chip.
 //
-// Config supplies the machine for the kernel modes; the trace modes take
-// the configuration from Chip.Cfg instead.
+// Either mode assembles a fresh chip from Config.
 type RunSpec struct {
-	// Config is the machine configuration (kernel modes). Ignored when Chip
-	// is set.
+	// Config is the machine configuration.
 	Config *Config
-
-	// Chip, when non-nil, is a caller-assembled chip to drive (trace modes);
-	// it carries its own configuration and accumulated state.
-	Chip *Chip
 
 	// Setup is an optional warm-up kernel (cache warming, data preloading)
 	// excluded from the returned statistics — the equivalent of starting the
@@ -58,12 +50,6 @@ type RunSpec struct {
 	// region of interest starts. Ignored when WarmupSnapshot already
 	// skipped the warm-up phase. Only valid with Setup+Kernel.
 	OnWarmupSnapshot func(cycle uint64, blob []byte)
-
-	// Trace is a pre-built trace to drive on Chip.
-	Trace *vasm.Trace
-
-	// Traces drives Chip with one pre-built trace per hardware thread.
-	Traces []*vasm.Trace
 }
 
 // Outcome is the result of one Execute call. On failure the returned error
@@ -74,8 +60,7 @@ type RunSpec struct {
 // the statistics may be read then.
 type Outcome struct {
 	// Stats are the run's counters. For a Setup+Kernel run they cover the
-	// region of interest alone; otherwise they are the chip's counters
-	// (cumulative across phases when a Chip is reused).
+	// region of interest alone; otherwise they are the chip's counters.
 	Stats *stats.Stats
 
 	// Machine is the architectural state after a single-threaded run.
@@ -84,8 +69,8 @@ type Outcome struct {
 	// Machines holds the per-thread architectural state of an SMT run.
 	Machines []*arch.Machine
 
-	// Chip is the chip that executed the spec, for callers that want to keep
-	// driving it (further phases, sampler dumps, occupancy reads).
+	// Chip is the chip that executed the spec, for callers that read it
+	// afterwards (sampler dumps, occupancy reads).
 	Chip *Chip
 
 	// Series is the cycle-interval sample series, present only when the
@@ -105,7 +90,7 @@ type Outcome struct {
 	// SimCycles and SimWall are the chip's cumulative simulated cycles
 	// (drain included) and the wall-clock time its cycle loop consumed
 	// producing them — together, the run's simulation throughput
-	// (cycles/sec). Cumulative across phases when a Chip is reused.
+	// (cycles/sec).
 	SimCycles uint64
 	SimWall   time.Duration
 }
@@ -131,14 +116,8 @@ func Execute(spec RunSpec) (*Outcome, error) {
 	if spec.Kernels != nil {
 		modes++
 	}
-	if spec.Trace != nil {
-		modes++
-	}
-	if spec.Traces != nil {
-		modes++
-	}
 	if modes != 1 {
-		return nil, fmt.Errorf("sim: RunSpec must select exactly one of Kernel, Kernels, Trace or Traces (got %d)", modes)
+		return nil, fmt.Errorf("sim: RunSpec must select exactly one of Kernel or Kernels (got %d)", modes)
 	}
 	if spec.Setup != nil && spec.Kernel == nil {
 		return nil, errors.New("sim: RunSpec.Setup is only valid with Kernel")
@@ -146,24 +125,13 @@ func Execute(spec RunSpec) (*Outcome, error) {
 	if (spec.WarmupSnapshot != nil || spec.OnWarmupSnapshot != nil) && spec.Setup == nil {
 		return nil, errors.New("sim: RunSpec warm-up snapshot hooks are only valid with Setup")
 	}
-	switch {
-	case spec.Trace != nil, spec.Traces != nil:
-		if spec.Chip == nil {
-			return nil, errors.New("sim: RunSpec trace modes require Chip")
-		}
-		return executeTraces(spec)
-	default:
-		if spec.Chip != nil {
-			return nil, errors.New("sim: RunSpec kernel modes assemble their own chip; drive an existing Chip with Trace/Traces")
-		}
-		if spec.Config == nil {
-			return nil, errors.New("sim: RunSpec.Config is required")
-		}
-		if spec.Kernels != nil {
-			return executeSMT(spec)
-		}
-		return executeKernel(spec)
+	if spec.Config == nil {
+		return nil, errors.New("sim: RunSpec.Config is required")
 	}
+	if spec.Kernels != nil {
+		return executeSMT(spec)
+	}
+	return executeKernel(spec)
 }
 
 // executeKernel runs Setup (optional) then Kernel on one fresh chip.
@@ -236,23 +204,6 @@ func executeSMT(spec RunSpec) (*Outcome, error) {
 		return out, err
 	}
 	finishOutcome(out, chip)
-	return out, nil
-}
-
-// executeTraces drives a caller-assembled chip with pre-built traces.
-func executeTraces(spec RunSpec) (*Outcome, error) {
-	ch := spec.Chip
-	out := &Outcome{Stats: ch.Stats, Chip: ch}
-	var err error
-	if spec.Trace != nil {
-		err = ch.runTraces([]*vasm.Trace{spec.Trace}, false)
-	} else {
-		err = ch.runTraces(spec.Traces, true)
-	}
-	if err != nil {
-		return out, err
-	}
-	finishOutcome(out, ch)
 	return out, nil
 }
 

@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"encoding/json"
+	"os"
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/stats"
 	"repro/internal/vasm"
 )
 
@@ -147,5 +150,117 @@ func TestSMTNeedsLargerRegisterFile(t *testing.T) {
 	t.Logf("SMT with 36 phys vregs: %d cy; with 128: %d cy", stSmall.Cycles, stLarge.Cycles)
 	if stSmall.Cycles <= stLarge.Cycles {
 		t.Fatal("a starved register file should slow multithreaded execution")
+	}
+}
+
+// smtFlop and smtGather are examples/smt's two threads: independent chains
+// of vector multiplies and adds, and pointer-chasing gathers that mostly
+// wait on the L2.
+func smtFlop(b *vasm.Builder) {
+	b.Li(isa.R(2), (1<<18)-8)
+	b.Loop(isa.R(16), 400, func(int) {
+		for r := 0; r < 4; r++ {
+			b.VV(isa.OpVMULT, isa.V(r), isa.V(8+r), isa.V(12+r))
+			b.VV(isa.OpVADDT, isa.V(4+r), isa.V(4+r), isa.V(r))
+		}
+	})
+	b.Halt()
+}
+
+func smtGather(b *vasm.Builder) {
+	b.Li(isa.R(2), (1<<18)-8)
+	base := uint64(1 << 20)
+	rng := uint64(12345)
+	for i := 0; i < isa.VLMax; i++ {
+		rng = rng*6364136223846793005 + 1
+		b.M.V[1][i] = (rng >> 16) % (1 << 18) &^ 7
+		b.M.Mem.StoreQ(base+b.M.V[1][i], rng)
+	}
+	b.Li(isa.R(1), int64(base))
+	b.Loop(isa.R(16), 400, func(int) {
+		b.VGath(isa.V(2), isa.V(1), isa.R(1))
+		b.VV(isa.OpVXOR, isa.V(1), isa.V(1), isa.V(2))
+		b.VS(isa.OpVSAND, isa.V(1), isa.V(1), isa.R(2))
+	})
+	b.Halt()
+}
+
+// smtAddq is a dependent integer chain; smtLineWalk loads one word per
+// 4 KB page across 1 MB, so every load misses to the memory controller.
+func smtAddq(b *vasm.Builder) {
+	b.Loop(isa.R(16), 500, func(int) {
+		b.OpImm(isa.OpADDQ, isa.R(1), isa.R(1), 1)
+	})
+	b.Halt()
+}
+
+func smtLineWalk(b *vasm.Builder) {
+	base := b.AllocF64(1<<17, 0)
+	b.Li(isa.R(1), int64(base))
+	b.Loop(isa.R(2), 256, func(int) {
+		b.LdT(isa.F(1), isa.R(1), 0)
+		b.AddImm(isa.R(1), isa.R(1), 4096)
+	})
+	b.Halt()
+}
+
+// smtGolden is the capture TestSMTStatsMatchGolden compares against.
+const smtGolden = "testdata/smt_stats.json"
+
+type smtCell struct {
+	Name  string       `json:"name"`
+	Stats *stats.Stats `json:"stats"`
+}
+
+// runSMTCells runs every SMT mix of the golden: examples/smt's pair, a
+// vector-streaming pair and a vector-plus-scalar trio on T, and three- and
+// four-thread scalar mixes on EV8.
+func runSMTCells(t *testing.T) []smtCell {
+	t.Helper()
+	var scalarMem vasm.Kernel
+	for _, c := range kernelCases() {
+		if c.name == "scalar-loads-and-stores" {
+			scalarMem = c.kernel
+		}
+	}
+	mixes := []struct {
+		name    string
+		cfg     *Config
+		kernels []vasm.Kernel
+	}{
+		{"T/flop+gather", T(), []vasm.Kernel{smtFlop, smtGather}},
+		{"T/daxpy+daxpy", T(), []vasm.Kernel{smtKernel(4096, 2.0), smtKernel(4096, 3.0)}},
+		{"T/flop+gather+scalar-mem", T(), []vasm.Kernel{smtFlop, smtGather, scalarMem}},
+		{"EV8/addq+scalar-mem+daxpy", EV8(), []vasm.Kernel{smtAddq, scalarMem, scalarDaxpy(2048)}},
+		{"EV8/addq+scalar-mem+daxpy+walk", EV8(), []vasm.Kernel{smtAddq, scalarMem, scalarDaxpy(2048), smtLineWalk}},
+	}
+	cells := make([]smtCell, len(mixes))
+	for i, m := range mixes {
+		cells[i] = smtCell{m.name, execute(t, RunSpec{Config: m.cfg, Kernels: m.kernels}).Stats}
+	}
+	return cells
+}
+
+// TestSMTStatsMatchGolden pins every counter of multithreaded runs. The
+// sweep and knob-corner goldens run one thread, but SMT threads share every
+// component's event wheel, so a scheduling change can move these alone.
+func TestSMTStatsMatchGolden(t *testing.T) {
+	raw, err := os.ReadFile(smtGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden []smtCell
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	cells := runSMTCells(t)
+	if len(cells) != len(golden) {
+		t.Fatalf("ran %d mixes, the capture has %d", len(cells), len(golden))
+	}
+	for i, c := range cells {
+		if c.Name != golden[i].Name || *c.Stats != *golden[i].Stats {
+			t.Errorf("%s: counters drifted from the capture %s:\n  got:  %+v\n  want: %+v",
+				c.Name, golden[i].Name, *c.Stats, *golden[i].Stats)
+		}
 	}
 }

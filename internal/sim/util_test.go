@@ -4,9 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/arch"
 	"repro/internal/isa"
-	"repro/internal/mem"
 	"repro/internal/stats"
 	"repro/internal/vasm"
 )
@@ -29,15 +27,11 @@ func runK(t testing.TB, cfg *Config, k vasm.Kernel) *stats.Stats {
 	return execute(t, RunSpec{Config: cfg, Kernel: k}).Stats
 }
 
-// runOnChip drives a chip built from cfg with kernel as one pre-built trace
-// (Execute's Chip+Trace mode, the surface tarsim's sampler path uses) and
-// returns the chip with the run's error.
+// runOnChip runs kernel on a chip built from cfg and returns the chip, for
+// tests that read it afterwards, with the run's error.
 func runOnChip(cfg *Config, kernel vasm.Kernel) (*Chip, error) {
-	chip := New(cfg)
-	tr := vasm.NewTrace(arch.New(mem.New()), kernel)
-	defer tr.Close()
-	_, err := Execute(RunSpec{Chip: chip, Trace: tr})
-	return chip, err
+	out, err := Execute(RunSpec{Config: cfg, Kernel: kernel})
+	return out.Chip, err
 }
 
 // kernelCase pairs a kernel with the configurations able to run it (vector

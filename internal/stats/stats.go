@@ -117,10 +117,12 @@ func (s *Stats) Table() string {
 		{"other ops", s.OtherOps},
 		{"scalar insts", s.ScalarIns},
 		{"vector insts", s.VectorIns},
+		{"vector ops", s.VecOps},
 		{"L1 hits", s.L1Hits},
 		{"L1 misses", s.L1Misses},
 		{"L2 hits", s.L2Hits},
 		{"L2 misses", s.L2Misses},
+		{"L2 scalar reqs", s.L2ScalarReqs},
 		{"L2 vector slices", s.L2VecSlices},
 		{"L2 pump slices", s.L2PumpSlices},
 		{"L2 slice replays", s.L2SliceReplays},
@@ -132,16 +134,20 @@ func (s *Stats) Table() string {
 		{"CR rounds", s.CRRounds},
 		{"CR slices", s.CRSlices},
 		{"reorder slices", s.ReorderSlices},
+		{"addr-gen cycles", s.AddrGenCycles},
 		{"TLB misses", s.TLBMisses},
+		{"TLB refills", s.TLBRefills},
 		{"DrainM barriers", s.DrainMs},
 		{"branches", s.Branches},
 		{"mispredicts", s.BranchMispredicts},
+		{"VS-bus transfers", s.VSBusTransfers},
 		{"mem reads", s.MemReads},
 		{"mem writes", s.MemWrites},
 		{"mem dir ops", s.MemDirOps},
 		{"row activates", s.RowActivates},
 		{"row hits", s.RowHits},
 		{"rd/wr turnarounds", s.Turnarounds},
+		{"useful bytes", s.UsefulBytes},
 	}
 	var b strings.Builder
 	for _, r := range rows {

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -106,6 +107,27 @@ func TestTableListsEveryCounterGroup(t *testing.T) {
 	for _, want := range []string{"cycles", "L2 vector slices", "CR rounds", "mem dir ops", "TLB misses"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q", want)
+		}
+	}
+}
+
+// TestTableListsEveryCounter: tarsim -v prints every counter, so each
+// field, set to a value no other field holds, must appear as a row's value.
+func TestTableListsEveryCounter(t *testing.T) {
+	typ := reflect.TypeOf(Stats{})
+	s := &Stats{}
+	sv := reflect.ValueOf(s).Elem()
+	for i := 0; i < typ.NumField(); i++ {
+		sv.Field(i).SetUint(1000 + uint64(i))
+	}
+	rows := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(s.Table()), "\n") {
+		f := strings.Fields(line)
+		rows[f[len(f)-1]] = true
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		if v := strconv.Itoa(1000 + i); !rows[v] {
+			t.Errorf("table has no row for %s (value %s)", typ.Field(i).Name, v)
 		}
 	}
 }

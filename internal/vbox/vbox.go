@@ -183,7 +183,7 @@ func New(cfg Config, reg *metrics.Registry, l2c *l2.L2) *VBox {
 		l2c:      l2c,
 		portFree: make([]uint64, cfg.Ports),
 		tlb:      make([]laneTLB, cfg.Lanes),
-		wheel:    sched.NewWheel(),
+		wheel:    new(sched.Wheel),
 	}
 	for i := range v.tlb {
 		v.tlb[i] = laneTLB{cap: cfg.TLBEntries, pages: map[uint64]uint64{}}

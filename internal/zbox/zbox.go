@@ -73,7 +73,7 @@ type Zbox struct {
 // New returns a controller with the given configuration, registering its
 // counters and queue-depth gauge under the registry's zbox namespace.
 func New(cfg Config, reg *metrics.Registry) *Zbox {
-	z := &Zbox{cfg: cfg, wheel: sched.NewWheel()}
+	z := &Zbox{cfg: cfg, wheel: new(sched.Wheel)}
 	for i := 0; i < cfg.Ports; i++ {
 		p := &port{openRow: make([]uint64, cfg.DevicesPerPort)}
 		for j := range p.openRow {
