@@ -72,11 +72,10 @@ func main() {
 	maxDeadline := flag.Duration("max-deadline", 30*time.Minute, "upper bound a request may ask for (0 = uncapped)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Minute, "how long shutdown waits for in-flight simulations")
 	sample := flag.Uint64("sample", 0, "sample IPC/bandwidth/occupancy every N cycles on every simulation; results carry the series and /metrics exposes per-experiment summaries (0 = off)")
-	sampleCap := flag.Int("sample-cap", 0, "max retained sample points per simulation (0 = default)")
 	storeDir := flag.String("store-dir", "", "persist results to this directory (crash-safe disk store; empty = memory only)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "disk-store byte cap; least-recently-accessed artifacts are evicted past it (0 = 1 GiB)")
 	queueWait := flag.Duration("queue-wait", 5*time.Minute, "max time a job may wait for a worker before being shed with deadline_exceeded; also the admission controller's wait budget (0 = no shedding)")
-	chaos := flag.String("chaos", "", "chaos campaigns, comma-separated: disk (inject disk-store I/O errors and torn writes), flood (tiny queue and short waits to force structural shedding)")
+	chaos := flag.String("chaos", "", "chaos campaigns, comma-separated: disk (inject disk-store I/O errors and torn writes)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "deterministic seed for -chaos campaigns")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file, finalized at drained shutdown")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at drained shutdown")
@@ -110,23 +109,15 @@ func main() {
 	}
 
 	// Resolve the -chaos campaigns before anything opens: disk chaos arms
-	// the store's injector, and flood shrinks the queue so saturation (and
-	// its structured shedding) is reachable without megascale load.
+	// the store's injector.
 	var diskChaos *faults.Config
 	for _, c := range strings.Split(*chaos, ",") {
 		switch strings.TrimSpace(c) {
 		case "":
 		case "disk":
 			diskChaos = faults.DiskChaos(*chaosSeed)
-		case "flood":
-			if *queue > 2 {
-				*queue = 2
-			}
-			if *queueWait == 0 || *queueWait > 250*time.Millisecond {
-				*queueWait = 250 * time.Millisecond
-			}
 		default:
-			fmt.Fprintf(os.Stderr, "tarserved: unknown -chaos campaign %q (want disk or flood)\n", c)
+			fmt.Fprintf(os.Stderr, "tarserved: unknown -chaos campaign %q (want disk)\n", c)
 			os.Exit(2)
 		}
 	}
@@ -153,7 +144,6 @@ func main() {
 		DefaultDeadline: *jobDeadline,
 		MaxDeadline:     *maxDeadline,
 		SampleEvery:     *sample,
-		SampleCap:       *sampleCap,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}
 

@@ -51,7 +51,6 @@ func main() {
 	nopump := flag.Bool("nopump", false, "disable stride-1 double-bandwidth mode")
 	verbose := flag.Bool("v", false, "print the full counter table")
 	sample := flag.Uint64("sample", 0, "sample IPC/bandwidth/occupancy every N cycles and print the series")
-	sampleCap := flag.Int("sample-cap", 0, "series ring capacity (0 = default 4096, oldest overwritten)")
 	traceOut := flag.String("trace-out", "", "write the sampled series as Chrome trace-event JSON to this file")
 	list := flag.Bool("list", false, "list benchmarks and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -148,7 +147,7 @@ func main() {
 		// The sampler only observes: the sampled run takes the plain run's
 		// path, warm-up and functional check included.
 		cc := *cfg
-		cc.EnableSampling(*sample, *sampleCap)
+		cc.EnableSampling(*sample)
 		cfg = &cc
 	}
 	var opts workloads.RunOpts
@@ -243,7 +242,7 @@ func printSeries(d *metrics.SeriesDump, cfg *sim.Config, every uint64) {
 		fmt.Println()
 	}
 	if d.Dropped > 0 {
-		fmt.Printf("(%d older points dropped by the ring bound; raise -sample-cap)\n", d.Dropped)
+		fmt.Printf("(%d older points dropped: the ring keeps the newest %d; raise -sample to cover the whole run)\n", d.Dropped, len(d.Points))
 	}
 }
 

@@ -68,7 +68,6 @@ func main() {
 	watchdog := flag.Uint64("watchdog", 0, "cycles without retirement before a cell is declared wedged (0 = default)")
 	jsonOut := flag.Bool("json", false, "emit one deterministic JSON document instead of text")
 	sample := flag.Uint64("sample", 0, "sample IPC/bandwidth/occupancy every N cycles; the series rides along in each -json cell (0 = off)")
-	sampleCap := flag.Int("sample-cap", 0, "max retained sample points per cell (0 = default)")
 	flag.Parse()
 
 	if *cpuprofile != "" {
@@ -103,7 +102,6 @@ func main() {
 	r.Deadline = *deadline
 	r.Watchdog = *watchdog
 	r.SampleEvery = *sample
-	r.SampleCap = *sampleCap
 	if *faultSeed != 0 {
 		r.Faults = faults.Storm(*faultSeed, 0)
 	}

@@ -33,7 +33,7 @@ func main() {
 	// identity: arm it on a copy, and the run's counters stay
 	// bit-identical to an unsampled run.
 	cfg := *base
-	cfg.EnableSampling(500, 0)
+	cfg.EnableSampling(500)
 	res, err := b.Run(&cfg, workloads.Test)
 	check(err)
 

@@ -23,6 +23,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/pipe"
 	"repro/internal/sched"
+	"repro/internal/stats"
 	"repro/internal/vasm"
 )
 
@@ -114,14 +115,7 @@ type Core struct {
 	cfg Config
 	l2  *l2.L2
 	vu  VectorUnit // nil for pure-EV8 configurations
-
-	// Registered counter handles (core.* namespace).
-	flops, memOps, otherOps metrics.Counter
-	scalarIns, vectorIns    metrics.Counter
-	vecOps                  metrics.Counter
-	l1Hits, l1Misses        metrics.Counter
-	branches, mispredicts   metrics.Counter
-	drainMs                 metrics.Counter
+	st  *stats.Stats
 
 	threads  []*threadState
 	rrFetch  int // round-robin fetch pointer
@@ -163,13 +157,15 @@ type wbEntry struct {
 	wh64 bool
 }
 
-// New builds a core bound to an L2 and an optional vector unit, registering
-// its counters and occupancy gauges under the registry's core namespace.
-func New(cfg Config, reg *metrics.Registry, l2c *l2.L2, vu VectorUnit) *Core {
+// New builds a core bound to an L2 and an optional vector unit that counts
+// its retired operations, L1 accesses, branches and DrainM barriers in st
+// and registers its occupancy gauges with reg.
+func New(cfg Config, st *stats.Stats, reg *metrics.Registry, l2c *l2.L2, vu VectorUnit) *Core {
 	c := &Core{
 		cfg:      cfg,
 		l2:       l2c,
 		vu:       vu,
+		st:       st,
 		wheel:    new(sched.Wheel),
 		pred:     pipe.NewPredictor(),
 		intFU:    pipe.NewFUPool(cfg.IntWidth),
@@ -183,38 +179,21 @@ func New(cfg Config, reg *metrics.Registry, l2c *l2.L2, vu VectorUnit) *Core {
 	c.completeFn = c.onComplete
 	c.wbDoneFn = func(uint64) { c.wbInFlight-- }
 	l2c.OnPBitInvalidate = c.invalidateL1
-	m := reg.Scope("core")
-	c.flops = m.Counter("flops")
-	c.memOps = m.Counter("mem_ops")
-	c.otherOps = m.Counter("other_ops")
-	c.scalarIns = m.Counter("scalar_ins")
-	c.vectorIns = m.Counter("vector_ins")
-	c.vecOps = m.Counter("vec_ops")
-	c.l1Hits = m.Counter("l1_hits")
-	c.l1Misses = m.Counter("l1_misses")
-	c.branches = m.Counter("branches")
-	c.mispredicts = m.Counter("branch_mispredicts")
-	c.drainMs = m.Counter("drain_ms")
-	m.Gauge("rob", "Reorder-buffer entries in flight (all threads).",
-		func(uint64) int { rob, _, _, _, _ := c.Depths(); return rob })
-	m.Gauge("ready", "Uops ready to issue.",
-		func(uint64) int { return c.ready.Len() })
-	m.Gauge("blocked", "Ready uops structurally stalled this cycle.",
-		func(uint64) int { return len(c.blocked) })
-	m.Gauge("writebuf", "Retired stores draining to the cache hierarchy.",
-		func(uint64) int { return c.writeBuf.Len() })
-	m.Gauge("mshr", "Outstanding L1 miss-status registers.",
-		func(uint64) int { return len(c.mshr) })
+	// Reorder-buffer entries in flight (all threads), uops ready to issue,
+	// ready uops structurally stalled this cycle, retired stores draining
+	// to the cache hierarchy, and outstanding L1 miss-status registers.
+	reg.RegisterGauge("core.rob", func(uint64) int { rob, _, _, _, _ := c.Depths(); return rob })
+	reg.RegisterGauge("core.ready", func(uint64) int { return c.ready.Len() })
+	reg.RegisterGauge("core.blocked", func(uint64) int { return len(c.blocked) })
+	reg.RegisterGauge("core.writebuf", func(uint64) int { return c.writeBuf.Len() })
+	reg.RegisterGauge("core.mshr", func(uint64) int { return len(c.mshr) })
 	return c
 }
 
-// Bind attaches a single instruction trace (thread 0) to execute.
-func (c *Core) Bind(tr *vasm.Trace) { c.BindSMT([]*vasm.Trace{tr}) }
-
-// BindSMT attaches one trace per hardware thread. Each thread gets a
-// private address-space tag so the shared caches do not alias the threads'
-// identical virtual layouts.
-func (c *Core) BindSMT(trs []*vasm.Trace) {
+// Bind attaches one trace per hardware thread; a single-threaded run binds
+// one. Each thread gets a private address-space tag so the shared caches do
+// not alias the threads' identical virtual layouts.
+func (c *Core) Bind(trs []*vasm.Trace) {
 	c.threads = c.threads[:0]
 	share := c.cfg.ROBSize / max(len(trs), 1)
 	slots := 1 << bits.Len(uint(max(share, 1)-1))
@@ -363,34 +342,34 @@ func (c *Core) retire(cy uint64) {
 }
 
 func (c *Core) countRetired(u *pipe.UOp) {
-	info := u.Info
+	info, st := u.Info, c.st
 	if info.IsVector() {
-		c.vectorIns.Inc()
+		st.VectorIns++
 		n := uint64(u.Eff.Active)
-		c.vecOps.Add(max(n, 1))
+		st.VecOps += max(n, 1)
 		switch {
 		case info.IsLoad || info.IsStore:
-			c.memOps.Add(n)
+			st.MemOps += n
 		case info.IsFlop:
-			c.flops.Add(n * info.Flops())
+			st.Flops += n * info.Flops()
 		case info.Group == isa.GVC:
-			c.otherOps.Inc()
+			st.OtherOps++
 		default:
-			c.otherOps.Add(n) // vector integer/logical ops count as "other"
+			st.OtherOps += n // vector integer/logical ops count as "other"
 		}
 		return
 	}
-	c.scalarIns.Inc()
+	st.ScalarIns++
 	switch {
 	case info.IsLoad || info.IsStore:
-		c.memOps.Inc()
+		st.MemOps++
 	case info.IsFlop:
-		c.flops.Inc()
+		st.Flops++
 	default:
-		c.otherOps.Inc()
+		st.OtherOps++
 	}
 	if info.IsBranch {
-		c.branches.Inc()
+		st.Branches++
 	}
 }
 
@@ -525,7 +504,7 @@ func (c *Core) issueLoad(cy uint64, u *pipe.UOp) bool {
 		return true
 	}
 	if c.l1.probe(line) {
-		c.l1Hits.Inc()
+		c.st.L1Hits++
 		c.complete(cy+uint64(c.cfg.L1Lat), u)
 		return true
 	}
@@ -534,7 +513,7 @@ func (c *Core) issueLoad(cy uint64, u *pipe.UOp) bool {
 	if len(c.mshr) >= c.cfg.MSHRs {
 		return false // stall: retry next cycle
 	}
-	c.l1Misses.Inc()
+	c.st.L1Misses++
 	c.mshr[line] = []*pipe.UOp{u}
 	c.l2.ScalarRead(cy, addr, func(fillCy uint64) { c.fillL1(fillCy, line) })
 	u.State = pipe.StateIssued
@@ -693,13 +672,13 @@ func (c *Core) fetchThread(cy uint64, t *threadState) {
 		switch {
 		case u.Info.IsBranch:
 			if c.pred.Predict(u.Site^(uint32(t.id)<<28), u.Eff.Taken) {
-				c.mispredicts.Inc()
+				c.st.BranchMispredicts++
 				t.pendingRedirect = u
 				c.finishRename(cy, u)
 				return // no fetch past a mispredicted branch
 			}
 		case u.Inst.Op == isa.OpDRAINM:
-			c.drainMs.Inc()
+			c.st.DrainMs++
 			t.drainOp = u
 			c.finishRename(cy, u)
 			return

@@ -16,6 +16,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/sched"
+	"repro/internal/stats"
 	"repro/internal/zbox"
 )
 
@@ -129,15 +130,7 @@ type L2 struct {
 	assoc      uint64
 	chunkShift uint // log2 of the sets per chunk
 
-	// Registered counter handles (l2.* namespace).
-	hits, misses           metrics.Counter
-	scalarReqs             metrics.Counter
-	vecSlices, pumpSlices  metrics.Counter
-	sliceReplays           metrics.Counter
-	panicEvents            metrics.Counter
-	pbitInvalidates        metrics.Counter
-	writebacks             metrics.Counter
-	mafPeak, mafFullStalls metrics.Counter
+	st *stats.Stats
 
 	lruClock uint64
 
@@ -185,9 +178,10 @@ type scalarReq struct {
 // pointer-shaped, so storing one in the event's any costs no allocation).
 func callDone(cy uint64, a any) { a.(func(uint64))(cy) }
 
-// New returns an L2 backed by the given memory controller, registering its
-// counters and queue-depth gauges under the registry's l2 namespace.
-func New(cfg Config, reg *metrics.Registry, z *zbox.Zbox) *L2 {
+// New returns an L2 backed by the given memory controller that counts its
+// hits, misses, slices and MAF events in st and registers its queue-depth
+// gauges with reg.
+func New(cfg Config, st *stats.Stats, reg *metrics.Registry, z *zbox.Zbox) *L2 {
 	nsets := cfg.Bytes / (cfg.LineBytes * cfg.Assoc)
 	shift := uint(bits.TrailingZeros(uint(min(nsets, chunkSets))))
 	nchunks := nsets >> shift
@@ -199,6 +193,7 @@ func New(cfg Config, reg *metrics.Registry, z *zbox.Zbox) *L2 {
 		mask:       uint64(nsets - 1),
 		assoc:      uint64(cfg.Assoc),
 		chunkShift: shift,
+		st:         st,
 		mafFree:    make([]*mafEntry, cfg.MAFSize),
 		mafIndex:   sched.NewTable[mafEntry](cfg.MAFSize),
 		wheel:      new(sched.Wheel),
@@ -220,26 +215,12 @@ func New(cfg Config, reg *metrics.Registry, z *zbox.Zbox) *L2 {
 	c.retrySliceFn = func(_ uint64, a any) { c.retryQ.Push(a.(*SliceOp)) }
 	c.retryFillFn = func(cy uint64, a any) { c.fillArrived(cy, a.(*mafEntry)) }
 	c.retryScalarFn = func(_ uint64, a any) { c.scalarQ.Push(a.(scalarReq)) }
-	m := reg.Scope("l2")
-	c.hits = m.Counter("hits")
-	c.misses = m.Counter("misses")
-	c.scalarReqs = m.Counter("scalar_reqs")
-	c.vecSlices = m.Counter("vec_slices")
-	c.pumpSlices = m.Counter("pump_slices")
-	c.sliceReplays = m.Counter("slice_replays")
-	c.panicEvents = m.Counter("panic_events")
-	c.pbitInvalidates = m.Counter("pbit_invalidates")
-	c.writebacks = m.Counter("writebacks")
-	c.mafPeak = m.Counter("maf_peak")
-	c.mafFullStalls = m.Counter("maf_full_stalls")
-	m.Gauge("read_q", "Vector read slices queued at the L2.",
-		func(uint64) int { return c.readQ.Len() })
-	m.Gauge("write_q", "Vector write slices queued at the L2.",
-		func(uint64) int { return c.writeQ.Len() })
-	m.Gauge("retry_q", "Woken slices awaiting replay.",
-		func(uint64) int { return c.retryQ.Len() })
-	m.Gauge("maf", "Occupied miss-address-file entries.",
-		func(uint64) int { return c.MAFInUse() })
+	// Vector read and write slices queued at the L2, woken slices awaiting
+	// replay, and occupied miss-address-file entries.
+	reg.RegisterGauge("l2.read_q", func(uint64) int { return c.readQ.Len() })
+	reg.RegisterGauge("l2.write_q", func(uint64) int { return c.writeQ.Len() })
+	reg.RegisterGauge("l2.retry_q", func(uint64) int { return c.retryQ.Len() })
+	reg.RegisterGauge("l2.maf", func(uint64) int { return c.MAFInUse() })
 	return c
 }
 
@@ -334,13 +315,13 @@ func (c *L2) install(line uint64, dirty bool) *way {
 	if w.valid {
 		if w.pbit && c.OnPBitInvalidate != nil {
 			// Evicting a P-bit line invalidates the L1 copy (§3.4).
-			c.pbitInvalidates.Inc()
+			c.st.L2PBitInvalidates++
 			if c.OnPBitInvalidate(w.tag) {
 				w.dirty = true // L1 write-through merged into the victim
 			}
 		}
 		if w.dirty {
-			c.writebacks.Inc()
+			c.st.L2Writebacks++
 			c.z.Request(w.tag, zbox.Write, nil)
 		}
 	}
@@ -416,7 +397,7 @@ func (c *L2) Tick(cy uint64) {
 	// Replays have priority over new slices: a woken slice walks the pipe
 	// again ahead of fresh traffic (it holds a MAF entry others may need).
 	if c.retryQ.Len() > 0 && c.tryBus(cy, c.retryQ.Peek()) {
-		c.sliceReplays.Inc()
+		c.st.L2SliceReplays++
 		c.lookupSlice(cy, c.retryQ.Pop())
 	}
 
@@ -457,9 +438,9 @@ func (c *L2) tryBus(cy uint64, op *SliceOp) bool {
 }
 
 func (c *L2) lookupSlice(cy uint64, op *SliceOp) {
-	c.vecSlices.Inc()
+	c.st.L2VecSlices++
 	if op.Slice.Pump {
-		c.pumpSlices.Inc()
+		c.st.L2PumpSlices++
 	}
 	missing := c.missScratch[:0]
 	pbitHit := false
@@ -486,7 +467,7 @@ func (c *L2) lookupSlice(cy uint64, op *SliceOp) {
 		c.touch(w)
 		if w.pbit {
 			pbitHit = true
-			c.pbitInvalidates.Inc()
+			c.st.L2PBitInvalidates++
 			if c.OnPBitInvalidate != nil && c.OnPBitInvalidate(line) {
 				w.dirty = true
 			}
@@ -498,7 +479,7 @@ func (c *L2) lookupSlice(cy uint64, op *SliceOp) {
 	}
 	c.missScratch = missing[:0]
 	if len(missing) == 0 {
-		c.hits.Inc()
+		c.st.L2Hits++
 		if op.panic_ {
 			c.exitPanic(op)
 		}
@@ -522,7 +503,7 @@ func (c *L2) lookupSlice(cy uint64, op *SliceOp) {
 
 	// Miss: the slice sleeps in the MAF with a waiting bit per missing
 	// line (§3.4 "Servicing Vector Misses").
-	c.misses.Inc()
+	c.st.L2Misses++
 	op.replays++
 	if op.replays > c.cfg.ReplayThreshold && !op.panic_ {
 		c.enterPanic(op)
@@ -535,7 +516,7 @@ func (c *L2) lookupSlice(cy uint64, op *SliceOp) {
 	}
 	if op.waiting == 0 {
 		// Every fill was NACKed (MAF exhausted): retry later.
-		c.mafFullStalls.Inc()
+		c.st.MAFFullStalls++
 		c.wheel.AtCall(cy+uint64(c.cfg.RetryDelay), c.retrySliceFn, op)
 	}
 }
@@ -554,7 +535,7 @@ func (c *L2) requestFill(line uint64, op *SliceOp) *mafEntry {
 		c.mafFree = c.mafFree[:n-1]
 		e.line = line
 		c.mafIndex.Set(line, e)
-		c.mafPeak.Peak(uint64(c.MAFInUse()))
+		c.st.MAFPeak = max(c.st.MAFPeak, uint64(c.MAFInUse()))
 		c.z.Request(line, zbox.Read, e.arrived)
 	}
 	if op != nil {
@@ -604,7 +585,7 @@ func (c *L2) fillArrived(cy uint64, e *mafEntry) {
 // §3.4 — we model the effect: guaranteed completion on the next replay).
 func (c *L2) enterPanic(op *SliceOp) {
 	op.panic_ = true
-	c.panicEvents.Inc()
+	c.st.L2PanicEvents++
 	for _, e := range op.Slice.Elems {
 		if w := c.probe(c.line(e.Addr)); w != nil {
 			w.locked = true
@@ -622,7 +603,7 @@ func (c *L2) exitPanic(op *SliceOp) {
 }
 
 func (c *L2) lookupScalar(cy uint64, req scalarReq) {
-	c.scalarReqs.Inc()
+	c.st.L2ScalarReqs++
 	w := c.probe(req.addr)
 	if req.wh64 {
 		if w == nil {
@@ -637,7 +618,7 @@ func (c *L2) lookupScalar(cy uint64, req scalarReq) {
 		return
 	}
 	if w != nil {
-		c.hits.Inc()
+		c.st.L2Hits++
 		c.touch(w)
 		if req.write {
 			c.markDirty(w)
@@ -651,7 +632,7 @@ func (c *L2) lookupScalar(cy uint64, req scalarReq) {
 		}
 		return
 	}
-	c.misses.Inc()
+	c.st.L2Misses++
 	if req.pref {
 		// Prefetches are dropped rather than stalled when the MAF is full.
 		c.requestFill(req.addr, nil)
@@ -660,7 +641,7 @@ func (c *L2) lookupScalar(cy uint64, req scalarReq) {
 	e := c.requestFill(req.addr, nil)
 	if e == nil {
 		// MAF full: retry the scalar request next cycle.
-		c.mafFullStalls.Inc()
+		c.st.MAFFullStalls++
 		c.wheel.AtCall(cy+1, c.retryScalarFn, req)
 		return
 	}

@@ -18,18 +18,18 @@ func testSetupBytes(bytes int) (*L2, *zbox.Zbox, *stats.Stats) { return testSetu
 // testSetupCache builds a cache of the given capacity and associativity
 // over a small memory system.
 func testSetupCache(bytes, assoc int) (*L2, *zbox.Zbox, *stats.Stats) {
-	reg := metrics.NewRegistry()
+	st, reg := new(stats.Stats), new(metrics.Registry)
 	z := zbox.New(zbox.Config{
 		Ports: 8, LineCycles: 16, BaseLatency: 100,
 		RowBytes: 2048, DevicesPerPort: 32, RowMissCycles: 12, TurnCycles: 5,
-	}, reg)
+	}, st, reg)
 	c := New(Config{
 		Bytes: bytes, Assoc: assoc, LineBytes: 64,
 		ScalarLat: 12, VecLatPump: 34, VecLatOdd: 38,
 		MAFSize: 64, ReplayThreshold: 8, RetryDelay: 6,
 		SliceQueue: 16, PBitPenalty: 12,
-	}, reg, z)
-	return c, z, reg.Stats()
+	}, st, reg, z)
+	return c, z, st
 }
 
 func drive(c *L2, z *zbox.Zbox, from, max uint64) uint64 {

@@ -4,107 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
-	"strings"
 	"testing"
-
-	"repro/internal/stats"
 )
 
-// TestNamespaceCoversEveryStatsField is the registration half of the
-// "never silently dropped" guarantee: every uint64 counter field of the
-// compat struct must have exactly one namespaced metric, and every def must
-// resolve. (NewRegistry panics on drift; this test makes the failure a
-// readable diff instead of a panic trace.)
-func TestNamespaceCoversEveryStatsField(t *testing.T) {
-	byField := map[string]string{}
-	for _, d := range Defs() {
-		if prev, dup := byField[d.Field]; dup {
-			t.Errorf("field %s registered twice (%s and %s)", d.Field, prev, d.Name)
-		}
-		byField[d.Field] = d.Name
-		comp, _, ok := strings.Cut(d.Name, ".")
-		if !ok {
-			t.Errorf("metric %q is not namespaced component.metric", d.Name)
-		}
-		switch comp {
-		case "core", "vbox", "l2", "zbox", "mem", "sim":
-		default:
-			t.Errorf("metric %q uses unknown component namespace %q", d.Name, comp)
-		}
-	}
-	st := reflect.TypeOf(stats.Stats{})
-	for i := 0; i < st.NumField(); i++ {
-		f := st.Field(i)
-		if f.Type.Kind() != reflect.Uint64 {
-			continue
-		}
-		if _, ok := byField[f.Name]; !ok {
-			t.Errorf("stats.Stats.%s has no registered metric — add it to counterDefs", f.Name)
-		}
-	}
-	// And construction itself must hold the same invariant.
-	_ = NewRegistry()
-}
-
-// TestCompatViewIsLive: counter increments through handles are immediately
-// visible in the stats.Stats compat view, and vice versa for direct writes.
-func TestCompatViewIsLive(t *testing.T) {
-	r := NewRegistry()
-	c := r.Scope("l2").Counter("vec_slices")
-	c.Add(41)
-	c.Inc()
-	if got := r.Stats().L2VecSlices; got != 42 {
-		t.Fatalf("compat view L2VecSlices = %d, want 42", got)
-	}
-	r.Stats().UsefulBytes = 1 << 20 // harness-style direct write stays legal
-	if got := r.Counter("sim.useful_bytes").Value(); got != 1<<20 {
-		t.Fatalf("direct write invisible through handle: %d", got)
-	}
-}
-
-// TestCounterMutationsZeroAlloc is the hot-path contract: counter
-// increments must not allocate. CI runs this on every push.
-func TestCounterMutationsZeroAlloc(t *testing.T) {
-	r := NewRegistry()
-	c := r.Scope("core").Counter("flops")
-	p := r.Counter("l2.maf_peak")
-	if n := testing.AllocsPerRun(1000, func() {
-		c.Inc()
-		c.Add(128)
-		p.Peak(c.Value())
-	}); n != 0 {
-		t.Fatalf("counter mutations allocate %v allocs/op, want 0", n)
-	}
-}
-
-// BenchmarkRegistryOverhead measures the raw handle increment next to the
-// direct struct-field increment it replaced; run with -benchmem to see the
-// zero-alloc claim.
-func BenchmarkRegistryOverhead(b *testing.B) {
-	b.Run("handle", func(b *testing.B) {
-		r := NewRegistry()
-		c := r.Scope("core").Counter("flops")
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c.Add(2)
-		}
-	})
-	b.Run("direct", func(b *testing.B) {
-		var st stats.Stats
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			st.Flops += 2
-		}
-	})
-}
-
 // TestGaugeRegistrationAndSnapshot: gauges read in registration order, with
-// the cycle forwarded to probes that need it.
+// the cycle forwarded to probes that need it, and a name registers once.
 func TestGaugeRegistrationAndSnapshot(t *testing.T) {
-	r := NewRegistry()
+	r := new(Registry)
 	depth := 3
-	r.Scope("l2").Gauge("read_q", "read queue", func(uint64) int { return depth })
-	r.Scope("vbox").Gauge("ports_busy", "busy ports", func(cy uint64) int { return int(cy % 7) })
+	r.RegisterGauge("l2.read_q", func(uint64) int { return depth })
+	r.RegisterGauge("vbox.ports_busy", func(cy uint64) int { return int(cy % 7) })
 	got := r.ReadGauges(16)
 	want := []GaugeSample{{Name: "l2.read_q", Value: 3}, {Name: "vbox.ports_busy", Value: 2}}
 	if !reflect.DeepEqual(got, want) {
@@ -114,6 +23,12 @@ func TestGaugeRegistrationAndSnapshot(t *testing.T) {
 	if !reflect.DeepEqual(vals, []int{3, 2}) {
 		t.Fatalf("ReadGaugeValues = %v", vals)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("registering l2.read_q twice did not panic")
+		}
+	}()
+	r.RegisterGauge("l2.read_q", func(uint64) int { return 0 })
 }
 
 // TestSeriesRing: the ring retains the newest Cap points in order and

@@ -26,7 +26,6 @@ func TestBuildSpecCrossPathEquivalence(t *testing.T) {
 		DefaultDeadline: 2 * time.Minute,
 		MaxDeadline:     5 * time.Minute,
 		SampleEvery:     128,
-		SampleCap:       64,
 	}
 
 	spec, cfg, scale, err := BuildSpec(req, defaults)
@@ -36,8 +35,8 @@ func TestBuildSpecCrossPathEquivalence(t *testing.T) {
 	if spec.DeadlineMs != (2 * time.Minute).Milliseconds() {
 		t.Errorf("default deadline not applied: %d", spec.DeadlineMs)
 	}
-	if spec.SampleEvery != 128 || spec.SampleCap != 64 {
-		t.Errorf("sampler not applied: every=%d cap=%d", spec.SampleEvery, spec.SampleCap)
+	if spec.SampleEvery != 128 {
+		t.Errorf("sampler not applied: every=%d", spec.SampleEvery)
 	}
 
 	cfg2, scale2, err := spec.Build()

@@ -74,11 +74,10 @@ type JobSpec struct {
 	// Knobs are the design-space-exploration perturbations applied to the
 	// named config inside Build.
 	Knobs map[string]float64 `json:"knobs,omitempty"`
-	// SampleEvery/SampleCap arm the cycle-interval sampler. They live
-	// outside the confhash identity (observation, not configuration), so
-	// they ride in the spec rather than the sim.Config hash.
+	// SampleEvery arms the cycle-interval sampler. It lives outside the
+	// confhash identity (observation, not configuration), so it rides in
+	// the spec rather than the sim.Config hash.
 	SampleEvery uint64 `json:"sample_every,omitempty"`
-	SampleCap   int    `json:"sample_cap,omitempty"`
 }
 
 // Build validates the spec and assembles the decorated machine
@@ -116,7 +115,7 @@ func (sp *JobSpec) Build() (*sim.Config, workloads.Scale, error) {
 	cc.Check = sp.Check
 	cc.Watchdog = sp.Watchdog
 	if sp.SampleEvery > 0 {
-		cc.EnableSampling(sp.SampleEvery, sp.SampleCap)
+		cc.EnableSampling(sp.SampleEvery)
 	}
 	cc.Deadline = time.Duration(sp.DeadlineMs) * time.Millisecond
 	if sp.FaultSeed != 0 {
@@ -140,10 +139,9 @@ type SpecDefaults struct {
 	// MaxDeadline clamps what a request may ask for. Zero disables each.
 	DefaultDeadline time.Duration
 	MaxDeadline     time.Duration
-	// SampleEvery/SampleCap arm the cycle-interval sampler on the resolved
-	// spec (outside the confhash identity).
+	// SampleEvery arms the cycle-interval sampler on the resolved spec
+	// (outside the confhash identity).
 	SampleEvery uint64
-	SampleCap   int
 }
 
 // BuildSpec is the single request→spec build path: it resolves a
@@ -179,7 +177,6 @@ func BuildSpec(req *SubmitRequest, d SpecDefaults) (*JobSpec, *sim.Config, workl
 		// Server-side observability knob; lives outside the confhash
 		// identity so sampled and unsampled runs share a content key.
 		sp.SampleEvery = d.SampleEvery
-		sp.SampleCap = d.SampleCap
 	}
 	cfg, scale, err := sp.Build()
 	if err != nil {
@@ -196,7 +193,6 @@ func (s *Server) resolveSpec(req *SubmitRequest) (*JobSpec, *sim.Config, workloa
 		DefaultDeadline: s.opts.DefaultDeadline,
 		MaxDeadline:     s.opts.MaxDeadline,
 		SampleEvery:     s.opts.SampleEvery,
-		SampleCap:       s.opts.SampleCap,
 	})
 }
 

@@ -78,8 +78,6 @@ type Options struct {
 	// The knob lives outside the confhash identity, so sampled and
 	// unsampled runs of one experiment share a content key.
 	SampleEvery uint64
-	// SampleCap bounds retained points per run (0 = the sampler default).
-	SampleCap int
 	// Run substitutes the execution function (tests only).
 	Run RunFunc
 }

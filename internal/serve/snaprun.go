@@ -44,8 +44,7 @@ func (s *Server) snapshotRun() RunFunc {
 		if err != nil {
 			return nil, err
 		}
-		sampleEvery, _ := cfg.Sampling()
-		if b.Setup == nil || cfg.Faults != nil || sampleEvery != 0 {
+		if b.Setup == nil || cfg.Faults != nil || cfg.Sampling() != 0 {
 			return b.Run(cfg, scale)
 		}
 		wkey := confhash.WarmupKey(bench, scale.String(), cfg)

@@ -158,7 +158,7 @@ func executeKernel(spec RunSpec) (*Outcome, error) {
 	} else if spec.Setup != nil {
 		setup := spec.Setup
 		tr := vasm.NewTrace(m, func(b *vasm.Builder) { setup(b); b.Halt() })
-		err := chip.runTraces([]*vasm.Trace{tr}, false)
+		err := chip.runTraces([]*vasm.Trace{tr})
 		tr.Close()
 		if err != nil {
 			return out, err
@@ -179,7 +179,7 @@ func executeKernel(spec RunSpec) (*Outcome, error) {
 	before := *chip.Stats
 	tr := vasm.NewTrace(m, spec.Kernel)
 	defer tr.Close()
-	if err := chip.runTraces([]*vasm.Trace{tr}, false); err != nil {
+	if err := chip.runTraces([]*vasm.Trace{tr}); err != nil {
 		return out, err
 	}
 	if spec.Setup != nil {
@@ -200,7 +200,7 @@ func executeSMT(spec RunSpec) (*Outcome, error) {
 		defer traces[i].Close()
 	}
 	out := &Outcome{Stats: chip.Stats, Machines: machines, Chip: chip}
-	if err := chip.runTraces(traces, true); err != nil {
+	if err := chip.runTraces(traces); err != nil {
 		return out, err
 	}
 	finishOutcome(out, chip)
@@ -208,25 +208,17 @@ func executeSMT(spec RunSpec) (*Outcome, error) {
 }
 
 // finishOutcome attaches the sampler series and the loop throughput to a
-// successful outcome and feeds the configuration's OnSeries callback.
+// successful outcome.
 func finishOutcome(out *Outcome, ch *Chip) {
 	out.Series = ch.Series()
 	out.SimCycles = ch.Clock()
 	out.SimWall = ch.SimWall()
-	if ch.Cfg.onSeries != nil {
-		ch.Cfg.onSeries(out.Series)
-	}
 }
 
-// runTraces binds trs to the chip (SMT binding when smt is true, which is
-// also how a single-trace slice of the SMT surface stays distinct from the
-// single-threaded binding) and drives the machine to completion.
-func (ch *Chip) runTraces(trs []*vasm.Trace, smt bool) error {
-	if smt {
-		ch.c.BindSMT(trs)
-	} else {
-		ch.c.Bind(trs[0])
-	}
+// runTraces binds trs to the chip, one hardware thread per trace, and
+// drives the machine to completion.
+func (ch *Chip) runTraces(trs []*vasm.Trace) error {
+	ch.c.Bind(trs)
 	t0 := time.Now()
 	err := ch.runBound(trs)
 	ch.simWall += time.Since(t0)

@@ -50,7 +50,7 @@ func wedgeOnStorm(t *testing.T) (*Chip, *WedgeError) {
 // gauge names are the registry's registration order.
 func TestSamplerSeriesShape(t *testing.T) {
 	cfg := *T()
-	cfg.EnableSampling(500, 0)
+	cfg.EnableSampling(500)
 	chip := runSampledKernel(t, &cfg)
 	d := chip.Series()
 	if d == nil || len(d.Points) == 0 {
@@ -87,7 +87,7 @@ func TestSamplerDoesNotPerturbCounters(t *testing.T) {
 		base := c.configs[0]
 		plain := runK(t, base, c.kernel)
 		cfg := *base
-		cfg.EnableSampling(100, 0)
+		cfg.EnableSampling(100)
 		chip := runSampledKernelWith(t, &cfg, c)
 		if *chip.Stats != *plain {
 			t.Errorf("%s: sampling changed the statistics:\n  sampled: %+v\n  plain:   %+v",

@@ -50,39 +50,30 @@ type Config struct {
 	// Faults configures deterministic fault injection; nil injects nothing.
 	Faults *faults.Config
 
-	// Sampling knobs are unexported on purpose: confhash walks exported
-	// fields only (and panics on funcs), so observation settings must never
-	// leak into the configuration identity. Use EnableSampling/SetOnSeries.
+	// The sampling interval is unexported on purpose: confhash walks
+	// exported fields only, so observation settings must never leak into
+	// the configuration identity. Use EnableSampling.
 	sampleEvery uint64
-	sampleCap   int
-	onSeries    func(*metrics.SeriesDump)
 }
 
 // EnableSampling turns on the cycle-interval sampler for chips built from
 // this configuration: every `every` cycles the chip snapshots interval IPC,
-// memory traffic and every registered occupancy gauge into a bounded ring
-// (capacity 0 selects metrics.DefaultSeriesCap). Sampling never changes
-// simulated timing or counters.
-func (c *Config) EnableSampling(every uint64, capacity int) {
-	c.sampleEvery = every
-	c.sampleCap = capacity
-}
+// memory traffic and every registered occupancy gauge into a ring of
+// metrics.DefaultSeriesCap points. Sampling never changes simulated timing
+// or counters.
+func (c *Config) EnableSampling(every uint64) { c.sampleEvery = every }
 
-// SetOnSeries installs the harness callback that receives the sampled series
-// after a successful Execute.
-func (c *Config) SetOnSeries(fn func(*metrics.SeriesDump)) { c.onSeries = fn }
-
-// Sampling reports the sampler setting.
-func (c *Config) Sampling() (every uint64, capacity int) { return c.sampleEvery, c.sampleCap }
+// Sampling reports the sampling interval in cycles (0 = off).
+func (c *Config) Sampling() uint64 { return c.sampleEvery }
 
 // Chip is one assembled machine.
 type Chip struct {
 	Cfg *Config
 
-	// Reg is the chip's metric registry: every component registered its
-	// counters and occupancy gauges against it at construction. Stats is the
-	// registry's live flat compat view (the same storage), kept for ROI
-	// deltas, the evaluation tables and the byte-comparable serve encoding.
+	// Stats is the chip's counter set and Reg its occupancy gauges; every
+	// component counts into the one and registers with the other at
+	// construction. They are separate allocations: a caller that keeps
+	// only the Stats after the run keeps no component alive.
 	Reg   *metrics.Registry
 	Stats *stats.Stats
 
@@ -118,56 +109,43 @@ func (ch *Chip) SimWall() time.Duration { return ch.simWall }
 // post-HALT drain, across every phase run so far.
 func (ch *Chip) Clock() uint64 { return ch.now }
 
-// New assembles a chip from cfg. Every component registers its counters and
-// gauges against one fresh per-chip registry; the chip's Stats field is the
-// registry's live compat view.
+// New assembles a chip from cfg. Every component counts into one fresh
+// Stats block and registers its gauges with one fresh registry.
 func New(cfg *Config) *Chip {
-	reg := metrics.NewRegistry()
+	st, reg := new(stats.Stats), new(metrics.Registry)
 	inj := faults.New(cfg.Faults)
 	// The injector rides into each component on a local copy of its config,
 	// so the caller's Config literal stays untouched (tables share them
 	// across cells).
 	zc := cfg.Zbox
 	zc.Faults = inj
-	z := zbox.New(zc, reg)
+	z := zbox.New(zc, st, reg)
 	l2cfg := cfg.L2
 	l2cfg.Faults = inj
-	l2c := l2.New(l2cfg, reg, z)
+	l2c := l2.New(l2cfg, st, reg, z)
 	var vb *vbox.VBox
 	var vu core.VectorUnit
 	if cfg.HasVbox {
 		vc := cfg.Vbox
 		vc.Faults = inj
-		vb = vbox.New(vc, reg, l2c)
+		vb = vbox.New(vc, st, reg, l2c)
 		vu = vb
 	}
 	cc := cfg.Core
 	cc.Faults = inj
-	c := core.New(cc, reg, l2c, vu)
+	c := core.New(cc, st, reg, l2c, vu)
 	if vb != nil {
 		vb.OnDone = c.VectorDone
 	}
-	ch := &Chip{Cfg: cfg, Reg: reg, Stats: reg.Stats(), z: z, l2: l2c, vb: vb, c: c, inj: inj}
+	ch := &Chip{Cfg: cfg, Reg: reg, Stats: st, z: z, l2: l2c, vb: vb, c: c, inj: inj}
 	if cfg.Check {
 		ch.chk = check.New()
 		c.SetChecker(ch.chk)
 	}
 	if cfg.sampleEvery > 0 {
-		ch.EnableSampling(cfg.sampleEvery, cfg.sampleCap)
+		ch.series = metrics.NewSeries(cfg.sampleEvery, metrics.DefaultSeriesCap, reg.GaugeNames())
 	}
 	return ch
-}
-
-// EnableSampling arms the chip's cycle-interval sampler: every `every`
-// cycles the current interval IPC, interval memory-controller bytes and all
-// registered occupancy gauges are pushed into a bounded ring (capacity 0
-// selects metrics.DefaultSeriesCap; the ring overwrites oldest-first).
-func (ch *Chip) EnableSampling(every uint64, capacity int) {
-	if every == 0 {
-		ch.series = nil
-		return
-	}
-	ch.series = metrics.NewSeries(every, capacity, ch.Reg.GaugeNames())
 }
 
 // Series returns the sampled series, or nil when sampling was never enabled.

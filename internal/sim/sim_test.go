@@ -72,7 +72,7 @@ func f64(v float64) uint64 {
 // TestNewChipAllocations pins what building a chip costs the allocator;
 // serve-cold builds one per job. The L1 cuts its 512 sets from one array
 // and the L2 its MAF entries' waiter room from two, where one allocation
-// per set made 733 in all; 224 remain.
+// per set made 733 in all; 165 remain.
 func TestNewChipAllocations(t *testing.T) {
 	cfg := T()
 	if got := testing.AllocsPerRun(10, func() { New(cfg) }); got > 256 {

@@ -41,7 +41,7 @@ func (ch *Chip) SaveState(m *arch.Machine) ([]byte, error) {
 	w.Bool(ch.vb != nil)
 	m.Mem.SaveState(w)
 	m.SaveState(w)
-	ch.Reg.SaveState(w)
+	ch.Stats.SaveState(w)
 	if err := ch.c.SaveState(w, ch.now); err != nil {
 		return nil, err
 	}
@@ -97,7 +97,7 @@ func RestoreChip(cfg *Config, blob []byte) (*Chip, *arch.Machine, error) {
 	if err := m.LoadState(r); err != nil {
 		return nil, nil, err
 	}
-	if err := ch.Reg.LoadState(r); err != nil {
+	if err := ch.Stats.LoadState(r); err != nil {
 		return nil, nil, err
 	}
 	if err := ch.c.LoadState(r, now); err != nil {

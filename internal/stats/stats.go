@@ -1,22 +1,27 @@
 // Package stats collects the counters the evaluation section reports:
 // operations per cycle split into flops / memory ops / other (Figure 6),
 // bandwidth in the STREAMS convention versus raw including directory
-// traffic (Table 4), and per-component occupancy counters used by the
-// ablation experiments.
+// traffic (Table 4), and the per-component event counts that explain them.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"reflect"
-	"sort"
 	"strings"
 )
 
-// Stats is the chip-wide counter set. One instance is shared by every
-// component of a simulation.
+// Stats is the chip's one counter set. sim.New allocates one block per chip
+// and hands it to every component, which increments its fields in place;
+// ROI deltas (Sub), the evaluation tables, snapshots (SaveState) and every
+// result encoding read the same block.
+//
+// Every field is a uint64 counter: Sub, SaveState and the tests walk the
+// struct by reflection, so a new counter needs only its field, its Table
+// row and its increment, plus a snapshot.SchemaVersion bump for the
+// longer snapshot section.
 type Stats struct {
-	Cycles uint64
+	Cycles uint64 // simulated cycles inside timed regions
 
 	// Retired operation counts at element granularity, the unit of
 	// Figure 6 (a vl=128 vector add retires 128 operations).
@@ -28,30 +33,30 @@ type Stats struct {
 	VecOps    uint64 // element operations retired by vector instructions
 
 	// Memory system.
-	L1Hits, L1Misses      uint64
-	L2Hits, L2Misses      uint64
-	L2ScalarReqs          uint64
-	L2VecSlices           uint64
-	L2PumpSlices          uint64
-	L2SliceReplays        uint64
-	L2PanicEvents         uint64
-	L2PBitInvalidates     uint64
-	L2Writebacks          uint64
-	MAFPeak               uint64
-	MAFFullStalls         uint64
-	CRRounds, CRSlices    uint64
-	ReorderSlices         uint64
-	AddrGenCycles         uint64
-	TLBMisses, TLBRefills uint64
-	DrainMs               uint64
+	L1Hits, L1Misses      uint64 // L1 data cache
+	L2Hits, L2Misses      uint64 // at slice or scalar-request granularity
+	L2ScalarReqs          uint64 // scalar requests presented to the L2
+	L2VecSlices           uint64 // vector slices accepted by the L2
+	L2PumpSlices          uint64 // slices served in stride-1 double-bandwidth mode
+	L2SliceReplays        uint64 // slices replayed after a conflict
+	L2PanicEvents         uint64 // panic-mode events (MAF pressure relief)
+	L2PBitInvalidates     uint64 // L1 invalidations issued for P-bit lines
+	L2Writebacks          uint64 // dirty lines written back to memory
+	MAFPeak               uint64 // peak miss-address-file occupancy; Sub keeps the later value
+	MAFFullStalls         uint64 // requests stalled on a full MAF
+	CRRounds, CRSlices    uint64 // conflict-resolution rounds, and the slices the CR box processed
+	ReorderSlices         uint64 // slices reordered before issue (conflict-free strided accesses)
+	AddrGenCycles         uint64 // address-generator busy cycles
+	TLBMisses, TLBRefills uint64 // vector TLB misses, and their PALcode refills
+	DrainMs               uint64 // DrainM barriers executed
 	BranchMispredicts     uint64
-	Branches              uint64
-	VSBusTransfers        uint64
+	Branches              uint64 // conditional branches retired
+	VSBusTransfers        uint64 // scalar operands moved to the Vbox over the operand buses
 
 	// Zbox (memory controller).
-	MemReads, MemWrites, MemDirOps uint64 // transactions (64 B each)
-	RowActivates, RowHits          uint64
-	Turnarounds                    uint64
+	MemReads, MemWrites, MemDirOps uint64 // transactions (64 B each); MemDirOps are directory-only
+	RowActivates, RowHits          uint64 // DRAM row activations, and accesses hitting an open row
+	Turnarounds                    uint64 // read/write bus turnarounds
 
 	// Useful (STREAMS-convention) bytes, credited by the workload harness.
 	UsefulBytes uint64
@@ -169,19 +174,6 @@ func GMean(vs []float64) float64 {
 		return 0
 	}
 	return math.Exp(logsum / float64(n))
-}
-
-// Median returns the median of vs.
-func Median(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), vs...)
-	sort.Float64s(c)
-	if len(c)%2 == 1 {
-		return c[len(c)/2]
-	}
-	return (c[len(c)/2-1] + c[len(c)/2]) / 2
 }
 
 // Sub returns s - base field-wise: the counters attributable to a region of

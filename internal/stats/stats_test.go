@@ -89,18 +89,6 @@ func TestGMean(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	if m := Median([]float64{3, 1, 2}); m != 2 {
-		t.Fatalf("median = %v", m)
-	}
-	if m := Median([]float64{4, 1, 2, 3}); m != 2.5 {
-		t.Fatalf("even median = %v", m)
-	}
-	if Median(nil) != 0 {
-		t.Fatal("empty median must be 0")
-	}
-}
-
 func TestTableListsEveryCounterGroup(t *testing.T) {
 	s := &Stats{Cycles: 1}
 	out := s.Table()
@@ -134,11 +122,9 @@ func TestTableListsEveryCounter(t *testing.T) {
 
 // TestSubCoversEveryCounterField walks the struct with reflection so a
 // counter added to Stats can never silently escape ROI accounting: every
-// field must be uint64 (Sub skips other kinds), and Sub must subtract each
-// one — except MAFPeak, which keeps the later value by design. The matching
-// guarantee for the registry's compat view lives in
-// internal/metrics.TestNamespaceCoversEveryStatsField (metrics imports
-// stats, not the reverse).
+// field must be uint64 (Sub skips other kinds, and SaveState reads each
+// field as one), and Sub must subtract each one — except MAFPeak, which
+// keeps the later value by design.
 func TestSubCoversEveryCounterField(t *testing.T) {
 	typ := reflect.TypeOf(Stats{})
 	s, base := &Stats{}, &Stats{}
@@ -147,7 +133,7 @@ func TestSubCoversEveryCounterField(t *testing.T) {
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
 		if f.Type.Kind() != reflect.Uint64 {
-			t.Fatalf("field %s is %s, not uint64: Sub and the metrics registry both skip it — extend them before adding non-counter state", f.Name, f.Type)
+			t.Fatalf("field %s is %s, not uint64: Sub skips it and SaveState cannot encode it — extend them before adding non-counter state", f.Name, f.Type)
 		}
 		sv.Field(i).SetUint(1000 + uint64(i))
 		bv.Field(i).SetUint(uint64(i))

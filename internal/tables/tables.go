@@ -54,8 +54,6 @@ type Runner struct {
 	// artifact. Sampling is observation-only — it lives outside the
 	// confhash cell key and leaves every counter bit-identical.
 	SampleEvery uint64
-	// SampleCap bounds retained points per cell (0 = the sampler default).
-	SampleCap int
 
 	mu      sync.Mutex
 	results map[string]*call
@@ -165,7 +163,7 @@ func (r *Runner) decorate(bench string, cfg *sim.Config) *sim.Config {
 		cc.Faults = r.Faults
 	}
 	if r.SampleEvery > 0 {
-		cc.EnableSampling(r.SampleEvery, r.SampleCap)
+		cc.EnableSampling(r.SampleEvery)
 	}
 	return &cc
 }

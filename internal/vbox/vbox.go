@@ -18,6 +18,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/pipe"
 	"repro/internal/sched"
+	"repro/internal/stats"
 	"repro/internal/vm"
 )
 
@@ -64,15 +65,7 @@ type Config struct {
 type VBox struct {
 	cfg Config
 	l2c *l2.L2
-
-	// Registered counter handles (vbox.* namespace).
-	vsBusTransfers metrics.Counter
-	addrGenCycles  metrics.Counter
-	reorderSlices  metrics.Counter
-	crRounds       metrics.Counter
-	crSlices       metrics.Counter
-	tlbMisses      metrics.Counter
-	tlbRefills     metrics.Counter
+	st  *stats.Stats
 
 	// Space is the address space whose page table PALcode walks on TLB
 	// refills; the simulator runs identity-mapped.
@@ -175,12 +168,14 @@ func (r *memRecord) sliceDone(doneCy uint64) {
 	v.freeRecord(r)
 }
 
-// New returns a Vbox bound to the L2, registering its counters and
-// occupancy gauges under the registry's vbox namespace.
-func New(cfg Config, reg *metrics.Registry, l2c *l2.L2) *VBox {
+// New returns a Vbox bound to the L2 that counts its address generation,
+// conflict resolution and TLB events in st and registers its occupancy
+// gauges with reg.
+func New(cfg Config, st *stats.Stats, reg *metrics.Registry, l2c *l2.L2) *VBox {
 	v := &VBox{
 		cfg:      cfg,
 		l2c:      l2c,
+		st:       st,
 		portFree: make([]uint64, cfg.Ports),
 		tlb:      make([]laneTLB, cfg.Lanes),
 		wheel:    new(sched.Wheel),
@@ -194,22 +189,13 @@ func New(cfg Config, reg *metrics.Registry, l2c *l2.L2) *VBox {
 		v.finish(cy, a.(*pipe.UOp))
 	}
 	v.Space = vm.NewIdentity()
-	m := reg.Scope("vbox")
-	v.vsBusTransfers = m.Counter("vs_bus_transfers")
-	v.addrGenCycles = m.Counter("addr_gen_cycles")
-	v.reorderSlices = m.Counter("reorder_slices")
-	v.crRounds = m.Counter("cr_rounds")
-	v.crSlices = m.Counter("cr_slices")
-	v.tlbMisses = m.Counter("tlb_misses")
-	v.tlbRefills = m.Counter("tlb_refills")
-	m.Gauge("ports_busy", "Issue ports mid-instruction.",
-		func(cy uint64) int { return v.Snapshot(cy).PortsBusy })
-	m.Gauge("mem_in_fly", "Vector memory instructions in the pipeline.",
-		func(uint64) int { return v.memInFly })
-	m.Gauge("queued", "Dispatched, waiting vector instructions.",
-		func(uint64) int { return v.queued })
-	m.Gauge("slices_wait", "Slices generated but not yet accepted by the L2.",
-		func(uint64) int { return v.readSubQ.Len() + v.writeSubQ.Len() })
+	// Issue ports mid-instruction, vector memory instructions in the
+	// pipeline, dispatched vector instructions waiting to issue, and slices
+	// generated but not yet accepted by the L2.
+	reg.RegisterGauge("vbox.ports_busy", func(cy uint64) int { return v.Snapshot(cy).PortsBusy })
+	reg.RegisterGauge("vbox.mem_in_fly", func(uint64) int { return v.memInFly })
+	reg.RegisterGauge("vbox.queued", func(uint64) int { return v.queued })
+	reg.RegisterGauge("vbox.slices_wait", func(uint64) int { return v.readSubQ.Len() + v.writeSubQ.Len() })
 	return v
 }
 
@@ -312,7 +298,7 @@ func (v *VBox) takeOperandBus(cy uint64, n int) bool {
 		return false
 	}
 	v.opBusUsed += n
-	v.vsBusTransfers.Add(uint64(n))
+	v.st.VSBusTransfers += uint64(n)
 	return true
 }
 
@@ -381,7 +367,7 @@ func (v *VBox) issueMem(cy uint64, u *pipe.UOp) bool {
 
 	r := v.takeRecord()
 	slices, agCycles := v.buildSlices(u, &r.buf)
-	v.addrGenCycles.Add(uint64(agCycles))
+	v.st.AddrGenCycles += uint64(agCycles)
 	v.agFree = agStart + uint64(agCycles)
 	v.queued--
 	v.memInFly++
@@ -446,7 +432,7 @@ func (v *VBox) buildSlices(u *pipe.UOp, buf *creorder.Buf) ([]creorder.Slice, in
 			// directly: one cycle per pump slice.
 			return slices, len(slices)
 		case creorder.ModeReorder:
-			v.reorderSlices.Add(uint64(len(slices)))
+			v.st.ReorderSlices += uint64(len(slices))
 			v.tagSeq += len(slices)
 			// Eight address-generation cycles regardless of vl (§3.4).
 			ag := 8
@@ -459,8 +445,8 @@ func (v *VBox) buildSlices(u *pipe.UOp, buf *creorder.Buf) ([]creorder.Slice, in
 			// gather/scatter and run through the CR box" (§3.4).
 			slices, rounds := v.cr.PackStrided(eff.Base, eff.Stride, active, tag0, buf)
 			v.tagSeq += len(slices)
-			v.crRounds.Add(uint64(rounds))
-			v.crSlices.Add(uint64(len(slices)))
+			v.st.CRRounds += uint64(rounds)
+			v.st.CRSlices += uint64(len(slices))
 			return slices, rounds
 		}
 	}
@@ -475,8 +461,8 @@ func (v *VBox) buildSlices(u *pipe.UOp, buf *creorder.Buf) ([]creorder.Slice, in
 	}
 	slices, rounds := v.cr.Pack(elems, tag0, buf)
 	v.tagSeq += len(slices)
-	v.crRounds.Add(uint64(rounds))
-	v.crSlices.Add(uint64(len(slices)))
+	v.st.CRRounds += uint64(rounds)
+	v.st.CRSlices += uint64(len(slices))
 	return slices, rounds
 }
 
@@ -555,7 +541,7 @@ func (v *VBox) tlbCheck(u *pipe.UOp) uint64 {
 		page := a >> v.cfg.PageBits
 		if !v.tlb[lane].lookup(page) {
 			misses++
-			v.tlbMisses.Inc()
+			v.st.TLBMisses++
 			// PALcode walks the page table; only valid PTEs enter the TLB
 			// (an invalid mapping would be an access fault — the workloads
 			// run identity-mapped, so it cannot arise here).
@@ -585,7 +571,7 @@ func (v *VBox) tlbCheck(u *pipe.UOp) uint64 {
 	if misses == 0 {
 		return 0
 	}
-	v.tlbRefills.Inc()
+	v.st.TLBRefills++
 	if v.cfg.TLBRefillAll {
 		return uint64(v.cfg.TLBRefillCycles)
 	}

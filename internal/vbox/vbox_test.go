@@ -7,6 +7,7 @@ import (
 	"repro/internal/l2"
 	"repro/internal/metrics"
 	"repro/internal/pipe"
+	"repro/internal/stats"
 	"repro/internal/zbox"
 )
 
@@ -18,23 +19,23 @@ func testVBox(queue int) *VBox {
 // testVBoxZbox is testVBox that also returns the memory controller, for
 // tests that tick the whole memory pipeline.
 func testVBoxZbox(queue int) (*VBox, *zbox.Zbox) {
-	reg := metrics.NewRegistry()
+	st, reg := new(stats.Stats), new(metrics.Registry)
 	z := zbox.New(zbox.Config{
 		Ports: 8, LineCycles: 16, BaseLatency: 100,
 		RowBytes: 2048, DevicesPerPort: 32, RowMissCycles: 12, TurnCycles: 5,
-	}, reg)
+	}, st, reg)
 	l2c := l2.New(l2.Config{
 		Bytes: 1 << 20, Assoc: 8, LineBytes: 64,
 		ScalarLat: 12, VecLatPump: 34, VecLatOdd: 38,
 		MAFSize: 64, ReplayThreshold: 8, RetryDelay: 6,
 		SliceQueue: 16, PBitPenalty: 12,
-	}, reg, z)
+	}, st, reg, z)
 	v := New(Config{
 		Lanes: 16, Queue: queue, DispatchWidth: 3, OperandBuses: 2,
 		Ports: 2, MemInsts: 16, PumpEnabled: true,
 		TLBEntries: 32, PageBits: 29, TLBRefillCycles: 200, TLBRefillAll: true,
 		WritebackLat: 2,
-	}, reg, l2c)
+	}, st, reg, l2c)
 	v.OnDone = func(uint64, *pipe.UOp) {}
 	return v, z
 }
@@ -114,12 +115,12 @@ func TestTLBFastPathChecksEveryGatherElement(t *testing.T) {
 	if got := v.tlbCheck(access(64, 128, 192)); got != 0 {
 		t.Fatalf("access within the mapped hot page stalled %d cycles, want 0", got)
 	}
-	misses := v.tlbMisses.Value()
+	misses := v.st.TLBMisses
 	if got := v.tlbCheck(access(64, page+64, 128)); got != 200 {
 		t.Errorf("gather touching pages 0, 1, 0 stalled %d cycles, want the 200-cycle refill", got)
 	}
-	if v.tlbMisses.Value() != misses+1 {
-		t.Errorf("gather touching pages 0, 1, 0 missed %d times, want 1", v.tlbMisses.Value()-misses)
+	if v.st.TLBMisses != misses+1 {
+		t.Errorf("gather touching pages 0, 1, 0 missed %d times, want 1", v.st.TLBMisses-misses)
 	}
 	if v.lastPageHot {
 		t.Error("a gather spanning two pages left a hot page behind")
@@ -151,13 +152,13 @@ func TestTLBFastPathChecksStridedEndpoints(t *testing.T) {
 	if got := v.tlbCheck(strided(page-64*8, 64)); got != 0 {
 		t.Fatalf("strided access within the mapped hot page stalled %d cycles, want 0", got)
 	}
-	misses := v.tlbMisses.Value()
+	misses := v.st.TLBMisses
 	// The same access one quadword later: its last element is page 1's first.
 	if got := v.tlbCheck(strided(page-63*8, 64)); got != 200 {
 		t.Errorf("strided access crossing into page 1 stalled %d cycles, want the 200-cycle refill", got)
 	}
-	if v.tlbMisses.Value() != misses+1 {
-		t.Errorf("strided access crossing into page 1 missed %d times, want 1", v.tlbMisses.Value()-misses)
+	if v.st.TLBMisses != misses+1 {
+		t.Errorf("strided access crossing into page 1 missed %d times, want 1", v.st.TLBMisses-misses)
 	}
 	if v.lastPageHot {
 		t.Error("a strided access spanning two pages left a hot page behind")

@@ -13,6 +13,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/sched"
+	"repro/internal/stats"
 )
 
 // Kind is the transaction type.
@@ -63,17 +64,14 @@ type Zbox struct {
 	cfg   Config
 	ports []*port
 	wheel *sched.Wheel
-
-	// Registered counter handles (zbox.* namespace).
-	reads, writes, dirOps metrics.Counter
-	rowActivates, rowHits metrics.Counter
-	turnarounds           metrics.Counter
+	st    *stats.Stats
 }
 
-// New returns a controller with the given configuration, registering its
-// counters and queue-depth gauge under the registry's zbox namespace.
-func New(cfg Config, reg *metrics.Registry) *Zbox {
-	z := &Zbox{cfg: cfg, wheel: new(sched.Wheel)}
+// New returns a controller with the given configuration that counts its
+// transactions, row activations and turnarounds in st and registers its
+// queue-depth gauge with reg.
+func New(cfg Config, st *stats.Stats, reg *metrics.Registry) *Zbox {
+	z := &Zbox{cfg: cfg, wheel: new(sched.Wheel), st: st}
 	for i := 0; i < cfg.Ports; i++ {
 		p := &port{openRow: make([]uint64, cfg.DevicesPerPort)}
 		for j := range p.openRow {
@@ -81,15 +79,8 @@ func New(cfg Config, reg *metrics.Registry) *Zbox {
 		}
 		z.ports = append(z.ports, p)
 	}
-	m := reg.Scope("zbox")
-	z.reads = m.Counter("reads")
-	z.writes = m.Counter("writes")
-	z.dirOps = m.Counter("dir_ops")
-	z.rowActivates = m.Counter("row_activates")
-	z.rowHits = m.Counter("row_hits")
-	z.turnarounds = m.Counter("turnarounds")
-	m.Gauge("queue", "Queued (not yet started) memory transactions.",
-		func(uint64) int { return z.QueueDepth() })
+	// Queued, not yet started, memory transactions.
+	reg.RegisterGauge("zbox.queue", func(uint64) int { return z.QueueDepth() })
 	return z
 }
 
@@ -135,9 +126,9 @@ func (z *Zbox) Tick(c uint64) {
 		if p.openRow[dev] != row {
 			p.openRow[dev] = row
 			occ += z.cfg.RowMissCycles
-			z.rowActivates.Inc()
+			z.st.RowActivates++
 		} else {
-			z.rowHits.Inc()
+			z.st.RowHits++
 		}
 
 		// Read↔write turnaround: the bus direction change costs dead
@@ -145,7 +136,7 @@ func (z *Zbox) Tick(c uint64) {
 		// post-directory peak, §6).
 		if req.kind != p.lastKind && (req.kind == Write) != (p.lastKind == Write) {
 			occ += z.cfg.TurnCycles
-			z.turnarounds.Inc()
+			z.st.Turnarounds++
 		}
 		p.lastKind = req.kind
 
@@ -155,11 +146,11 @@ func (z *Zbox) Tick(c uint64) {
 		p.busyUntil = c + uint64(occ)
 		switch req.kind {
 		case Read:
-			z.reads.Inc()
+			z.st.MemReads++
 		case Write:
-			z.writes.Inc()
+			z.st.MemWrites++
 		case DirOp:
-			z.dirOps.Inc()
+			z.st.MemDirOps++
 		}
 		if req.done != nil {
 			z.wheel.AtCall(c+uint64(occ)+uint64(z.cfg.BaseLatency), callDone, req.done)

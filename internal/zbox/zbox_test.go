@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/stats"
 )
 
 func testCfg() Config {
@@ -18,6 +19,12 @@ func testCfg() Config {
 	}
 }
 
+// newTestZbox builds a controller that counts into a fresh Stats block.
+func newTestZbox(cfg Config) (*Zbox, *stats.Stats) {
+	st := new(stats.Stats)
+	return New(cfg, st, new(metrics.Registry)), st
+}
+
 // drive advances the controller until quiescent, returning the final cycle.
 func drive(z *Zbox, from uint64, max uint64) uint64 {
 	cy := from
@@ -29,9 +36,7 @@ func drive(z *Zbox, from uint64, max uint64) uint64 {
 }
 
 func TestSingleReadLatency(t *testing.T) {
-	reg := metrics.NewRegistry()
-	z := New(testCfg(), reg)
-	st := reg.Stats()
+	z, st := newTestZbox(testCfg())
 	var done uint64
 	z.Request(0x1000, Read, func(cy uint64) { done = cy })
 	end := drive(z, 0, 10_000)
@@ -49,9 +54,7 @@ func TestSingleReadLatency(t *testing.T) {
 }
 
 func TestRowHitVsMiss(t *testing.T) {
-	reg := metrics.NewRegistry()
-	z := New(testCfg(), reg)
-	st := reg.Stats()
+	z, st := newTestZbox(testCfg())
 	// Reads on different ports each open their own row.
 	z.Request(0x0, Read, nil)  // port 0
 	z.Request(0x40, Read, nil) // port 1
@@ -60,9 +63,7 @@ func TestRowHitVsMiss(t *testing.T) {
 		t.Fatalf("expected 2 activates on distinct ports, got %d", st.RowActivates)
 	}
 	// Same port, same row: second should hit the open row.
-	reg2 := metrics.NewRegistry()
-	z2 := New(testCfg(), reg2)
-	st2 := reg2.Stats()
+	z2, st2 := newTestZbox(testCfg())
 	z2.Request(0x0, Read, nil)
 	z2.Request(0x0+8*64, Read, nil) // +512B: port = same (addr>>6 mod 8), row same
 	drive(z2, 0, 10_000)
@@ -72,9 +73,7 @@ func TestRowHitVsMiss(t *testing.T) {
 }
 
 func TestReadWriteTurnaround(t *testing.T) {
-	reg := metrics.NewRegistry()
-	z := New(testCfg(), reg)
-	st := reg.Stats()
+	z, st := newTestZbox(testCfg())
 	z.Request(0x0, Read, nil)
 	z.Request(0x0+512, Write, nil)
 	z.Request(0x0+1024, Read, nil)
@@ -89,8 +88,7 @@ func TestPortParallelism(t *testing.T) {
 	// on one port.
 	cfg := testCfg()
 	timeFor := func(stride uint64) uint64 {
-		reg := metrics.NewRegistry()
-		z := New(cfg, reg)
+		z, _ := newTestZbox(cfg)
 		var last uint64
 		for i := uint64(0); i < 64; i++ {
 			z.Request(i*stride, Read, func(cy uint64) { last = cy })
@@ -106,9 +104,7 @@ func TestPortParallelism(t *testing.T) {
 }
 
 func TestDirOpCountsInRawTraffic(t *testing.T) {
-	reg := metrics.NewRegistry()
-	z := New(testCfg(), reg)
-	st := reg.Stats()
+	z, st := newTestZbox(testCfg())
 	z.Request(0x40, DirOp, nil)
 	drive(z, 0, 10_000)
 	if st.MemDirOps != 1 {
@@ -123,8 +119,7 @@ func TestBandwidthUnderLoad(t *testing.T) {
 	// Saturate all ports with a sequential stream: sustained throughput
 	// should approach one line per LineCycles per port.
 	cfg := testCfg()
-	reg := metrics.NewRegistry()
-	z := New(cfg, reg)
+	z, _ := newTestZbox(cfg)
 	const n = 800
 	for i := uint64(0); i < n; i++ {
 		z.Request(i*64, Read, nil)
@@ -139,17 +134,13 @@ func TestBandwidthUnderLoad(t *testing.T) {
 
 func TestRandomStreamActivatesMoreRows(t *testing.T) {
 	cfg := testCfg()
-	regSeq := metrics.NewRegistry()
-	z := New(cfg, regSeq)
-	seq := regSeq.Stats()
+	z, seq := newTestZbox(cfg)
 	for i := uint64(0); i < 256; i++ {
 		z.Request(i*64, Read, nil)
 	}
 	drive(z, 0, 1_000_000)
 
-	regRnd := metrics.NewRegistry()
-	z2 := New(cfg, regRnd)
-	rnd := regRnd.Stats()
+	z2, rnd := newTestZbox(cfg)
 	for i := uint64(0); i < 256; i++ {
 		// Large-stride pseudo-random addresses thrash the open rows —
 		// the RndMemScale effect ("2.5X more row activates", §6).
@@ -163,8 +154,7 @@ func TestRandomStreamActivatesMoreRows(t *testing.T) {
 }
 
 func TestCompletionOrderWithinPort(t *testing.T) {
-	reg := metrics.NewRegistry()
-	z := New(testCfg(), reg)
+	z, _ := newTestZbox(testCfg())
 	var order []int
 	for i := 0; i < 4; i++ {
 		i := i
