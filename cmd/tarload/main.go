@@ -17,12 +17,20 @@
 // tarbench's serve-cold and serve-replay workloads measure the service's
 // throughput.
 //
-// -sweep switches to sweep-shaped traffic: instead of hammering /v1/jobs,
-// tarload posts one design-space sweep (axes like
-// "lanes=8,16;l2_kb=4096,16384" over the -benches list, based on the first
-// -configs entry) to /v1/sweeps, follows per-point progress, and records a
-// Sweeps section in the report — points, unique simulations, wall time,
-// Pareto-frontier size, and point-latency percentiles.
+// -sweep runs one design-space sweep as what it is, ordinary jobs: the axes
+// (like "lanes=8,16;l2_kb=4096,16384") over the -benches list, based on the
+// first -configs entry, are canonicalized locally — a bad knob exits with
+// code 2 and a message naming it — then the baseline (-baseline, default
+// the swept configuration) and every grid point are submitted per bench
+// with -c concurrency, and internal/dse ranks the completed points. The
+// report's sweeps row carries the ranked points with their costs and the
+// Pareto frontier, next to unique simulations, store hits, wall time and
+// point-latency percentiles. Because the server deduplicates by content
+// address and keeps every result, rerunning a sweep costs nothing for the
+// points it already answered.
+//
+//	tarload -sweep "lanes=8,16;l2_kb=4096,16384;pump=0,1" \
+//	        -benches dgemm -configs T -scale test -out sweep.json
 package main
 
 import (
@@ -39,6 +47,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/dse"
 )
 
 type report struct {
@@ -90,34 +100,46 @@ type report struct {
 	// and IPC next to the client-side latencies above.
 	Experiments []expSeries `json:"experiments,omitempty"`
 
-	// Sweeps records sweep-shaped runs (-sweep): one row per sweep posted.
+	// Sweeps records sweep runs (-sweep): one row per sweep.
 	Sweeps []sweepReport `json:"sweeps,omitempty"`
 }
 
 // sweepReport is one design-space sweep as the client saw it: grid size,
 // how many simulations the server actually ran (the dedup payoff), the
-// Pareto-frontier size, and per-point completion latencies.
+// ranked points with the Pareto frontier, and per-point completion
+// latencies.
 type sweepReport struct {
-	Key         string `json:"key"`
-	State       string `json:"state"`
-	Points      int    `json:"points"`
-	Experiments int    `json:"experiments"`
+	// State is "done" when the baseline completed and the points were
+	// ranked, "failed" otherwise.
+	State string `json:"state"`
+	// Points counts design points (baseline included); Experiments the
+	// jobs, points × benches.
+	Points      int `json:"points"`
+	Experiments int `json:"experiments"`
 	// UniqueSims is the server-side sims_started delta across the sweep —
 	// the number of simulations that were not answered by dedup or the
 	// result store.
-	UniqueSims     float64 `json:"unique_sims"`
+	UniqueSims float64 `json:"unique_sims"`
+	// PointCacheHits counts jobs answered from the result store at
+	// submission; Shed jobs refused or expired by overload protection.
 	PointCacheHits int     `json:"point_cache_hits"`
 	Shed           int     `json:"shed"`
 	WallSeconds    float64 `json:"wall_seconds"`
 	FrontierSize   int     `json:"frontier_size"`
-	P50PointMs     float64 `json:"p50_point_ms"`
-	P99PointMs     float64 `json:"p99_point_ms"`
-	CacheHit       bool    `json:"cache_hit,omitempty"`
+	// P50PointMs/P99PointMs: time from the sweep's start until each point's
+	// last bench completed.
+	P50PointMs float64 `json:"p50_point_ms"`
+	P99PointMs float64 `json:"p99_point_ms"`
 	// SnapshotHits and WarmupCyclesSaved are server-side deltas across the
 	// sweep: points that forked from a shared post-warm-up snapshot instead
 	// of re-simulating the warm-up, and the simulated cycles that saved.
 	SnapshotHits      float64 `json:"snapshot_hits"`
 	WarmupCyclesSaved float64 `json:"warmup_cycles_saved"`
+	// Ranked lists the completed points, baseline first, each with its
+	// per-bench cycles and speedups and its cost; Frontier indexes the
+	// Pareto-optimal ones.
+	Ranked   []dse.Point `json:"ranked"`
+	Frontier []int       `json:"frontier"`
 }
 
 // expSeries is one scraped tarserved_experiment_* label set.
@@ -142,7 +164,7 @@ func main() {
 	wait := flag.Duration("wait", 30*time.Second, "long-poll interval per status request")
 	out := flag.String("out", "", "write the JSON report to this file (default stdout)")
 	allowShed := flag.Bool("allow-shed", false, "treat queue_full and deadline_exceeded outcomes as expected overload shedding, not run failures")
-	sweepAxes := flag.String("sweep", "", `sweep mode: axes spec like "lanes=8,16;l2_kb=4096,16384" posted to /v1/sweeps instead of job traffic`)
+	sweepAxes := flag.String("sweep", "", `sweep mode: axes spec like "lanes=8,16;l2_kb=4096,16384", run as one job per point and bench and ranked`)
 	baseline := flag.String("baseline", "", "sweep mode: baseline configuration for speedups (default: the swept configuration)")
 	flag.Parse()
 
@@ -154,7 +176,20 @@ func main() {
 	cs := strings.Split(*configs, ",")
 
 	if *sweepAxes != "" {
-		runSweepMode(addr, bs, cs[0], *baseline, *scale, *sweepAxes, *out)
+		axes, err := parseAxes(*sweepAxes)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "tarload: -sweep:", err)
+			os.Exit(2)
+		}
+		spec := &dse.Spec{Config: strings.TrimSpace(cs[0]), Baseline: *baseline, Scale: *scale, Axes: axes}
+		for _, b := range bs {
+			spec.Benches = append(spec.Benches, strings.TrimSpace(b))
+		}
+		if err := spec.Canonicalize(); err != nil {
+			fmt.Fprintln(os.Stderr, "tarload: -sweep:", err)
+			os.Exit(2)
+		}
+		runSweepMode(addr, spec, *conc, *wait, *out)
 		return
 	}
 
@@ -177,42 +212,29 @@ func main() {
 		retries          int
 	)
 	start := time.Now()
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < *conc; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				p := set[i%len(set)]
-				t0 := time.Now()
-				oc, err := runJob(addr, p.bench, p.config, *scale, *wait)
-				lat := time.Since(t0)
-				mu.Lock()
-				retries += oc.retries
-				switch {
-				case err != nil:
-					clientErr++
-					fmt.Fprintf(os.Stderr, "tarload: job %d (%s@%s): %v\n", i, p.bench, p.config, err)
-				case oc.state == "done":
-					done++
-					latencies = append(latencies, float64(lat.Milliseconds()))
-				case oc.code == "queue_full":
-					shed++
-				case oc.code == "deadline_exceeded":
-					deadlineExceeded++
-				default:
-					failed++
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for i := 0; i < *n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
+	forEach(*n, *conc, func(i int) {
+		p := set[i%len(set)]
+		t0 := time.Now()
+		oc, err := runJob(addr, jobRequest{Bench: p.bench, Config: p.config, Scale: *scale}, *wait)
+		lat := time.Since(t0)
+		mu.Lock()
+		defer mu.Unlock()
+		retries += oc.retries
+		switch {
+		case err != nil:
+			clientErr++
+			fmt.Fprintf(os.Stderr, "tarload: job %d (%s@%s): %v\n", i, p.bench, p.config, err)
+		case oc.state == "done":
+			done++
+			latencies = append(latencies, float64(lat.Milliseconds()))
+		case oc.code == "queue_full":
+			shed++
+		case oc.code == "deadline_exceeded":
+			deadlineExceeded++
+		default:
+			failed++
+		}
+	})
 	wall := time.Since(start)
 
 	rep := report{
@@ -252,16 +274,7 @@ func main() {
 		*n, done, failed, shed, deadlineExceeded, clientErr, retries, wall.Seconds(), rep.Throughput, rep.P50Ms, rep.P99Ms,
 		rep.SimsStarted, rep.CacheHits, rep.DedupJoined)
 
-	enc, _ := json.MarshalIndent(rep, "", "  ")
-	enc = append(enc, '\n')
-	if *out != "" {
-		if err := os.WriteFile(*out, enc, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "tarload:", err)
-			os.Exit(1)
-		}
-	} else {
-		os.Stdout.Write(enc)
-	}
+	writeReport(rep, *out)
 	if failed > 0 || clientErr > 0 {
 		os.Exit(1)
 	}
@@ -271,67 +284,82 @@ func main() {
 	}
 }
 
-// parseAxes turns "lanes=8,16;l2_kb=4096,16384" into the sweep spec's axes
-// object. Validation proper is the server's job — bad knob names come back
-// as bad_request envelopes naming the field.
-func parseAxes(s string) (map[string]map[string][]float64, error) {
-	axes := map[string]map[string][]float64{}
+// forEach calls f(0), …, f(n-1) from conc goroutines and returns once every
+// call has.
+func forEach(n, conc int, f func(i int)) {
+	work := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < conc; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				f(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		work <- i
+	}
+	close(work)
+	wg.Wait()
+}
+
+// writeReport writes the JSON report to out, or to stdout when out is empty.
+func writeReport(rep report, out string) {
+	enc, _ := json.MarshalIndent(rep, "", "  ")
+	enc = append(enc, '\n')
+	if out == "" {
+		os.Stdout.Write(enc)
+		return
+	}
+	if err := os.WriteFile(out, enc, 0o644); err != nil {
+		fmt.Fprintln(os.Stderr, "tarload:", err)
+		os.Exit(1)
+	}
+}
+
+// parseAxes turns "lanes=8,16;l2_kb=4096,16384" into the sweep spec's axes.
+// Knob names and values are checked by dse.Spec.Canonicalize.
+func parseAxes(s string) (map[string]dse.Axis, error) {
+	axes := map[string]dse.Axis{}
 	for _, part := range strings.Split(s, ";") {
 		name, vals, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok || name == "" {
 			return nil, fmt.Errorf("axis %q: want name=v1,v2,...", part)
 		}
-		var fs []float64
+		var ax dse.Axis
 		for _, v := range strings.Split(vals, ",") {
 			f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
 			if err != nil {
 				return nil, fmt.Errorf("axis %q: %v", name, err)
 			}
-			fs = append(fs, f)
+			ax.Values = append(ax.Values, f)
 		}
-		axes[name] = map[string][]float64{"values": fs}
+		axes[name] = ax
 	}
 	return axes, nil
 }
 
-// sweepStatusWire is the subset of the server's sweep status tarload reads.
-type sweepStatusWire struct {
-	ID             string `json:"id"`
-	Key            string `json:"key"`
-	State          string `json:"state"`
-	CacheHit       bool   `json:"cache_hit"`
-	Total          int    `json:"total"`
-	Done           int    `json:"done"`
-	Failed         int    `json:"failed"`
-	Shed           int    `json:"shed"`
-	PointCacheHits int    `json:"point_cache_hits"`
-	Points         []struct {
-		State string `json:"state"`
-	} `json:"points"`
-	Result *struct {
-		Frontier []int `json:"frontier"`
-		Points   []struct {
-			Config string `json:"config"`
-		} `json:"points"`
-	} `json:"result"`
-	Error *struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error"`
-}
-
-// runSweepMode posts one sweep and follows it to a terminal state, recording
-// per-point completion latencies along the way, then writes the report and
-// exits with the sweep's fate.
-func runSweepMode(addr string, benches []string, config, baseline, scale, axesSpec, out string) {
-	axes, err := parseAxes(axesSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tarload: -sweep:", err)
-		os.Exit(2)
+// runSweepMode submits the baseline and every grid point of a canonical spec
+// as one job per bench through runJob, conc at a time, ranks the completed
+// points with dse, then writes the report and exits with the sweep's fate:
+// a sweep whose baseline did not complete cannot be ranked and fails.
+func runSweepMode(addr string, spec *dse.Spec, conc int, wait time.Duration, out string) {
+	points := append([]map[string]float64{nil}, spec.Expand()...)
+	type experiment struct {
+		point int
+		bench string
 	}
-	spec := map[string]any{"config": config, "benches": benches, "scale": scale, "axes": axes}
-	if baseline != "" {
-		spec["baseline"] = baseline
+	var exps []experiment
+	cycles := make([]map[string]uint64, len(points))
+	pending := make([]int, len(points)) // benches still outstanding per point
+	for i := range points {
+		cycles[i] = map[string]uint64{}
+		pending[i] = len(spec.Benches)
+		for _, b := range spec.Benches {
+			exps = append(exps, experiment{i, b})
+		}
 	}
 	simsBefore, snapHitsBefore, savedBefore := 0.0, 0.0, 0.0
 	if m, _, err := scrapeMetrics(addr); err == nil {
@@ -340,82 +368,65 @@ func runSweepMode(addr string, benches []string, config, baseline, scale, axesSp
 		savedBefore = m["tarserved_warmup_cycles_saved_total"]
 	}
 
-	body, _ := json.Marshal(spec)
+	var (
+		mu                                  sync.Mutex
+		pointMs                             []float64
+		done, failed, shed, hits, clientErr int
+		retries                             int
+		baselineCode                        string
+	)
 	start := time.Now()
-	resp, err := http.Post(addr+"/v1/sweeps", "application/json", bytes.NewReader(body))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tarload: sweep submit:", err)
-		os.Exit(1)
-	}
-	var st sweepStatusWire
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tarload: sweep submit decode:", err)
-		os.Exit(1)
-	}
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		msg := ""
-		if st.Error != nil {
-			msg = st.Error.Code + ": " + st.Error.Message
+	forEach(len(exps), conc, func(i int) {
+		e := exps[i]
+		req := jobRequest{Bench: e.bench, Config: spec.Config, Scale: spec.Scale, Knobs: points[e.point]}
+		if e.point == 0 {
+			req.Config = spec.Baseline
 		}
-		fmt.Fprintf(os.Stderr, "tarload: sweep submit: HTTP %d %s\n", resp.StatusCode, msg)
-		os.Exit(1)
-	}
-
-	// Follow per-point progress: a point's latency is the time from sweep
-	// submission until it was first observed done.
-	pointDoneMs := map[int]float64{}
-	for st.State != "done" && st.State != "failed" {
-		resp, err := http.Get(addr + "/v1/sweeps/" + st.ID + "?wait=500ms")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tarload: sweep poll:", err)
-			os.Exit(1)
-		}
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tarload: sweep poll decode:", err)
-			os.Exit(1)
-		}
-		for i, p := range st.Points {
-			if p.State == "done" {
-				if _, seen := pointDoneMs[i]; !seen {
-					pointDoneMs[i] = float64(time.Since(start).Milliseconds())
-				}
+		oc, err := runJob(addr, req, wait)
+		mu.Lock()
+		defer mu.Unlock()
+		retries += oc.retries
+		switch {
+		case err != nil:
+			clientErr++
+			fmt.Fprintf(os.Stderr, "tarload: sweep point %d (%s@%s): %v\n", e.point, e.bench, req.Config, err)
+		case oc.state == "done":
+			done++
+			cycles[e.point][e.bench] = oc.cycles
+			if oc.cacheHit {
+				hits++
 			}
+			if pending[e.point]--; pending[e.point] == 0 {
+				pointMs = append(pointMs, float64(time.Since(start).Milliseconds()))
+			}
+		case oc.code == "queue_full" || oc.code == "deadline_exceeded":
+			shed++
+		default:
+			failed++
 		}
-	}
+		if e.point == 0 && oc.state != "done" && baselineCode == "" {
+			baselineCode = oc.code
+		}
+	})
 	wall := time.Since(start)
-	for i, p := range st.Points {
-		if p.State == "done" {
-			if _, seen := pointDoneMs[i]; !seen {
-				pointDoneMs[i] = float64(wall.Milliseconds())
-			}
-		}
-	}
 
 	sr := sweepReport{
-		Key:            st.Key,
-		State:          st.State,
-		Points:         len(st.Points),
-		Experiments:    st.Total,
-		PointCacheHits: st.PointCacheHits,
-		Shed:           st.Shed,
+		State:          "done",
+		Points:         len(points),
+		Experiments:    len(exps),
+		PointCacheHits: hits,
+		Shed:           shed,
 		WallSeconds:    wall.Seconds(),
-		CacheHit:       st.CacheHit,
 	}
-	if st.Result != nil {
-		sr.FrontierSize = len(st.Result.Frontier)
+	ranked, frontier, rankErr := spec.Rank(cycles)
+	if rankErr != nil {
+		sr.State = "failed"
 	}
-	var lats []float64
-	for _, ms := range pointDoneMs {
-		lats = append(lats, ms)
-	}
-	sort.Float64s(lats)
-	if len(lats) > 0 {
-		sr.P50PointMs = lats[len(lats)/2]
-		sr.P99PointMs = lats[int(0.99*float64(len(lats)-1))]
+	sr.Ranked, sr.Frontier, sr.FrontierSize = ranked, frontier, len(frontier)
+	sort.Float64s(pointMs)
+	if len(pointMs) > 0 {
+		sr.P50PointMs = pointMs[len(pointMs)/2]
+		sr.P99PointMs = pointMs[int(0.99*float64(len(pointMs)-1))]
 	}
 	if m, _, err := scrapeMetrics(addr); err == nil {
 		sr.UniqueSims = m["tarserved_sims_started_total"] - simsBefore
@@ -424,40 +435,44 @@ func runSweepMode(addr string, benches []string, config, baseline, scale, axesSp
 	}
 
 	rep := report{
-		Addr: addr, Benches: benches, Configs: []string{config}, Scale: scale,
-		WallSeconds: wall.Seconds(), Done: st.Done, Failed: st.Failed, Shed: st.Shed,
+		Addr: addr, Concurrency: conc, Requests: len(exps),
+		Benches: spec.Benches, Configs: []string{spec.Config}, Scale: spec.Scale,
+		WallSeconds: wall.Seconds(), Done: done, Failed: failed, Shed: shed,
+		ClientErrors: clientErr, Retries: retries,
 		Sweeps: []sweepReport{sr},
 	}
 	fmt.Fprintf(os.Stderr,
-		"tarload: sweep %s %s — %d points, %d experiments (%.0f simulated, %d from store, %d shed) in %.2fs; frontier %d, point p50 %.0fms p99 %.0fms; %.0f warm-up forks saved %.0f cycles\n",
-		st.Key, st.State, sr.Points, sr.Experiments, sr.UniqueSims, sr.PointCacheHits, sr.Shed,
+		"tarload: sweep %s — %d points, %d experiments (%.0f simulated, %d from store, %d failed, %d shed) in %.2fs; frontier %d, point p50 %.0fms p99 %.0fms; %.0f warm-up forks saved %.0f cycles\n",
+		sr.State, sr.Points, sr.Experiments, sr.UniqueSims, sr.PointCacheHits, failed, sr.Shed,
 		sr.WallSeconds, sr.FrontierSize, sr.P50PointMs, sr.P99PointMs, sr.SnapshotHits, sr.WarmupCyclesSaved)
 
-	enc, _ := json.MarshalIndent(rep, "", "  ")
-	enc = append(enc, '\n')
-	if out != "" {
-		if err := os.WriteFile(out, enc, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "tarload:", err)
-			os.Exit(1)
-		}
-	} else {
-		os.Stdout.Write(enc)
+	writeReport(rep, out)
+	if rankErr != nil {
+		fmt.Fprintf(os.Stderr, "tarload: sweep failed: %v (baseline job: %s)\n", rankErr, baselineCode)
 	}
-	if st.State != "done" {
-		if st.Error != nil {
-			fmt.Fprintf(os.Stderr, "tarload: sweep failed: %s: %s\n", st.Error.Code, st.Error.Message)
-		}
+	if rankErr != nil || clientErr > 0 {
 		os.Exit(1)
 	}
 }
 
+// jobRequest is the POST /v1/jobs body tarload sends.
+type jobRequest struct {
+	Bench  string             `json:"bench"`
+	Config string             `json:"config"`
+	Scale  string             `json:"scale"`
+	Knobs  map[string]float64 `json:"knobs,omitempty"`
+}
+
 // outcome is one job's terminal fate: its state ("done", "failed" or
-// "shed"), the envelope code when it did not complete, and how many
-// Retry-After resubmissions it took to get in the door.
+// "shed"), the envelope code when it did not complete, how many
+// Retry-After resubmissions it took to get in the door, and for a done job
+// its simulated cycles and whether the store answered it at submission.
 type outcome struct {
-	state   string
-	code    string
-	retries int
+	state    string
+	code     string
+	retries  int
+	cycles   uint64
+	cacheHit bool
 }
 
 // runJob submits one experiment and long-polls until it reaches a terminal
@@ -465,12 +480,16 @@ type outcome struct {
 // estimate (capped, bounded attempts) — the polite client the admission
 // controller's header is designed for; when the retries run out the job
 // counts as shed rather than erroring.
-func runJob(addr, bench, config, scale string, wait time.Duration) (outcome, error) {
-	body, _ := json.Marshal(map[string]any{"bench": bench, "config": config, "scale": scale})
+func runJob(addr string, req jobRequest, wait time.Duration) (outcome, error) {
+	body, _ := json.Marshal(req)
 	var oc outcome
 	var st struct {
-		ID    string `json:"id"`
-		State string `json:"state"`
+		ID       string `json:"id"`
+		State    string `json:"state"`
+		CacheHit bool   `json:"cache_hit"`
+		Result   *struct {
+			Cycles uint64 `json:"cycles"`
+		} `json:"result"`
 		Error *struct {
 			Code string `json:"code"`
 		} `json:"error"`
@@ -534,7 +553,10 @@ func runJob(addr, bench, config, scale string, wait time.Duration) (outcome, err
 			return oc, err
 		}
 	}
-	oc.state = st.State
+	oc.state, oc.cacheHit = st.State, st.CacheHit
+	if st.Result != nil {
+		oc.cycles = st.Result.Cycles
+	}
 	if st.Error != nil {
 		oc.code = st.Error.Code
 	}

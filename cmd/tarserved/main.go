@@ -13,7 +13,7 @@
 // With -store-dir, completed results are persisted to a crash-safe disk
 // store (temp-file + fsync + rename, schema-versioned, corrupt files
 // quarantined) and a restarted server warm-starts from them: resubmitting
-// a finished sweep after a crash costs zero re-simulation. -queue-wait
+// finished experiments after a crash costs zero re-simulation. -queue-wait
 // bounds how long a job may wait for a worker — expired jobs are shed with
 // error code "deadline_exceeded" (504), and submissions whose estimated
 // wait is hopeless are refused up front with "queue_full" + Retry-After.
@@ -31,14 +31,13 @@
 //	GET  /v1/jobs/{id}?wait=30s  long-poll job status
 //	GET  /v1/jobs/{id}/result    200 result | error envelope (422/500) | 404
 //	GET  /v1/jobs                list retained jobs
-//	POST /v1/sweeps              design-space sweep over knob axes; Pareto
-//	                             frontier on {speedup, watts, mm²}
-//	GET  /v1/sweeps/{id}?wait=5s long-poll sweep progress (per-point status)
-//	GET  /v1/sweeps/{id}/result  completed SweepResult
 //	GET  /v1/sweeps/knobs        sweepable knobs: names, types, legal ranges
 //	GET  /v1/benches, /v1/configs, /metrics, /healthz
 //
 // Every error body is the stable envelope {"error":{"code","message",...}}.
+// A design-space sweep is one job per point and bench, each carrying its
+// knobs; tarload -sweep submits them and ranks the points on {speedup,
+// watts, mm²}.
 //
 // SIGTERM/SIGINT drains: intake returns 503, queued and in-flight
 // simulations complete (bounded by -drain-timeout), then the process exits.

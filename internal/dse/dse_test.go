@@ -117,8 +117,9 @@ func TestExpandDeterministic(t *testing.T) {
 		}
 		hashes = append(hashes, confhash.Key("dgemm", "test", cfg))
 	}
-	// Re-expand from a freshly parsed equivalent spec (benches in a
-	// different order): same key, same points, same hashes.
+	// Re-expand from a freshly parsed equivalent spec (benches and axis
+	// values in a different order): same canonical form, same points, same
+	// hashes.
 	s2 := &Spec{
 		Benches: []string{"fft", "dgemm"},
 		Scale:   "test",
@@ -130,8 +131,8 @@ func TestExpandDeterministic(t *testing.T) {
 	if err := s2.Canonicalize(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Key() != s2.Key() {
-		t.Errorf("equivalent specs got different keys %s vs %s", s.Key(), s2.Key())
+	if !reflect.DeepEqual(s, s2) {
+		t.Errorf("equivalent specs canonicalized differently:\n%+v\n%+v", s, s2)
 	}
 	pts2 := s2.Expand()
 	if !reflect.DeepEqual(pts, pts2) {
@@ -153,26 +154,6 @@ func TestExpandDeterministic(t *testing.T) {
 			t.Errorf("duplicate confhash %s in grid", h)
 		}
 		seen[h] = true
-	}
-}
-
-func TestSpecKeySensitivity(t *testing.T) {
-	a := grid2x2()
-	if err := a.Canonicalize(); err != nil {
-		t.Fatal(err)
-	}
-	mutants := []*Spec{grid2x2(), grid2x2(), grid2x2(), grid2x2()}
-	mutants[0].Scale = "bench"
-	mutants[1].Benches = []string{"dgemm"}
-	mutants[2].Axes["lanes"] = Axis{Values: []float64{8, 32}}
-	mutants[3].Baseline = "EV8"
-	for i, m := range mutants {
-		if err := m.Canonicalize(); err != nil {
-			t.Fatal(err)
-		}
-		if m.Key() == a.Key() {
-			t.Errorf("mutant %d shares the key with the original", i)
-		}
 	}
 }
 
@@ -239,6 +220,88 @@ func TestParetoFrontier(t *testing.T) {
 	}
 	if Frontier(nil) != nil {
 		t.Error("empty frontier should be nil")
+	}
+}
+
+// TestRank pins the ranking of a sweep's simulated points: the baseline's
+// speedup is exactly 1, a clock_ghz point's speedup is taken at its own
+// clock, a point missing a bench is left out, and the frontier is
+// dse.Frontier over the ranked costs, flagged on its points and
+// dominated-free. A sweep without a complete baseline cannot be ranked.
+func TestRank(t *testing.T) {
+	s := &Spec{
+		Benches: []string{"dgemm", "fft"},
+		Scale:   "test",
+		Axes: map[string]Axis{
+			"clock_ghz": {Values: []float64{2.13, 4.26}},
+			"lanes":     {Values: []float64{8, 16}},
+		},
+	}
+	if err := s.Canonicalize(); err != nil {
+		t.Fatal(err)
+	}
+	// Points: baseline T, then (2.13, 8), (2.13, 16), (4.26, 8), (4.26, 16).
+	cycles := []map[string]uint64{
+		{"dgemm": 1000, "fft": 3000},
+		{"dgemm": 2000, "fft": 6000},
+		{"dgemm": 1000, "fft": 3000},
+		{"dgemm": 2000}, // fft never completed
+		{"dgemm": 1000, "fft": 3000},
+	}
+	points, frontier, err := s.Rank(cycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(points) != 4 {
+		t.Fatalf("%d ranked points, want 4 (the incomplete point left out)", len(points))
+	}
+	if !points[0].Baseline || points[0].Config != "T" || points[0].Cost.Speedup != 1 {
+		t.Errorf("baseline point: %+v (want first, config T, speedup exactly 1)", points[0])
+	}
+	for _, p := range points[1:] {
+		if p.Baseline || p.Knobs == nil {
+			t.Errorf("grid point misdescribed: %+v", p)
+		}
+		if p.Knobs["clock_ghz"] == 4.26 && p.Knobs["lanes"] == 8 {
+			t.Errorf("incomplete point ranked: %+v", p)
+		}
+	}
+	// (4.26 GHz, 16 lanes) takes the baseline's cycles at twice its clock.
+	last := points[3]
+	if last.Knobs["clock_ghz"] != 4.26 || last.Knobs["lanes"] != 16 {
+		t.Fatalf("point order: last ranked point is %+v", last)
+	}
+	if sp := last.Benches["dgemm"].Speedup; sp != 2 {
+		t.Errorf("speedup at twice the clock = %v, want 2", sp)
+	}
+	if points[1].Cost.Speedup != 0.5 {
+		t.Errorf("speedup at half the throughput = %v, want 0.5", points[1].Cost.Speedup)
+	}
+	var costs []Cost
+	for _, p := range points {
+		costs = append(costs, p.Cost)
+	}
+	if want := Frontier(costs); !reflect.DeepEqual(frontier, want) || len(frontier) == 0 {
+		t.Fatalf("frontier %v, want dse.Frontier's %v (non-empty)", frontier, want)
+	}
+	on := map[int]bool{}
+	for _, i := range frontier {
+		on[i] = true
+		for j, q := range points {
+			if q.Cost.Dominates(points[i].Cost) {
+				t.Errorf("frontier point %d is dominated by point %d", i, j)
+			}
+		}
+	}
+	for i, p := range points {
+		if p.OnFrontier != on[i] {
+			t.Errorf("point %d: on_frontier %v, frontier %v", i, p.OnFrontier, frontier)
+		}
+	}
+
+	cycles[0] = map[string]uint64{"dgemm": 1000}
+	if _, _, err := s.Rank(cycles); err == nil || !strings.Contains(err.Error(), "baseline") {
+		t.Errorf("incomplete baseline ranked: err = %v", err)
 	}
 }
 

@@ -1,12 +1,12 @@
-// Package dse is the design-space-exploration layer: a vocabulary of
+// Package dse is the design-space-exploration library: a vocabulary of
 // sweepable machine knobs, deterministic grid expansion of sweep specs, and
-// Pareto-frontier ranking over {speedup, watts, mm²}. It sits between the
-// simulator's configuration space (internal/sim, hashed by internal/confhash)
-// and the serving layer's /v1/sweeps endpoints: a sweep spec names knob axes,
-// dse expands them into concrete sim.Config points, the serve pipeline runs
-// each point exactly once (dedup by confhash), and dse ranks the completed
-// points on the three cost axes the paper trades against each other — the
-// §6 speedups, the Table 1 power model, and the Figure 5 die.
+// Pareto-frontier ranking over {speedup, watts, mm²}. A sweep is just jobs:
+// a spec names knob axes, dse expands them into concrete points, the client
+// (tarload -sweep) submits each point × bench as an ordinary tarserved job —
+// so the job service's confhash dedup and result store make every unique
+// configuration cost one simulation — and Rank scores the completed points
+// on the three cost axes the paper trades against each other: the §6
+// speedups, the Table 1 power model, and the Figure 5 die.
 //
 // Knobs are deliberately restricted to parameters that are (a) visible to
 // confhash, so swept points get distinct content addresses, and (b) honest

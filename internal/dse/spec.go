@@ -1,19 +1,16 @@
 package dse
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
-// MaxPoints bounds one sweep's grid (before baselines): a runaway spec is a
-// client error, not a server outage.
+// MaxPoints bounds one sweep's grid (before baselines): a runaway spec is
+// refused before it submits a single job.
 const MaxPoints = 4096
 
 // Axis is one swept dimension: either an explicit value list or an
@@ -26,12 +23,11 @@ type Axis struct {
 	Step   float64   `json:"step,omitempty"`
 }
 
-// Spec is the POST /v1/sweeps body: a base machine, a declared baseline, a
+// Spec describes one sweep: a base machine, a declared baseline, a
 // benchmark set and the knob axes to sweep. Its canonical form (sorted
-// deduplicated benches, ranges expanded to sorted value lists) is the
-// content-addressed identity of the sweep — two requests that describe the
-// same grid in different words share one Key, one execution and one stored
-// result.
+// deduplicated benches, ranges expanded to sorted value lists) makes two
+// specs that describe the same grid in different words expand to the same
+// points, and so to the same jobs and content keys.
 type Spec struct {
 	// Config names the base machine the knobs perturb (default "T").
 	Config string `json:"config,omitempty"`
@@ -133,24 +129,6 @@ func (s *Spec) axisNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Key is the content address of a canonical spec: a stable digest over the
-// base machine, baseline, scale, benchmark set and every axis value. It keys
-// the durable sweep store and in-flight sweep deduplication, the same way
-// confhash.Key addresses a single experiment.
-func (s *Spec) Key() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "sweep;config=%s;baseline=%s;scale=%s;benches=%s;",
-		s.Config, s.Baseline, s.Scale, strings.Join(s.Benches, ","))
-	for _, name := range s.axisNames() {
-		fmt.Fprintf(h, "%s=", name)
-		for _, v := range s.Axes[name].Values {
-			fmt.Fprintf(h, "%s,", strconv.FormatFloat(v, 'g', -1, 64))
-		}
-		fmt.Fprint(h, ";")
-	}
-	return hex.EncodeToString(h.Sum(nil))[:32]
 }
 
 // Expand enumerates the grid points of a canonical spec in deterministic

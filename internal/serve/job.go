@@ -147,9 +147,9 @@ type SpecDefaults struct {
 // BuildSpec is the single request→spec build path: it resolves a
 // SubmitRequest against the given defaults and validates it by assembling
 // the decorated machine configuration plus the parsed scale. Every
-// submission goes through here, a sweep's experiments included, and the
-// worker rebuilds the resolved spec with JobSpec.Build, so one request
-// resolves to identical simulation inputs everywhere.
+// submission goes through here, and the worker rebuilds the resolved spec
+// with JobSpec.Build, so one request resolves to identical simulation
+// inputs everywhere.
 func BuildSpec(req *SubmitRequest, d SpecDefaults) (*JobSpec, *sim.Config, workloads.Scale, error) {
 	sp := &JobSpec{
 		Bench:         req.Bench,
@@ -208,7 +208,7 @@ type job struct {
 	cacheHit  bool
 	submitted time.Time
 	state     string
-	res       *workloads.Result
+	res       *JobResult
 	err       *JobError
 	elapsed   time.Duration
 	done      chan struct{}
@@ -275,9 +275,9 @@ const (
 )
 
 // ErrorCodeStatus is the closed /v1 error-code set and each code's HTTP
-// status — the single source of truth the documentation table in DESIGN.md
-// is asserted against, and the status a failed sweep answers with for its
-// baseline's code.
+// status — the single source of truth every error response takes its
+// status from, and the documentation table in DESIGN.md is asserted
+// against.
 var ErrorCodeStatus = map[string]int{
 	ErrCodeBadRequest:       400,
 	ErrCodeNotFound:         404,
@@ -305,11 +305,10 @@ type ErrorJSON struct {
 }
 
 // JobError is the normalized failure of one job execution: the stable wire
-// envelope plus its HTTP status. The worker converts every failure into
-// this form via toJobError.
+// envelope, whose code fixes the HTTP status through ErrorCodeStatus. The
+// worker converts every failure into this form via toJobError.
 type JobError struct {
-	Status int
-	JSON   ErrorJSON
+	JSON ErrorJSON
 	// RetryAfter, when positive, becomes the HTTP Retry-After header on the
 	// rejection response (code "queue_full"): the admission controller's
 	// estimate of when capacity frees up. Not part of the JSON envelope.
@@ -318,9 +317,9 @@ type JobError struct {
 
 func (e *JobError) Error() string { return e.JSON.Message }
 
-// toJobError maps a native execution failure onto the envelope plus its
-// HTTP status: wedges and functional miscompares are diagnosed experiment
-// outcomes (422), recovered panics are server faults (500).
+// toJobError maps a native execution failure onto the envelope: wedges and
+// functional miscompares are diagnosed experiment outcomes (422), recovered
+// panics are server faults (500).
 func toJobError(err error) *JobError {
 	var je *JobError
 	if errors.As(err, &je) {
@@ -328,26 +327,23 @@ func toJobError(err error) *JobError {
 	}
 	var w *sim.WedgeError
 	if errors.As(err, &w) {
-		return &JobError{
-			Status: 422,
-			JSON: ErrorJSON{
-				Code:      ErrCodeWedge,
-				Message:   err.Error(),
-				Reason:    w.Reason,
-				Config:    w.Config,
-				Cycle:     w.Cycle,
-				Retired:   w.Retired,
-				Occupancy: w.Occ.String(),
-			},
-		}
+		return &JobError{JSON: ErrorJSON{
+			Code:      ErrCodeWedge,
+			Message:   err.Error(),
+			Reason:    w.Reason,
+			Config:    w.Config,
+			Cycle:     w.Cycle,
+			Retired:   w.Retired,
+			Occupancy: w.Occ.String(),
+		}}
 	}
 	var p panicError
 	if errors.As(err, &p) {
-		return &JobError{Status: 500, JSON: ErrorJSON{Code: ErrCodeInternal, Message: err.Error()}}
+		return &JobError{JSON: ErrorJSON{Code: ErrCodeInternal, Message: err.Error()}}
 	}
 	// Anything else from the workload harness is a functional check
 	// failure: the simulation ran but computed the wrong answer.
-	return &JobError{Status: 422, JSON: ErrorJSON{Code: ErrCodeCheckFailed, Message: err.Error()}}
+	return &JobError{JSON: ErrorJSON{Code: ErrCodeCheckFailed, Message: err.Error()}}
 }
 
 // panicError wraps a recovered worker panic so it maps to code "internal".

@@ -6,8 +6,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-
-	"repro/internal/workloads"
 )
 
 // maxExperimentSeries bounds the per-experiment summary table on /metrics:
@@ -53,17 +51,6 @@ type metrics struct {
 	shedQueueFull uint64
 	shedDeadline  uint64
 
-	// Sweep-orchestration counters: sweeps accepted, finished (either way),
-	// answered whole from the durable sweep store, joined onto an identical
-	// in-flight sweep, and the per-experiment traffic sweeps generated.
-	sweepsSubmitted  uint64
-	sweepsDone       uint64
-	sweepsFailed     uint64
-	sweepCacheHits   uint64
-	sweepDedupJoined uint64
-	sweepExperiments uint64
-	sweepsRunning    int
-
 	// Warm-up snapshot counters: simulations whose warm-up phase was
 	// restored from a stored chip snapshot (snapHits) or simulated and
 	// captured (snapMisses), and the cumulative simulated cycles those
@@ -104,32 +91,32 @@ type metrics struct {
 // the /metrics per-experiment table. A re-run of the same key (cache
 // eviction and resubmission) overwrites the summary in place, keeping its
 // accumulated cache-hit count.
-func (m *metrics) recordExperiment(key, bench, config string, res *workloads.Result) {
+func (m *metrics) recordExperiment(jr *JobResult) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.experiments == nil {
 		m.experiments = make(map[string]*expSeries)
 	}
-	e, ok := m.experiments[key]
+	e, ok := m.experiments[jr.Key]
 	if !ok {
-		e = &expSeries{key: key, bench: bench, config: config}
-		m.experiments[key] = e
-		m.expOrder = append(m.expOrder, key)
+		e = &expSeries{key: jr.Key, bench: jr.Bench, config: jr.Config}
+		m.experiments[jr.Key] = e
+		m.expOrder = append(m.expOrder, jr.Key)
 		for len(m.expOrder) > maxExperimentSeries {
 			delete(m.experiments, m.expOrder[0])
 			m.expOrder = m.expOrder[1:]
 		}
 	}
-	e.cycles = res.Stats.Cycles
-	e.mcps = res.MCPS()
-	m.simCycles += res.SimCycles
-	m.simWallNs += uint64(res.WallNs)
-	if res.Stats.Cycles > 0 {
-		e.ipc = float64(res.Stats.ScalarIns+res.Stats.VectorIns) / float64(res.Stats.Cycles)
+	e.cycles = jr.Stats.Cycles
+	e.mcps = jr.MCPS
+	m.simCycles += jr.SimCycles
+	m.simWallNs += uint64(jr.SimWallNs)
+	if jr.Stats.Cycles > 0 {
+		e.ipc = float64(jr.Stats.ScalarIns+jr.Stats.VectorIns) / float64(jr.Stats.Cycles)
 	}
-	if res.Series != nil {
-		e.samplePoints = len(res.Series.Points)
-		if ipc := res.Series.MeanIPC(); ipc > 0 {
+	if jr.Series != nil {
+		e.samplePoints = len(jr.Series.Points)
+		if ipc := jr.Series.MeanIPC(); ipc > 0 {
 			e.ipc = ipc
 		}
 	}
@@ -202,13 +189,6 @@ func (m *metrics) renderLocked(w io.Writer, st StoreStatus, workers, queueDepth 
 	counter("tarserved_sims_completed_total", "Underlying simulations finished.", m.simsDone)
 	counter("tarserved_sim_cycles_total", "Simulated cycles across all completed simulations.", m.simCycles)
 	fmt.Fprintf(w, "# HELP tarserved_sim_wall_seconds_total Host wall-clock spent inside the simulation loop across all completed simulations.\n# TYPE tarserved_sim_wall_seconds_total counter\ntarserved_sim_wall_seconds_total %g\n", float64(m.simWallNs)/1e9)
-	counter("tarserved_sweeps_submitted_total", "Sweeps accepted by POST /v1/sweeps.", m.sweepsSubmitted)
-	counter("tarserved_sweeps_done_total", "Sweeps that completed successfully.", m.sweepsDone)
-	counter("tarserved_sweeps_failed_total", "Sweeps that reached a failure state.", m.sweepsFailed)
-	counter("tarserved_sweep_cache_hits_total", "Sweeps answered whole from the durable sweep store.", m.sweepCacheHits)
-	counter("tarserved_sweep_dedup_joined_total", "Sweep submissions joined onto an identical in-flight sweep.", m.sweepDedupJoined)
-	counter("tarserved_sweep_experiments_total", "Per-experiment submissions generated by sweep orchestration.", m.sweepExperiments)
-	gauge("tarserved_sweeps_running", "Sweeps currently orchestrating experiments.", m.sweepsRunning)
 	counter("tarserved_snapshot_hits_total", "Simulations whose warm-up phase was restored from a stored chip snapshot.", m.snapHits)
 	counter("tarserved_snapshot_misses_total", "Simulations that simulated (and captured) their warm-up phase.", m.snapMisses)
 	counter("tarserved_warmup_cycles_saved_total", "Simulated cycles avoided by restoring warm-up snapshots.", m.warmupCyclesSaved)

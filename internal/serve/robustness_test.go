@@ -24,10 +24,10 @@ import (
 
 // ---- disk store ----
 //
-// Byte-level store mechanics (eviction atime ordering, torn-write chaos,
-// unindexed direct reads) live in internal/store. The tests here pin
-// the serve-layer contract on top of it: artifact encoding, on-disk layout,
-// and the decoded round trip through putResult and getResult.
+// Byte-level store mechanics (eviction atime ordering, torn-write chaos)
+// live in internal/store. The tests here pin the serve-layer contract on
+// top of it: artifact encoding, on-disk layout, and the decoded round trip
+// through putResult and getResult.
 
 // artifactPath is the serve layer's on-disk layout contract: one result
 // artifact per file, under a schema-versioned directory. External tooling
@@ -45,8 +45,8 @@ func TestDiskStoreRoundTripAndWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	putResult(d, "aaaa1111", fakeResult("dgemm", "T"))
-	putResult(d, "bbbb2222", fakeResult("streams_copy", "T"))
+	putResult(d, EncodeResult("aaaa1111", fakeResult("dgemm", "T")))
+	putResult(d, EncodeResult("bbbb2222", fakeResult("streams_copy", "T")))
 	if n := storeStatus(d.Status()).MemEntries; n != 2 {
 		t.Fatalf("entries = %d, want 2", n)
 	}
@@ -75,7 +75,7 @@ func TestDiskStoreRoundTripAndWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reenc, _ := json.Marshal(EncodeResult("aaaa1111", res))
+	reenc, _ := json.Marshal(res)
 	if !bytes.Equal(disk, reenc) {
 		t.Fatalf("artifact not byte-stable across restart:\ndisk: %s\nre-encoded: %s", disk, reenc)
 	}
@@ -110,8 +110,8 @@ func TestDiskStoreCorruptionQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	putResult(d, "good0000", fakeResult("dgemm", "T"))
-	putResult(d, "good1111", fakeResult("streams_copy", "T"))
+	putResult(d, EncodeResult("good0000", fakeResult("dgemm", "T")))
+	putResult(d, EncodeResult("good1111", fakeResult("streams_copy", "T")))
 	d.Close()
 	valid, err := os.ReadFile(artifactPath(dir, "good0000"))
 	if err != nil {
@@ -213,7 +213,7 @@ func TestTieredStoreSingleFlight(t *testing.T) {
 			defer wg.Done()
 			for n := 0; n < 50; n++ {
 				if i%2 == 0 {
-					putResult(db, key, res)
+					putResult(db, EncodeResult(key, res))
 				} else if got, ok := getResult(db, key); ok && got.Bench != "dgemm" {
 					t.Errorf("torn read: %+v", got)
 				}
@@ -254,7 +254,7 @@ func TestChaosDiskStore(t *testing.T) {
 	}
 	const n = 60
 	for i := 0; i < n; i++ {
-		putResult(d, fmt.Sprintf("chaos%02d", i), fakeResult("dgemm", "T"))
+		putResult(d, EncodeResult(fmt.Sprintf("chaos%02d", i), fakeResult("dgemm", "T")))
 	}
 	if st := d.Status(); st.IOErrors == 0 {
 		t.Fatalf("chaos campaign injected no I/O errors: %+v", st)

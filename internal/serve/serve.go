@@ -13,15 +13,20 @@
 // deadline, surfaces as a structured HTTP 422 with error code "wedge" —
 // never a hung connection or an anonymous 500.
 //
-// Results, sweep blobs and warm-up chip snapshots live in one
-// content-addressed store, internal/store's Interface, which the server
-// calls directly by namespace: the in-memory tier alone, or the memory tier
-// over a crash-safe disk store so a restarted server warm-starts from its
-// previous life's artifacts. Under overload the server sheds load
-// structurally rather than degrading: the admission controller refuses
-// submissions whose estimated queue wait would blow their deadline
-// (queue_full + Retry-After), and queued jobs whose deadline expires are
-// shed with deadline_exceeded before ever occupying a worker.
+// Results and warm-up chip snapshots live in one content-addressed store,
+// internal/store's Interface, which the server calls directly by namespace:
+// the in-memory tier alone, or the memory tier over a crash-safe disk store
+// so a restarted server warm-starts from its previous life's artifacts.
+// Under overload the server sheds load structurally rather than degrading:
+// the admission controller refuses submissions whose estimated queue wait
+// would blow their deadline (queue_full + Retry-After), and queued jobs
+// whose deadline expires are shed with deadline_exceeded before ever
+// occupying a worker.
+//
+// A design-space sweep is not a server concept: it is one job per point
+// and bench, submitted by the client (tarload -sweep) and ranked there with
+// internal/dse. The server only advertises the knob registry
+// (GET /v1/sweeps/knobs) and validates a job's knobs.
 package serve
 
 import (
@@ -36,6 +41,7 @@ import (
 	"time"
 
 	"repro/internal/confhash"
+	"repro/internal/dse"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/workloads"
@@ -53,7 +59,7 @@ type Options struct {
 	// overflow rejects the submission with 503 rather than queueing
 	// unboundedly.
 	QueueDepth int
-	// Store holds results, sweep blobs and warm-up snapshots. Nil selects
+	// Store holds results and warm-up snapshots. Nil selects
 	// the memory-only store with its default bounds; OpenStore builds the
 	// store tarserved uses, memory-only or tiered over a disk directory.
 	Store store.Interface
@@ -104,16 +110,7 @@ type Server struct {
 	// meanwhile, so a flight that lands in between is not simulated twice.
 	stored atomic.Uint64
 
-	// Sweep orchestration state: sweep records by id, submission order for
-	// listing + GC, and the spec-key index that deduplicates identical
-	// sweeps onto one orchestration.
-	sweepSeq   int
-	sweeps     map[string]*sweep
-	sweepOrder []string
-	sweepByKey map[string]*sweep
-
 	workersWG   sync.WaitGroup
-	sweepsWG    sync.WaitGroup
 	janitorWG   sync.WaitGroup
 	stopJanitor chan struct{}
 	stopOnce    sync.Once
@@ -138,8 +135,6 @@ func New(opts Options) *Server {
 		jobs:        make(map[string]*job),
 		flights:     make(map[string]*flight),
 		queue:       make(chan *flight, opts.QueueDepth),
-		sweeps:      make(map[string]*sweep),
-		sweepByKey:  make(map[string]*sweep),
 		stopJanitor: make(chan struct{}),
 	}
 	if s.store == nil {
@@ -153,11 +148,7 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("GET /v1/jobs", s.handleList)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
-	s.mux.HandleFunc("POST /v1/sweeps", s.handleSweepSubmit)
-	s.mux.HandleFunc("GET /v1/sweeps", s.handleSweepList)
 	s.mux.HandleFunc("GET /v1/sweeps/knobs", s.handleSweepKnobs)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweepStatus)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}/result", s.handleSweepResult)
 	s.mux.HandleFunc("GET /v1/benches", s.handleBenches)
 	s.mux.HandleFunc("GET /v1/configs", s.handleConfigs)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -189,11 +180,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.stopOnce.Do(func() { close(s.stopJanitor) })
 	idle := make(chan struct{})
 	go func() {
-		// Sweep orchestrators first: their pending submissions fail fast
-		// against the draining flag, and the experiments they already queued
-		// complete as the worker pool drains (workers exit when the closed
-		// queue empties, after the orchestrators stop waiting on them).
-		s.sweepsWG.Wait()
 		s.workersWG.Wait()
 		s.janitorWG.Wait()
 		s.store.Close()
@@ -260,7 +246,7 @@ func (s *Server) worker() {
 }
 
 // execute builds the spec and runs it through run with panic isolation,
-// mirroring the sweep runner's per-cell recovery: a model bug in one
+// mirroring the tables runner's per-cell recovery: a model bug in one
 // experiment must not take the service down. A kernel that stalls is cut
 // off at the spec's deadline by the simulator itself (sim.Config.Deadline),
 // which frees the worker; the stalled goroutine lives on until its kernel
@@ -268,7 +254,7 @@ func (s *Server) worker() {
 func execute(spec *JobSpec, run RunFunc) (res *workloads.Result, err error) {
 	cfg, scale, buildErr := spec.Build()
 	if buildErr != nil {
-		return nil, &JobError{Status: 400, JSON: ErrorJSON{Code: ErrCodeBadRequest, Message: buildErr.Error()}}
+		return nil, &JobError{JSON: ErrorJSON{Code: ErrCodeBadRequest, Message: buildErr.Error()}}
 	}
 	defer func() {
 		if p := recover(); p != nil {
@@ -281,14 +267,11 @@ func execute(spec *JobSpec, run RunFunc) (res *workloads.Result, err error) {
 // shedError is the terminal envelope of a job whose deadline expired while
 // it was still queued.
 func shedError(key string) *JobError {
-	return &JobError{
-		Status: http.StatusGatewayTimeout,
-		JSON: ErrorJSON{
-			Code:     ErrCodeDeadlineExceeded,
-			Message:  "deadline expired while queued; job shed before execution",
-			Confhash: key,
-		},
-	}
+	return &JobError{JSON: ErrorJSON{
+		Code:     ErrCodeDeadlineExceeded,
+		Message:  "deadline expired while queued; job shed before execution",
+		Confhash: key,
+	}}
 }
 
 // janitor sheds queued flights whose deadline expired before a worker freed
@@ -329,14 +312,17 @@ func (s *Server) shedExpired() {
 }
 
 // complete publishes a flight's outcome to every attached job, feeds the
-// store, and updates the metrics. execSec is the execution time feeding the
-// admission controller's wait estimator; negative means the flight was shed
-// without executing.
+// store, and updates the metrics. The result is encoded once: the store
+// gets those bytes and every job keeps the *JobResult it serves. execSec is
+// the execution time feeding the admission controller's wait estimator;
+// negative means the flight was shed without executing.
 func (s *Server) complete(f *flight, res *workloads.Result, jobErr *JobError, execSec float64) {
+	var jr *JobResult
 	if jobErr == nil {
-		putResult(s.store, f.key, res)
+		jr = EncodeResult(f.key, res)
+		putResult(s.store, jr)
 		s.stored.Add(1)
-		s.m.recordExperiment(f.key, f.spec.Bench, res.Config, res)
+		s.m.recordExperiment(jr)
 	}
 	now := time.Now()
 	s.mu.Lock()
@@ -349,7 +335,7 @@ func (s *Server) complete(f *flight, res *workloads.Result, jobErr *JobError, ex
 		case StateRunning:
 			wereRunning++
 		}
-		j.res, j.err = res, jobErr
+		j.res, j.err = jr, jobErr
 		j.elapsed = now.Sub(j.submitted)
 		if jobErr == nil {
 			j.state = StateDone
@@ -413,7 +399,7 @@ func (s *Server) queueWaitFor(req *SubmitRequest) time.Duration {
 func (s *Server) Submit(req *SubmitRequest) (*JobStatus, error) {
 	spec, cfg, scale, err := s.resolveSpec(req)
 	if err != nil {
-		return nil, &JobError{Status: http.StatusBadRequest, JSON: ErrorJSON{Code: ErrCodeBadRequest, Message: err.Error()}}
+		return nil, &JobError{JSON: ErrorJSON{Code: ErrCodeBadRequest, Message: err.Error()}}
 	}
 	key := confhash.Key(spec.Bench, scale.String(), cfg)
 	now := time.Now()
@@ -430,7 +416,7 @@ func (s *Server) Submit(req *SubmitRequest) (*JobStatus, error) {
 		s.m.mu.Lock()
 		s.m.rejected++
 		s.m.mu.Unlock()
-		return nil, &JobError{Status: http.StatusServiceUnavailable, JSON: ErrorJSON{Code: ErrCodeDraining, Message: "server is draining"}}
+		return nil, &JobError{JSON: ErrorJSON{Code: ErrCodeDraining, Message: "server is draining"}}
 	}
 	s.seq++
 	j := &job{
@@ -515,7 +501,6 @@ func (s *Server) Submit(req *SubmitRequest) (*JobStatus, error) {
 					retry = time.Second
 				}
 				return nil, &JobError{
-					Status:     http.StatusServiceUnavailable,
 					JSON:       ErrorJSON{Code: ErrCodeQueueFull, Message: fmt.Sprintf("estimated queue wait %.1fs exceeds wait budget %s", estWait, wait), Confhash: key},
 					RetryAfter: retry,
 				}
@@ -539,7 +524,6 @@ func (s *Server) Submit(req *SubmitRequest) (*JobStatus, error) {
 		s.m.shedQueueFull++
 		s.m.mu.Unlock()
 		return nil, &JobError{
-			Status:     http.StatusServiceUnavailable,
 			JSON:       ErrorJSON{Code: ErrCodeQueueFull, Message: "job queue is full"},
 			RetryAfter: time.Second,
 		}
@@ -586,8 +570,8 @@ func (s *Server) status(j *job) *JobStatus {
 	}
 	res, jobErr := j.res, j.err
 	s.mu.Unlock()
-	if st.State == StateDone && res != nil {
-		st.Result = EncodeResult(j.key, res)
+	if st.State == StateDone {
+		st.Result = res
 	}
 	if st.State == StateFailed && jobErr != nil {
 		ej := jobErr.JSON
@@ -606,13 +590,15 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-// writeError emits the stable envelope: {"error":{"code","message",...}}.
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, map[string]any{"error": ErrorJSON{Code: code, Message: msg}})
+// writeError emits the stable envelope, {"error":{"code","message",...}},
+// with its code's HTTP status.
+func writeError(w http.ResponseWriter, code, msg string) {
+	writeJobError(w, &JobError{JSON: ErrorJSON{Code: code, Message: msg}})
 }
 
-// writeJobError emits a JobError's envelope with its HTTP status, plus a
-// Retry-After header when the rejection carries a capacity estimate.
+// writeJobError emits a JobError's envelope with its code's HTTP status
+// from ErrorCodeStatus, plus a Retry-After header when the rejection
+// carries a capacity estimate.
 func writeJobError(w http.ResponseWriter, je *JobError) {
 	if je.RetryAfter > 0 {
 		secs := int(je.RetryAfter / time.Second)
@@ -621,13 +607,13 @@ func writeJobError(w http.ResponseWriter, je *JobError) {
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 	}
-	writeJSON(w, je.Status, map[string]any{"error": je.JSON})
+	writeJSON(w, ErrorCodeStatus[je.JSON.Code], map[string]any{"error": je.JSON})
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "bad JSON: "+err.Error())
+		writeError(w, ErrCodeBadRequest, "bad JSON: "+err.Error())
 		return
 	}
 	st, err := s.Submit(&req)
@@ -650,13 +636,13 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs[r.PathValue("id")]
 	s.mu.Unlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, ErrCodeNotFound, "unknown job")
+		writeError(w, ErrCodeNotFound, "unknown job")
 		return
 	}
 	if waitStr := r.URL.Query().Get("wait"); waitStr != "" {
 		wait, err := time.ParseDuration(waitStr)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "bad wait duration: "+err.Error())
+			writeError(w, ErrCodeBadRequest, "bad wait duration: "+err.Error())
 			return
 		}
 		if wait > time.Minute {
@@ -680,7 +666,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs[r.PathValue("id")]
 	s.mu.Unlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, ErrCodeNotFound, "unknown job")
+		writeError(w, ErrCodeNotFound, "unknown job")
 		return
 	}
 	select {
@@ -693,7 +679,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeJobError(w, j.err)
 		return
 	}
-	writeJSON(w, http.StatusOK, EncodeResult(j.key, j.res))
+	writeJSON(w, http.StatusOK, j.res)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -728,6 +714,13 @@ func (s *Server) handleBenches(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleConfigs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"configs": sim.Names()})
+}
+
+// handleSweepKnobs advertises the sweepable-knob registry: names, types and
+// legal ranges, so clients can build valid sweeps and job knobs without
+// guessing.
+func (s *Server) handleSweepKnobs(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, map[string]any{"knobs": dse.Knobs()})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

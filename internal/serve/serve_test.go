@@ -362,12 +362,12 @@ func TestLRUEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	putResult(c, "a", fakeResult("a", "T"))
-	putResult(c, "b", fakeResult("b", "T"))
+	putResult(c, EncodeResult("a", fakeResult("a", "T")))
+	putResult(c, EncodeResult("b", fakeResult("b", "T")))
 	if _, ok := getResult(c, "a"); !ok {
 		t.Fatal("a evicted too early")
 	}
-	putResult(c, "c", fakeResult("c", "T")) // evicts b (a was refreshed by get)
+	putResult(c, EncodeResult("c", fakeResult("c", "T"))) // evicts b (a was refreshed by get)
 	if _, ok := getResult(c, "b"); ok {
 		t.Fatal("b survived past the bound")
 	}

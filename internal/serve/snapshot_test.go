@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/dse"
 	"repro/internal/snapshot"
 	"repro/internal/store"
 )
@@ -20,33 +19,31 @@ func snapBlob(fill string) []byte {
 	return w.Finish()
 }
 
-// TestSweepWarmupSharedOnce is the checkpoint feature's serve-level
-// acceptance drill: a 3-point sweep along phys_vregs — a knob that cannot
-// affect the warm-up phase — over a benchmark with a warm-up (rndcopy)
-// must simulate that warm-up exactly once. The first point captures the
+// TestWarmupSharedOnce is the checkpoint feature's serve-level acceptance
+// drill: three concurrent jobs along phys_vregs — a knob that cannot affect
+// the warm-up phase — over a benchmark with a warm-up (rndcopy) must
+// simulate that warm-up exactly once. The first to run captures the
 // post-Setup snapshot; the other two fork from it, whether they hit the
 // store or join the leader's in-flight warm-up.
-func TestSweepWarmupSharedOnce(t *testing.T) {
+func TestWarmupSharedOnce(t *testing.T) {
 	// No Run stub: the real simulator runs, so the snapshot-aware path is
 	// wired against the default in-memory store.
 	_, ts := newTestServer(t, Options{Workers: 4})
-	st, code := postSweep(t, ts.URL, dse.Spec{
-		Config:  "T",
-		Benches: []string{"rndcopy"},
-		Scale:   "test",
-		Axes: map[string]dse.Axis{
-			"phys_vregs": {Values: []float64{64, 96, 128}},
-		},
-	})
-	if code != 200 && code != 202 {
-		t.Fatalf("POST /v1/sweeps = HTTP %d", code)
+	var ids []string
+	for _, v := range []float64{64, 96, 128} {
+		st, code := submit(t, ts.URL, SubmitRequest{Bench: "rndcopy", Config: "T", Scale: "test",
+			Knobs: map[string]float64{"phys_vregs": v}})
+		if code != 200 && code != 202 {
+			t.Fatalf("submit phys_vregs=%v: HTTP %d", v, code)
+		}
+		ids = append(ids, st.ID)
 	}
-	fin := waitSweepDone(t, ts.URL, st.ID)
-	if fin.State != StateDone || fin.Failed != 0 {
-		t.Fatalf("sweep finished %s failed=%d: %+v", fin.State, fin.Failed, fin.Error)
+	for _, id := range ids {
+		if fin := waitDone(t, ts.URL, id); fin.State != StateDone {
+			t.Fatalf("job %s finished %s: %+v", id, fin.State, fin.Error)
+		}
 	}
-	// Baseline (T unmodified) dedups onto the phys_vregs=128 point: three
-	// unique configurations, one shared warm-up key.
+	// Three unique configurations, one shared warm-up key.
 	if got := metric(t, ts.URL, "tarserved_snapshot_misses_total"); got != 1 {
 		t.Errorf("snapshot misses = %v, want 1 (warm-up must simulate exactly once)", got)
 	}

@@ -44,16 +44,13 @@ type StoreStatus struct {
 	SnapEvicted     uint64 `json:"snapshot_evicted,omitempty"`
 }
 
-// maxBlobs bounds retained aggregate blobs in the memory tier.
-const maxBlobs = 256
-
 // maxSnapBytes bounds retained chip snapshots in the memory tier.
 const maxSnapBytes = 256 << 20
 
 // storeConfig is the serve layer's namespace policy set: the schema
 // versions, on-disk layout, validators and retention bounds for each
 // artifact kind. This — not store code — is what distinguishes results
-// from sweeps from snapshots.
+// from snapshots.
 func storeConfig(memEntries int) store.Config {
 	if memEntries <= 0 {
 		memEntries = 4096
@@ -66,19 +63,8 @@ func storeConfig(memEntries int) store.Config {
 				_, err := decodeArtifact(key, raw)
 				return err
 			},
-			ScanOnOpen:     true,
 			TornWriteChaos: true,
 			MemEntries:     memEntries,
-			MemLRU:         true,
-		},
-		// Sweep blobs: validation (schema stamp, key match) belongs to the
-		// caller, which owns the blob encoding; retention is a small FIFO
-		// in memory and unindexed direct reads on disk.
-		store.Sweeps: {
-			Schema:     SweepSchemaVersion,
-			Subdir:     "sweeps",
-			Ext:        ".json",
-			MemEntries: maxBlobs,
 		},
 		// Chip snapshots: envelope-verified on scan, on every disk read and
 		// on put; byte-bounded in memory (full memory images) and evicted
@@ -90,7 +76,6 @@ func storeConfig(memEntries int) store.Config {
 			Validate: func(_ string, raw []byte) error {
 				return snapshot.Verify(raw)
 			},
-			ScanOnOpen:    true,
 			ValidateOnPut: true,
 			MemBytes:      maxSnapBytes,
 		},
@@ -115,22 +100,22 @@ func OpenStore(dir string, memEntries int, maxBytes int64, chaos *faults.Config)
 	return store.NewTiered(mem, disk), nil
 }
 
-// putResult stores res under its content key as the JobResult artifact the
-// API serves. Best-effort, like every Put: a failure costs durability,
-// never correctness.
-func putResult(st store.Interface, key string, res *workloads.Result) {
-	raw, err := json.Marshal(EncodeResult(key, res))
+// putResult stores the JobResult artifact the API serves under its content
+// key. Best-effort, like every Put: a failure costs durability, never
+// correctness.
+func putResult(st store.Interface, jr *JobResult) {
+	raw, err := json.Marshal(jr)
 	if err != nil {
 		return
 	}
-	st.Put(store.Results, key, raw)
+	st.Put(store.Results, jr.Key, raw)
 }
 
 // getResult returns the decoded result stored under a content key, or a
 // miss. The encode/decode round trip is byte-stable
 // (TestDiskStoreRoundTripAndWarmStart pins it), so a stored result
 // re-encodes to the same artifact the API served when it was computed.
-func getResult(st store.Interface, key string) (*workloads.Result, bool) {
+func getResult(st store.Interface, key string) (*JobResult, bool) {
 	raw, ok := st.Get(store.Results, key)
 	if !ok {
 		return nil, false
@@ -166,9 +151,9 @@ func storeStatus(st store.Status) StoreStatus {
 }
 
 // decodeArtifact validates one stored artifact end to end: JSON shape,
-// schema stamp, self-consistent content key, and a reconstructible result.
-// Anything less is quarantine material.
-func decodeArtifact(key string, raw []byte) (*workloads.Result, error) {
+// schema stamp, self-consistent content key, a known scale and a stats
+// block. Anything less is quarantine material.
+func decodeArtifact(key string, raw []byte) (*JobResult, error) {
 	var jr JobResult
 	if err := json.Unmarshal(raw, &jr); err != nil {
 		return nil, fmt.Errorf("undecodable artifact: %w", err)
@@ -179,23 +164,14 @@ func decodeArtifact(key string, raw []byte) (*workloads.Result, error) {
 	if jr.Key != key {
 		return nil, fmt.Errorf("key mismatch: file named %s carries key %s", key, jr.Key)
 	}
-	// Only the fields EncodeResult reads are rebuilt. Stats counters are
-	// integers and series samples round-trip exactly through JSON, so the
-	// result re-encodes to the stored bytes.
-	scale, err := workloads.ParseScale(jr.Scale)
-	if err != nil {
+	// Stats counters are integers, and floats and series samples
+	// round-trip exactly through JSON, so the decoded result re-encodes to
+	// the stored bytes.
+	if _, err := workloads.ParseScale(jr.Scale); err != nil {
 		return nil, fmt.Errorf("artifact carries bad scale %q: %w", jr.Scale, err)
 	}
 	if jr.Stats == nil {
 		return nil, fmt.Errorf("artifact for %s@%s carries no stats", jr.Bench, jr.Config)
 	}
-	return &workloads.Result{
-		Bench:     jr.Bench,
-		Config:    jr.Config,
-		Scale:     scale,
-		Stats:     jr.Stats,
-		Series:    jr.Series,
-		SimCycles: jr.SimCycles,
-		WallNs:    jr.SimWallNs,
-	}, nil
+	return &jr, nil
 }

@@ -26,13 +26,6 @@ var serviceSeries = map[string]string{
 	"tarserved_sims_completed_total":      "counter",
 	"tarserved_sim_cycles_total":          "counter",
 	"tarserved_sim_wall_seconds_total":    "counter",
-	"tarserved_sweeps_submitted_total":    "counter",
-	"tarserved_sweeps_done_total":         "counter",
-	"tarserved_sweeps_failed_total":       "counter",
-	"tarserved_sweep_cache_hits_total":    "counter",
-	"tarserved_sweep_dedup_joined_total":  "counter",
-	"tarserved_sweep_experiments_total":   "counter",
-	"tarserved_sweeps_running":            "gauge",
 	"tarserved_snapshot_hits_total":       "counter",
 	"tarserved_snapshot_misses_total":     "counter",
 	"tarserved_warmup_cycles_saved_total": "counter",

@@ -4,11 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -18,7 +17,6 @@ import (
 	"repro/internal/dse"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/store"
 	"repro/internal/workloads"
 )
 
@@ -77,41 +75,72 @@ func (c *sweepRunCounter) run(bench string, cfg *sim.Config, scale workloads.Sca
 	}, nil
 }
 
-func postSweep(t *testing.T, url string, spec dse.Spec) (SweepStatus, int) {
-	t.Helper()
-	body, _ := json.Marshal(spec)
-	resp, err := http.Post(url+"/v1/sweeps", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st SweepStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatalf("decoding sweep response (HTTP %d): %v", resp.StatusCode, err)
-	}
-	return st, resp.StatusCode
+// sweepRun is a sweep submitted as what it is: one job per point and bench.
+// jobs is indexed by point — the baseline first, then the grid in canonical
+// expansion order — and then by the canonical spec's bench order.
+type sweepRun struct {
+	spec *dse.Spec
+	jobs [][]JobStatus
 }
 
-func waitSweepDone(t *testing.T, url, id string) SweepStatus {
+// submitSweep canonicalizes spec and submits every point × bench as a job
+// without waiting for any, the way tarload -sweep drives the service.
+func submitSweep(t *testing.T, url string, spec dse.Spec) *sweepRun {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(url + "/v1/sweeps/" + id + "?wait=5s")
-		if err != nil {
-			t.Fatal(err)
+	if err := spec.Canonicalize(); err != nil {
+		t.Fatal(err)
+	}
+	run := &sweepRun{spec: &spec}
+	for i, knobs := range append([]map[string]float64{nil}, spec.Expand()...) {
+		config := spec.Config
+		if i == 0 {
+			config = spec.Baseline
 		}
-		var st SweepStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
+		var row []JobStatus
+		for _, bench := range spec.Benches {
+			st, code := submit(t, url, SubmitRequest{Bench: bench, Config: config, Scale: spec.Scale, Knobs: knobs})
+			if code != http.StatusOK && code != http.StatusAccepted {
+				t.Fatalf("submit %s@%s %v: HTTP %d", bench, config, knobs, code)
+			}
+			row = append(row, st)
 		}
-		if st.State == StateDone || st.State == StateFailed {
-			return st
+		run.jobs = append(run.jobs, row)
+	}
+	return run
+}
+
+// wait waits for every job of the sweep and ranks the points that
+// completed.
+func (r *sweepRun) wait(t *testing.T, url string) ([]dse.Point, []int, error) {
+	t.Helper()
+	cycles := make([]map[string]uint64, len(r.jobs))
+	for i, row := range r.jobs {
+		cycles[i] = map[string]uint64{}
+		for k, st := range row {
+			if st.State != StateDone && st.State != StateFailed {
+				st = waitDone(t, url, st.ID)
+				row[k] = st
+			}
+			if st.State == StateDone {
+				cycles[i][r.spec.Benches[k]] = st.Result.Cycles
+			}
 		}
 	}
-	t.Fatalf("sweep %s never reached a terminal state", id)
-	return SweepStatus{}
+	return r.spec.Rank(cycles)
+}
+
+// cacheHits counts the sweep's jobs answered from the result store at
+// submission.
+func (r *sweepRun) cacheHits() int {
+	n := 0
+	for _, row := range r.jobs {
+		for _, st := range row {
+			if st.CacheHit {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 func sweep2x2() dse.Spec {
@@ -126,24 +155,22 @@ func sweep2x2() dse.Spec {
 	}
 }
 
-// TestSweepEndToEnd drives a 2×2 grid over two benches through the full
-// pipeline and checks the tentpole contract: simulations == unique
-// confhashes (the {lanes:16, l2_kb:16384} point IS the baseline and must
-// not re-simulate), the baseline's speedup is exactly 1, and the Pareto
-// frontier is non-empty with no dominated member.
+// TestSweepEndToEnd drives a 2×2 grid over two benches through the job
+// service as ten jobs and checks the contract a sweep rests on:
+// simulations == unique confhashes (the {lanes:16, l2_kb:16384} point IS
+// the baseline, shares its content keys and must not re-simulate), the
+// baseline's speedup is exactly 1, and the Pareto frontier is non-empty
+// with no dominated member.
 func TestSweepEndToEnd(t *testing.T) {
 	rc := &sweepRunCounter{}
 	_, ts := newTestServer(t, Options{Run: rc.run, Workers: 4})
-	st, code := postSweep(t, ts.URL, sweep2x2())
-	if code != http.StatusAccepted && code != http.StatusOK {
-		t.Fatalf("POST /v1/sweeps = HTTP %d", code)
+	run := submitSweep(t, ts.URL, sweep2x2())
+	points, frontier, err := run.wait(t, ts.URL)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.Total != 10 { // (4 grid + 1 baseline) × 2 benches
-		t.Fatalf("total = %d, want 10", st.Total)
-	}
-	fin := waitSweepDone(t, ts.URL, st.ID)
-	if fin.State != StateDone || fin.Done != 10 || fin.Failed != 0 {
-		t.Fatalf("sweep finished %s done=%d failed=%d: %+v", fin.State, fin.Done, fin.Failed, fin.Error)
+	if n := len(run.jobs) * len(run.spec.Benches); n != 10 { // (4 grid + 1 baseline) × 2 benches
+		t.Fatalf("sweep submitted %d jobs, want 10", n)
 	}
 	if got, want := rc.total(), 8; got != want {
 		// 4 unique configs (baseline == one grid point) × 2 benches.
@@ -152,63 +179,49 @@ func TestSweepEndToEnd(t *testing.T) {
 	if rc.total() != rc.unique() {
 		t.Errorf("some confhash simulated twice: %d runs over %d keys", rc.total(), rc.unique())
 	}
-	res := fin.Result
-	if res == nil {
-		t.Fatal("done sweep carries no result")
+	if len(points) != 5 {
+		t.Fatalf("ranking has %d points, want 5", len(points))
 	}
-	if len(res.Points) != 5 {
-		t.Fatalf("result has %d points, want 5", len(res.Points))
+	if !points[0].Baseline || points[0].Cost.Speedup != 1 {
+		t.Errorf("baseline point: %+v (want first, speedup exactly 1)", points[0])
 	}
-	if !res.Points[0].Baseline || res.Points[0].Cost.Speedup != 1 {
-		t.Errorf("baseline point: %+v (want first, speedup exactly 1)", res.Points[0])
-	}
-	if len(res.Frontier) == 0 {
+	if len(frontier) == 0 {
 		t.Fatal("empty Pareto frontier")
 	}
-	for _, i := range res.Frontier {
-		if !res.Points[i].OnFrontier {
+	for _, i := range frontier {
+		if !points[i].OnFrontier {
 			t.Errorf("frontier index %d not flagged on its point", i)
 		}
-		for j, q := range res.Points {
-			if q.Cost.Dominates(res.Points[i].Cost) {
+		for j, q := range points {
+			if q.Cost.Dominates(points[i].Cost) {
 				t.Errorf("frontier point %d is dominated by point %d", i, j)
 			}
 		}
 	}
-	// The 16-lane 16 MB point is the baseline config in disguise: its cells
+	// The 16-lane 16 MB point is the baseline config in disguise: its jobs
 	// must carry the very same content addresses.
-	for _, p := range res.Points[1:] {
-		if p.Knobs["lanes"] == 16 && p.Knobs["l2_kb"] == 16384 {
-			for b, cell := range p.Benches {
-				if cell.Confhash != res.Points[0].Benches[b].Confhash {
-					t.Errorf("%s: baseline-identical point has a different confhash", b)
+	for i, knobs := range run.spec.Expand() {
+		if knobs["lanes"] == 16 && knobs["l2_kb"] == 16384 {
+			for k, st := range run.jobs[i+1] {
+				if st.Key != run.jobs[0][k].Key {
+					t.Errorf("%s: baseline-identical point has a different confhash", run.spec.Benches[k])
 				}
 			}
 		}
 	}
-	// GET /v1/sweeps/{id}/result returns the bare result with HTTP 200.
-	resp, err := http.Get(ts.URL + "/v1/sweeps/" + st.ID + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sr SweepResult
-	err = json.NewDecoder(resp.Body).Decode(&sr)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK || sr.Key != fin.Key || len(sr.Points) != 5 {
-		t.Errorf("result endpoint: HTTP %d, key %s, %d points (%v)", resp.StatusCode, sr.Key, len(sr.Points), err)
-	}
 }
 
 // TestSweepDeterministicReplay: an equivalent spec (benches and axis values
-// permuted) canonicalizes to the same key, joins the finished sweep, and
-// simulates nothing new; point order and confhashes are identical.
+// permuted) canonicalizes to the same spec, submits the same jobs under the
+// same content keys, is answered wholly from the result store, and ranks
+// to the same points.
 func TestSweepDeterministicReplay(t *testing.T) {
 	rc := &sweepRunCounter{}
 	_, ts := newTestServer(t, Options{Run: rc.run, Workers: 4})
-	st1, _ := postSweep(t, ts.URL, sweep2x2())
-	fin1 := waitSweepDone(t, ts.URL, st1.ID)
-	if fin1.State != StateDone {
-		t.Fatalf("first sweep failed: %+v", fin1.Error)
+	run1 := submitSweep(t, ts.URL, sweep2x2())
+	points1, _, err := run1.wait(t, ts.URL)
+	if err != nil {
+		t.Fatalf("first sweep: %v", err)
 	}
 	sims := rc.total()
 	spec2 := dse.Spec{
@@ -220,23 +233,29 @@ func TestSweepDeterministicReplay(t *testing.T) {
 			"lanes": {Values: []float64{16, 8}},
 		},
 	}
-	st2, _ := postSweep(t, ts.URL, spec2)
-	if st2.Key != fin1.Key {
-		t.Fatalf("equivalent specs got different keys %s vs %s", st2.Key, fin1.Key)
+	run2 := submitSweep(t, ts.URL, spec2)
+	if !reflect.DeepEqual(run1.spec, run2.spec) {
+		t.Fatalf("equivalent specs canonicalized differently:\n%+v\n%+v", run1.spec, run2.spec)
 	}
-	if st2.ID != st1.ID {
-		t.Fatalf("equivalent spec started a second sweep %s instead of joining %s", st2.ID, st1.ID)
+	points2, _, err := run2.wait(t, ts.URL)
+	if err != nil {
+		t.Fatalf("replayed sweep: %v", err)
 	}
-	fin2 := waitSweepDone(t, ts.URL, st2.ID)
 	if rc.total() != sims {
 		t.Errorf("replay simulated %d new experiments, want 0", rc.total()-sims)
 	}
-	for i, p := range fin2.Result.Points {
-		for b, cell := range p.Benches {
-			if cell.Confhash != fin1.Result.Points[i].Benches[b].Confhash {
-				t.Errorf("point %d bench %s: confhash differs across replays", i, b)
+	if hits := run2.cacheHits(); hits != 10 {
+		t.Errorf("replay: %d of 10 jobs answered from the store", hits)
+	}
+	for i, row := range run2.jobs {
+		for k, st := range row {
+			if st.Key != run1.jobs[i][k].Key {
+				t.Errorf("point %d bench %s: confhash differs across replays", i, run2.spec.Benches[k])
 			}
 		}
+	}
+	if !reflect.DeepEqual(points1, points2) {
+		t.Errorf("replay ranked differently:\n%+v\n%+v", points1, points2)
 	}
 }
 
@@ -249,12 +268,13 @@ func TestSweepOverlapDedup(t *testing.T) {
 		Axes: map[string]dse.Axis{"lanes": {Values: []float64{8, 16}}}}
 	b := dse.Spec{Config: "T", Benches: []string{"dgemm"}, Scale: "test",
 		Axes: map[string]dse.Axis{"lanes": {Values: []float64{8, 32}}}}
-	stA, _ := postSweep(t, ts.URL, a)
-	stB, _ := postSweep(t, ts.URL, b) // posted while A is still running
-	finA := waitSweepDone(t, ts.URL, stA.ID)
-	finB := waitSweepDone(t, ts.URL, stB.ID)
-	if finA.State != StateDone || finB.State != StateDone {
-		t.Fatalf("sweeps finished %s/%s", finA.State, finB.State)
+	runA := submitSweep(t, ts.URL, a)
+	runB := submitSweep(t, ts.URL, b) // submitted while A is still running
+	if _, _, err := runA.wait(t, ts.URL); err != nil {
+		t.Fatalf("sweep A: %v", err)
+	}
+	if _, _, err := runB.wait(t, ts.URL); err != nil {
+		t.Fatalf("sweep B: %v", err)
 	}
 	// Unique configs across both grids: T (the shared baseline, identical to
 	// lanes:16), lanes:8, lanes:32 → 3 simulations for 6 experiments.
@@ -267,7 +287,8 @@ func TestSweepOverlapDedup(t *testing.T) {
 }
 
 // TestSweepKnobsEndpoint: the registry is advertised with names, types and
-// ranges, and bad axes come back as bad_request envelopes naming the field.
+// ranges, and a job whose knobs the registry refuses comes back as a
+// bad_request envelope naming the knob.
 func TestSweepKnobsEndpoint(t *testing.T) {
 	rc := &sweepRunCounter{}
 	_, ts := newTestServer(t, Options{Run: rc.run})
@@ -292,24 +313,27 @@ func TestSweepKnobsEndpoint(t *testing.T) {
 			t.Errorf("knob %q not advertised", want)
 		}
 	}
+	if len(body.Knobs) != 6 {
+		t.Errorf("%d knobs advertised, want 6", len(body.Knobs))
+	}
 	if k := seen["lanes"]; !k.PowerOfTwo || !k.VectorOnly || k.Min != 2 || k.Max != 64 {
 		t.Errorf("lanes knob misdescribed: %+v", k)
 	}
 
 	for _, bad := range []struct {
 		name string
-		spec dse.Spec
+		req  SubmitRequest
 		want string
 	}{
-		{"unknown knob", dse.Spec{Benches: []string{"dgemm"}, Scale: "test",
-			Axes: map[string]dse.Axis{"mvl": {Values: []float64{64}}}}, `unknown knob "mvl"`},
-		{"non power of two", dse.Spec{Benches: []string{"dgemm"}, Scale: "test",
-			Axes: map[string]dse.Axis{"lanes": {Values: []float64{12}}}}, `knob "lanes"`},
-		{"vector knob on scalar base", dse.Spec{Config: "EV8", Benches: []string{"dgemm"}, Scale: "test",
-			Axes: map[string]dse.Axis{"pump": {Values: []float64{0, 1}}}}, `knob "pump"`},
+		{"unknown knob", SubmitRequest{Bench: "dgemm", Config: "T", Scale: "test",
+			Knobs: map[string]float64{"mvl": 64}}, `unknown knob "mvl"`},
+		{"non power of two", SubmitRequest{Bench: "dgemm", Config: "T", Scale: "test",
+			Knobs: map[string]float64{"lanes": 12}}, `knob "lanes"`},
+		{"vector knob on scalar base", SubmitRequest{Bench: "dgemm", Config: "EV8", Scale: "test",
+			Knobs: map[string]float64{"pump": 1}}, `knob "pump"`},
 	} {
-		raw, _ := json.Marshal(bad.spec)
-		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(raw))
+		raw, _ := json.Marshal(bad.req)
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,37 +349,44 @@ func TestSweepKnobsEndpoint(t *testing.T) {
 			t.Errorf("%s: HTTP %d code %q, want 400 bad_request", bad.name, resp.StatusCode, envelope.Error.Code)
 		}
 		if !strings.Contains(envelope.Error.Message, bad.want) {
-			t.Errorf("%s: message %q does not name the field (%q)", bad.name, envelope.Error.Message, bad.want)
+			t.Errorf("%s: message %q does not name the knob (%q)", bad.name, envelope.Error.Message, bad.want)
 		}
+	}
+	if rc.total() != 0 {
+		t.Errorf("refused jobs simulated %d times", rc.total())
 	}
 }
 
-// TestSweepFailedBaselineStatus: a sweep whose baseline fails answers
-// GET /v1/sweeps/{id}/result with the baseline's code and that code's HTTP
-// status from the closed table — a panicking run is internal/500, a wedge
-// stays wedge/422.
+// TestSweepFailedBaselineStatus: a sweep whose baseline job fails cannot be
+// ranked, and the job's /result says why with the code and that code's
+// HTTP status from ErrorCodeStatus — a panicking run is internal/500, a
+// wedge is wedge/422, and a functionally wrong answer is check_failed/422.
 func TestSweepFailedBaselineStatus(t *testing.T) {
 	wedge := &sim.WedgeError{Config: "T", Reason: sim.ReasonWatchdog, Cycle: 4242, Window: 100, Retired: 7}
 	for _, tc := range []struct {
-		name string
-		run  RunFunc
-		code string
+		name   string
+		run    RunFunc
+		code   string
+		status int
 	}{
 		{"panic", func(string, *sim.Config, workloads.Scale) (*workloads.Result, error) {
 			panic("model bug")
-		}, ErrCodeInternal},
+		}, ErrCodeInternal, http.StatusInternalServerError},
 		{"wedge", func(string, *sim.Config, workloads.Scale) (*workloads.Result, error) {
 			return nil, wedge
-		}, ErrCodeWedge},
+		}, ErrCodeWedge, http.StatusUnprocessableEntity},
+		{"check_failed", func(string, *sim.Config, workloads.Scale) (*workloads.Result, error) {
+			return nil, errors.New("dgemm: C[3] = 2, want 3")
+		}, ErrCodeCheckFailed, http.StatusUnprocessableEntity},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, ts := newTestServer(t, Options{Run: tc.run, Workers: 2})
-			st, _ := postSweep(t, ts.URL, dse.Spec{Config: "T", Benches: []string{"dgemm"}, Scale: "test",
+			run := submitSweep(t, ts.URL, dse.Spec{Config: "T", Benches: []string{"dgemm"}, Scale: "test",
 				Axes: map[string]dse.Axis{"lanes": {Values: []float64{8}}}})
-			if fin := waitSweepDone(t, ts.URL, st.ID); fin.State != StateFailed {
-				t.Fatalf("sweep finished %s, want failed", fin.State)
+			if _, _, err := run.wait(t, ts.URL); err == nil || !strings.Contains(err.Error(), "baseline") {
+				t.Fatalf("sweep with a failed baseline ranked: err = %v", err)
 			}
-			resp, err := http.Get(ts.URL + "/v1/sweeps/" + st.ID + "/result")
+			resp, err := http.Get(ts.URL + "/v1/jobs/" + run.jobs[0][0].ID + "/result")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -367,8 +398,8 @@ func TestSweepFailedBaselineStatus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if envelope.Error.Code != tc.code || resp.StatusCode != ErrorCodeStatus[tc.code] {
-				t.Errorf("result: HTTP %d code %q, want %d %q", resp.StatusCode, envelope.Error.Code, ErrorCodeStatus[tc.code], tc.code)
+			if envelope.Error.Code != tc.code || resp.StatusCode != tc.status || ErrorCodeStatus[tc.code] != tc.status {
+				t.Errorf("result: HTTP %d code %q, want %d %q", resp.StatusCode, envelope.Error.Code, tc.status, tc.code)
 			}
 		})
 	}
@@ -393,18 +424,17 @@ func newSweepServerAt(t *testing.T, dir string, run RunFunc) (*httptest.Server, 
 }
 
 // TestSweepRestartResume is the durability contract: a restarted server
-// answers an already-completed spec whole from the sweep blob (zero
-// simulations), and a superset spec resumes point-by-point from the result
-// store, simulating only the genuinely new configurations.
+// answers an already-completed sweep's jobs wholly from the result store
+// (zero simulations, the same ranking), and a superset sweep resumes
+// point-by-point, simulating only the genuinely new configurations.
 func TestSweepRestartResume(t *testing.T) {
 	dir := t.TempDir()
 
 	rc1 := &sweepRunCounter{}
 	ts1, stop1 := newSweepServerAt(t, dir, rc1.run)
-	st1, _ := postSweep(t, ts1.URL, sweep2x2())
-	fin1 := waitSweepDone(t, ts1.URL, st1.ID)
-	if fin1.State != StateDone {
-		t.Fatalf("first sweep failed: %+v", fin1.Error)
+	points1, _, err := submitSweep(t, ts1.URL, sweep2x2()).wait(t, ts1.URL)
+	if err != nil {
+		t.Fatalf("first sweep: %v", err)
 	}
 	if rc1.total() != 8 {
 		t.Fatalf("first run simulated %d, want 8", rc1.total())
@@ -415,79 +445,37 @@ func TestSweepRestartResume(t *testing.T) {
 	ts2, stop2 := newSweepServerAt(t, dir, rc2.run)
 	defer stop2()
 
-	// Same spec: answered whole from the durable sweep blob.
-	st2, code := postSweep(t, ts2.URL, sweep2x2())
-	if code != http.StatusOK || st2.State != StateDone || !st2.CacheHit {
-		t.Fatalf("replay after restart: HTTP %d state %s cache_hit %v", code, st2.State, st2.CacheHit)
+	// Same sweep: every job answered from the warm-started store.
+	run2 := submitSweep(t, ts2.URL, sweep2x2())
+	points2, _, err := run2.wait(t, ts2.URL)
+	if err != nil {
+		t.Fatalf("replay after restart: %v", err)
 	}
-	if st2.Key != fin1.Key {
-		t.Errorf("replay key %s != original %s", st2.Key, fin1.Key)
+	if rc2.total() != 0 || run2.cacheHits() != 10 {
+		t.Errorf("replay after restart simulated %d experiments with %d of 10 store hits, want 0 and 10", rc2.total(), run2.cacheHits())
 	}
-	if rc2.total() != 0 {
-		t.Errorf("replay after restart simulated %d experiments, want 0", rc2.total())
-	}
-	if st2.Result == nil || len(st2.Result.Points) != len(fin1.Result.Points) {
-		t.Fatalf("replayed result missing or truncated: %+v", st2.Result)
+	if !reflect.DeepEqual(points1, points2) {
+		t.Errorf("replay after restart ranked differently:\n%+v\n%+v", points1, points2)
 	}
 
-	// Superset spec: a new sweep key, but every previously-simulated point
-	// resumes from the result store; only the two 64 MB configs run.
+	// Superset sweep: every previously-simulated point resumes from the
+	// result store; only the two 64 MB configs run.
 	super := sweep2x2()
 	super.Axes = map[string]dse.Axis{
 		"lanes": {Values: []float64{8, 16}},
 		"l2_kb": {Values: []float64{4096, 16384, 65536}},
 	}
-	st3, _ := postSweep(t, ts2.URL, super)
-	if st3.Key == fin1.Key {
-		t.Fatal("superset spec reused the original key")
+	run3 := submitSweep(t, ts2.URL, super)
+	if _, _, err := run3.wait(t, ts2.URL); err != nil {
+		t.Fatalf("superset sweep: %v", err)
 	}
-	fin3 := waitSweepDone(t, ts2.URL, st3.ID)
-	if fin3.State != StateDone || fin3.Failed != 0 {
-		t.Fatalf("superset sweep failed: %+v", fin3.Error)
-	}
-	if fin3.Total != 14 { // (6 grid + baseline) × 2 benches
-		t.Errorf("superset total = %d, want 14", fin3.Total)
+	if n := len(run3.jobs) * len(run3.spec.Benches); n != 14 { // (6 grid + baseline) × 2 benches
+		t.Errorf("superset submitted %d jobs, want 14", n)
 	}
 	if rc2.total() != 4 { // {lanes 8, lanes 16} × {l2 64MB} × 2 benches
 		t.Errorf("superset simulated %d experiments, want 4 (rest must resume from the store)", rc2.total())
 	}
-	if fin3.PointCacheHits != 10 {
-		t.Errorf("superset point_cache_hits = %d, want 10", fin3.PointCacheHits)
-	}
-}
-
-// TestSweepBlobRoundTrip pins the sweeps namespace of the serve store:
-// blobs survive a put/get cycle in memory and a reopen from disk, at the
-// documented on-disk path.
-func TestSweepBlobRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	db, err := OpenStore(dir, 8, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := strings.Repeat("ab", 16)
-	if _, ok := db.Get(store.Sweeps, key); ok {
-		t.Fatal("blob present before put")
-	}
-	raw := []byte(`{"schema":1,"key":"` + key + `"}`)
-	db.Put(store.Sweeps, key, raw)
-	got, ok := db.Get(store.Sweeps, key)
-	if !ok || !bytes.Equal(got, raw) {
-		t.Fatalf("round trip: ok=%v got=%s", ok, got)
-	}
-	db.Close()
-	path := filepath.Join(dir, "sweeps", fmt.Sprintf("schema-%d", SweepSchemaVersion), key+".json")
-	if disk, err := os.ReadFile(path); err != nil || !bytes.Equal(disk, raw) {
-		t.Fatalf("blob not at its on-disk path %s: %v", path, err)
-	}
-
-	reopened, err := OpenStore(dir, 8, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reopened.Close()
-	got, ok = reopened.Get(store.Sweeps, key)
-	if !ok || !bytes.Equal(got, raw) {
-		t.Fatalf("blob lost across reopen: ok=%v got=%s", ok, got)
+	if hits := run3.cacheHits(); hits != 10 {
+		t.Errorf("superset store hits = %d, want 10", hits)
 	}
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,7 +12,7 @@ import (
 )
 
 // DefaultMaxBytes bounds a disk store when no cap is configured: 1 GiB per
-// evicting namespace, far beyond any sweep at today's scales.
+// namespace, far beyond any sweep at today's scales.
 const DefaultMaxBytes = 1 << 30
 
 // Disk is the crash-safe tier: one file per artifact under
@@ -23,10 +22,10 @@ const DefaultMaxBytes = 1 << 30
 // file the namespace's Validate hook rejects is moved to <root>/quarantine/
 // and counted — never served, never fatal.
 //
-// Namespaces with ScanOnOpen are indexed at open (the warm start) and evict
-// least-recently-accessed artifacts by a logical access clock against the
-// byte cap. Namespaces without it are unindexed: every Get reads the file
-// directly, and a missing file is a plain miss.
+// Every namespace is indexed at open (the warm start), serves gets from
+// that index, and evicts least-recently-accessed artifacts by a logical
+// access clock against the byte cap. Each namespace accounts its bytes
+// separately, so snapshots can never push results out.
 type Disk struct {
 	quarDir  string
 	maxBytes int64
@@ -41,7 +40,7 @@ type Disk struct {
 type diskNS struct {
 	pol       Policy
 	dir       string
-	entries   map[string]*diskEntry // indexed namespaces only
+	entries   map[string]*diskEntry
 	total     int64
 	warmStart int
 	quarCount uint64
@@ -53,10 +52,10 @@ type diskEntry struct {
 	atime int64
 }
 
-// OpenDisk opens (and for indexed namespaces, scans) a single-owner disk
-// store at root. Crash debris (orphaned temp files) is removed; everything
-// that survives validation is the warm start, served without re-simulation.
-// inj arms fault injection (pass faults.New(nil) for none).
+// OpenDisk opens and scans a single-owner disk store at root. Crash debris
+// (orphaned temp files) is removed; everything that survives validation is
+// the warm start, served without re-simulation. inj arms fault injection
+// (pass faults.New(nil) for none).
 func OpenDisk(root string, maxBytes int64, inj *faults.Injector, cfg Config) (*Disk, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
@@ -89,19 +88,16 @@ func OpenDisk(root string, maxBytes int64, inj *faults.Injector, cfg Config) (*D
 			return nil, err
 		}
 	}
-	for nsName, s := range d.ns {
-		if !s.pol.ScanOnOpen {
-			continue
-		}
-		d.scan(nsName, s)
+	for _, s := range d.ns {
+		d.scan(s)
 	}
 	return d, nil
 }
 
-// scan validates every resident artifact of one indexed namespace at open,
+// scan validates every resident artifact of one namespace at open,
 // in file-modification order so the seeded access clock preserves the
 // previous process's recency ordering for eviction purposes.
-func (d *Disk) scan(nsName Namespace, s *diskNS) {
+func (d *Disk) scan(s *diskNS) {
 	names, err := os.ReadDir(s.dir)
 	if err != nil {
 		return // no directory yet: first run, nothing to recover
@@ -138,11 +134,9 @@ func (d *Disk) scan(nsName Namespace, s *diskNS) {
 			d.ioErrors++
 			continue
 		}
-		if s.pol.Validate != nil {
-			if err := s.pol.Validate(key, raw); err != nil {
-				d.quarantineLocked(s, key, path)
-				continue
-			}
+		if err := s.pol.Validate(key, raw); err != nil {
+			d.quarantineLocked(s, key, path)
+			continue
 		}
 		d.clock++
 		s.entries[key] = &diskEntry{size: int64(len(raw)), atime: d.clock}
@@ -160,11 +154,10 @@ func (s *diskNS) path(key string) string { return filepath.Join(s.dir, key+s.pol
 //
 // The read and the validation (for snapshots, a full snapshot.Verify) run
 // without d.mu, so Status and Put never wait behind them. The lock is taken
-// to look the entry up and again to record the access or to quarantine a
-// file that failed validation, and only if it is still the one that was
-// read: an indexed namespace's index must still hold the entry that was
-// read, an unindexed namespace's path the same file. A Put that replaced it
-// meanwhile stored a good file, and that is never moved aside.
+// to look the entry up in the index and again to record the access or to
+// quarantine a file that failed validation, and only if the index still
+// holds the entry that was read. A Put that replaced it meanwhile stored a
+// good file, and that is never moved aside.
 func (d *Disk) Get(ns Namespace, key string) ([]byte, bool) {
 	if !SafeKey(key) {
 		return nil, false
@@ -173,14 +166,11 @@ func (d *Disk) Get(ns Namespace, key string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	var e *diskEntry
 	d.mu.Lock()
-	if s.pol.ScanOnOpen {
-		// Indexed namespace: the index is the source of truth.
-		if e, ok = s.entries[key]; !ok {
-			d.mu.Unlock()
-			return nil, false
-		}
+	e, ok := s.entries[key]
+	if !ok {
+		d.mu.Unlock()
+		return nil, false
 	}
 	if d.inj.DiskReadError() {
 		d.ioErrors++
@@ -189,60 +179,32 @@ func (d *Disk) Get(ns Namespace, key string) ([]byte, bool) {
 	}
 	d.mu.Unlock()
 	path := s.path(key)
-	raw, file, err := readFile(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		if os.IsNotExist(err) && !s.pol.ScanOnOpen {
-			return nil, false // direct-read miss, not an I/O fault
-		}
 		d.countIOError()
 		return nil, false
 	}
-	valid := s.pol.Validate == nil || s.pol.Validate(key, raw) == nil
+	valid := s.pol.Validate(key, raw) == nil
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if valid {
-		if e != nil {
-			d.clock++
-			e.atime = d.clock
-		}
+		d.clock++
+		e.atime = d.clock
 		return raw, true
 	}
-	switch {
-	case e != nil && s.entries[key] == e:
+	if s.entries[key] == e {
 		delete(s.entries, key)
 		s.total -= e.size
 		d.quarantineLocked(s, key, path)
-	case e == nil:
-		if cur, err := os.Stat(path); err == nil && os.SameFile(cur, file) {
-			d.quarantineLocked(s, key, path)
-		}
 	}
 	return nil, false
 }
 
-// readFile reads the file at path and returns its bytes with the identity
-// of the file they came from.
-func readFile(path string) ([]byte, os.FileInfo, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return nil, nil, err
-	}
-	var buf bytes.Buffer
-	buf.Grow(int(info.Size()) + bytes.MinRead)
-	_, err = buf.ReadFrom(f)
-	return buf.Bytes(), info, err
-}
-
 // Put persists one artifact with the atomic write protocol. Content-
-// addressed idempotence makes a re-put of a resident key a no-op — exactly
-// what the tiered store's single-flight contract needs: an indexed
-// namespace checks its index, an unindexed one the file itself. Failures
-// (real or injected) cost durability for this one artifact, nothing else.
+// addressed idempotence makes a re-put of a key already in the index a
+// no-op — exactly what the tiered store's single-flight contract needs.
+// Failures (real or injected) cost durability for this one artifact,
+// nothing else.
 //
 // Put-time validation, the temp-file write and its fsync run without d.mu,
 // so Get and Status (every /healthz and /metrics request) never wait behind
@@ -258,11 +220,11 @@ func (d *Disk) Put(ns Namespace, key string, blob []byte) {
 	if !ok {
 		return
 	}
-	if s.pol.ValidateOnPut && s.pol.Validate != nil && s.pol.Validate(key, blob) != nil {
+	if s.pol.ValidateOnPut && s.pol.Validate(key, blob) != nil {
 		return
 	}
 	d.mu.Lock()
-	present := d.residentLocked(s, key)
+	_, present := s.entries[key]
 	d.mu.Unlock()
 	if present {
 		return
@@ -294,7 +256,7 @@ func (d *Disk) Put(ns Namespace, key string, blob []byte) {
 		return
 	}
 	d.mu.Lock()
-	if d.residentLocked(s, key) {
+	if _, ok := s.entries[key]; ok {
 		// A racing Put of the same key renamed first.
 		d.mu.Unlock()
 		os.Remove(tmpName)
@@ -306,12 +268,7 @@ func (d *Disk) Put(ns Namespace, key string, blob []byte) {
 		os.Remove(tmpName)
 		return
 	}
-	if s.pol.ScanOnOpen {
-		d.clock++
-		s.entries[key] = &diskEntry{size: int64(len(blob)), atime: d.clock}
-		s.total += int64(len(blob))
-		d.evictLocked(s)
-	}
+	d.indexLocked(s, key, int64(len(blob)))
 	d.mu.Unlock()
 	d.syncDir(s.dir)
 }
@@ -322,7 +279,7 @@ func (d *Disk) Put(ns Namespace, key string, blob []byte) {
 func (d *Disk) putTorn(s *diskNS, key string, blob []byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.residentLocked(s, key) {
+	if _, ok := s.entries[key]; ok {
 		return // a racing Put stored it first
 	}
 	torn := blob[:len(blob)/2]
@@ -330,23 +287,16 @@ func (d *Disk) putTorn(s *diskNS, key string, blob []byte) {
 		d.ioErrors++
 		return
 	}
-	if s.pol.ScanOnOpen {
-		d.clock++
-		s.entries[key] = &diskEntry{size: int64(len(torn)), atime: d.clock}
-		s.total += int64(len(torn))
-		d.evictLocked(s)
-	}
+	d.indexLocked(s, key, int64(len(torn)))
 }
 
-// residentLocked reports whether key is already stored in s: an indexed
-// namespace asks its index, an unindexed one the file system. Requires d.mu.
-func (d *Disk) residentLocked(s *diskNS, key string) bool {
-	if s.pol.ScanOnOpen {
-		_, ok := s.entries[key]
-		return ok
-	}
-	_, err := os.Stat(s.path(key))
-	return err == nil
+// indexLocked records a file just stored under key as the most recently
+// accessed entry and evicts past the byte cap. Requires d.mu.
+func (d *Disk) indexLocked(s *diskNS, key string, size int64) {
+	d.clock++
+	s.entries[key] = &diskEntry{size: size, atime: d.clock}
+	s.total += size
+	d.evictLocked(s)
 }
 
 // countIOError counts one failed disk read or write.
@@ -376,11 +326,10 @@ func (d *Disk) quarantineLocked(s *diskNS, key, path string) {
 	s.quarCount++
 }
 
-// evictLocked enforces the byte cap on one indexed namespace:
+// evictLocked enforces the byte cap on one namespace:
 // least-recently-accessed artifacts are deleted until the namespace fits.
 // Each namespace accounts separately against the same cap, so one kind can
-// never push another out. An unindexed namespace counts no bytes, so it
-// never evicts. Requires d.mu.
+// never push another out. Requires d.mu.
 func (d *Disk) evictLocked(s *diskNS) {
 	for s.total > d.maxBytes && len(s.entries) > 0 {
 		var coldKey string

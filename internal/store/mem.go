@@ -5,10 +5,10 @@ import (
 	"sync"
 )
 
-// Mem is the in-memory tier: per-namespace bounded maps with the retention
-// policy the namespace asks for — entry-bounded LRU for results, small FIFO
-// for sweep blobs, byte-bounded FIFO for snapshots (full memory images, so
-// an entry bound would let a handful of large blobs dominate the heap).
+// Mem is the in-memory tier: per-namespace least-recently-used maps under
+// the bounds the namespace asks for — an entry bound for results, a byte
+// bound for snapshots (full memory images, so an entry bound would let a
+// handful of large blobs dominate the heap).
 // Standing alone it is the everything-dies-with-the-process store tarserved
 // launches with; under a Tiered store it becomes the read cache in front of
 // the disk tier.
@@ -48,7 +48,7 @@ func (m *Mem) space(ns Namespace) *memNS {
 	return s
 }
 
-// Get returns the stored bytes, refreshing recency for LRU namespaces.
+// Get returns the stored bytes, refreshing their recency.
 func (m *Mem) Get(ns Namespace, key string) ([]byte, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -60,9 +60,7 @@ func (m *Mem) Get(ns Namespace, key string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	if s.pol.MemLRU {
-		s.order.MoveToFront(el)
-	}
+	s.order.MoveToFront(el)
 	return el.Value.(*memEntry).blob, true
 }
 
@@ -82,9 +80,7 @@ func (m *Mem) Put(ns Namespace, key string, blob []byte) {
 		e := el.Value.(*memEntry)
 		s.bytes += int64(len(blob)) - int64(len(e.blob))
 		e.blob = blob
-		if s.pol.MemLRU {
-			s.order.MoveToFront(el)
-		}
+		s.order.MoveToFront(el)
 		s.evictLocked()
 		return
 	}

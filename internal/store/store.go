@@ -1,13 +1,13 @@
 // Package store is the unified content-addressed artifact store behind
 // tarserved. One generic interface — Get/Put/Status/Close keyed by
 // (namespace, content key) — serves every artifact kind the service keeps
-// (results, sweep blobs, chip snapshots), so the memory tier, the
-// crash-safe disk tier, quarantine and eviction are each written exactly
-// once and every artifact kind gets them for free. The serve layer calls
-// it directly; what distinguishes the kinds is its per-namespace Policy.
+// (results and chip snapshots), so the memory tier, the crash-safe disk
+// tier, quarantine and eviction are each written exactly once and every
+// artifact kind gets them for free. The serve layer calls it directly;
+// what distinguishes the kinds is its per-namespace Policy.
 //
-// The store moves opaque bytes. What the bytes mean — JobResult JSON, sweep
-// blobs, snapshot envelopes — belongs to the caller, which injects a
+// The store moves opaque bytes. What the bytes mean — JobResult JSON,
+// snapshot envelopes — belongs to the caller, which injects a
 // per-namespace Validate hook so the store can still refuse to serve (or
 // persist) bytes it cannot vouch for without importing the encodings.
 //
@@ -26,8 +26,6 @@ type Namespace string
 const (
 	// Results holds per-experiment JobResult artifacts keyed by confhash.
 	Results Namespace = "results"
-	// Sweeps holds aggregate sweep-result blobs keyed by sweep spec hash.
-	Sweeps Namespace = "sweeps"
 	// Snapshots holds chip warm-up snapshots keyed by confhash.WarmupKey.
 	Snapshots Namespace = "snapshots"
 )
@@ -59,18 +57,10 @@ type Policy struct {
 	Subdir string
 	// Ext is the artifact filename extension, e.g. ".json" or ".snap".
 	Ext string
-	// Validate checks raw bytes against their claimed key; nil accepts
-	// anything (the caller validates after load). When set, every disk
-	// read re-runs it, quarantining rot that postdates the open-time scan.
+	// Validate checks raw bytes against their claimed key. Required: the
+	// disk tier's open-time scan quarantines anything it rejects, and every
+	// disk read re-runs it, quarantining rot that postdates the scan.
 	Validate func(key string, raw []byte) error
-	// ScanOnOpen indexes and validates the namespace directory when the
-	// disk tier opens (quarantining anything Validate rejects), serves
-	// gets from that index, and enforces the store byte cap on the
-	// namespace with least-recently-accessed eviction (each namespace
-	// accounts its bytes separately, so snapshots can never push results
-	// out). Namespaces without it read files directly on every Get, a
-	// missing file is a plain miss, and nothing is counted or evicted.
-	ScanOnOpen bool
 	// ValidateOnPut refuses puts whose bytes fail Validate — the store
 	// never persists what it would later quarantine.
 	ValidateOnPut bool
@@ -80,11 +70,9 @@ type Policy struct {
 	TornWriteChaos bool
 
 	// Memory-tier policy: an entry bound (MemEntries > 0), a byte bound
-	// (MemBytes > 0), or both. MemLRU refreshes recency on access;
-	// otherwise retention is insertion-order FIFO.
+	// (MemBytes > 0), or both. Retention is least-recently-used.
 	MemEntries int
 	MemBytes   int64
-	MemLRU     bool
 }
 
 // Config maps each namespace the caller uses to its policy.

@@ -15,26 +15,22 @@ import (
 )
 
 // testConfig mirrors the serve layer's namespace shapes at byte level: an
-// indexed, validated, evicting "results" namespace; an unindexed "sweeps"
-// namespace; and a verify-everywhere "snapshots" namespace.
+// entry-bounded "results" namespace with torn-write chaos, and a
+// byte-bounded "snapshots" namespace validated on put as well.
 func testConfig() Config {
 	return Config{
 		Results: {
 			Schema:         1,
 			Ext:            ".json",
 			Validate:       validateBlob,
-			ScanOnOpen:     true,
 			TornWriteChaos: true,
 			MemEntries:     16,
-			MemLRU:         true,
 		},
-		Sweeps: {Schema: 1, Subdir: "sweeps", Ext: ".json", MemEntries: 4},
 		Snapshots: {
 			Schema:        1,
 			Subdir:        "snapshots",
 			Ext:           ".snap",
 			Validate:      validateBlob,
-			ScanOnOpen:    true,
 			ValidateOnPut: true,
 			MemBytes:      1 << 20,
 		},
@@ -69,15 +65,12 @@ func openTestDisk(t *testing.T, dir string, maxBytes int64, inj *faults.Injector
 
 // TestDiskStoreRoundTripAndWarmStart: a put survives a process "restart"
 // (reopening the store on the same directory) byte-identically — the
-// crash-recovery primitive everything else builds on. The unindexed sweeps
-// namespace survives too, read straight from its file, and a key it never
-// stored is a plain miss rather than an I/O error.
+// crash-recovery primitive everything else builds on.
 func TestDiskStoreRoundTripAndWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	d := openTestDisk(t, dir, 0, nil)
 	d.Put(Results, "aaaa1111", blobFor("aaaa1111", "alpha"))
 	d.Put(Results, "bbbb2222", blobFor("bbbb2222", "beta"))
-	d.Put(Sweeps, "swp00000", []byte("sweep-blob"))
 	if n := d.Status().NS[Results].DiskEntries; n != 2 {
 		t.Fatalf("entries = %d, want 2", n)
 	}
@@ -94,15 +87,6 @@ func TestDiskStoreRoundTripAndWarmStart(t *testing.T) {
 	raw, ok := d2.Get(Results, "aaaa1111")
 	if !ok || !bytes.Equal(raw, blobFor("aaaa1111", "alpha")) {
 		t.Fatalf("warm-started get = %q ok=%v", raw, ok)
-	}
-	if raw, ok := d2.Get(Sweeps, "swp00000"); !ok || !bytes.Equal(raw, []byte("sweep-blob")) {
-		t.Fatalf("reopened sweep get = %q ok=%v", raw, ok)
-	}
-	if _, ok := d2.Get(Sweeps, "feed0000"); ok {
-		t.Fatal("unknown sweep key served something")
-	}
-	if io := d2.Status().IOErrors; io != 0 {
-		t.Fatalf("direct-read miss counted as I/O error: %d", io)
 	}
 }
 
@@ -205,44 +189,6 @@ func TestDiskStoreCorruptionQuarantine(t *testing.T) {
 	}
 	if got := d2.Status().NS[Results].Quarantined; got != uint64(len(bad))+1 {
 		t.Fatalf("read-time quarantine not counted: %d", got)
-	}
-}
-
-// TestSharedStoreReadValidation: a namespace read straight from its files
-// (no open-time scan to trust) validates on every read, quarantining a
-// corrupt file rather than serving it, and a plain miss is not an I/O
-// error.
-func TestSharedStoreReadValidation(t *testing.T) {
-	cfg := testConfig()
-	pol := cfg[Results]
-	pol.ScanOnOpen = false
-	cfg[Results] = pol
-	a, err := OpenDisk(t.TempDir(), 0, faults.New(nil), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Put(Results, "cafe0123", blobFor("cafe0123", "ok"))
-	if raw, ok := a.Get(Results, "cafe0123"); !ok || !bytes.Equal(raw, blobFor("cafe0123", "ok")) {
-		t.Fatalf("direct read = %q ok=%v", raw, ok)
-	}
-	path := a.ns[Results].path("cafe0123")
-	if err := os.WriteFile(path, []byte("blo"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := a.Get(Results, "cafe0123"); ok {
-		t.Fatal("direct read served corrupt bytes")
-	}
-	if q := a.Status().NS[Results].Quarantined; q != 1 {
-		t.Fatalf("quarantined = %d, want 1", q)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("corrupt file still at final path")
-	}
-	if _, ok := a.Get(Results, "feed0000"); ok {
-		t.Fatal("miss served something")
-	}
-	if io := a.Status().IOErrors; io != 0 {
-		t.Fatalf("miss counted as I/O error: %d", io)
 	}
 }
 
@@ -360,9 +306,10 @@ func TestChaosDiskStore(t *testing.T) {
 
 // ---- memory tier policies ----
 
-// TestMemLRUPolicy: entry-bounded LRU with recency refresh on Get.
-func TestMemLRUPolicy(t *testing.T) {
-	m := NewMem(Config{Results: {MemEntries: 2, MemLRU: true}})
+// TestMemEntryBound: entry-bounded namespaces evict the least recently used
+// entry past the bound, and Get refreshes recency.
+func TestMemEntryBound(t *testing.T) {
+	m := NewMem(Config{Results: {MemEntries: 2}})
 	m.Put(Results, "a", []byte("1"))
 	m.Put(Results, "b", []byte("2"))
 	m.Get(Results, "a") // refresh: b becomes coldest
@@ -378,24 +325,9 @@ func TestMemLRUPolicy(t *testing.T) {
 	}
 }
 
-// TestMemFIFOPolicy: without MemLRU, Get does not refresh — retention is
-// pure insertion order (the sweep-blob shape).
-func TestMemFIFOPolicy(t *testing.T) {
-	m := NewMem(Config{Sweeps: {MemEntries: 2}})
-	m.Put(Sweeps, "a", []byte("1"))
-	m.Put(Sweeps, "b", []byte("2"))
-	m.Get(Sweeps, "a") // no refresh
-	m.Put(Sweeps, "c", []byte("3"))
-	if _, ok := m.Get(Sweeps, "a"); ok {
-		t.Fatal("FIFO retained the oldest entry")
-	}
-	if _, ok := m.Get(Sweeps, "b"); !ok {
-		t.Fatal("FIFO evicted the wrong entry")
-	}
-}
-
-// TestMemByteBound: byte-bounded namespaces evict oldest-first past the
-// cap, and a single blob larger than the cap is not retained at all.
+// TestMemByteBound: byte-bounded namespaces evict the least recently used
+// entry past the cap, and a single blob larger than the cap is not retained
+// at all.
 func TestMemByteBound(t *testing.T) {
 	m := NewMem(Config{Snapshots: {MemBytes: 10}})
 	m.Put(Snapshots, "big", make([]byte, 11))
@@ -422,12 +354,12 @@ func TestMemByteBound(t *testing.T) {
 // TestMemUnconfiguredNamespace: an unconfigured namespace retains nothing
 // rather than growing unbounded.
 func TestMemUnconfiguredNamespace(t *testing.T) {
-	m := NewMem(Config{Results: {MemEntries: 2, MemLRU: true}})
-	m.Put(Sweeps, "a", []byte("1"))
-	if _, ok := m.Get(Sweeps, "a"); ok {
+	m := NewMem(Config{Results: {MemEntries: 2}})
+	m.Put(Snapshots, "a", []byte("1"))
+	if _, ok := m.Get(Snapshots, "a"); ok {
 		t.Fatal("unconfigured namespace retained data")
 	}
-	if n := m.Status().NS[Sweeps].MemEntries; n != 0 {
+	if n := m.Status().NS[Snapshots].MemEntries; n != 0 {
 		t.Fatal("unconfigured namespace has entries")
 	}
 }
