@@ -67,22 +67,18 @@ type report struct {
 	Failed       int     `json:"failed"`
 	ClientErrors int     `json:"client_errors"`
 	// Robustness outcomes: Shed counts submissions the server refused with
-	// "queue_full" (after any Retry-After retries were spent),
-	// DeadlineExceeded jobs shed in the queue with "deadline_exceeded", and
-	// Retries the client-side resubmissions Retry-After earned. Under
-	// overload these are expected, structured outcomes (-allow-shed), not
-	// failures.
-	Shed             int     `json:"shed"`
-	DeadlineExceeded int     `json:"deadline_exceeded"`
-	Retries          int     `json:"client_retries"`
-	CacheHits        float64 `json:"server_cache_hits"`
-	CacheMisses      float64 `json:"server_cache_misses"`
-	DedupJoined      float64 `json:"server_dedup_joined"`
-	SimsStarted      float64 `json:"server_sims_started"`
-	SimsCompleted    float64 `json:"server_sims_completed"`
-	// The server's own overload counters, scraped after the run.
+	// "queue_full" after the Retry-After retries were spent, and Retries
+	// the client-side resubmissions those refusals earned. Under overload
+	// these are expected, structured outcomes (-allow-shed), not failures.
+	Shed          int     `json:"shed"`
+	Retries       int     `json:"client_retries"`
+	CacheHits     float64 `json:"server_cache_hits"`
+	CacheMisses   float64 `json:"server_cache_misses"`
+	DedupJoined   float64 `json:"server_dedup_joined"`
+	SimsStarted   float64 `json:"server_sims_started"`
+	SimsCompleted float64 `json:"server_sims_completed"`
+	// The server's own overload counter, scraped after the run.
 	ServerShedQueueFull float64 `json:"server_shed_queue_full"`
-	ServerShedDeadline  float64 `json:"server_shed_deadline"`
 	// Warm-up snapshot counters: runs that forked from a stored post-warm-up
 	// chip snapshot (hits) vs runs that had to simulate the warm-up (misses),
 	// the simulated cycles that reuse avoided, and the snapshot store's
@@ -121,7 +117,7 @@ type sweepReport struct {
 	// result store.
 	UniqueSims float64 `json:"unique_sims"`
 	// PointCacheHits counts jobs answered from the result store at
-	// submission; Shed jobs refused or expired by overload protection.
+	// submission; Shed jobs refused with "queue_full" after their retries.
 	PointCacheHits int     `json:"point_cache_hits"`
 	Shed           int     `json:"shed"`
 	WallSeconds    float64 `json:"wall_seconds"`
@@ -163,7 +159,7 @@ func main() {
 	scale := flag.String("scale", "test", "input scale: test, bench or full")
 	wait := flag.Duration("wait", 30*time.Second, "long-poll interval per status request")
 	out := flag.String("out", "", "write the JSON report to this file (default stdout)")
-	allowShed := flag.Bool("allow-shed", false, "treat queue_full and deadline_exceeded outcomes as expected overload shedding, not run failures")
+	allowShed := flag.Bool("allow-shed", false, "treat queue_full refusals that outlast their retries as expected overload shedding, not run failures")
 	sweepAxes := flag.String("sweep", "", `sweep mode: axes spec like "lanes=8,16;l2_kb=4096,16384", run as one job per point and bench and ranked`)
 	baseline := flag.String("baseline", "", "sweep mode: baseline configuration for speedups (default: the swept configuration)")
 	flag.Parse()
@@ -202,14 +198,13 @@ func main() {
 	}
 
 	var (
-		mu               sync.Mutex
-		latencies        []float64
-		done             int
-		failed           int
-		clientErr        int
-		shed             int
-		deadlineExceeded int
-		retries          int
+		mu        sync.Mutex
+		latencies []float64
+		done      int
+		failed    int
+		clientErr int
+		shed      int
+		retries   int
 	)
 	start := time.Now()
 	forEach(*n, *conc, func(i int) {
@@ -229,8 +224,6 @@ func main() {
 			latencies = append(latencies, float64(lat.Milliseconds()))
 		case oc.code == "queue_full":
 			shed++
-		case oc.code == "deadline_exceeded":
-			deadlineExceeded++
 		default:
 			failed++
 		}
@@ -243,7 +236,7 @@ func main() {
 		WallSeconds: wall.Seconds(),
 		Throughput:  float64(*n) / wall.Seconds(),
 		Done:        done, Failed: failed, ClientErrors: clientErr,
-		Shed: shed, DeadlineExceeded: deadlineExceeded, Retries: retries,
+		Shed: shed, Retries: retries,
 	}
 	sort.Float64s(latencies)
 	if len(latencies) > 0 {
@@ -257,7 +250,6 @@ func main() {
 		rep.SimsStarted = m["tarserved_sims_started_total"]
 		rep.SimsCompleted = m["tarserved_sims_completed_total"]
 		rep.ServerShedQueueFull = m["tarserved_shed_queue_full_total"]
-		rep.ServerShedDeadline = m["tarserved_shed_deadline_total"]
 		rep.SnapshotHits = m["tarserved_snapshot_hits_total"]
 		rep.SnapshotMisses = m["tarserved_snapshot_misses_total"]
 		rep.WarmupCyclesSaved = m["tarserved_warmup_cycles_saved_total"]
@@ -270,15 +262,15 @@ func main() {
 	}
 
 	fmt.Fprintf(os.Stderr,
-		"tarload: %d requests (%d done, %d failed, %d shed, %d deadline-exceeded, %d client errors, %d retries) in %.2fs — %.1f jobs/s, p50 %.0fms p99 %.0fms, server ran %.0f sims (%.0f cache hits, %.0f dedup joins)\n",
-		*n, done, failed, shed, deadlineExceeded, clientErr, retries, wall.Seconds(), rep.Throughput, rep.P50Ms, rep.P99Ms,
+		"tarload: %d requests (%d done, %d failed, %d shed, %d client errors, %d retries) in %.2fs — %.1f jobs/s, p50 %.0fms p99 %.0fms, server ran %.0f sims (%.0f cache hits, %.0f dedup joins)\n",
+		*n, done, failed, shed, clientErr, retries, wall.Seconds(), rep.Throughput, rep.P50Ms, rep.P99Ms,
 		rep.SimsStarted, rep.CacheHits, rep.DedupJoined)
 
 	writeReport(rep, *out)
 	if failed > 0 || clientErr > 0 {
 		os.Exit(1)
 	}
-	if !*allowShed && (shed > 0 || deadlineExceeded > 0) {
+	if !*allowShed && shed > 0 {
 		fmt.Fprintln(os.Stderr, "tarload: run was shed by overload protection (pass -allow-shed to treat this as expected)")
 		os.Exit(1)
 	}
@@ -399,7 +391,7 @@ func runSweepMode(addr string, spec *dse.Spec, conc int, wait time.Duration, out
 			if pending[e.point]--; pending[e.point] == 0 {
 				pointMs = append(pointMs, float64(time.Since(start).Milliseconds()))
 			}
-		case oc.code == "queue_full" || oc.code == "deadline_exceeded":
+		case oc.code == "queue_full":
 			shed++
 		default:
 			failed++
@@ -475,11 +467,11 @@ type outcome struct {
 	cacheHit bool
 }
 
-// runJob submits one experiment and long-polls until it reaches a terminal
-// state. A "queue_full" rejection is retried after the server's Retry-After
-// estimate (capped, bounded attempts) — the polite client the admission
-// controller's header is designed for; when the retries run out the job
-// counts as shed rather than erroring.
+// runJob submits one experiment, long-polls until it reaches a terminal
+// state, and reads a done job's cycles from its result, GET
+// /v1/jobs/{id}/result. A "queue_full" refusal is retried after the
+// server's Retry-After (capped, at most three times); when the retries run
+// out the job counts as shed rather than erroring.
 func runJob(addr string, req jobRequest, wait time.Duration) (outcome, error) {
 	body, _ := json.Marshal(req)
 	var oc outcome
@@ -487,10 +479,7 @@ func runJob(addr string, req jobRequest, wait time.Duration) (outcome, error) {
 		ID       string `json:"id"`
 		State    string `json:"state"`
 		CacheHit bool   `json:"cache_hit"`
-		Result   *struct {
-			Cycles uint64 `json:"cycles"`
-		} `json:"result"`
-		Error *struct {
+		Error    *struct {
 			Code string `json:"code"`
 		} `json:"error"`
 	}
@@ -554,12 +543,27 @@ func runJob(addr string, req jobRequest, wait time.Duration) (outcome, error) {
 		}
 	}
 	oc.state, oc.cacheHit = st.State, st.CacheHit
-	if st.Result != nil {
-		oc.cycles = st.Result.Cycles
-	}
 	if st.Error != nil {
 		oc.code = st.Error.Code
 	}
+	if st.State != "done" {
+		return oc, nil
+	}
+	resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s/result", addr, st.ID))
+	if err != nil {
+		return oc, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return oc, fmt.Errorf("result of %s: HTTP %d", st.ID, resp.StatusCode)
+	}
+	var res struct {
+		Cycles uint64 `json:"cycles"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+		return oc, err
+	}
+	oc.cycles = res.Cycles
 	return oc, nil
 }
 

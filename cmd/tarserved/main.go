@@ -8,15 +8,15 @@
 //
 //	tarserved -addr :8077
 //	tarserved -addr :8077 -workers 8 -cache 4096 -max-deadline 5m
-//	tarserved -addr :8077 -store-dir /var/lib/tarserved -queue-wait 2m
+//	tarserved -addr :8077 -store-dir /var/lib/tarserved -queue 256
 //
 // With -store-dir, completed results are persisted to a crash-safe disk
 // store (temp-file + fsync + rename, schema-versioned, corrupt files
 // quarantined) and a restarted server warm-starts from them: resubmitting
-// finished experiments after a crash costs zero re-simulation. -queue-wait
-// bounds how long a job may wait for a worker — expired jobs are shed with
-// error code "deadline_exceeded" (504), and submissions whose estimated
-// wait is hopeless are refused up front with "queue_full" + Retry-After.
+// finished experiments after a crash costs zero re-simulation. -queue
+// bounds the simulations waiting for a worker and is the one backpressure:
+// a submission that finds it full is refused with "queue_full" (503,
+// Retry-After: 1), and a queued job always runs and is stored.
 //
 // Simulations run in this process. A panicking model build fails its job
 // with "internal", and a wedged one, or a kernel that stalls past its
@@ -34,7 +34,9 @@
 //	GET  /v1/sweeps/knobs        sweepable knobs: names, types, legal ranges
 //	GET  /v1/benches, /v1/configs, /metrics, /healthz
 //
-// Every error body is the stable envelope {"error":{"code","message",...}}.
+// Every error body is the stable envelope {"error":{"code","message",...}};
+// a submission naming a field the API does not have is a bad_request. A
+// job's status never carries its result: /result is the one read path.
 // A design-space sweep is one job per point and bench, each carrying its
 // knobs; tarload -sweep submits them and ranks the points on {speedup,
 // watts, mm²}.
@@ -65,7 +67,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8077", "listen address")
 	workers := flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 1024, "max simulations waiting for a worker")
+	queue := flag.Int("queue", 1024, "max simulations waiting for a worker; a submission past it is refused with queue_full")
 	cache := flag.Int("cache", 4096, "result-cache entries (LRU)")
 	jobDeadline := flag.Duration("job-deadline", 10*time.Minute, "default wall-clock budget per simulation (0 = none)")
 	maxDeadline := flag.Duration("max-deadline", 30*time.Minute, "upper bound a request may ask for (0 = uncapped)")
@@ -73,7 +75,6 @@ func main() {
 	sample := flag.Uint64("sample", 0, "sample IPC/bandwidth/occupancy every N cycles on every simulation; results carry the series and /metrics exposes per-experiment summaries (0 = off)")
 	storeDir := flag.String("store-dir", "", "persist results to this directory (crash-safe disk store; empty = memory only)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "disk-store byte cap; least-recently-accessed artifacts are evicted past it (0 = 1 GiB)")
-	queueWait := flag.Duration("queue-wait", 5*time.Minute, "max time a job may wait for a worker before being shed with deadline_exceeded; also the admission controller's wait budget (0 = no shedding)")
 	chaos := flag.String("chaos", "", "chaos campaigns, comma-separated: disk (inject disk-store I/O errors and torn writes)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "deterministic seed for -chaos campaigns")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file, finalized at drained shutdown")
@@ -121,7 +122,7 @@ func main() {
 		}
 	}
 	if *chaos != "" {
-		fmt.Fprintf(os.Stderr, "tarserved: chaos armed (%s, seed %d) — this server sheds and fails on purpose\n", *chaos, *chaosSeed)
+		fmt.Fprintf(os.Stderr, "tarserved: chaos armed (%s, seed %d) — its disk store fails on purpose\n", *chaos, *chaosSeed)
 	}
 
 	db, err := serve.OpenStore(*storeDir, *cache, *storeMaxBytes, diskChaos)
@@ -139,7 +140,6 @@ func main() {
 		Workers:         *workers,
 		QueueDepth:      *queue,
 		Store:           db,
-		QueueWait:       *queueWait,
 		DefaultDeadline: *jobDeadline,
 		MaxDeadline:     *maxDeadline,
 		SampleEvery:     *sample,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/confhash"
 	"repro/internal/dse"
 	"repro/internal/faults"
 	"repro/internal/sim"
@@ -21,27 +22,20 @@ const (
 )
 
 // SubmitRequest is the POST /v1/jobs body: one experiment, described with
-// exactly the vocabulary of the CLI tools (tarsim flags map 1:1 onto these
-// fields). The zero value of every optional field means "the default the
-// CLI would use".
+// the vocabulary of the CLI tools (tarsim's flags map onto these fields; its
+// -nopump is the knob pump=0). The zero value of every optional field means
+// "the default the CLI would use". A body naming any other field is a
+// bad_request.
 type SubmitRequest struct {
 	Bench  string `json:"bench"`
 	Config string `json:"config"`
 	// Scale is test, bench or full (default bench).
 	Scale string `json:"scale,omitempty"`
-	// NoPump disables stride-1 double-bandwidth mode (Figure 9 ablation).
-	NoPump bool `json:"nopump,omitempty"`
 	// Check runs the cell under the microarchitectural invariant checker.
 	Check bool `json:"check,omitempty"`
 	// DeadlineMs caps the simulation's wall-clock time; 0 inherits the
 	// server default, and values above the server maximum are clamped.
 	DeadlineMs int64 `json:"deadline_ms,omitempty"`
-	// QueueWaitMs caps how long this job may wait for a worker before being
-	// shed with code "deadline_exceeded"; 0 inherits the server's queue-wait
-	// bound, and values above it are clamped. The request's deadline thus
-	// propagates through the queue: a job that cannot start in time is shed
-	// without ever occupying a worker.
-	QueueWaitMs int64 `json:"queue_wait_ms,omitempty"`
 	// Watchdog overrides the no-retirement-progress window in cycles.
 	Watchdog uint64 `json:"watchdog,omitempty"`
 	// FaultSeed arms a deterministic fault campaign (0 = off);
@@ -54,146 +48,61 @@ type SubmitRequest struct {
 	Knobs map[string]float64 `json:"knobs,omitempty"`
 }
 
-// JobSpec is the fully-resolved description of one simulation: a
-// SubmitRequest after server-side defaulting (deadline resolution and
-// clamping, observability knobs). It is the unit of work a worker executes,
-// and the same spec reproduces the same simulation — and the same JobResult
-// bytes.
-type JobSpec struct {
-	Bench  string `json:"bench"`
-	Config string `json:"config"`
-	Scale  string `json:"scale"`
-	NoPump bool   `json:"nopump,omitempty"`
-	Check  bool   `json:"check,omitempty"`
-	// DeadlineMs is the resolved wall-clock budget (server default applied,
-	// request override clamped). Zero disables the deadline.
-	DeadlineMs    int64  `json:"deadline_ms,omitempty"`
-	Watchdog      uint64 `json:"watchdog,omitempty"`
-	FaultSeed     int64  `json:"fault_seed,omitempty"`
-	FaultCampaign string `json:"fault_campaign,omitempty"`
-	// Knobs are the design-space-exploration perturbations applied to the
-	// named config inside Build.
-	Knobs map[string]float64 `json:"knobs,omitempty"`
-	// SampleEvery arms the cycle-interval sampler. It lives outside the
-	// confhash identity (observation, not configuration), so it rides in
-	// the spec rather than the sim.Config hash.
-	SampleEvery uint64 `json:"sample_every,omitempty"`
-}
-
-// Build validates the spec and assembles the decorated machine
-// configuration plus the parsed scale. BuildSpec calls it when a request is
-// resolved and the worker again when it executes the spec, so both see
-// identical simulation inputs.
-func (sp *JobSpec) Build() (*sim.Config, workloads.Scale, error) {
-	if sp.Bench == "" {
-		return nil, 0, errors.New("missing bench")
+// resolve validates a request and builds what it names: the benchmark, the
+// input scale, the decorated machine configuration with the server's
+// deadline and sampler folded in, and the content key of that
+// configuration. It is the one place a request becomes simulation inputs;
+// the flight carries them to the worker, so the experiment a job is keyed
+// under is the one that runs. Errors are client errors (HTTP 400).
+func (s *Server) resolve(req *SubmitRequest) (bench string, scale workloads.Scale, cfg *sim.Config, key string, err error) {
+	if req.Bench == "" {
+		return "", 0, nil, "", errors.New("missing bench")
 	}
-	if _, err := workloads.Get(sp.Bench); err != nil {
-		return nil, 0, err
+	if _, err := workloads.Get(req.Bench); err != nil {
+		return "", 0, nil, "", err
 	}
-	cfg := sim.ByName(sp.Config)
-	if cfg == nil {
-		return nil, 0, fmt.Errorf("unknown config %q (have %v)", sp.Config, sim.Names())
+	named := sim.ByName(req.Config)
+	if named == nil {
+		return "", 0, nil, "", fmt.Errorf("unknown config %q (have %v)", req.Config, sim.Names())
 	}
-	scaleStr := sp.Scale
+	scaleStr := req.Scale
 	if scaleStr == "" {
 		scaleStr = "bench"
 	}
-	scale, err := workloads.ParseScale(scaleStr)
-	if err != nil {
-		return nil, 0, err
+	if scale, err = workloads.ParseScale(scaleStr); err != nil {
+		return "", 0, nil, "", err
 	}
-	if sp.NoPump {
-		cfg = sim.NoPump(cfg)
-	}
-	cc := *cfg
-	if len(sp.Knobs) > 0 {
-		if err := dse.Apply(&cc, sp.Knobs); err != nil {
-			return nil, 0, err
+	cc := *named
+	if len(req.Knobs) > 0 {
+		if err := dse.Apply(&cc, req.Knobs); err != nil {
+			return "", 0, nil, "", err
 		}
 	}
-	cc.Check = sp.Check
-	cc.Watchdog = sp.Watchdog
-	if sp.SampleEvery > 0 {
-		cc.EnableSampling(sp.SampleEvery)
+	cc.Check = req.Check
+	cc.Watchdog = req.Watchdog
+	if s.opts.SampleEvery > 0 {
+		// Observation, not configuration: the sampler lives outside the
+		// confhash identity, so sampled and unsampled runs share a key.
+		cc.EnableSampling(s.opts.SampleEvery)
 	}
-	cc.Deadline = time.Duration(sp.DeadlineMs) * time.Millisecond
-	if sp.FaultSeed != 0 {
-		switch sp.FaultCampaign {
-		case "", "jitter":
-			cc.Faults = faults.Jitter(sp.FaultSeed)
-		case "storm":
-			cc.Faults = faults.Storm(sp.FaultSeed, 0)
-		default:
-			return nil, 0, fmt.Errorf("unknown fault campaign %q (want jitter or storm)", sp.FaultCampaign)
-		}
-	}
-	return &cc, scale, nil
-}
-
-// SpecDefaults are the server-side knobs folded into a request when it is
-// resolved into a JobSpec: deadline defaulting and clamping, plus the
-// observability sampler. The zero value applies nothing.
-type SpecDefaults struct {
-	// DefaultDeadline is applied when the request sets no deadline_ms;
-	// MaxDeadline clamps what a request may ask for. Zero disables each.
-	DefaultDeadline time.Duration
-	MaxDeadline     time.Duration
-	// SampleEvery arms the cycle-interval sampler on the resolved spec
-	// (outside the confhash identity).
-	SampleEvery uint64
-}
-
-// BuildSpec is the single request→spec build path: it resolves a
-// SubmitRequest against the given defaults and validates it by assembling
-// the decorated machine configuration plus the parsed scale. Every
-// submission goes through here, and the worker rebuilds the resolved spec
-// with JobSpec.Build, so one request resolves to identical simulation
-// inputs everywhere.
-func BuildSpec(req *SubmitRequest, d SpecDefaults) (*JobSpec, *sim.Config, workloads.Scale, error) {
-	sp := &JobSpec{
-		Bench:         req.Bench,
-		Config:        req.Config,
-		Scale:         req.Scale,
-		NoPump:        req.NoPump,
-		Check:         req.Check,
-		Watchdog:      req.Watchdog,
-		FaultSeed:     req.FaultSeed,
-		FaultCampaign: req.FaultCampaign,
-		Knobs:         req.Knobs,
-	}
-	if sp.Scale == "" {
-		sp.Scale = "bench"
-	}
-	deadline := d.DefaultDeadline
+	cc.Deadline = s.opts.DefaultDeadline
 	if req.DeadlineMs > 0 {
-		deadline = time.Duration(req.DeadlineMs) * time.Millisecond
+		cc.Deadline = time.Duration(req.DeadlineMs) * time.Millisecond
 	}
-	if max := d.MaxDeadline; max > 0 && (deadline == 0 || deadline > max) {
-		deadline = max
+	if max := s.opts.MaxDeadline; max > 0 && (cc.Deadline == 0 || cc.Deadline > max) {
+		cc.Deadline = max
 	}
-	sp.DeadlineMs = deadline.Milliseconds()
-	if d.SampleEvery > 0 {
-		// Server-side observability knob; lives outside the confhash
-		// identity so sampled and unsampled runs share a content key.
-		sp.SampleEvery = d.SampleEvery
+	if req.FaultSeed != 0 {
+		switch req.FaultCampaign {
+		case "", "jitter":
+			cc.Faults = faults.Jitter(req.FaultSeed)
+		case "storm":
+			cc.Faults = faults.Storm(req.FaultSeed, 0)
+		default:
+			return "", 0, nil, "", fmt.Errorf("unknown fault campaign %q (want jitter or storm)", req.FaultCampaign)
+		}
 	}
-	cfg, scale, err := sp.Build()
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return sp, cfg, scale, nil
-}
-
-// resolveSpec turns a request into the fully-resolved JobSpec (server
-// defaults applied) plus its built configuration and scale. Validation
-// failures are client errors (HTTP 400).
-func (s *Server) resolveSpec(req *SubmitRequest) (*JobSpec, *sim.Config, workloads.Scale, error) {
-	return BuildSpec(req, SpecDefaults{
-		DefaultDeadline: s.opts.DefaultDeadline,
-		MaxDeadline:     s.opts.MaxDeadline,
-		SampleEvery:     s.opts.SampleEvery,
-	})
+	return req.Bench, scale, &cc, confhash.Key(req.Bench, scale.String(), &cc), nil
 }
 
 // job is the server-side record of one submission. Fields are guarded by
@@ -215,21 +124,19 @@ type job struct {
 }
 
 // flight is one in-flight simulation: the single execution N deduplicated
-// jobs are waiting on. deadline (when set) bounds its queue wait — the shed
-// janitor and the dequeuing worker both honor it; started/shed are the
-// handshake that makes shedding and execution mutually exclusive (guarded
-// by the server mutex).
+// jobs are waiting on, with the resolved inputs it runs. A queued flight
+// always runs; jobs join it until it completes.
 type flight struct {
-	key      string
-	spec     *JobSpec
-	jobs     []*job
-	deadline time.Time
-	started  bool
-	shed     bool
+	key   string
+	bench string
+	scale workloads.Scale
+	cfg   *sim.Config
+	jobs  []*job
 }
 
-// JobStatus is the wire form of a job, returned by the submit and poll
-// endpoints.
+// JobStatus is the wire form of a job, returned by the submit, poll and
+// list endpoints. A done job's result is read from
+// GET /v1/jobs/{id}/result.
 type JobStatus struct {
 	ID        string     `json:"id"`
 	Key       string     `json:"key"`
@@ -239,7 +146,6 @@ type JobStatus struct {
 	State     string     `json:"state"`
 	CacheHit  bool       `json:"cache_hit"`
 	ElapsedMs int64      `json:"elapsed_ms,omitempty"`
-	Result    *JobResult `json:"result,omitempty"`
 	Error     *ErrorJSON `json:"error,omitempty"`
 }
 
@@ -248,21 +154,16 @@ type JobStatus struct {
 // this set; clients switch on the code, never on the message text.
 const (
 	// ErrCodeBadRequest: the request itself is malformed (unknown bench,
-	// config, scale or campaign; bad JSON). HTTP 400.
+	// config, scale, campaign, knob or field; bad JSON). HTTP 400.
 	ErrCodeBadRequest = "bad_request"
 	// ErrCodeNotFound: no such job id. HTTP 404.
 	ErrCodeNotFound = "not_found"
 	// ErrCodeDraining: the server is shutting down and refuses new work.
 	// HTTP 503.
 	ErrCodeDraining = "draining"
-	// ErrCodeQueueFull: the intake queue is at capacity, or the admission
-	// controller estimates the queue wait would blow the job's deadline
-	// anyway. HTTP 503 with a Retry-After header. Retry later — the
-	// experiment itself is fine.
+	// ErrCodeQueueFull: the bounded intake queue is at capacity. HTTP 503
+	// with Retry-After: 1. Retry later — the experiment itself is fine.
 	ErrCodeQueueFull = "queue_full"
-	// ErrCodeDeadlineExceeded: the job's deadline expired while it was
-	// still queued; it was shed without occupying a worker. HTTP 504.
-	ErrCodeDeadlineExceeded = "deadline_exceeded"
 	// ErrCodeWedge: the experiment is well-formed but cannot complete — a
 	// watchdog trip, a blown deadline, an invariant violation or a dead
 	// trace. Carries the full WedgeError diagnostics. HTTP 422.
@@ -279,14 +180,13 @@ const (
 // status from, and the documentation table in DESIGN.md is asserted
 // against.
 var ErrorCodeStatus = map[string]int{
-	ErrCodeBadRequest:       400,
-	ErrCodeNotFound:         404,
-	ErrCodeDraining:         503,
-	ErrCodeQueueFull:        503,
-	ErrCodeDeadlineExceeded: 504,
-	ErrCodeWedge:            422,
-	ErrCodeCheckFailed:      422,
-	ErrCodeInternal:         500,
+	ErrCodeBadRequest:  400,
+	ErrCodeNotFound:    404,
+	ErrCodeDraining:    503,
+	ErrCodeQueueFull:   503,
+	ErrCodeWedge:       422,
+	ErrCodeCheckFailed: 422,
+	ErrCodeInternal:    500,
 }
 
 // ErrorJSON is the stable /v1 error envelope body. Code is always present;
@@ -309,10 +209,6 @@ type ErrorJSON struct {
 // worker converts every failure into this form via toJobError.
 type JobError struct {
 	JSON ErrorJSON
-	// RetryAfter, when positive, becomes the HTTP Retry-After header on the
-	// rejection response (code "queue_full"): the admission controller's
-	// estimate of when capacity frees up. Not part of the JSON envelope.
-	RetryAfter time.Duration
 }
 
 func (e *JobError) Error() string { return e.JSON.Message }

@@ -34,7 +34,7 @@ type metrics struct {
 	mu sync.Mutex
 
 	submitted   uint64 // jobs accepted
-	rejected    uint64 // jobs refused (drain, queue overflow, admission)
+	rejected    uint64 // jobs refused (drain, queue overflow)
 	done        uint64 // jobs reaching StateDone
 	failed      uint64 // jobs reaching StateFailed
 	wedged      uint64 // subset of failed whose cause is a *sim.WedgeError
@@ -44,12 +44,9 @@ type metrics struct {
 	simsStarted uint64 // underlying simulations begun
 	simsDone    uint64 // underlying simulations finished (either way)
 
-	// Overload-protection counters: submissions refused by the admission
-	// controller or queue bound (shedQueueFull), and jobs shed from the
-	// queue when their deadline expired before a worker freed up
-	// (shedDeadline).
+	// shedQueueFull counts submissions refused because the bounded queue
+	// was full, the service's one overload signal.
 	shedQueueFull uint64
-	shedDeadline  uint64
 
 	// Warm-up snapshot counters: simulations whose warm-up phase was
 	// restored from a stored chip snapshot (snapHits) or simulated and
@@ -58,11 +55,6 @@ type metrics struct {
 	snapHits          uint64
 	snapMisses        uint64
 	warmupCyclesSaved uint64
-
-	// ewmaJob is the exponentially-weighted moving average of simulation
-	// execution seconds (dequeue → completion), the admission controller's
-	// queue-wait estimator. Zero until the first completion.
-	ewmaJob float64
 
 	// simCycles/simWallNs accumulate the timing simulator's own
 	// throughput across every completed simulation, so a scrape can
@@ -192,12 +184,10 @@ func (m *metrics) renderLocked(w io.Writer, st StoreStatus, workers, queueDepth 
 	counter("tarserved_snapshot_hits_total", "Simulations whose warm-up phase was restored from a stored chip snapshot.", m.snapHits)
 	counter("tarserved_snapshot_misses_total", "Simulations that simulated (and captured) their warm-up phase.", m.snapMisses)
 	counter("tarserved_warmup_cycles_saved_total", "Simulated cycles avoided by restoring warm-up snapshots.", m.warmupCyclesSaved)
-	counter("tarserved_shed_queue_full_total", "Submissions refused because the queue was full or the estimated wait exceeded the deadline.", m.shedQueueFull)
-	counter("tarserved_shed_deadline_total", "Queued jobs shed because their deadline expired before a worker freed up.", m.shedDeadline)
+	counter("tarserved_shed_queue_full_total", "Submissions refused because the queue was full.", m.shedQueueFull)
 	gauge("tarserved_jobs_queued", "Jobs waiting for a worker.", m.queued)
 	gauge("tarserved_jobs_running", "Jobs whose simulation is executing.", m.running)
 	gauge("tarserved_cache_entries", "Entries resident in the result cache.", st.MemEntries)
-	fmt.Fprintf(w, "# HELP tarserved_job_ewma_seconds EWMA of simulation execution seconds, the admission controller's wait estimator.\n# TYPE tarserved_job_ewma_seconds gauge\ntarserved_job_ewma_seconds %g\n", m.ewmaJob)
 	gauge("tarserved_workers_alive", "Workers in the simulation pool.", workers)
 	gauge("tarserved_workers_queue_depth", "Flights waiting for a worker.", queueDepth)
 	renderStore(w, st)

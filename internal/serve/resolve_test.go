@@ -1,19 +1,16 @@
 package serve
 
 import (
-	"encoding/json"
 	"testing"
 	"time"
 
 	"repro/internal/confhash"
 )
 
-// The one-build-path contract: resolving a request through BuildSpec and
-// then rebuilding the resolved JobSpec (JobSpec.Build, exactly what the
-// worker does) must yield the same decorated configuration and the same
-// confhash. If these ever diverge, the worker would simulate a different
-// experiment than the one the request was keyed under.
-func TestBuildSpecCrossPathEquivalence(t *testing.T) {
+// resolve is the one request→inputs build: the server's defaults land in the
+// decorated configuration the worker runs, and the content key a job is
+// filed under is the confhash of exactly that configuration.
+func TestResolveBuildsKeyedConfig(t *testing.T) {
 	req := &SubmitRequest{
 		Bench:     "dgemm",
 		Config:    "T",
@@ -22,39 +19,27 @@ func TestBuildSpecCrossPathEquivalence(t *testing.T) {
 		FaultSeed: 11,
 		Knobs:     map[string]float64{"lanes": 8},
 	}
-	defaults := SpecDefaults{
+	s := &Server{opts: Options{
 		DefaultDeadline: 2 * time.Minute,
 		MaxDeadline:     5 * time.Minute,
 		SampleEvery:     128,
-	}
+	}}
 
-	spec, cfg, scale, err := BuildSpec(req, defaults)
+	bench, scale, cfg, key, err := s.resolve(req)
 	if err != nil {
-		t.Fatalf("BuildSpec: %v", err)
+		t.Fatalf("resolve: %v", err)
 	}
-	if spec.DeadlineMs != (2 * time.Minute).Milliseconds() {
-		t.Errorf("default deadline not applied: %d", spec.DeadlineMs)
+	if cfg.Deadline != 2*time.Minute {
+		t.Errorf("default deadline not applied: %v", cfg.Deadline)
 	}
-	if spec.SampleEvery != 128 {
-		t.Errorf("sampler not applied: every=%d", spec.SampleEvery)
+	if cfg.Sampling() != 128 {
+		t.Errorf("sampler not applied: every=%d", cfg.Sampling())
 	}
-
-	cfg2, scale2, err := spec.Build()
-	if err != nil {
-		t.Fatalf("rebuild: %v", err)
+	if !cfg.Check || cfg.Faults == nil || cfg.Vbox.Lanes != 8 {
+		t.Errorf("request fields not applied: check=%v faults=%v lanes=%d", cfg.Check, cfg.Faults, cfg.Vbox.Lanes)
 	}
-	if scale != scale2 {
-		t.Errorf("scale diverged: %v vs %v", scale, scale2)
-	}
-	k1 := confhash.Key(spec.Bench, scale.String(), cfg)
-	k2 := confhash.Key(spec.Bench, scale2.String(), cfg2)
-	if k1 != k2 {
-		t.Errorf("confhash diverged across build paths: %s vs %s", k1, k2)
-	}
-	c1, _ := json.Marshal(cfg)
-	c2, _ := json.Marshal(cfg2)
-	if string(c1) != string(c2) {
-		t.Errorf("decorated configs diverged:\n%s\n%s", c1, c2)
+	if want := confhash.Key(bench, scale.String(), cfg); key != want {
+		t.Errorf("key %s is not the confhash of the built config (%s)", key, want)
 	}
 }
 
@@ -64,14 +49,14 @@ func TestBuildSpecCrossPathEquivalence(t *testing.T) {
 // experiment — an explicit deadline (part of the integrity envelope),
 // another config, a knob — yields a different one.
 func TestRouteKeyPlacementIdentity(t *testing.T) {
-	defaults := SpecDefaults{DefaultDeadline: 2 * time.Minute, MaxDeadline: 5 * time.Minute}
+	s := &Server{opts: Options{DefaultDeadline: 2 * time.Minute, MaxDeadline: 5 * time.Minute}}
 	key := func(r *SubmitRequest) string {
 		t.Helper()
-		sp, cfg, scale, err := BuildSpec(r, defaults)
+		_, _, _, k, err := s.resolve(r)
 		if err != nil {
-			t.Fatalf("BuildSpec: %v", err)
+			t.Fatalf("resolve: %v", err)
 		}
-		return confhash.Key(sp.Bench, scale.String(), cfg)
+		return k
 	}
 	base := func() *SubmitRequest {
 		return &SubmitRequest{Bench: "dgemm", Config: "T", Scale: "test"}

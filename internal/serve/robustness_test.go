@@ -361,82 +361,36 @@ func TestRestartRecoveryE2E(t *testing.T) {
 	}
 }
 
-// ---- overload protection ----
+// ---- backpressure ----
 
-// TestOverloadSheddingAndAdmission drives a one-worker server 5× over
-// capacity: the queued jobs' deadlines expire and they are shed promptly
-// with the closed envelope code "deadline_exceeded" (never a hang), the
-// admission controller then refuses new work up front with "queue_full" +
-// Retry-After once the EWMA says the wait is hopeless, and after drain the
-// process has not leaked goroutines.
-func TestOverloadSheddingAndAdmission(t *testing.T) {
+// TestQueueFullRefusal: the bounded queue is the server's one
+// backpressure. With one worker busy and the one queue slot taken, a third
+// distinct job is refused with 503 queue_full and Retry-After; the two
+// accepted jobs still both finish (a queued job is never shed), and after
+// drain the process has not leaked goroutines.
+func TestQueueFullRefusal(t *testing.T) {
 	g0 := runtime.NumGoroutine()
-	var gate atomic.Pointer[chan struct{}]
-	ch1 := make(chan struct{})
-	gate.Store(&ch1)
+	gate := make(chan struct{})
 	s, ts := newTestServer(t, Options{
-		Workers:   1,
-		QueueWait: 150 * time.Millisecond,
+		Workers:    1,
+		QueueDepth: 1,
 		Run: func(bench string, cfg *sim.Config, scale workloads.Scale) (*workloads.Result, error) {
-			if ch := gate.Load(); ch != nil {
-				<-*ch
-			}
+			<-gate
 			return fakeResult(bench, cfg.Name), nil
 		},
 	})
 
-	// Job 0 occupies the only worker; jobs 1..4 queue behind it with no
-	// hope of starting inside their wait budget. Distinct fault seeds give
-	// distinct confhashes, so nothing deduplicates.
-	lead, _ := submit(t, ts.URL, SubmitRequest{Bench: "dgemm", Config: "T", Scale: "test", FaultSeed: 1})
-	shedIDs := make([]string, 0, 4)
-	for i := 2; i <= 5; i++ {
-		st, code := submit(t, ts.URL, SubmitRequest{Bench: "dgemm", Config: "T", Scale: "test", FaultSeed: int64(i)})
-		if code != http.StatusAccepted {
-			t.Fatalf("job %d not accepted: HTTP %d", i, code)
-		}
-		shedIDs = append(shedIDs, st.ID)
-	}
-	for _, id := range shedIDs {
-		start := time.Now()
-		fin := waitDone(t, ts.URL, id)
-		if fin.State != StateFailed || fin.Error == nil || fin.Error.Code != ErrCodeDeadlineExceeded {
-			t.Fatalf("queued job %s not shed structurally: %+v", id, fin)
-		}
-		if fin.Error.Confhash == "" {
-			t.Fatal("shed envelope missing confhash")
-		}
-		if waited := time.Since(start); waited > 5*time.Second {
-			t.Fatalf("shed took %v — queue wait is not bounded", waited)
-		}
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/result")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusGatewayTimeout {
-			t.Fatalf("shed result HTTP %d, want 504", resp.StatusCode)
-		}
-	}
-	if got := metric(t, ts.URL, "tarserved_shed_deadline_total"); got != 4 {
-		t.Fatalf("shed_deadline_total = %v, want 4", got)
+	// Distinct fault seeds give distinct confhashes, so nothing
+	// deduplicates: the first job occupies the worker, the second the
+	// queue's one slot.
+	running, _ := submit(t, ts.URL, SubmitRequest{Bench: "dgemm", Config: "T", Scale: "test", FaultSeed: 1})
+	waitForRunning(t, ts.URL, running.ID)
+	queued, code := submit(t, ts.URL, SubmitRequest{Bench: "dgemm", Config: "T", Scale: "test", FaultSeed: 2})
+	if code != http.StatusAccepted || queued.State != StateQueued {
+		t.Fatalf("second job = HTTP %d %+v, want 202 queued", code, queued)
 	}
 
-	// Release the leader; its long execution seeds the EWMA.
-	gate.Store(nil)
-	close(ch1)
-	if fin := waitDone(t, ts.URL, lead.ID); fin.State != StateDone {
-		t.Fatalf("leader failed: %+v", fin)
-	}
-
-	// Occupy the worker again: with the EWMA in the hundreds of
-	// milliseconds and a 150ms budget, the next submission must be turned
-	// away at the door with a capacity estimate.
-	ch2 := make(chan struct{})
-	gate.Store(&ch2)
-	busy, _ := submit(t, ts.URL, SubmitRequest{Bench: "dgemm", Config: "T", Scale: "test", FaultSeed: 6})
-	waitForRunning(t, ts.URL, busy.ID)
-	body, _ := json.Marshal(SubmitRequest{Bench: "dgemm", Config: "T", Scale: "test", FaultSeed: 7})
+	body, _ := json.Marshal(SubmitRequest{Bench: "dgemm", Config: "T", Scale: "test", FaultSeed: 3})
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -444,25 +398,30 @@ func TestOverloadSheddingAndAdmission(t *testing.T) {
 	var envelope struct {
 		Error ErrorJSON `json:"error"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
+	err = json.NewDecoder(resp.Body).Decode(&envelope)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable || envelope.Error.Code != ErrCodeQueueFull {
-		t.Fatalf("admission rejection = HTTP %d %+v, want 503 queue_full", resp.StatusCode, envelope.Error)
+		t.Fatalf("third job = HTTP %d %+v, want 503 queue_full", resp.StatusCode, envelope.Error)
 	}
 	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("queue_full rejection carries no Retry-After header")
+		t.Fatal("queue_full refusal carries no Retry-After header")
 	}
 	if got := metric(t, ts.URL, "tarserved_shed_queue_full_total"); got != 1 {
 		t.Fatalf("shed_queue_full_total = %v, want 1", got)
 	}
-	gate.Store(nil)
-	close(ch2)
-	waitDone(t, ts.URL, busy.ID)
 
-	// Drain and verify the goroutine census returns to baseline: shed
-	// flights left in the channel, the janitor and the worker all exit.
+	close(gate)
+	for _, id := range []string{running.ID, queued.ID} {
+		if fin := waitDone(t, ts.URL, id); fin.State != StateDone {
+			t.Fatalf("accepted job %s = %+v, want done", id, fin)
+		}
+	}
+
+	// Drain and verify the goroutine census returns to baseline: the
+	// worker exits once the queue is closed and empty.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {
@@ -479,7 +438,7 @@ func TestOverloadSheddingAndAdmission(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	t.Fatalf("goroutines leaked under overload: started with %d, still at %d after drain", g0, runtime.NumGoroutine())
+	t.Fatalf("goroutines leaked: started with %d, still at %d after drain", g0, runtime.NumGoroutine())
 }
 
 // waitForRunning polls until a job leaves the queued state.
@@ -503,39 +462,6 @@ func waitForRunning(t *testing.T, url, id string) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("job %s never started", id)
-}
-
-// TestQueueWaitRequestClamp: a request may tighten its queue-wait budget
-// below the server bound but never loosen it past the bound.
-func TestQueueWaitRequestClamp(t *testing.T) {
-	s := New(Options{Workers: 1, QueueWait: 100 * time.Millisecond, Run: func(bench string, cfg *sim.Config, scale workloads.Scale) (*workloads.Result, error) {
-		return fakeResult(bench, cfg.Name), nil
-	}})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.Drain(ctx)
-	}()
-	if got := s.queueWaitFor(&SubmitRequest{}); got != 100*time.Millisecond {
-		t.Fatalf("default wait = %v", got)
-	}
-	if got := s.queueWaitFor(&SubmitRequest{QueueWaitMs: 40}); got != 40*time.Millisecond {
-		t.Fatalf("tightened wait = %v", got)
-	}
-	if got := s.queueWaitFor(&SubmitRequest{QueueWaitMs: 400}); got != 100*time.Millisecond {
-		t.Fatalf("loosened wait not clamped: %v", got)
-	}
-	sOff := New(Options{Workers: 1, Run: func(bench string, cfg *sim.Config, scale workloads.Scale) (*workloads.Result, error) {
-		return fakeResult(bench, cfg.Name), nil
-	}})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		sOff.Drain(ctx)
-	}()
-	if got := sOff.queueWaitFor(&SubmitRequest{QueueWaitMs: 40}); got != 0 {
-		t.Fatalf("disabled shedding still produced a wait bound: %v", got)
-	}
 }
 
 // TestStalledKernelFreesItsWorker: a kernel that stops calling the

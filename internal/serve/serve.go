@@ -17,11 +17,10 @@
 // internal/store's Interface, which the server calls directly by namespace:
 // the in-memory tier alone, or the memory tier over a crash-safe disk store
 // so a restarted server warm-starts from its previous life's artifacts.
-// Under overload the server sheds load structurally rather than degrading:
-// the admission controller refuses submissions whose estimated queue wait
-// would blow their deadline (queue_full + Retry-After), and queued jobs
-// whose deadline expires are shed with deadline_exceeded before ever
-// occupying a worker.
+// The bounded queue is the one backpressure: a submission that finds it
+// full is refused with queue_full (503, Retry-After: 1), and a queued
+// flight always runs, so its result is stored even for a client that gave
+// up waiting.
 //
 // A design-space sweep is not a server concept: it is one job per point
 // and bench, submitted by the client (tarload -sweep) and ranked there with
@@ -35,12 +34,10 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/confhash"
 	"repro/internal/dse"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -56,20 +53,13 @@ type Options struct {
 	// Workers bounds concurrent simulations (default GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds flights waiting for a worker (default 1024);
-	// overflow rejects the submission with 503 rather than queueing
+	// overflow refuses the submission with queue_full rather than queueing
 	// unboundedly.
 	QueueDepth int
 	// Store holds results and warm-up snapshots. Nil selects
 	// the memory-only store with its default bounds; OpenStore builds the
 	// store tarserved uses, memory-only or tiered over a disk directory.
 	Store store.Interface
-	// QueueWait bounds how long a job may wait for a worker before being
-	// shed with code "deadline_exceeded"; it is also the admission
-	// controller's wait budget (submissions whose estimated wait exceeds
-	// it are refused up front with "queue_full" + Retry-After). A request
-	// may ask for less via queue_wait_ms, never more. Zero disables
-	// queue-wait shedding and admission control entirely.
-	QueueWait time.Duration
 	// DefaultDeadline is applied to jobs that do not set deadline_ms;
 	// MaxDeadline clamps what a request may ask for. Zero disables each.
 	DefaultDeadline time.Duration
@@ -110,10 +100,7 @@ type Server struct {
 	// meanwhile, so a flight that lands in between is not simulated twice.
 	stored atomic.Uint64
 
-	workersWG   sync.WaitGroup
-	janitorWG   sync.WaitGroup
-	stopJanitor chan struct{}
-	stopOnce    sync.Once
+	workersWG sync.WaitGroup
 }
 
 // New builds a server and starts its worker pool.
@@ -128,14 +115,13 @@ func New(opts Options) *Server {
 		opts.MaxJobs = 16384
 	}
 	s := &Server{
-		opts:        opts,
-		run:         opts.Run,
-		store:       opts.Store,
-		m:           &metrics{},
-		jobs:        make(map[string]*job),
-		flights:     make(map[string]*flight),
-		queue:       make(chan *flight, opts.QueueDepth),
-		stopJanitor: make(chan struct{}),
+		opts:    opts,
+		run:     opts.Run,
+		store:   opts.Store,
+		m:       &metrics{},
+		jobs:    make(map[string]*job),
+		flights: make(map[string]*flight),
+		queue:   make(chan *flight, opts.QueueDepth),
 	}
 	if s.store == nil {
 		s.store = store.NewMem(storeConfig(0))
@@ -157,10 +143,6 @@ func New(opts Options) *Server {
 		s.workersWG.Add(1)
 		go s.worker()
 	}
-	if opts.QueueWait > 0 {
-		s.janitorWG.Add(1)
-		go s.janitor()
-	}
 	return s
 }
 
@@ -168,8 +150,8 @@ func New(opts Options) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Drain stops intake (new submissions get 503), lets queued and in-flight
-// simulations finish, stops the shed janitor, closes the store, and returns
-// when the pool is idle or ctx expires. Safe to call more than once.
+// simulations finish, closes the store, and returns when the pool is idle
+// or ctx expires. Safe to call more than once.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
@@ -177,11 +159,9 @@ func (s *Server) Drain(ctx context.Context) error {
 		close(s.queue)
 	}
 	s.mu.Unlock()
-	s.stopOnce.Do(func() { close(s.stopJanitor) })
 	idle := make(chan struct{})
 	go func() {
 		s.workersWG.Wait()
-		s.janitorWG.Wait()
 		s.store.Close()
 		close(idle)
 	}()
@@ -204,119 +184,49 @@ func (s *Server) inFlight() int {
 func (s *Server) worker() {
 	defer s.workersWG.Done()
 	for f := range s.queue {
+		// Every job of a flight still in the queue is queued; joiners from
+		// here on start out running.
 		s.mu.Lock()
-		if f.shed {
-			// The janitor already completed this flight; the channel slot
-			// is stale.
-			s.mu.Unlock()
-			continue
-		}
-		if !f.deadline.IsZero() && time.Now().After(f.deadline) {
-			// Expired in the queue between janitor ticks: shed at dequeue,
-			// never start a simulation that already missed its deadline.
-			f.shed = true
-			s.mu.Unlock()
-			s.complete(f, nil, shedError(f.key), -1)
-			continue
-		}
-		f.started = true
-		wereQueued := 0
 		for _, j := range f.jobs {
-			if j.state == StateQueued {
-				wereQueued++
-			}
 			j.state = StateRunning
 		}
 		n := len(f.jobs)
 		s.mu.Unlock()
 		s.m.mu.Lock()
-		s.m.queued -= wereQueued
+		s.m.queued -= n
 		s.m.running += n
 		s.m.simsStarted++
 		s.m.mu.Unlock()
-		execStart := time.Now()
-		res, err := execute(f.spec, s.run)
+		res, err := execute(f, s.run)
 		var jobErr *JobError
 		if err != nil {
 			jobErr = toJobError(err)
 			jobErr.JSON.Confhash = f.key
 		}
-		s.complete(f, res, jobErr, time.Since(execStart).Seconds())
+		s.complete(f, res, jobErr)
 	}
 }
 
-// execute builds the spec and runs it through run with panic isolation,
-// mirroring the tables runner's per-cell recovery: a model bug in one
-// experiment must not take the service down. A kernel that stalls is cut
-// off at the spec's deadline by the simulator itself (sim.Config.Deadline),
-// which frees the worker; the stalled goroutine lives on until its kernel
-// returns.
-func execute(spec *JobSpec, run RunFunc) (res *workloads.Result, err error) {
-	cfg, scale, buildErr := spec.Build()
-	if buildErr != nil {
-		return nil, &JobError{JSON: ErrorJSON{Code: ErrCodeBadRequest, Message: buildErr.Error()}}
-	}
+// execute runs a flight's resolved inputs through run with panic
+// isolation, mirroring the tables runner's per-cell recovery: a model bug in
+// one experiment must not take the service down. A kernel that stalls is
+// cut off at the configuration's deadline by the simulator itself
+// (sim.Config.Deadline), which frees the worker; the stalled goroutine lives
+// on until its kernel returns.
+func execute(f *flight, run RunFunc) (res *workloads.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = nil, panicError{p}
 		}
 	}()
-	return run(spec.Bench, cfg, scale)
-}
-
-// shedError is the terminal envelope of a job whose deadline expired while
-// it was still queued.
-func shedError(key string) *JobError {
-	return &JobError{JSON: ErrorJSON{
-		Code:     ErrCodeDeadlineExceeded,
-		Message:  "deadline expired while queued; job shed before execution",
-		Confhash: key,
-	}}
-}
-
-// janitor sheds queued flights whose deadline expired before a worker freed
-// up, so a saturated server fails them promptly instead of letting them rot
-// in the queue past their useful life.
-func (s *Server) janitor() {
-	defer s.janitorWG.Done()
-	t := time.NewTicker(25 * time.Millisecond)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopJanitor:
-			return
-		case <-t.C:
-			s.shedExpired()
-		}
-	}
-}
-
-// shedExpired marks every expired, not-yet-started flight as shed (under
-// the server mutex, so shedding and execution are mutually exclusive) and
-// completes them with deadline_exceeded. The flight's channel slot stays
-// behind; workers skip it via the shed flag.
-func (s *Server) shedExpired() {
-	now := time.Now()
-	s.mu.Lock()
-	var expired []*flight
-	for _, f := range s.flights {
-		if !f.started && !f.shed && !f.deadline.IsZero() && now.After(f.deadline) {
-			f.shed = true
-			expired = append(expired, f)
-		}
-	}
-	s.mu.Unlock()
-	for _, f := range expired {
-		s.complete(f, nil, shedError(f.key), -1)
-	}
+	return run(f.bench, f.cfg, f.scale)
 }
 
 // complete publishes a flight's outcome to every attached job, feeds the
 // store, and updates the metrics. The result is encoded once: the store
-// gets those bytes and every job keeps the *JobResult it serves. execSec is
-// the execution time feeding the admission controller's wait estimator;
-// negative means the flight was shed without executing.
-func (s *Server) complete(f *flight, res *workloads.Result, jobErr *JobError, execSec float64) {
+// gets those bytes and every job keeps the *JobResult it serves. Every job
+// of the flight is running by now.
+func (s *Server) complete(f *flight, res *workloads.Result, jobErr *JobError) {
 	var jr *JobResult
 	if jobErr == nil {
 		jr = EncodeResult(f.key, res)
@@ -327,14 +237,7 @@ func (s *Server) complete(f *flight, res *workloads.Result, jobErr *JobError, ex
 	now := time.Now()
 	s.mu.Lock()
 	delete(s.flights, f.key)
-	wereQueued, wereRunning := 0, 0
 	for _, j := range f.jobs {
-		switch j.state {
-		case StateQueued:
-			wereQueued++
-		case StateRunning:
-			wereRunning++
-		}
 		j.res, j.err = jr, jobErr
 		j.elapsed = now.Sub(j.submitted)
 		if jobErr == nil {
@@ -346,26 +249,15 @@ func (s *Server) complete(f *flight, res *workloads.Result, jobErr *JobError, ex
 	}
 	s.mu.Unlock()
 	s.m.mu.Lock()
-	if execSec >= 0 {
-		s.m.simsDone++
-		if s.m.ewmaJob == 0 {
-			s.m.ewmaJob = execSec
-		} else {
-			s.m.ewmaJob = 0.7*s.m.ewmaJob + 0.3*execSec
-		}
-	}
-	s.m.queued -= wereQueued
-	s.m.running -= wereRunning
+	s.m.simsDone++
+	s.m.running -= len(f.jobs)
 	for _, j := range f.jobs {
 		if jobErr == nil {
 			s.m.done++
 		} else {
 			s.m.failed++
-			switch jobErr.JSON.Code {
-			case ErrCodeWedge:
+			if jobErr.JSON.Code == ErrCodeWedge {
 				s.m.wedged++
-			case ErrCodeDeadlineExceeded:
-				s.m.shedDeadline++
 			}
 		}
 		s.m.recordLatency(j.elapsed.Seconds())
@@ -375,35 +267,17 @@ func (s *Server) complete(f *flight, res *workloads.Result, jobErr *JobError, ex
 
 // ---- submission ----
 
-// queueWaitFor resolves a request's queue-wait budget: the server bound,
-// tightened (never loosened) by the request's queue_wait_ms. Zero when the
-// server has queue-wait shedding disabled.
-func (s *Server) queueWaitFor(req *SubmitRequest) time.Duration {
-	bound := s.opts.QueueWait
-	if bound <= 0 {
-		return 0
-	}
-	if req.QueueWaitMs > 0 {
-		if d := time.Duration(req.QueueWaitMs) * time.Millisecond; d < bound {
-			return d
-		}
-	}
-	return bound
-}
-
 // Submit registers one experiment and returns its status: answered from the
 // store (terminal immediately), attached to an identical in-flight run, or
 // queued as a fresh flight. A non-nil error is always a *JobError carrying
 // the stable envelope (bad_request, draining, queue_full). Exported for
 // in-process embedding; the HTTP handler is a thin wrapper.
 func (s *Server) Submit(req *SubmitRequest) (*JobStatus, error) {
-	spec, cfg, scale, err := s.resolveSpec(req)
+	bench, scale, cfg, key, err := s.resolve(req)
 	if err != nil {
 		return nil, &JobError{JSON: ErrorJSON{Code: ErrCodeBadRequest, Message: err.Error()}}
 	}
-	key := confhash.Key(spec.Bench, scale.String(), cfg)
 	now := time.Now()
-	wait := s.queueWaitFor(req)
 
 	// The store lookup runs before s.mu: a Get may wait on the disk tier's
 	// write lock, and the decode is not free.
@@ -422,7 +296,7 @@ func (s *Server) Submit(req *SubmitRequest) (*JobStatus, error) {
 	j := &job{
 		id:        fmt.Sprintf("job-%d", s.seq),
 		key:       key,
-		bench:     spec.Bench,
+		bench:     bench,
 		config:    cfg.Name,
 		scaleStr:  scale.String(),
 		submitted: now,
@@ -432,7 +306,7 @@ func (s *Server) Submit(req *SubmitRequest) (*JobStatus, error) {
 	s.order = append(s.order, j.id)
 	s.gcLocked()
 
-	if f, ok := s.flights[key]; !hit && (!ok || f.shed) && s.stored.Load() != stored {
+	if _, ok := s.flights[key]; !hit && !ok && s.stored.Load() != stored {
 		// A flight may have put this result and left between the miss
 		// above and s.mu: look again rather than simulate it twice.
 		res, hit = getResult(s.store, key)
@@ -451,16 +325,9 @@ func (s *Server) Submit(req *SubmitRequest) (*JobStatus, error) {
 		return s.status(j), nil
 	}
 
-	if f, ok := s.flights[key]; ok && !f.shed {
+	if f, ok := s.flights[key]; ok {
 		f.jobs = append(f.jobs, j)
 		j.state = f.jobs[0].state // queued or running, same as the leader
-		if !f.started && !f.deadline.IsZero() && wait > 0 {
-			// A joiner with a later deadline extends the flight's: the
-			// flight must live as long as its most patient job.
-			if d := now.Add(wait); d.After(f.deadline) {
-				f.deadline = d
-			}
-		}
 		s.mu.Unlock()
 		s.m.mu.Lock()
 		s.m.submitted++
@@ -475,43 +342,7 @@ func (s *Server) Submit(req *SubmitRequest) (*JobStatus, error) {
 		return s.status(j), nil
 	}
 
-	// Admission control: refuse up front when the estimated queue wait
-	// (work ahead × EWMA execution time / workers) would blow the job's
-	// wait budget anyway — a structured early rejection with a capacity
-	// estimate beats a guaranteed deadline_exceeded later. "Work ahead"
-	// counts queued flights plus executing ones minus free workers, so an
-	// idle server never rejects.
-	if wait > 0 {
-		s.m.mu.Lock()
-		ewma := s.m.ewmaJob
-		active := int(s.m.simsStarted - s.m.simsDone)
-		s.m.mu.Unlock()
-		if ahead := len(s.queue) + active - s.opts.Workers + 1; ewma > 0 && ahead > 0 {
-			estWait := float64(ahead) * ewma / float64(s.opts.Workers)
-			if estWait > wait.Seconds() {
-				delete(s.jobs, j.id)
-				s.order = s.order[:len(s.order)-1]
-				s.mu.Unlock()
-				s.m.mu.Lock()
-				s.m.rejected++
-				s.m.shedQueueFull++
-				s.m.mu.Unlock()
-				retry := time.Duration((estWait - wait.Seconds()) * float64(time.Second))
-				if retry < time.Second {
-					retry = time.Second
-				}
-				return nil, &JobError{
-					JSON:       ErrorJSON{Code: ErrCodeQueueFull, Message: fmt.Sprintf("estimated queue wait %.1fs exceeds wait budget %s", estWait, wait), Confhash: key},
-					RetryAfter: retry,
-				}
-			}
-		}
-	}
-
-	f := &flight{key: key, spec: spec, jobs: []*job{j}}
-	if wait > 0 {
-		f.deadline = now.Add(wait)
-	}
+	f := &flight{key: key, bench: bench, scale: scale, cfg: cfg, jobs: []*job{j}}
 	j.state = StateQueued
 	select {
 	case s.queue <- f:
@@ -523,10 +354,7 @@ func (s *Server) Submit(req *SubmitRequest) (*JobStatus, error) {
 		s.m.rejected++
 		s.m.shedQueueFull++
 		s.m.mu.Unlock()
-		return nil, &JobError{
-			JSON:       ErrorJSON{Code: ErrCodeQueueFull, Message: "job queue is full"},
-			RetryAfter: time.Second,
-		}
+		return nil, &JobError{JSON: ErrorJSON{Code: ErrCodeQueueFull, Message: "job queue is full"}}
 	}
 	s.flights[key] = f
 	s.mu.Unlock()
@@ -568,11 +396,8 @@ func (s *Server) status(j *job) *JobStatus {
 		CacheHit:  j.cacheHit,
 		ElapsedMs: j.elapsed.Milliseconds(),
 	}
-	res, jobErr := j.res, j.err
+	jobErr := j.err
 	s.mu.Unlock()
-	if st.State == StateDone {
-		st.Result = res
-	}
 	if st.State == StateFailed && jobErr != nil {
 		ej := jobErr.JSON
 		st.Error = &ej
@@ -597,22 +422,22 @@ func writeError(w http.ResponseWriter, code, msg string) {
 }
 
 // writeJobError emits a JobError's envelope with its code's HTTP status
-// from ErrorCodeStatus, plus a Retry-After header when the rejection
-// carries a capacity estimate.
+// from ErrorCodeStatus. A queue_full refusal also carries Retry-After: 1.
 func writeJobError(w http.ResponseWriter, je *JobError) {
-	if je.RetryAfter > 0 {
-		secs := int(je.RetryAfter / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+	if je.JSON.Code == ErrCodeQueueFull {
+		w.Header().Set("Retry-After", "1")
 	}
 	writeJSON(w, ErrorCodeStatus[je.JSON.Code], map[string]any{"error": je.JSON})
 }
 
+// handleSubmit decodes the request strictly: a field SubmitRequest does not
+// have, misspelt or retired, is a bad_request naming it rather than an
+// experiment silently run without it.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeError(w, ErrCodeBadRequest, "bad JSON: "+err.Error())
 		return
 	}
@@ -659,8 +484,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 // handleResult returns the completed result (200), the job's progress (202
 // while not terminal), or the stable error envelope — 422 for wedges and
-// functional check failures, 500 for server-side faults, 504 for jobs shed
-// in the queue.
+// functional check failures, 500 for server-side faults. It is the one
+// read path for a result.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	j, ok := s.jobs[r.PathValue("id")]
@@ -730,17 +555,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleHealthz reports liveness plus the worker pool (size, queue depth),
 // the result store's status block (tier, entry counts, disk bytes,
-// warm-start and quarantine counters) and the overload counters (sheds and
-// deadline expiries). The status degrades to 503 while draining.
+// warm-start and quarantine counters) and the overload counter (queue-full
+// refusals). The status degrades to 503 while draining.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
 	s.m.mu.Lock()
-	shed := map[string]uint64{
-		"queue_full":        s.m.shedQueueFull,
-		"deadline_exceeded": s.m.shedDeadline,
-	}
+	shed := map[string]uint64{"queue_full": s.m.shedQueueFull}
 	s.m.mu.Unlock()
 	body := map[string]any{
 		"status":        "ok",

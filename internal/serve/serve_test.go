@@ -83,6 +83,25 @@ func waitDone(t *testing.T, url, id string) JobStatus {
 	return JobStatus{}
 }
 
+// fetchResult reads a done job's result from its one read path,
+// GET /v1/jobs/{id}/result.
+func fetchResult(t *testing.T, url, id string) *JobResult {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/jobs/" + id + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("result of %s: HTTP %d", id, resp.StatusCode)
+	}
+	var jr JobResult
+	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
+		t.Fatal(err)
+	}
+	return &jr
+}
+
 // metric scrapes one numeric series from /metrics.
 func metric(t *testing.T, url, name string) float64 {
 	t.Helper()
@@ -140,8 +159,8 @@ func TestCacheDedupConcurrent(t *testing.T) {
 		if st.State != StateDone {
 			t.Fatalf("job %s: state %s", id, st.State)
 		}
-		if st.Result == nil || st.Result.Cycles != 1000 {
-			t.Fatalf("job %s: bad result %+v", id, st.Result)
+		if res := fetchResult(t, ts.URL, id); res.Cycles != 1000 {
+			t.Fatalf("job %s: bad result %+v", id, res)
 		}
 	}
 	if got := runs.Load(); got != 1 {
@@ -154,7 +173,7 @@ func TestCacheDedupConcurrent(t *testing.T) {
 
 // TestCacheHitOnResubmit checks the content-addressed cache: a resubmission
 // of a finished experiment is served without a new run and reports
-// cache_hit, while a semantically different request (nopump) misses.
+// cache_hit, while a semantically different request (pump off) misses.
 func TestCacheHitOnResubmit(t *testing.T) {
 	var runs atomic.Int64
 	_, ts := newTestServer(t, Options{
@@ -177,13 +196,13 @@ func TestCacheHitOnResubmit(t *testing.T) {
 	if st2.Key != st.Key {
 		t.Fatalf("same experiment got different keys %s vs %s", st2.Key, st.Key)
 	}
-	st3, _ := submit(t, ts.URL, SubmitRequest{Bench: "dgemm", Config: "T", Scale: "test", NoPump: true})
+	st3, _ := submit(t, ts.URL, SubmitRequest{Bench: "dgemm", Config: "T", Scale: "test", Knobs: map[string]float64{"pump": 0}})
 	if st3.CacheHit {
-		t.Fatal("nopump variant hit the base config's cache line")
+		t.Fatal("pump-off variant hit the base config's cache line")
 	}
 	waitDone(t, ts.URL, st3.ID)
 	if got := runs.Load(); got != 2 {
-		t.Fatalf("runs = %d, want 2 (base + nopump)", got)
+		t.Fatalf("runs = %d, want 2 (base + pump off)", got)
 	}
 	if hits := metric(t, ts.URL, "tarserved_cache_hits_total"); hits != 1 {
 		t.Errorf("cache_hits = %v, want 1", hits)
@@ -286,7 +305,9 @@ func TestGracefulDrain(t *testing.T) {
 	resp.Body.Close()
 }
 
-// TestBadRequests checks the validation surface.
+// TestBadRequests checks the validation surface, including the strict
+// decode: a body naming a field SubmitRequest does not have — misspelt, or
+// retired like nopump and queue_wait_ms — is refused naming the field.
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1, Run: func(b string, c *sim.Config, s workloads.Scale) (*workloads.Result, error) {
 		return fakeResult(b, c.Name), nil
@@ -302,6 +323,28 @@ func TestBadRequests(t *testing.T) {
 		_, code := submit(t, ts.URL, req)
 		if code != http.StatusBadRequest {
 			t.Errorf("case %d: HTTP %d, want 400", i, code)
+		}
+	}
+	for field, body := range map[string]string{
+		"nopump":        `{"bench":"dgemm","config":"T","scale":"test","nopump":true}`,
+		"queue_wait_ms": `{"bench":"dgemm","config":"T","scale":"test","queue_wait_ms":100}`,
+		"nopmup":        `{"bench":"dgemm","config":"T","scale":"test","nopmup":true}`,
+		"knob":          `{"bench":"dgemm","config":"T","scale":"test","knob":{"lanes":8}}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var envelope struct {
+			Error ErrorJSON `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&envelope)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || envelope.Error.Code != ErrCodeBadRequest || !strings.Contains(envelope.Error.Message, field) {
+			t.Errorf("unknown field %s: HTTP %d %+v, want 400 bad_request naming it", field, resp.StatusCode, envelope.Error)
 		}
 	}
 	resp, _ := http.Get(ts.URL + "/v1/jobs/job-999")
@@ -498,11 +541,12 @@ func TestSampledServerCarriesSeries(t *testing.T) {
 	if fin.Key != confhash.Key("streams_copy", "test", sim.T()) {
 		t.Fatalf("sampling knob changed the content key: %s", fin.Key)
 	}
-	if fin.Result == nil || fin.Result.Series == nil || len(fin.Result.Series.Points) == 0 {
-		t.Fatalf("sampled run returned no series: %+v", fin.Result)
+	res := fetchResult(t, ts.URL, st.ID)
+	if res.Series == nil || len(res.Series.Points) == 0 {
+		t.Fatalf("sampled run returned no series: %+v", res)
 	}
-	if fin.Result.Series.Every != 200 {
-		t.Fatalf("series period %d, want 200", fin.Result.Series.Every)
+	if res.Series.Every != 200 {
+		t.Fatalf("series period %d, want 200", res.Series.Every)
 	}
 
 	st2, _ := submit(t, ts.URL, SubmitRequest{Bench: "streams_copy", Config: "T", Scale: "test"})

@@ -30,11 +30,9 @@ var serviceSeries = map[string]string{
 	"tarserved_snapshot_misses_total":     "counter",
 	"tarserved_warmup_cycles_saved_total": "counter",
 	"tarserved_shed_queue_full_total":     "counter",
-	"tarserved_shed_deadline_total":       "counter",
 	"tarserved_jobs_queued":               "gauge",
 	"tarserved_jobs_running":              "gauge",
 	"tarserved_cache_entries":             "gauge",
-	"tarserved_job_ewma_seconds":          "gauge",
 	"tarserved_store_mem_entries":         "gauge",
 	"tarserved_store_disk_entries":        "gauge",
 	"tarserved_store_disk_bytes":          "gauge",

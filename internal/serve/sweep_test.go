@@ -122,7 +122,7 @@ func (r *sweepRun) wait(t *testing.T, url string) ([]dse.Point, []int, error) {
 				row[k] = st
 			}
 			if st.State == StateDone {
-				cycles[i][r.spec.Benches[k]] = st.Result.Cycles
+				cycles[i][r.spec.Benches[k]] = fetchResult(t, url, st.ID).Cycles
 			}
 		}
 	}
