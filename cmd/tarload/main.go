@@ -13,7 +13,9 @@
 // Because the server deduplicates by content address, a -n much larger than
 // the distinct set size is the interesting regime: the run above performs
 // exactly 4 simulations no matter how many of the 128 requests overlap.
-// -out writes a machine-readable JSON report, a record of the smoke run;
+// -out writes a machine-readable JSON report, a record of the smoke run:
+// the client's counts and latencies next to the server's job, cache,
+// dedup and queue-full counters and its per-experiment series summaries.
 // tarbench's serve-cold and serve-replay workloads measure the service's
 // throughput.
 //
@@ -79,16 +81,6 @@ type report struct {
 	SimsCompleted float64 `json:"server_sims_completed"`
 	// The server's own overload counter, scraped after the run.
 	ServerShedQueueFull float64 `json:"server_shed_queue_full"`
-	// Warm-up snapshot counters: runs that forked from a stored post-warm-up
-	// chip snapshot (hits) vs runs that had to simulate the warm-up (misses),
-	// the simulated cycles that reuse avoided, and the snapshot store's
-	// byte/quarantine/eviction health.
-	SnapshotHits        float64 `json:"server_snapshot_hits"`
-	SnapshotMisses      float64 `json:"server_snapshot_misses"`
-	WarmupCyclesSaved   float64 `json:"server_warmup_cycles_saved"`
-	SnapshotBytes       float64 `json:"server_snapshot_bytes"`
-	SnapshotQuarantined float64 `json:"server_snapshot_quarantined"`
-	SnapshotEvicted     float64 `json:"server_snapshot_evicted"`
 
 	// Experiments carries the server's per-experiment series summaries
 	// (the labeled tarserved_experiment_* gauges): one row per distinct
@@ -126,11 +118,6 @@ type sweepReport struct {
 	// last bench completed.
 	P50PointMs float64 `json:"p50_point_ms"`
 	P99PointMs float64 `json:"p99_point_ms"`
-	// SnapshotHits and WarmupCyclesSaved are server-side deltas across the
-	// sweep: points that forked from a shared post-warm-up snapshot instead
-	// of re-simulating the warm-up, and the simulated cycles that saved.
-	SnapshotHits      float64 `json:"snapshot_hits"`
-	WarmupCyclesSaved float64 `json:"warmup_cycles_saved"`
 	// Ranked lists the completed points, baseline first, each with its
 	// per-bench cycles and speedups and its cost; Frontier indexes the
 	// Pareto-optimal ones.
@@ -250,12 +237,6 @@ func main() {
 		rep.SimsStarted = m["tarserved_sims_started_total"]
 		rep.SimsCompleted = m["tarserved_sims_completed_total"]
 		rep.ServerShedQueueFull = m["tarserved_shed_queue_full_total"]
-		rep.SnapshotHits = m["tarserved_snapshot_hits_total"]
-		rep.SnapshotMisses = m["tarserved_snapshot_misses_total"]
-		rep.WarmupCyclesSaved = m["tarserved_warmup_cycles_saved_total"]
-		rep.SnapshotBytes = m["tarserved_snapshot_bytes"]
-		rep.SnapshotQuarantined = m["tarserved_snapshot_quarantined"]
-		rep.SnapshotEvicted = m["tarserved_snapshot_evicted"]
 		rep.Experiments = exps
 	} else {
 		fmt.Fprintln(os.Stderr, "tarload: metrics scrape failed:", err)
@@ -353,11 +334,9 @@ func runSweepMode(addr string, spec *dse.Spec, conc int, wait time.Duration, out
 			exps = append(exps, experiment{i, b})
 		}
 	}
-	simsBefore, snapHitsBefore, savedBefore := 0.0, 0.0, 0.0
+	simsBefore := 0.0
 	if m, _, err := scrapeMetrics(addr); err == nil {
 		simsBefore = m["tarserved_sims_started_total"]
-		snapHitsBefore = m["tarserved_snapshot_hits_total"]
-		savedBefore = m["tarserved_warmup_cycles_saved_total"]
 	}
 
 	var (
@@ -422,8 +401,6 @@ func runSweepMode(addr string, spec *dse.Spec, conc int, wait time.Duration, out
 	}
 	if m, _, err := scrapeMetrics(addr); err == nil {
 		sr.UniqueSims = m["tarserved_sims_started_total"] - simsBefore
-		sr.SnapshotHits = m["tarserved_snapshot_hits_total"] - snapHitsBefore
-		sr.WarmupCyclesSaved = m["tarserved_warmup_cycles_saved_total"] - savedBefore
 	}
 
 	rep := report{
@@ -434,9 +411,9 @@ func runSweepMode(addr string, spec *dse.Spec, conc int, wait time.Duration, out
 		Sweeps: []sweepReport{sr},
 	}
 	fmt.Fprintf(os.Stderr,
-		"tarload: sweep %s — %d points, %d experiments (%.0f simulated, %d from store, %d failed, %d shed) in %.2fs; frontier %d, point p50 %.0fms p99 %.0fms; %.0f warm-up forks saved %.0f cycles\n",
+		"tarload: sweep %s — %d points, %d experiments (%.0f simulated, %d from store, %d failed, %d shed) in %.2fs; frontier %d, point p50 %.0fms p99 %.0fms\n",
 		sr.State, sr.Points, sr.Experiments, sr.UniqueSims, sr.PointCacheHits, failed, sr.Shed,
-		sr.WallSeconds, sr.FrontierSize, sr.P50PointMs, sr.P99PointMs, sr.SnapshotHits, sr.WarmupCyclesSaved)
+		sr.WallSeconds, sr.FrontierSize, sr.P50PointMs, sr.P99PointMs)
 
 	writeReport(rep, out)
 	if rankErr != nil {

@@ -11,18 +11,23 @@
 //	tarserved -addr :8077 -store-dir /var/lib/tarserved -queue 256
 //
 // With -store-dir, completed results are persisted to a crash-safe disk
-// store (temp-file + fsync + rename, schema-versioned, corrupt files
-// quarantined) and a restarted server warm-starts from them: resubmitting
-// finished experiments after a crash costs zero re-simulation. -queue
-// bounds the simulations waiting for a worker and is the one backpressure:
-// a submission that finds it full is refused with "queue_full" (503,
+// store (one file per result under <dir>/schema-N/, temp-file + fsync +
+// rename, corrupt files quarantined) and a restarted server warm-starts
+// from them: resubmitting finished experiments after a crash costs zero
+// re-simulation. A result is encoded once, when it completes, and
+// GET /v1/jobs/{id}/result writes the stored bytes as they are (compact
+// JSON), whether the job simulated or was a store hit. -queue bounds the
+// simulations waiting for a worker and is the one backpressure: a
+// submission that finds it full is refused with "queue_full" (503,
 // Retry-After: 1), and a queued job always runs and is stored.
 //
-// Simulations run in this process. A panicking model build fails its job
-// with "internal", and a wedged one, or a kernel that stalls past its
-// deadline (-job-deadline), fails it with "wedge" and frees its worker. A
-// hard crash or an out-of-memory kill takes the server down; restarted over
-// the same -store-dir, it warm-starts from the results already stored.
+// Simulations run in this process, each straight through its warm-up
+// phase: no job forks from another's chip snapshot. A panicking model
+// build fails its job with "internal", and a wedged one, or a kernel that
+// stalls past its deadline (-job-deadline), fails it with "wedge" and
+// frees its worker. A hard crash or an out-of-memory kill takes the server
+// down; restarted over the same -store-dir, it warm-starts from the
+// results already stored.
 //
 // API sketch (see README.md for the endpoint table, DESIGN.md for the
 // error-code table and the full contract):
@@ -61,7 +66,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/serve"
-	"repro/internal/store"
 )
 
 func main() {
@@ -131,7 +135,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *storeDir != "" {
-		r := db.Status().NS[store.Results]
+		r := db.Status()
 		fmt.Fprintf(os.Stderr, "tarserved: disk store %s: %d artifacts warm-started (%d bytes), %d quarantined\n",
 			*storeDir, r.WarmStart, r.DiskBytes, r.Quarantined)
 	}

@@ -46,26 +46,6 @@ func Key(bench, scale string, cfg *sim.Config) string {
 	return hex.EncodeToString(h.Sum(nil))[:32]
 }
 
-// WarmupKey returns the content address of an experiment's warm-up phase:
-// benchmark × input scale × machine configuration with the knobs that
-// cannot influence pre-ROI timing normalized away. Two configurations that
-// differ only in those knobs share a warm-up key — and therefore share a
-// post-Setup chip snapshot — while their full Keys still differ.
-//
-// The only normalized knob today is Vbox.PhysVRegs: warm-up kernels emit
-// no vector instructions (setup is scalar data placement), so the physical
-// vector register file size cannot affect a single warm-up cycle. The
-// warm-up snapshot A/B tests enforce this empirically — snapshot payloads
-// must be byte-identical across PhysVRegs values — so widening the
-// normalized set requires the same proof, not just the argument.
-func WarmupKey(bench, scale string, cfg *sim.Config) string {
-	c := *cfg
-	c.Vbox.PhysVRegs = 0
-	h := sha256.New()
-	fmt.Fprintf(h, "warmup;bench=%s;scale=%s;cfg=%s", bench, scale, Config(&c))
-	return hex.EncodeToString(h.Sum(nil))[:32]
-}
-
 // writeValue streams a canonical encoding of v. Struct fields are visited
 // in declaration order with their names (so reordering-with-renaming cannot
 // collide), pointers distinguish nil from zero values, maps are emitted in

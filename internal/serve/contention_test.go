@@ -29,7 +29,7 @@ func fakeRun(bench string, cfg *sim.Config, _ workloads.Scale) (*workloads.Resul
 	return fakeResult(bench, cfg.Name), nil
 }
 
-// gatedStore parks its next result Get, once armed, until opened, and then
+// gatedStore parks its next Get, once armed, until opened, and then
 // reports a miss: a lookup that waits on the disk tier's write lock and
 // read the store before the Put it races with.
 type gatedStore struct {
@@ -48,13 +48,13 @@ func newGatedStore() *gatedStore {
 	}
 }
 
-func (g *gatedStore) Get(ns store.Namespace, key string) ([]byte, bool) {
-	if ns == store.Results && g.armed.CompareAndSwap(true, false) {
+func (g *gatedStore) Get(key string) ([]byte, bool) {
+	if g.armed.CompareAndSwap(true, false) {
 		close(g.parked)
 		<-g.release
 		return nil, false
 	}
-	return g.Interface.Get(ns, key)
+	return g.Interface.Get(key)
 }
 
 func (g *gatedStore) open() { g.openOnce.Do(func() { close(g.release) }) }

@@ -117,7 +117,7 @@ type job struct {
 	cacheHit  bool
 	submitted time.Time
 	state     string
-	res       *JobResult
+	result    []byte // the stored JobResult bytes, once done
 	err       *JobError
 	elapsed   time.Duration
 	done      chan struct{}

@@ -6,6 +6,8 @@ import (
 	"io"
 	"sort"
 	"sync"
+
+	"repro/internal/store"
 )
 
 // maxExperimentSeries bounds the per-experiment summary table on /metrics:
@@ -47,14 +49,6 @@ type metrics struct {
 	// shedQueueFull counts submissions refused because the bounded queue
 	// was full, the service's one overload signal.
 	shedQueueFull uint64
-
-	// Warm-up snapshot counters: simulations whose warm-up phase was
-	// restored from a stored chip snapshot (snapHits) or simulated and
-	// captured (snapMisses), and the cumulative simulated cycles those
-	// restores avoided — the checkpoint feature's payoff in one number.
-	snapHits          uint64
-	snapMisses        uint64
-	warmupCyclesSaved uint64
 
 	// simCycles/simWallNs accumulate the timing simulator's own
 	// throughput across every completed simulation, so a scrape can
@@ -153,7 +147,7 @@ func (m *metrics) quantiles() (p50, p99 float64, n uint64) {
 // (store and server have their own locks). The scrape is rendered into a
 // buffer under m.mu and written after it is released, so a client that
 // stops reading cannot stall the job accounting that takes m.mu.
-func (m *metrics) render(w io.Writer, st StoreStatus, workers, queueDepth int) {
+func (m *metrics) render(w io.Writer, st store.Status, workers, queueDepth int) {
 	var buf bytes.Buffer
 	m.mu.Lock()
 	m.renderLocked(&buf, st, workers, queueDepth)
@@ -162,7 +156,7 @@ func (m *metrics) render(w io.Writer, st StoreStatus, workers, queueDepth int) {
 }
 
 // renderLocked writes the exposition. Requires m.mu.
-func (m *metrics) renderLocked(w io.Writer, st StoreStatus, workers, queueDepth int) {
+func (m *metrics) renderLocked(w io.Writer, st store.Status, workers, queueDepth int) {
 	counter := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
@@ -181,13 +175,9 @@ func (m *metrics) renderLocked(w io.Writer, st StoreStatus, workers, queueDepth 
 	counter("tarserved_sims_completed_total", "Underlying simulations finished.", m.simsDone)
 	counter("tarserved_sim_cycles_total", "Simulated cycles across all completed simulations.", m.simCycles)
 	fmt.Fprintf(w, "# HELP tarserved_sim_wall_seconds_total Host wall-clock spent inside the simulation loop across all completed simulations.\n# TYPE tarserved_sim_wall_seconds_total counter\ntarserved_sim_wall_seconds_total %g\n", float64(m.simWallNs)/1e9)
-	counter("tarserved_snapshot_hits_total", "Simulations whose warm-up phase was restored from a stored chip snapshot.", m.snapHits)
-	counter("tarserved_snapshot_misses_total", "Simulations that simulated (and captured) their warm-up phase.", m.snapMisses)
-	counter("tarserved_warmup_cycles_saved_total", "Simulated cycles avoided by restoring warm-up snapshots.", m.warmupCyclesSaved)
 	counter("tarserved_shed_queue_full_total", "Submissions refused because the queue was full.", m.shedQueueFull)
 	gauge("tarserved_jobs_queued", "Jobs waiting for a worker.", m.queued)
 	gauge("tarserved_jobs_running", "Jobs whose simulation is executing.", m.running)
-	gauge("tarserved_cache_entries", "Entries resident in the result cache.", st.MemEntries)
 	gauge("tarserved_workers_alive", "Workers in the simulation pool.", workers)
 	gauge("tarserved_workers_queue_depth", "Flights waiting for a worker.", queueDepth)
 	renderStore(w, st)
@@ -202,7 +192,7 @@ func (m *metrics) renderLocked(w io.Writer, st StoreStatus, workers, queueDepth 
 
 // renderStore writes the store-health gauges. The store tier is a label so
 // one dashboard query covers memory-only and tiered deployments.
-func renderStore(w io.Writer, st StoreStatus) {
+func renderStore(w io.Writer, st store.Status) {
 	g := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s{tier=%q} %d\n", name, help, name, name, st.Tier, v)
 	}
@@ -214,10 +204,6 @@ func renderStore(w io.Writer, st StoreStatus) {
 	g("tarserved_store_quarantined", "Undecodable or schema-skewed files quarantined by the loader.", int64(st.Quarantined))
 	g("tarserved_store_io_errors", "Disk reads and writes that failed (real or injected).", int64(st.IOErrors))
 	g("tarserved_store_evicted", "Artifacts dropped by the disk tier's size cap.", int64(st.Evicted))
-	g("tarserved_snapshot_entries", "Chip snapshots resident in the store.", int64(st.SnapEntries))
-	g("tarserved_snapshot_bytes", "Bytes of chip snapshots resident in the store.", st.SnapBytes)
-	g("tarserved_snapshot_quarantined", "Chip snapshots that failed envelope verification and were set aside.", int64(st.SnapQuarantined))
-	g("tarserved_snapshot_evicted", "Chip snapshots dropped by the snapshot byte cap.", int64(st.SnapEvicted))
 }
 
 // renderExperimentsLocked writes the per-experiment series summaries as

@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -26,8 +28,8 @@ import (
 //
 // Byte-level store mechanics (eviction atime ordering, torn-write chaos)
 // live in internal/store. The tests here pin the serve-layer contract on
-// top of it: artifact encoding, on-disk layout, and the decoded round trip
-// through putResult and getResult.
+// top of it: artifact encoding and validation, the on-disk layout, and the
+// stored bytes served back unchanged.
 
 // artifactPath is the serve layer's on-disk layout contract: one result
 // artifact per file, under a schema-versioned directory. External tooling
@@ -37,20 +39,21 @@ func artifactPath(dir, key string) string {
 }
 
 // TestDiskStoreRoundTripAndWarmStart: a put survives a process "restart"
-// (reopening the store on the same directory) and is served back decoded —
-// the crash-recovery primitive everything else builds on.
+// (reopening the store on the same directory) and is served back
+// byte-identical — the crash-recovery primitive everything else builds on.
 func TestDiskStoreRoundTripAndWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenStore(dir, 16, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	putResult(d, EncodeResult("aaaa1111", fakeResult("dgemm", "T")))
-	putResult(d, EncodeResult("bbbb2222", fakeResult("streams_copy", "T")))
-	if n := storeStatus(d.Status()).MemEntries; n != 2 {
+	want := artifact("aaaa1111", "dgemm")
+	d.Put("aaaa1111", want)
+	d.Put("bbbb2222", artifact("bbbb2222", "streams_copy"))
+	if n := d.Status().MemEntries; n != 2 {
 		t.Fatalf("entries = %d, want 2", n)
 	}
-	if _, ok := getResult(d, "aaaa1111"); !ok {
+	if _, ok := d.Get("aaaa1111"); !ok {
 		t.Fatal("get missed a just-put artifact")
 	}
 	d.Close()
@@ -61,23 +64,75 @@ func TestDiskStoreRoundTripAndWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := storeStatus(d2.Status())
-	if st.WarmStart != 2 || st.DiskEntries != 2 || st.Quarantined != 0 {
+	if st := d2.Status(); st.WarmStart != 2 || st.DiskEntries != 2 || st.Quarantined != 0 {
 		t.Fatalf("warm-start status = %+v", st)
 	}
-	res, ok := getResult(d2, "aaaa1111")
-	if !ok || res.Bench != "dgemm" {
-		t.Fatalf("warm-started get = %+v ok=%v", res, ok)
+	got, ok := d2.Get("aaaa1111")
+	if !ok || !bytes.Equal(got, want) {
+		t.Fatalf("warm-started get = %s ok=%v, want %s", got, ok, want)
 	}
-	// The decoded result must re-encode to the same artifact bytes the
-	// first process wrote, at the documented on-disk path.
+	// The first process wrote those bytes at the documented on-disk path.
 	disk, err := os.ReadFile(artifactPath(dir, "aaaa1111"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	reenc, _ := json.Marshal(res)
-	if !bytes.Equal(disk, reenc) {
-		t.Fatalf("artifact not byte-stable across restart:\ndisk: %s\nre-encoded: %s", disk, reenc)
+	if !bytes.Equal(disk, want) {
+		t.Fatalf("on-disk artifact differs from the put:\ndisk: %s\nput: %s", disk, want)
+	}
+}
+
+// TestStoreOpensParentLayout: a store directory written by a build that
+// also kept warm-up snapshots (results under schema-4/, chip snapshots
+// under snapshots/schema-2/) opens cleanly. Every result warm-starts,
+// nothing is quarantined, no I/O error is counted, and the snapshots/ tree
+// is left exactly as it was.
+func TestStoreOpensParentLayout(t *testing.T) {
+	dir := t.TempDir()
+	keys := []string{"aaaa1111", "bbbb2222", "cccc3333"}
+	for _, key := range keys {
+		path := artifactPath(dir, key)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, artifact(key, "dgemm"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := filepath.Join(dir, "snapshots", "schema-2", "dddd4444eeee5555ffff6666aaaa7777.snap")
+	blob := []byte("TARSNAP\x00 stands in for a chip snapshot")
+	if err := os.MkdirAll(filepath.Dir(snap), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snap, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d, err := OpenStore(dir, 16, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if st := d.Status(); st.WarmStart != len(keys) || st.Quarantined != 0 || st.IOErrors != 0 {
+		t.Fatalf("status over the parent's layout = %+v, want %d warm, none quarantined, no I/O errors", st, len(keys))
+	}
+	for _, key := range keys {
+		if got, ok := d.Get(key); !ok || !bytes.Equal(got, artifact(key, "dgemm")) {
+			t.Errorf("result %s not served from the parent's layout", key)
+		}
+	}
+	var tree []string
+	filepath.WalkDir(filepath.Join(dir, "snapshots"), func(path string, _ fs.DirEntry, err error) error {
+		if err != nil {
+			t.Error(err)
+		}
+		tree = append(tree, path)
+		return nil
+	})
+	if want := []string{filepath.Join(dir, "snapshots"), filepath.Dir(snap), snap}; strings.Join(tree, " ") != strings.Join(want, " ") {
+		t.Errorf("snapshots/ tree = %v, want it untouched: %v", tree, want)
+	}
+	if got, err := os.ReadFile(snap); err != nil || !bytes.Equal(got, blob) {
+		t.Errorf("snapshot blob changed: %q, %v", got, err)
 	}
 }
 
@@ -95,7 +150,7 @@ var corruptions = []struct {
 		return c
 	}},
 	{"wrong_schema", func(v []byte) []byte {
-		return bytes.Replace(v, []byte(fmt.Sprintf(`"schema": %d`, SchemaVersion)), []byte(`"schema": 999`), 1)
+		return bytes.Replace(v, []byte(fmt.Sprintf(`"schema":%d`, SchemaVersion)), []byte(`"schema":999`), 1)
 	}},
 	{"garbage", func(v []byte) []byte { return []byte("\x00\xffnot json at all") }},
 	{"empty", func(v []byte) []byte { return nil }},
@@ -110,8 +165,8 @@ func TestDiskStoreCorruptionQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	putResult(d, EncodeResult("good0000", fakeResult("dgemm", "T")))
-	putResult(d, EncodeResult("good1111", fakeResult("streams_copy", "T")))
+	d.Put("good0000", artifact("good0000", "dgemm"))
+	d.Put("good1111", artifact("good1111", "streams_copy"))
 	d.Close()
 	valid, err := os.ReadFile(artifactPath(dir, "good0000"))
 	if err != nil {
@@ -132,17 +187,17 @@ func TestDiskStoreCorruptionQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("corrupt files must not fail the open: %v", err)
 	}
-	st := storeStatus(d2.Status())
+	st := d2.Status()
 	wantQuar := uint64(len(corruptions) + 1)
 	if st.Quarantined != wantQuar || st.WarmStart != 2 || st.DiskEntries != 2 {
 		t.Fatalf("status after corrupt open = %+v, want %d quarantined / 2 warm", st, wantQuar)
 	}
 	for _, c := range corruptions {
-		if _, ok := getResult(d2, "bad_"+c.name); ok {
+		if _, ok := d2.Get("bad_" + c.name); ok {
 			t.Fatalf("corrupt artifact %q was served", c.name)
 		}
 	}
-	if _, ok := getResult(d2, "good0000"); !ok {
+	if _, ok := d2.Get("good0000"); !ok {
 		t.Fatal("valid artifact lost in the corrupt sweep")
 	}
 	quar, _ := os.ReadDir(filepath.Join(dir, "quarantine"))
@@ -157,10 +212,10 @@ func TestDiskStoreCorruptionQuarantine(t *testing.T) {
 	if err := os.WriteFile(artifactPath(dir, "good1111"), valid[:10], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := getResult(d2, "good1111"); ok {
+	if _, ok := d2.Get("good1111"); ok {
 		t.Fatal("post-open corruption was served")
 	}
-	if got := storeStatus(d2.Status()).Quarantined; got != wantQuar+1 {
+	if got := d2.Status().Quarantined; got != wantQuar+1 {
 		t.Fatalf("read-time quarantine not counted: %d, want %d", got, wantQuar+1)
 	}
 }
@@ -169,10 +224,7 @@ func TestDiskStoreCorruptionQuarantine(t *testing.T) {
 // whatever the input, it must return a result or an error — never panic,
 // never accept bytes that contradict their content address.
 func FuzzDiskArtifactDecode(f *testing.F) {
-	valid, err := json.Marshal(EncodeResult("fuzzkey0", fakeResult("dgemm", "T")))
-	if err != nil {
-		f.Fatal(err)
-	}
+	valid := artifact("fuzzkey0", "dgemm")
 	f.Add(valid)
 	for _, c := range corruptions {
 		f.Add(c.mut(valid))
@@ -203,8 +255,8 @@ func TestTieredStoreSingleFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := fakeResult("dgemm", "T")
 	const key = "cafe0123"
+	blob := artifact(key, "dgemm")
 
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -213,17 +265,17 @@ func TestTieredStoreSingleFlight(t *testing.T) {
 			defer wg.Done()
 			for n := 0; n < 50; n++ {
 				if i%2 == 0 {
-					putResult(db, EncodeResult(key, res))
-				} else if got, ok := getResult(db, key); ok && got.Bench != "dgemm" {
-					t.Errorf("torn read: %+v", got)
+					db.Put(key, blob)
+				} else if got, ok := db.Get(key); ok && !bytes.Equal(got, blob) {
+					t.Errorf("torn read: %s", got)
 				}
 			}
 		}(i)
 	}
 	wg.Wait()
-	got, ok := getResult(db, key)
-	if !ok || got.Bench != "dgemm" {
-		t.Fatalf("artifact lost after concurrent traffic: %+v ok=%v", got, ok)
+	got, ok := db.Get(key)
+	if !ok || !bytes.Equal(got, blob) {
+		t.Fatalf("artifact lost after concurrent traffic: %s ok=%v", got, ok)
 	}
 	if st := db.Status(); st.Tier != "mem+disk" || st.IOErrors != 0 {
 		t.Fatalf("tiered status = %+v", st)
@@ -235,7 +287,7 @@ func TestTieredStoreSingleFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := storeStatus(reopened.Status()); st.DiskEntries != 1 || st.WarmStart != 1 {
+	if st := reopened.Status(); st.DiskEntries != 1 || st.WarmStart != 1 {
 		t.Fatalf("disk tier after concurrent traffic = %+v, want exactly 1 entry", st)
 	}
 }
@@ -243,8 +295,8 @@ func TestTieredStoreSingleFlight(t *testing.T) {
 // TestChaosDiskStore writes through the serve store under the DiskChaos
 // campaign (injected write errors and torn writes), then "restarts" onto
 // the same directory with chaos off: the recovery scan must quarantine
-// every torn artifact, warm-start the rest, and serve only valid decoded
-// results. (The byte-level chaos drill on the bare disk tier — where the
+// every torn artifact, warm-start the rest, and serve only the bytes that
+// were put. (The byte-level chaos drill on the bare disk tier — where the
 // memory tier cannot mask read faults — lives in internal/store.)
 func TestChaosDiskStore(t *testing.T) {
 	dir := t.TempDir()
@@ -254,7 +306,8 @@ func TestChaosDiskStore(t *testing.T) {
 	}
 	const n = 60
 	for i := 0; i < n; i++ {
-		putResult(d, EncodeResult(fmt.Sprintf("chaos%02d", i), fakeResult("dgemm", "T")))
+		key := fmt.Sprintf("chaos%02d", i)
+		d.Put(key, artifact(key, "dgemm"))
 	}
 	if st := d.Status(); st.IOErrors == 0 {
 		t.Fatalf("chaos campaign injected no I/O errors: %+v", st)
@@ -266,19 +319,20 @@ func TestChaosDiskStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	st := storeStatus(d2.Status())
+	st := d2.Status()
 	if st.Quarantined == 0 {
 		t.Fatalf("no torn write reached the quarantine path: %+v", st)
 	}
 	served := 0
 	for i := 0; i < n; i++ {
-		res, ok := getResult(d2, fmt.Sprintf("chaos%02d", i))
+		key := fmt.Sprintf("chaos%02d", i)
+		raw, ok := d2.Get(key)
 		if !ok {
 			continue // lost to an injected write error or torn — an honest miss
 		}
 		served++
-		if res.Bench != "dgemm" || res.Stats == nil || res.Stats.Cycles != 1000 {
-			t.Fatalf("chaos store served a corrupt artifact: %+v", res)
+		if !bytes.Equal(raw, artifact(key, "dgemm")) {
+			t.Fatalf("chaos store served a corrupt artifact: %s", raw)
 		}
 	}
 	if served == 0 {
@@ -331,7 +385,7 @@ func TestRestartRecoveryE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := storeStatus(store2.Status()); st.WarmStart != len(cells) {
+	if st := store2.Status(); st.WarmStart != len(cells) {
 		t.Fatalf("warm start recovered %d artifacts, want %d: %+v", st.WarmStart, len(cells), st)
 	}
 	_, ts2 := newTestServer(t, Options{Workers: 2, Store: store2})

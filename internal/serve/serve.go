@@ -6,17 +6,22 @@
 // drains in-flight simulations on shutdown, so a deploy never truncates a
 // half-finished experiment.
 //
-// Simulations run on the worker pool's goroutines, in the server process. A
+// Simulations run on the worker pool's goroutines, in the server process,
+// each straight through workloads.Benchmark.Run, warm-up included. A
 // panic is recovered into error code "internal", and every integrity
 // feature (watchdog, deadline, invariant checker, fault campaigns) remains
 // a request knob: a wedged machine, or a kernel that stalls past its
 // deadline, surfaces as a structured HTTP 422 with error code "wedge" —
 // never a hung connection or an anonymous 500.
 //
-// Results and warm-up chip snapshots live in one content-addressed store,
-// internal/store's Interface, which the server calls directly by namespace:
-// the in-memory tier alone, or the memory tier over a crash-safe disk store
-// so a restarted server warm-starts from its previous life's artifacts.
+// Results live in one content-addressed store, internal/store's Interface,
+// which the server calls directly: the in-memory tier alone, or the memory
+// tier over a crash-safe disk store so a restarted server warm-starts from
+// its previous life's artifacts. A result is encoded once, when its
+// simulation completes; the store holds those bytes, and
+// GET /v1/jobs/{id}/result writes them as stored, whether the job ran or
+// was answered from the store.
+//
 // The bounded queue is the one backpressure: a submission that finds it
 // full is refused with queue_full (503, Retry-After: 1), and a queued
 // flight always runs, so its result is stored even for a client that gave
@@ -44,9 +49,18 @@ import (
 	"repro/internal/workloads"
 )
 
-// RunFunc executes one experiment. The default runs the real simulator with
-// warm-up snapshot reuse; tests substitute counting or failing stubs.
+// RunFunc executes one experiment. The default, runBenchmark, runs the
+// real simulator; tests substitute counting or failing stubs.
 type RunFunc func(bench string, cfg *sim.Config, scale workloads.Scale) (*workloads.Result, error)
+
+// runBenchmark runs one experiment straight through the simulator.
+func runBenchmark(bench string, cfg *sim.Config, scale workloads.Scale) (*workloads.Result, error) {
+	b, err := workloads.Get(bench)
+	if err != nil {
+		return nil, err
+	}
+	return b.Run(cfg, scale)
+}
 
 // Options configures a Server. Zero values select sensible defaults.
 type Options struct {
@@ -56,9 +70,9 @@ type Options struct {
 	// overflow refuses the submission with queue_full rather than queueing
 	// unboundedly.
 	QueueDepth int
-	// Store holds results and warm-up snapshots. Nil selects
-	// the memory-only store with its default bounds; OpenStore builds the
-	// store tarserved uses, memory-only or tiered over a disk directory.
+	// Store holds results. Nil selects the memory-only store with its
+	// default bound; OpenStore builds the store tarserved uses, memory-only
+	// or tiered over a disk directory.
 	Store store.Interface
 	// DefaultDeadline is applied to jobs that do not set deadline_ms;
 	// MaxDeadline clamps what a request may ask for. Zero disables each.
@@ -127,7 +141,7 @@ func New(opts Options) *Server {
 		s.store = store.NewMem(storeConfig(0))
 	}
 	if s.run == nil {
-		s.run = s.snapshotRun()
+		s.run = runBenchmark
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -224,21 +238,26 @@ func execute(f *flight, run RunFunc) (res *workloads.Result, err error) {
 
 // complete publishes a flight's outcome to every attached job, feeds the
 // store, and updates the metrics. The result is encoded once: the store
-// gets those bytes and every job keeps the *JobResult it serves. Every job
-// of the flight is running by now.
+// gets those bytes and every job keeps them to serve. Every job of the
+// flight is running by now.
 func (s *Server) complete(f *flight, res *workloads.Result, jobErr *JobError) {
-	var jr *JobResult
+	var raw []byte
 	if jobErr == nil {
-		jr = EncodeResult(f.key, res)
-		putResult(s.store, jr)
-		s.stored.Add(1)
-		s.m.recordExperiment(jr)
+		jr := EncodeResult(f.key, res)
+		var err error
+		if raw, err = json.Marshal(jr); err != nil {
+			jobErr = &JobError{JSON: ErrorJSON{Code: ErrCodeInternal, Message: "encoding result: " + err.Error(), Confhash: f.key}}
+		} else {
+			s.store.Put(f.key, raw)
+			s.stored.Add(1)
+			s.m.recordExperiment(jr)
+		}
 	}
 	now := time.Now()
 	s.mu.Lock()
 	delete(s.flights, f.key)
 	for _, j := range f.jobs {
-		j.res, j.err = jr, jobErr
+		j.result, j.err = raw, jobErr
 		j.elapsed = now.Sub(j.submitted)
 		if jobErr == nil {
 			j.state = StateDone
@@ -280,9 +299,9 @@ func (s *Server) Submit(req *SubmitRequest) (*JobStatus, error) {
 	now := time.Now()
 
 	// The store lookup runs before s.mu: a Get may wait on the disk tier's
-	// write lock, and the decode is not free.
+	// write lock, or read and validate a file.
 	stored := s.stored.Load()
-	res, hit := getResult(s.store, key)
+	raw, hit := s.store.Get(key)
 
 	s.mu.Lock()
 	if s.draining {
@@ -309,10 +328,10 @@ func (s *Server) Submit(req *SubmitRequest) (*JobStatus, error) {
 	if _, ok := s.flights[key]; !hit && !ok && s.stored.Load() != stored {
 		// A flight may have put this result and left between the miss
 		// above and s.mu: look again rather than simulate it twice.
-		res, hit = getResult(s.store, key)
+		raw, hit = s.store.Get(key)
 	}
 	if hit {
-		j.state, j.res, j.cacheHit = StateDone, res, true
+		j.state, j.result, j.cacheHit = StateDone, raw, true
 		close(j.done)
 		s.mu.Unlock()
 		s.m.mu.Lock()
@@ -485,7 +504,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // handleResult returns the completed result (200), the job's progress (202
 // while not terminal), or the stable error envelope — 422 for wedges and
 // functional check failures, 500 for server-side faults. It is the one
-// read path for a result.
+// read path for a result, and writes the result's bytes as the store holds
+// them: compact JSON, the same whether the job ran or was a store hit.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	j, ok := s.jobs[r.PathValue("id")]
@@ -504,7 +524,9 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeJobError(w, j.err)
 		return
 	}
-	writeJSON(w, http.StatusOK, j.res)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(j.result)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -550,7 +572,7 @@ func (s *Server) handleSweepKnobs(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.m.render(w, storeStatus(s.store.Status()), s.opts.Workers, len(s.queue))
+	s.m.render(w, s.store.Status(), s.opts.Workers, len(s.queue))
 }
 
 // handleHealthz reports liveness plus the worker pool (size, queue depth),
@@ -568,7 +590,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"status":        "ok",
 		"workers_alive": s.opts.Workers,
 		"queue_depth":   len(s.queue),
-		"store":         storeStatus(s.store.Status()),
+		"store":         s.store.Status(),
 		"shed":          shed,
 	}
 	code := http.StatusOK

@@ -19,6 +19,7 @@ import (
 	"repro/internal/confhash"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/store"
 	"repro/internal/workloads"
 )
 
@@ -31,6 +32,16 @@ func fakeResult(bench, config string) *workloads.Result {
 		Scale:  workloads.Test,
 		Stats:  &stats.Stats{Cycles: 1000, Flops: 512, MemOps: 256, OtherOps: 64, ScalarIns: 100, VectorIns: 10, VecOps: 768},
 	}
+}
+
+// artifact is the stored form of a fake result under key, the bytes
+// complete puts in the store.
+func artifact(key, bench string) []byte {
+	raw, err := json.Marshal(EncodeResult(key, fakeResult(bench, "T")))
+	if err != nil {
+		panic(err)
+	}
+	return raw
 }
 
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
@@ -405,19 +416,19 @@ func TestLRUEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	putResult(c, EncodeResult("a", fakeResult("a", "T")))
-	putResult(c, EncodeResult("b", fakeResult("b", "T")))
-	if _, ok := getResult(c, "a"); !ok {
+	c.Put("a", artifact("a", "a"))
+	c.Put("b", artifact("b", "b"))
+	if _, ok := c.Get("a"); !ok {
 		t.Fatal("a evicted too early")
 	}
-	putResult(c, EncodeResult("c", fakeResult("c", "T"))) // evicts b (a was refreshed by get)
-	if _, ok := getResult(c, "b"); ok {
+	c.Put("c", artifact("c", "c")) // evicts b (a was refreshed by get)
+	if _, ok := c.Get("b"); ok {
 		t.Fatal("b survived past the bound")
 	}
-	if _, ok := getResult(c, "a"); !ok {
+	if _, ok := c.Get("a"); !ok {
 		t.Fatal("recently-used a was evicted")
 	}
-	if n := storeStatus(c.Status()).MemEntries; n != 2 {
+	if n := c.Status().MemEntries; n != 2 {
 		t.Fatalf("entries = %d, want 2", n)
 	}
 }
@@ -439,8 +450,8 @@ func TestMetricsQuantiles(t *testing.T) {
 		t.Errorf("p99 = %v", p99)
 	}
 	var buf bytes.Buffer
-	m.render(&buf, StoreStatus{Tier: "mem", MemEntries: 3}, 2, 1)
-	for _, want := range []string{"tarserved_job_latency_seconds{quantile=\"0.5\"}", "tarserved_cache_entries 3", "tarserved_workers_alive 2", "tarserved_workers_queue_depth 1"} {
+	m.render(&buf, store.Status{Tier: "mem", MemEntries: 3}, 2, 1)
+	for _, want := range []string{"tarserved_job_latency_seconds{quantile=\"0.5\"}", "tarserved_store_mem_entries{tier=\"mem\"} 3", "tarserved_workers_alive 2", "tarserved_workers_queue_depth 1"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("render missing %q", want)
 		}

@@ -14,40 +14,32 @@ import (
 // tarbench read these names; the HELP text and the series order are not
 // part of the contract.
 var serviceSeries = map[string]string{
-	"tarserved_jobs_submitted_total":      "counter",
-	"tarserved_jobs_rejected_total":       "counter",
-	"tarserved_jobs_done_total":           "counter",
-	"tarserved_jobs_failed_total":         "counter",
-	"tarserved_jobs_wedged_total":         "counter",
-	"tarserved_cache_hits_total":          "counter",
-	"tarserved_cache_misses_total":        "counter",
-	"tarserved_dedup_joined_total":        "counter",
-	"tarserved_sims_started_total":        "counter",
-	"tarserved_sims_completed_total":      "counter",
-	"tarserved_sim_cycles_total":          "counter",
-	"tarserved_sim_wall_seconds_total":    "counter",
-	"tarserved_snapshot_hits_total":       "counter",
-	"tarserved_snapshot_misses_total":     "counter",
-	"tarserved_warmup_cycles_saved_total": "counter",
-	"tarserved_shed_queue_full_total":     "counter",
-	"tarserved_jobs_queued":               "gauge",
-	"tarserved_jobs_running":              "gauge",
-	"tarserved_cache_entries":             "gauge",
-	"tarserved_store_mem_entries":         "gauge",
-	"tarserved_store_disk_entries":        "gauge",
-	"tarserved_store_disk_bytes":          "gauge",
-	"tarserved_store_warm_start":          "gauge",
-	"tarserved_store_warm_hits":           "gauge",
-	"tarserved_store_quarantined":         "gauge",
-	"tarserved_store_io_errors":           "gauge",
-	"tarserved_store_evicted":             "gauge",
-	"tarserved_snapshot_entries":          "gauge",
-	"tarserved_snapshot_bytes":            "gauge",
-	"tarserved_snapshot_quarantined":      "gauge",
-	"tarserved_snapshot_evicted":          "gauge",
-	"tarserved_job_latency_seconds":       "summary",
-	"tarserved_workers_alive":             "gauge",
-	"tarserved_workers_queue_depth":       "gauge",
+	"tarserved_jobs_submitted_total":   "counter",
+	"tarserved_jobs_rejected_total":    "counter",
+	"tarserved_jobs_done_total":        "counter",
+	"tarserved_jobs_failed_total":      "counter",
+	"tarserved_jobs_wedged_total":      "counter",
+	"tarserved_cache_hits_total":       "counter",
+	"tarserved_cache_misses_total":     "counter",
+	"tarserved_dedup_joined_total":     "counter",
+	"tarserved_sims_started_total":     "counter",
+	"tarserved_sims_completed_total":   "counter",
+	"tarserved_sim_cycles_total":       "counter",
+	"tarserved_sim_wall_seconds_total": "counter",
+	"tarserved_shed_queue_full_total":  "counter",
+	"tarserved_jobs_queued":            "gauge",
+	"tarserved_jobs_running":           "gauge",
+	"tarserved_store_mem_entries":      "gauge",
+	"tarserved_store_disk_entries":     "gauge",
+	"tarserved_store_disk_bytes":       "gauge",
+	"tarserved_store_warm_start":       "gauge",
+	"tarserved_store_warm_hits":        "gauge",
+	"tarserved_store_quarantined":      "gauge",
+	"tarserved_store_io_errors":        "gauge",
+	"tarserved_store_evicted":          "gauge",
+	"tarserved_job_latency_seconds":    "summary",
+	"tarserved_workers_alive":          "gauge",
+	"tarserved_workers_queue_depth":    "gauge",
 
 	// Per-experiment summaries, present once an experiment completed.
 	"tarserved_experiment_cycles":        "gauge",
@@ -58,10 +50,10 @@ var serviceSeries = map[string]string{
 }
 
 // TestMetricsAndHealthzSurface pins the service's observable surface: after
-// one real in-process job (rndcopy, so the warm-up snapshot path stores a
-// chip snapshot too), /metrics declares exactly serviceSeries, and /healthz
-// carries exactly the listed top-level and store keys, for a memory-only
-// store and a disk-backed one.
+// one real in-process job (rndcopy, the one benchmark with a warm-up
+// phase), /metrics declares exactly serviceSeries, and /healthz carries
+// exactly the listed top-level and store keys, for a memory-only store and
+// a disk-backed one.
 func TestMetricsAndHealthzSurface(t *testing.T) {
 	healthzKeys := []string{"queue_depth", "shed", "status", "store", "workers_alive"}
 	for _, tc := range []struct {
@@ -69,8 +61,8 @@ func TestMetricsAndHealthzSurface(t *testing.T) {
 		disk      bool
 		storeKeys []string
 	}{
-		{"mem", false, []string{"disk_entries", "mem_entries", "snapshot_bytes", "snapshot_entries", "tier"}},
-		{"disk", true, []string{"disk_bytes", "disk_entries", "mem_entries", "snapshot_bytes", "snapshot_entries", "tier"}},
+		{"mem", false, []string{"disk_entries", "mem_entries", "tier"}},
+		{"disk", true, []string{"disk_bytes", "disk_entries", "mem_entries", "tier"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := Options{Workers: 1}

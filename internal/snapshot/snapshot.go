@@ -8,9 +8,9 @@
 //   - Determinism. The same chip state always encodes to the same bytes:
 //     maps are emitted in sorted key order, floats as their IEEE-754 bit
 //     patterns, and there is no timestamp, pointer or padding anywhere in
-//     the stream. Snapshot bytes are therefore content-addressable and
-//     directly comparable (the warmup-confhash soundness test relies on
-//     byte equality across excluded-knob mutations).
+//     the stream. Snapshot bytes are therefore directly comparable (the
+//     component round-trip tests re-encode a restored state and compare
+//     bytes).
 //
 //   - Translation invariance. Components never store absolute cycle
 //     numbers; busy-until style fields are delta-encoded against the
@@ -137,14 +137,6 @@ func (w *Writer) Finish() []byte {
 	crc := crc32.ChecksumIEEE(w.buf)
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc)
 	return w.buf
-}
-
-// Verify checks a blob's envelope — magic, schema stamp, CRC — without
-// decoding the payload. It is the cheap admission test the snapshot stores
-// run before caching or serving a blob.
-func Verify(blob []byte) error {
-	_, err := payload(blob)
-	return err
 }
 
 // payload validates the envelope and returns the payload bytes between the

@@ -211,15 +211,3 @@ func TestStickyError(t *testing.T) {
 		t.Error("reader error is not sticky")
 	}
 }
-
-func TestVerify(t *testing.T) {
-	blob := buildBlob()
-	if err := Verify(blob); err != nil {
-		t.Fatal(err)
-	}
-	mut := append([]byte(nil), blob...)
-	mut[len(mut)-1] ^= 1
-	if err := Verify(mut); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("Verify on damaged blob = %v, want ErrCorrupt", err)
-	}
-}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,40 +12,35 @@ import (
 	"repro/internal/faults"
 )
 
-// DefaultMaxBytes bounds a disk store when no cap is configured: 1 GiB per
-// namespace, far beyond any sweep at today's scales.
+// DefaultMaxBytes bounds a disk store when no cap is configured: 1 GiB,
+// far beyond any sweep at today's scales.
 const DefaultMaxBytes = 1 << 30
 
 // Disk is the crash-safe tier: one file per artifact under
-// <root>/<subdir>/schema-<N>/<key><ext>. Durability comes from the write
-// protocol (temp file → fsync → rename → directory fsync), schema isolation
-// from the directory name, and corruption tolerance from validation: any
-// file the namespace's Validate hook rejects is moved to <root>/quarantine/
-// and counted — never served, never fatal.
+// <root>/schema-<N>/<key>.json. Durability comes from the write protocol
+// (temp file → fsync → rename → directory fsync), schema isolation from the
+// directory name, and corruption tolerance from validation: any file the
+// Validate hook rejects is moved to <root>/quarantine/ and counted — never
+// served, never fatal. Nothing else under the root is read or touched.
 //
-// Every namespace is indexed at open (the warm start), serves gets from
-// that index, and evicts least-recently-accessed artifacts by a logical
-// access clock against the byte cap. Each namespace accounts its bytes
-// separately, so snapshots can never push results out.
+// The schema directory is indexed at open (the warm start), gets are served
+// from that index, and the least-recently-accessed artifacts are evicted by
+// a logical access clock against the byte cap.
 type Disk struct {
+	dir      string
 	quarDir  string
 	maxBytes int64
 	inj      *faults.Injector
+	validate func(key string, raw []byte) error
 
-	mu       sync.Mutex
-	ns       map[Namespace]*diskNS
-	clock    int64 // logical access time, bumped per touch
-	ioErrors uint64
-}
-
-type diskNS struct {
-	pol       Policy
-	dir       string
+	mu        sync.Mutex
 	entries   map[string]*diskEntry
 	total     int64
+	clock     int64 // logical access time, bumped per touch
 	warmStart int
 	quarCount uint64
 	evicted   uint64
+	ioErrors  uint64
 }
 
 type diskEntry struct {
@@ -61,46 +57,29 @@ func OpenDisk(root string, maxBytes int64, inj *faults.Injector, cfg Config) (*D
 		maxBytes = DefaultMaxBytes
 	}
 	d := &Disk{
+		dir:      filepath.Join(root, fmt.Sprintf("schema-%d", cfg.Schema)),
 		quarDir:  filepath.Join(root, "quarantine"),
 		maxBytes: maxBytes,
 		inj:      inj,
-		ns:       make(map[Namespace]*diskNS, len(cfg)),
+		validate: cfg.Validate,
+		entries:  make(map[string]*diskEntry),
 	}
-	for ns, pol := range cfg {
-		sub := root
-		if pol.Subdir != "" {
-			sub = filepath.Join(root, pol.Subdir)
-		}
-		d.ns[ns] = &diskNS{
-			pol:     pol,
-			dir:     filepath.Join(sub, fmt.Sprintf("schema-%d", pol.Schema)),
-			entries: make(map[string]*diskEntry),
-		}
-	}
-	if err := os.MkdirAll(d.quarDir, 0o755); err != nil {
-		return nil, err
-	}
-	// The primary namespace directory (results) is created eagerly so the
-	// store root exists and is writable from the start; secondary
-	// namespaces are created on first Put.
-	if s, ok := d.ns[Results]; ok {
-		if err := os.MkdirAll(s.dir, 0o755); err != nil {
+	for _, dir := range []string{d.quarDir, d.dir} {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, err
 		}
 	}
-	for _, s := range d.ns {
-		d.scan(s)
-	}
+	d.scan()
 	return d, nil
 }
 
-// scan validates every resident artifact of one namespace at open,
-// in file-modification order so the seeded access clock preserves the
-// previous process's recency ordering for eviction purposes.
-func (d *Disk) scan(s *diskNS) {
-	names, err := os.ReadDir(s.dir)
+// scan validates every resident artifact at open, in file-modification
+// order so the seeded access clock preserves the previous process's
+// recency ordering for eviction purposes.
+func (d *Disk) scan() {
+	names, err := os.ReadDir(d.dir)
 	if err != nil {
-		return // no directory yet: first run, nothing to recover
+		return
 	}
 	type candidate struct {
 		name string
@@ -113,10 +92,10 @@ func (d *Disk) scan(s *diskNS) {
 		}
 		name := de.Name()
 		if strings.HasPrefix(name, TmpPrefix) {
-			os.Remove(filepath.Join(s.dir, name)) // crash debris
+			os.Remove(filepath.Join(d.dir, name)) // crash debris
 			continue
 		}
-		if !strings.HasSuffix(name, s.pol.Ext) {
+		if !strings.HasSuffix(name, ext) {
 			continue
 		}
 		info, err := de.Info()
@@ -127,47 +106,43 @@ func (d *Disk) scan(s *diskNS) {
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].mod < cands[j].mod })
 	for _, c := range cands {
-		key := strings.TrimSuffix(c.name, s.pol.Ext)
-		path := filepath.Join(s.dir, c.name)
+		key := strings.TrimSuffix(c.name, ext)
+		path := filepath.Join(d.dir, c.name)
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			d.ioErrors++
 			continue
 		}
-		if err := s.pol.Validate(key, raw); err != nil {
-			d.quarantineLocked(s, key, path)
+		if err := d.validate(key, raw); err != nil {
+			d.quarantineLocked(key, path)
 			continue
 		}
 		d.clock++
-		s.entries[key] = &diskEntry{size: int64(len(raw)), atime: d.clock}
-		s.total += int64(len(raw))
+		d.entries[key] = &diskEntry{size: int64(len(raw)), atime: d.clock}
+		d.total += int64(len(raw))
 	}
-	s.warmStart = len(s.entries)
-	d.evictLocked(s)
+	d.warmStart = len(d.entries)
+	d.evictLocked()
 }
 
-func (s *diskNS) path(key string) string { return filepath.Join(s.dir, key+s.pol.Ext) }
+func (d *Disk) path(key string) string { return filepath.Join(d.dir, key+ext) }
 
 // Get loads one artifact. A read failure is a transient miss; a validation
 // failure quarantines the file and misses. Either way the caller
 // re-simulates — the store never serves bytes it cannot vouch for.
 //
-// The read and the validation (for snapshots, a full snapshot.Verify) run
-// without d.mu, so Status and Put never wait behind them. The lock is taken
-// to look the entry up in the index and again to record the access or to
-// quarantine a file that failed validation, and only if the index still
-// holds the entry that was read. A Put that replaced it meanwhile stored a
-// good file, and that is never moved aside.
-func (d *Disk) Get(ns Namespace, key string) ([]byte, bool) {
+// The read and the validation run without d.mu, so Status and Put never
+// wait behind them. The lock is taken to look the entry up in the index
+// and again to record the access or to quarantine a file that failed
+// validation, and only if the index still holds the entry that was read. A
+// Put that replaced it meanwhile stored a good file, and that is never
+// moved aside.
+func (d *Disk) Get(key string) ([]byte, bool) {
 	if !SafeKey(key) {
 		return nil, false
 	}
-	s, ok := d.ns[ns] // fixed at open; read without the lock
-	if !ok {
-		return nil, false
-	}
 	d.mu.Lock()
-	e, ok := s.entries[key]
+	e, ok := d.entries[key]
 	if !ok {
 		d.mu.Unlock()
 		return nil, false
@@ -178,13 +153,13 @@ func (d *Disk) Get(ns Namespace, key string) ([]byte, bool) {
 		return nil, false
 	}
 	d.mu.Unlock()
-	path := s.path(key)
+	path := d.path(key)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		d.countIOError()
 		return nil, false
 	}
-	valid := s.pol.Validate(key, raw) == nil
+	valid := d.validate(key, raw) == nil
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if valid {
@@ -192,10 +167,10 @@ func (d *Disk) Get(ns Namespace, key string) ([]byte, bool) {
 		e.atime = d.clock
 		return raw, true
 	}
-	if s.entries[key] == e {
-		delete(s.entries, key)
-		s.total -= e.size
-		d.quarantineLocked(s, key, path)
+	if d.entries[key] == e {
+		delete(d.entries, key)
+		d.total -= e.size
+		d.quarantineLocked(key, path)
 	}
 	return nil, false
 }
@@ -206,30 +181,23 @@ func (d *Disk) Get(ns Namespace, key string) ([]byte, bool) {
 // Failures (real or injected) cost durability for this one artifact,
 // nothing else.
 //
-// Put-time validation, the temp-file write and its fsync run without d.mu,
-// so Get and Status (every /healthz and /metrics request) never wait behind
-// them. The existence re-check, the rename and the index update share one
-// critical section: a concurrent Get's quarantine cannot move a file that
-// was renamed in after the Get read it, and of two racing Puts of one key
-// only the first to reach the lock renames and counts it.
-func (d *Disk) Put(ns Namespace, key string, blob []byte) {
+// The temp-file write and its fsync run without d.mu, so Get and Status
+// (every /healthz and /metrics request) never wait behind them. The
+// existence re-check, the rename and the index update share one critical
+// section: a concurrent Get's quarantine cannot move a file that was
+// renamed in after the Get read it, and of two racing Puts of one key only
+// the first to reach the lock renames and counts it.
+func (d *Disk) Put(key string, blob []byte) {
 	if !SafeKey(key) {
 		return
 	}
-	s, ok := d.ns[ns] // fixed at open; read without the lock
-	if !ok {
-		return
-	}
-	if s.pol.ValidateOnPut && s.pol.Validate(key, blob) != nil {
-		return
-	}
 	d.mu.Lock()
-	_, present := s.entries[key]
+	_, present := d.entries[key]
 	d.mu.Unlock()
 	if present {
 		return
 	}
-	if err := os.MkdirAll(s.dir, 0o755); err != nil {
+	if err := os.MkdirAll(d.dir, 0o755); err != nil {
 		d.countIOError()
 		return
 	}
@@ -237,66 +205,75 @@ func (d *Disk) Put(ns Namespace, key string, blob []byte) {
 		d.countIOError()
 		return
 	}
-	if s.pol.TornWriteChaos && d.inj.TornWrite() {
-		d.putTorn(s, key, blob)
+	if d.inj.TornWrite() {
+		d.putTorn(key, blob)
 		return
 	}
-	tmp, err := os.CreateTemp(s.dir, TmpPrefix+key+"-*")
+	tmpName, err := writeTemp(d.dir, key, blob)
 	if err != nil {
 		d.countIOError()
 		return
 	}
-	tmpName := tmp.Name()
-	_, werr := tmp.Write(blob)
-	serr := tmp.Sync()
-	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		os.Remove(tmpName)
-		d.countIOError()
-		return
-	}
 	d.mu.Lock()
-	if _, ok := s.entries[key]; ok {
+	if _, ok := d.entries[key]; ok {
 		// A racing Put of the same key renamed first.
 		d.mu.Unlock()
 		os.Remove(tmpName)
 		return
 	}
-	if err := os.Rename(tmpName, s.path(key)); err != nil {
+	if err := os.Rename(tmpName, d.path(key)); err != nil {
 		d.ioErrors++
 		d.mu.Unlock()
 		os.Remove(tmpName)
 		return
 	}
-	d.indexLocked(s, key, int64(len(blob)))
+	d.indexLocked(key, int64(len(blob)))
 	d.mu.Unlock()
-	d.syncDir(s.dir)
+	d.syncDir()
+}
+
+// writeTemp writes blob to a new temp file in dir and syncs it, returning
+// the file's name; on failure it leaves no file behind. It is Put's slow
+// half, run without d.mu, and a variable so a test can park it there.
+var writeTemp = func(dir, key string, blob []byte) (string, error) {
+	tmp, err := os.CreateTemp(dir, TmpPrefix+key+"-*")
+	if err != nil {
+		return "", err
+	}
+	_, werr := tmp.Write(blob)
+	serr := tmp.Sync()
+	cerr := tmp.Close()
+	if err := errors.Join(werr, serr, cerr); err != nil {
+		os.Remove(tmp.Name())
+		return "", err
+	}
+	return tmp.Name(), nil
 }
 
 // putTorn is the torn-write chaos path: a prefix lands at the final path,
 // as if a crash beat the atomic-rename protocol. The entry is registered so
 // the next read exercises the quarantine path.
-func (d *Disk) putTorn(s *diskNS, key string, blob []byte) {
+func (d *Disk) putTorn(key string, blob []byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := s.entries[key]; ok {
+	if _, ok := d.entries[key]; ok {
 		return // a racing Put stored it first
 	}
 	torn := blob[:len(blob)/2]
-	if err := os.WriteFile(s.path(key), torn, 0o644); err != nil {
+	if err := os.WriteFile(d.path(key), torn, 0o644); err != nil {
 		d.ioErrors++
 		return
 	}
-	d.indexLocked(s, key, int64(len(torn)))
+	d.indexLocked(key, int64(len(torn)))
 }
 
 // indexLocked records a file just stored under key as the most recently
 // accessed entry and evicts past the byte cap. Requires d.mu.
-func (d *Disk) indexLocked(s *diskNS, key string, size int64) {
+func (d *Disk) indexLocked(key string, size int64) {
 	d.clock++
-	s.entries[key] = &diskEntry{size: size, atime: d.clock}
-	s.total += size
-	d.evictLocked(s)
+	d.entries[key] = &diskEntry{size: size, atime: d.clock}
+	d.total += size
+	d.evictLocked()
 }
 
 // countIOError counts one failed disk read or write.
@@ -309,8 +286,8 @@ func (d *Disk) countIOError() {
 // syncDir flushes the directory entry so the rename itself is durable.
 // Best-effort: a failure here narrows the crash window, it does not corrupt
 // anything (the artifact file is already synced).
-func (d *Disk) syncDir(dir string) {
-	if f, err := os.Open(dir); err == nil {
+func (d *Disk) syncDir() {
+	if f, err := os.Open(d.dir); err == nil {
 		f.Sync()
 		f.Close()
 	}
@@ -318,48 +295,43 @@ func (d *Disk) syncDir(dir string) {
 
 // quarantineLocked moves a distrusted file aside (removing it if the move
 // fails) and counts it. Requires d.mu (or open-time exclusivity).
-func (d *Disk) quarantineLocked(s *diskNS, key, path string) {
-	dst := filepath.Join(d.quarDir, key+s.pol.Ext)
-	if err := os.Rename(path, dst); err != nil {
+func (d *Disk) quarantineLocked(key, path string) {
+	if err := os.Rename(path, filepath.Join(d.quarDir, key+ext)); err != nil {
 		os.Remove(path)
 	}
-	s.quarCount++
+	d.quarCount++
 }
 
-// evictLocked enforces the byte cap on one namespace:
-// least-recently-accessed artifacts are deleted until the namespace fits.
-// Each namespace accounts separately against the same cap, so one kind can
-// never push another out. Requires d.mu.
-func (d *Disk) evictLocked(s *diskNS) {
-	for s.total > d.maxBytes && len(s.entries) > 0 {
+// evictLocked enforces the byte cap: least-recently-accessed artifacts are
+// deleted until the store fits. Requires d.mu.
+func (d *Disk) evictLocked() {
+	for d.total > d.maxBytes && len(d.entries) > 0 {
 		var coldKey string
 		var cold *diskEntry
-		for k, e := range s.entries {
+		for k, e := range d.entries {
 			if cold == nil || e.atime < cold.atime {
 				coldKey, cold = k, e
 			}
 		}
-		delete(s.entries, coldKey)
-		s.total -= cold.size
-		os.Remove(s.path(coldKey))
-		s.evicted++
+		delete(d.entries, coldKey)
+		d.total -= cold.size
+		os.Remove(d.path(coldKey))
+		d.evicted++
 	}
 }
 
 func (d *Disk) Status() Status {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	st := Status{Tier: "disk", IOErrors: d.ioErrors, NS: make(map[Namespace]NSStatus, len(d.ns))}
-	for ns, s := range d.ns {
-		st.NS[ns] = NSStatus{
-			DiskEntries: len(s.entries),
-			DiskBytes:   s.total,
-			WarmStart:   s.warmStart,
-			Quarantined: s.quarCount,
-			Evicted:     s.evicted,
-		}
+	return Status{
+		Tier:        "disk",
+		DiskEntries: len(d.entries),
+		DiskBytes:   d.total,
+		WarmStart:   d.warmStart,
+		Quarantined: d.quarCount,
+		IOErrors:    d.ioErrors,
+		Evicted:     d.evicted,
 	}
-	return st
 }
 
 // Close is a no-op: every put is already durable at rename time.

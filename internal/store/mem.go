@@ -5,24 +5,16 @@ import (
 	"sync"
 )
 
-// Mem is the in-memory tier: per-namespace least-recently-used maps under
-// the bounds the namespace asks for — an entry bound for results, a byte
-// bound for snapshots (full memory images, so an entry bound would let a
-// handful of large blobs dominate the heap).
-// Standing alone it is the everything-dies-with-the-process store tarserved
-// launches with; under a Tiered store it becomes the read cache in front of
-// the disk tier.
+// Mem is the in-memory tier: a least-recently-used map under an entry
+// bound. Standing alone it is the everything-dies-with-the-process store
+// tarserved launches with; under a Tiered store it becomes the read cache
+// in front of the disk tier.
 type Mem struct {
-	mu sync.Mutex
-	ns map[Namespace]*memNS
-}
+	max int
 
-type memNS struct {
-	pol     Policy
+	mu      sync.Mutex
 	order   *list.List // front = most recent; values are *memEntry
 	entries map[string]*list.Element
-	bytes   int64
-	evicted uint64
 }
 
 type memEntry struct {
@@ -30,77 +22,38 @@ type memEntry struct {
 	blob []byte
 }
 
-// NewMem builds the memory tier from the per-namespace policies.
+// NewMem builds the memory tier under cfg.MemEntries.
 func NewMem(cfg Config) *Mem {
-	m := &Mem{ns: make(map[Namespace]*memNS, len(cfg))}
-	for ns, pol := range cfg {
-		m.ns[ns] = &memNS{pol: pol, order: list.New(), entries: make(map[string]*list.Element)}
-	}
-	return m
-}
-
-func (m *Mem) space(ns Namespace) *memNS {
-	s, ok := m.ns[ns]
-	if !ok {
-		// Unconfigured namespace: retain nothing rather than grow unbounded.
-		return nil
-	}
-	return s
+	return &Mem{max: cfg.MemEntries, order: list.New(), entries: make(map[string]*list.Element)}
 }
 
 // Get returns the stored bytes, refreshing their recency.
-func (m *Mem) Get(ns Namespace, key string) ([]byte, bool) {
+func (m *Mem) Get(key string) ([]byte, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := m.space(ns)
-	if s == nil {
-		return nil, false
-	}
-	el, ok := s.entries[key]
+	el, ok := m.entries[key]
 	if !ok {
 		return nil, false
 	}
-	s.order.MoveToFront(el)
+	m.order.MoveToFront(el)
 	return el.Value.(*memEntry).blob, true
 }
 
-// Put inserts (or replaces) an entry, evicting past the namespace bounds.
-// A single blob larger than a byte bound is not retained at all.
-func (m *Mem) Put(ns Namespace, key string, blob []byte) {
+// Put inserts (or replaces) an entry, evicting the least recently used
+// past the bound.
+func (m *Mem) Put(key string, blob []byte) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := m.space(ns)
-	if s == nil {
+	if el, ok := m.entries[key]; ok {
+		el.Value.(*memEntry).blob = blob
+		m.order.MoveToFront(el)
 		return
 	}
-	if s.pol.MemBytes > 0 && int64(len(blob)) > s.pol.MemBytes {
-		return
-	}
-	if el, ok := s.entries[key]; ok {
-		e := el.Value.(*memEntry)
-		s.bytes += int64(len(blob)) - int64(len(e.blob))
-		e.blob = blob
-		s.order.MoveToFront(el)
-		s.evictLocked()
-		return
-	}
-	s.entries[key] = s.order.PushFront(&memEntry{key: key, blob: blob})
-	s.bytes += int64(len(blob))
-	s.evictLocked()
-}
-
-func (s *memNS) evictLocked() {
-	for (s.pol.MemEntries > 0 && s.order.Len() > s.pol.MemEntries) ||
-		(s.pol.MemBytes > 0 && s.bytes > s.pol.MemBytes) {
-		oldest := s.order.Back()
-		if oldest == nil {
-			return
-		}
-		e := oldest.Value.(*memEntry)
-		s.order.Remove(oldest)
-		delete(s.entries, e.key)
-		s.bytes -= int64(len(e.blob))
-		s.evicted++
+	m.entries[key] = m.order.PushFront(&memEntry{key: key, blob: blob})
+	for m.max > 0 && m.order.Len() > m.max {
+		oldest := m.order.Back()
+		m.order.Remove(oldest)
+		delete(m.entries, oldest.Value.(*memEntry).key)
 	}
 }
 
@@ -108,11 +61,7 @@ func (s *memNS) evictLocked() {
 func (m *Mem) Status() Status {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := Status{Tier: "mem", NS: make(map[Namespace]NSStatus, len(m.ns))}
-	for ns, s := range m.ns {
-		st.NS[ns] = NSStatus{MemEntries: s.order.Len(), MemBytes: s.bytes, MemEvicted: s.evicted}
-	}
-	return st
+	return Status{Tier: "mem", MemEntries: m.order.Len()}
 }
 
 // Close is a no-op: the memory tier has nothing to release.

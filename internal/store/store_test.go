@@ -14,32 +14,16 @@ import (
 	"repro/internal/faults"
 )
 
-// testConfig mirrors the serve layer's namespace shapes at byte level: an
-// entry-bounded "results" namespace with torn-write chaos, and a
-// byte-bounded "snapshots" namespace validated on put as well.
+// testConfig mirrors the serve layer's policy at byte level: schema 1,
+// validateBlob standing in for the serve layer's artifact decoder, and an
+// entry-bounded memory tier.
 func testConfig() Config {
-	return Config{
-		Results: {
-			Schema:         1,
-			Ext:            ".json",
-			Validate:       validateBlob,
-			TornWriteChaos: true,
-			MemEntries:     16,
-		},
-		Snapshots: {
-			Schema:        1,
-			Subdir:        "snapshots",
-			Ext:           ".snap",
-			Validate:      validateBlob,
-			ValidateOnPut: true,
-			MemBytes:      1 << 20,
-		},
-	}
+	return Config{Schema: 1, Validate: validateBlob, MemEntries: 16}
 }
 
 // blobFor builds a self-describing test artifact; validateBlob is the
-// matching per-namespace validator (the store-level stand-in for the serve
-// layer's decodeArtifact / snapshot.Verify hooks).
+// matching validator (the store-level stand-in for the serve layer's
+// decodeArtifact).
 func blobFor(key, fill string) []byte {
 	return []byte("blob:" + key + ":" + fill)
 }
@@ -69,22 +53,24 @@ func openTestDisk(t *testing.T, dir string, maxBytes int64, inj *faults.Injector
 func TestDiskStoreRoundTripAndWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	d := openTestDisk(t, dir, 0, nil)
-	d.Put(Results, "aaaa1111", blobFor("aaaa1111", "alpha"))
-	d.Put(Results, "bbbb2222", blobFor("bbbb2222", "beta"))
-	if n := d.Status().NS[Results].DiskEntries; n != 2 {
-		t.Fatalf("entries = %d, want 2", n)
+	d.Put("aaaa1111", blobFor("aaaa1111", "alpha"))
+	d.Put("bbbb2222", blobFor("bbbb2222", "beta"))
+	d.Put("../evil", blobFor("../evil", "x")) // an unsafe key never touches the disk
+	if st := d.Status(); st.DiskEntries != 2 || st.IOErrors != 0 {
+		t.Fatalf("status = %+v, want 2 entries and no I/O error", st)
 	}
-	if _, ok := d.Get(Results, "aaaa1111"); !ok {
+	if _, err := os.Stat(filepath.Join(dir, "evil.json")); !os.IsNotExist(err) {
+		t.Fatalf("a put under an unsafe key wrote outside the store: %v", err)
+	}
+	if _, ok := d.Get("aaaa1111"); !ok {
 		t.Fatal("get missed a just-put artifact")
 	}
 
 	d2 := openTestDisk(t, dir, 0, nil)
-	st := d2.Status()
-	r := st.NS[Results]
-	if r.WarmStart != 2 || r.DiskEntries != 2 || r.Quarantined != 0 {
+	if st := d2.Status(); st.WarmStart != 2 || st.DiskEntries != 2 || st.Quarantined != 0 {
 		t.Fatalf("warm-start status = %+v", st)
 	}
-	raw, ok := d2.Get(Results, "aaaa1111")
+	raw, ok := d2.Get("aaaa1111")
 	if !ok || !bytes.Equal(raw, blobFor("aaaa1111", "alpha")) {
 		t.Fatalf("warm-started get = %q ok=%v", raw, ok)
 	}
@@ -97,40 +83,22 @@ func TestDiskStoreEviction(t *testing.T) {
 	d := openTestDisk(t, t.TempDir(), 3*one+one/2, nil)
 	for i := 0; i < 3; i++ {
 		key := fmt.Sprintf("key%d", i)
-		d.Put(Results, key, blobFor(key, "xxxx"))
+		d.Put(key, blobFor(key, "xxxx"))
 	}
-	d.Get(Results, "key0") // refresh: key1 becomes the coldest
-	d.Put(Results, "key3", blobFor("key3", "xxxx"))
-	r := d.Status().NS[Results]
+	d.Get("key0") // refresh: key1 becomes the coldest
+	d.Put("key3", blobFor("key3", "xxxx"))
+	r := d.Status()
 	if r.Evicted != 1 || r.DiskEntries != 3 {
 		t.Fatalf("eviction status = %+v", r)
 	}
-	if _, ok := d.Get(Results, "key1"); ok {
+	if _, ok := d.Get("key1"); ok {
 		t.Fatal("coldest entry survived the cap")
 	}
-	if _, ok := d.Get(Results, "key0"); !ok {
+	if _, ok := d.Get("key0"); !ok {
 		t.Fatal("recently-accessed entry was evicted")
 	}
-	if _, err := os.Stat(d.ns[Results].path("key1")); !os.IsNotExist(err) {
+	if _, err := os.Stat(d.path("key1")); !os.IsNotExist(err) {
 		t.Fatalf("evicted artifact still on disk: %v", err)
-	}
-}
-
-// TestDiskStoreNamespaceIsolation: the same key in different namespaces
-// holds different bytes, and eviction pressure in one namespace cannot
-// touch another (separate byte accounting against the shared cap).
-func TestDiskStoreNamespaceIsolation(t *testing.T) {
-	d := openTestDisk(t, t.TempDir(), 0, nil)
-	d.Put(Results, "cafe0123", blobFor("cafe0123", "result"))
-	d.Put(Snapshots, "cafe0123", blobFor("cafe0123", "snapshot"))
-	r, _ := d.Get(Results, "cafe0123")
-	s, _ := d.Get(Snapshots, "cafe0123")
-	if bytes.Equal(r, s) {
-		t.Fatal("namespaces are not isolated")
-	}
-	st := d.Status()
-	if st.NS[Results].DiskEntries != 1 || st.NS[Snapshots].DiskEntries != 1 {
-		t.Fatalf("entries: results=%d snapshots=%d", st.NS[Results].DiskEntries, st.NS[Snapshots].DiskEntries)
 	}
 }
 
@@ -141,9 +109,9 @@ func TestDiskStoreNamespaceIsolation(t *testing.T) {
 func TestDiskStoreCorruptionQuarantine(t *testing.T) {
 	dir := t.TempDir()
 	d := openTestDisk(t, dir, 0, nil)
-	d.Put(Results, "good0000", blobFor("good0000", "fine"))
-	d.Put(Results, "good1111", blobFor("good1111", "fine"))
-	resDir := d.ns[Results].dir
+	d.Put("good0000", blobFor("good0000", "fine"))
+	d.Put("good1111", blobFor("good1111", "fine"))
+	resDir := d.dir
 	bad := map[string][]byte{
 		"bad_keyskew":  blobFor("otherkey", "fine"), // valid bytes, wrong address
 		"bad_garbage":  []byte("\x00\xffnot a blob"),
@@ -161,16 +129,16 @@ func TestDiskStoreCorruptionQuarantine(t *testing.T) {
 	}
 
 	d2 := openTestDisk(t, dir, 0, nil)
-	r := d2.Status().NS[Results]
+	r := d2.Status()
 	if r.Quarantined != uint64(len(bad)) || r.WarmStart != 2 || r.DiskEntries != 2 {
 		t.Fatalf("status after corrupt open = %+v, want %d quarantined / 2 warm", r, len(bad))
 	}
 	for key := range bad {
-		if _, ok := d2.Get(Results, key); ok {
+		if _, ok := d2.Get(key); ok {
 			t.Fatalf("corrupt artifact %q was served", key)
 		}
 	}
-	if _, ok := d2.Get(Results, "good0000"); !ok {
+	if _, ok := d2.Get("good0000"); !ok {
 		t.Fatal("valid artifact lost in the corrupt sweep")
 	}
 	if names, _ := os.ReadDir(filepath.Join(dir, "quarantine")); len(names) != len(bad) {
@@ -184,51 +152,11 @@ func TestDiskStoreCorruptionQuarantine(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(resDir, "good1111.json"), []byte("blo"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := d2.Get(Results, "good1111"); ok {
+	if _, ok := d2.Get("good1111"); ok {
 		t.Fatal("post-open corruption was served")
 	}
-	if got := d2.Status().NS[Results].Quarantined; got != uint64(len(bad))+1 {
+	if got := d2.Status().Quarantined; got != uint64(len(bad))+1 {
 		t.Fatalf("read-time quarantine not counted: %d", got)
-	}
-}
-
-// TestDiskStoreValidateOnPut: a namespace with put-time validation refuses
-// bytes it would later quarantine, and unsafe keys never touch the disk.
-func TestDiskStoreValidateOnPut(t *testing.T) {
-	d := openTestDisk(t, t.TempDir(), 0, nil)
-	d.Put(Snapshots, "badblob0", []byte("not a valid blob"))
-	d.Put(Snapshots, "../evil", blobFor("../evil", "x"))
-	if n := d.Status().NS[Snapshots].DiskEntries; n != 0 {
-		t.Fatalf("invalid put was persisted: %d entries", n)
-	}
-}
-
-// TestDiskSnapshotNamespaceEviction: the snapshot-style namespace evicts
-// least-recently-accessed entries against the byte cap without touching
-// the results namespace.
-func TestDiskSnapshotNamespaceEviction(t *testing.T) {
-	pad := make([]byte, 60)
-	for i := range pad {
-		pad[i] = 'a'
-	}
-	one := int64(len(blobFor("snapa000", string(pad))))
-	d := openTestDisk(t, t.TempDir(), 2*one+one/2, nil)
-	d.Put(Results, "keepme00", blobFor("keepme00", "small"))
-	for _, key := range []string{"snapa000", "snapb000", "snapc000"} {
-		d.Put(Snapshots, key, blobFor(key, string(pad)))
-	}
-	s := d.Status().NS[Snapshots]
-	if s.Evicted == 0 {
-		t.Fatalf("byte cap did not evict: %+v", s)
-	}
-	if s.DiskBytes > 2*one+one/2 {
-		t.Errorf("snapshot bytes %d exceed the cap", s.DiskBytes)
-	}
-	if _, ok := d.Get(Snapshots, "snapa000"); ok {
-		t.Error("coldest snapshot survived eviction")
-	}
-	if _, ok := d.Get(Results, "keepme00"); !ok {
-		t.Error("snapshot pressure evicted a result")
 	}
 }
 
@@ -250,19 +178,19 @@ func TestTieredStoreSingleFlight(t *testing.T) {
 			defer wg.Done()
 			for n := 0; n < 50; n++ {
 				if i%2 == 0 {
-					ts.Put(Results, key, blob)
-				} else if got, ok := ts.Get(Results, key); ok && !bytes.Equal(got, blob) {
+					ts.Put(key, blob)
+				} else if got, ok := ts.Get(key); ok && !bytes.Equal(got, blob) {
 					t.Errorf("torn read: %q", got)
 				}
 			}
 		}(i)
 	}
 	wg.Wait()
-	got, ok := ts.Get(Results, key)
+	got, ok := ts.Get(key)
 	if !ok || !bytes.Equal(got, blob) {
 		t.Fatalf("artifact lost after concurrent traffic: %q ok=%v", got, ok)
 	}
-	if n := disk.Status().NS[Results].DiskEntries; n != 1 {
+	if n := disk.Status().DiskEntries; n != 1 {
 		t.Fatalf("disk tier holds %d entries, want exactly 1", n)
 	}
 	if st := ts.Status(); st.Tier != "mem+disk" || st.IOErrors != 0 {
@@ -281,8 +209,8 @@ func TestChaosDiskStore(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		key := fmt.Sprintf("chaos%02d", i)
 		blob := blobFor(key, "payload")
-		d.Put(Results, key, blob)
-		raw, ok := d.Get(Results, key)
+		d.Put(key, blob)
+		raw, ok := d.Get(key)
 		if !ok {
 			missed++
 			continue
@@ -296,7 +224,7 @@ func TestChaosDiskStore(t *testing.T) {
 	if r.IOErrors == 0 {
 		t.Fatalf("chaos campaign injected no I/O errors: %+v (served=%d missed=%d)", r, served, missed)
 	}
-	if r.NS[Results].Quarantined == 0 {
+	if r.Quarantined == 0 {
 		t.Fatalf("no torn write reached the quarantine path: %+v", r)
 	}
 	if served == 0 {
@@ -304,102 +232,56 @@ func TestChaosDiskStore(t *testing.T) {
 	}
 }
 
-// ---- memory tier policies ----
+// ---- memory tier ----
 
-// TestMemEntryBound: entry-bounded namespaces evict the least recently used
-// entry past the bound, and Get refreshes recency.
+// TestMemEntryBound: the memory tier evicts the least recently used entry
+// past its bound, and Get refreshes recency.
 func TestMemEntryBound(t *testing.T) {
-	m := NewMem(Config{Results: {MemEntries: 2}})
-	m.Put(Results, "a", []byte("1"))
-	m.Put(Results, "b", []byte("2"))
-	m.Get(Results, "a") // refresh: b becomes coldest
-	m.Put(Results, "c", []byte("3"))
-	if _, ok := m.Get(Results, "b"); ok {
+	m := NewMem(Config{MemEntries: 2})
+	m.Put("a", []byte("1"))
+	m.Put("b", []byte("2"))
+	m.Get("a") // refresh: b becomes coldest
+	m.Put("c", []byte("3"))
+	if _, ok := m.Get("b"); ok {
 		t.Fatal("b survived past the bound")
 	}
-	if _, ok := m.Get(Results, "a"); !ok {
+	if _, ok := m.Get("a"); !ok {
 		t.Fatal("recently-used a was evicted")
 	}
-	if n := m.Status().NS[Results].MemEntries; n != 2 {
+	if n := m.Status().MemEntries; n != 2 {
 		t.Fatalf("entries = %d, want 2", n)
 	}
 }
 
-// TestMemByteBound: byte-bounded namespaces evict the least recently used
-// entry past the cap, and a single blob larger than the cap is not retained
-// at all.
-func TestMemByteBound(t *testing.T) {
-	m := NewMem(Config{Snapshots: {MemBytes: 10}})
-	m.Put(Snapshots, "big", make([]byte, 11))
-	if _, ok := m.Get(Snapshots, "big"); ok {
-		t.Fatal("oversized blob was retained")
-	}
-	m.Put(Snapshots, "a", make([]byte, 4))
-	m.Put(Snapshots, "b", make([]byte, 4))
-	m.Put(Snapshots, "c", make([]byte, 4))
-	if _, ok := m.Get(Snapshots, "a"); ok {
-		t.Fatal("byte cap did not evict the oldest")
-	}
-	st := m.Status().NS[Snapshots]
-	if st.MemBytes > 10 || st.MemEvicted == 0 {
-		t.Fatalf("byte-bound status = %+v", st)
-	}
-	// Replacing a resident key adjusts bytes instead of double-counting.
-	m.Put(Snapshots, "b", make([]byte, 6))
-	if st := m.Status().NS[Snapshots]; st.MemBytes > 10 {
-		t.Fatalf("replace double-counted bytes: %+v", st)
-	}
-}
-
-// TestMemUnconfiguredNamespace: an unconfigured namespace retains nothing
-// rather than growing unbounded.
-func TestMemUnconfiguredNamespace(t *testing.T) {
-	m := NewMem(Config{Results: {MemEntries: 2}})
-	m.Put(Snapshots, "a", []byte("1"))
-	if _, ok := m.Get(Snapshots, "a"); ok {
-		t.Fatal("unconfigured namespace retained data")
-	}
-	if n := m.Status().NS[Snapshots].MemEntries; n != 0 {
-		t.Fatal("unconfigured namespace has entries")
-	}
-}
-
-// TestDiskStorePutDoesNotBlockStatus: a put whose validation, write or
-// fsync is slow must not stall the health and metrics paths. A namespace
-// whose Validate parks one key's put leaves Status() and a Get of another
-// key answering; once released, the parked put lands.
+// TestDiskStorePutDoesNotBlockStatus: a put whose write or fsync is slow
+// must not stall the health and metrics paths. While one key's put is
+// parked in its temp-file write, Status() and a Get of another key answer;
+// once released, the parked put lands.
 func TestDiskStorePutDoesNotBlockStatus(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	var park sync.Once // the put's validation parks; later reads do not
-	cfg := testConfig()
-	pol := cfg[Snapshots]
-	pol.Validate = func(key string, raw []byte) error {
+	write := writeTemp
+	t.Cleanup(func() { writeTemp = write })
+	writeTemp = func(dir, key string, blob []byte) (string, error) {
 		if key == "parked00" {
-			park.Do(func() {
-				close(entered)
-				<-release
-			})
+			close(entered)
+			<-release
 		}
-		return validateBlob(key, raw)
+		return write(dir, key, blob)
 	}
-	cfg[Snapshots] = pol
-	d, err := OpenDisk(t.TempDir(), 0, faults.New(nil), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Put(Results, "other000", blobFor("other000", "x"))
+	d := openTestDisk(t, t.TempDir(), 0, nil)
+	d.Put("other000", blobFor("other000", "x"))
 
 	putDone := make(chan struct{})
 	go func() {
 		defer close(putDone)
-		d.Put(Snapshots, "parked00", blobFor("parked00", "x"))
+		d.Put("parked00", blobFor("parked00", "x"))
 	}()
 	<-entered
 	answered := make(chan bool)
 	go func() {
 		d.Status()
-		_, ok := d.Get(Results, "other000")
+		_, ok := d.Get("other000")
 		answered <- ok
 	}()
 	select {
@@ -412,7 +294,7 @@ func TestDiskStorePutDoesNotBlockStatus(t *testing.T) {
 	}
 	close(release)
 	<-putDone
-	if _, ok := d.Get(Snapshots, "parked00"); !ok {
+	if _, ok := d.Get("parked00"); !ok {
 		t.Error("the parked put was not persisted once released")
 	}
 }
@@ -429,21 +311,21 @@ func TestDiskStoreRacingPutsCountOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			d.Put(Snapshots, key, blob)
+			d.Put(key, blob)
 		}()
 	}
 	wg.Wait()
-	st := d.Status().NS[Snapshots]
+	st := d.Status()
 	if st.DiskEntries != 1 || st.DiskBytes != int64(len(blob)) {
 		t.Errorf("8 racing puts of one key: %d entries, %d bytes; want 1 entry of %d bytes",
 			st.DiskEntries, st.DiskBytes, len(blob))
 	}
-	names, err := os.ReadDir(filepath.Join(dir, "snapshots", "schema-1"))
+	names, err := os.ReadDir(filepath.Join(dir, "schema-1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 1 || names[0].Name() != key+".snap" {
-		t.Errorf("namespace directory holds %d files, want only %s.snap", len(names), key)
+	if len(names) != 1 || names[0].Name() != key+".json" {
+		t.Errorf("schema directory holds %d files, want only %s.json", len(names), key)
 	}
 }
 
@@ -465,33 +347,31 @@ func parkingValidate(key string, arm, entered, release chan struct{}) func(strin
 	}
 }
 
-// TestDiskStoreGetDoesNotBlockStatus: a read whose validation is slow (a
-// snapshot read verifies the whole blob) must not stall the health and
-// metrics paths. While a Get parks in Validate, Status() and a Put of
-// another key answer; once released, the parked Get is served.
+// TestDiskStoreGetDoesNotBlockStatus: a read whose validation is slow
+// must not stall the health and metrics paths. While a Get parks in
+// Validate, Status() and a Put of another key answer; once released, the
+// parked Get is served.
 func TestDiskStoreGetDoesNotBlockStatus(t *testing.T) {
 	arm, entered, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	cfg := testConfig()
-	pol := cfg[Snapshots]
-	pol.Validate = parkingValidate("parked00", arm, entered, release)
-	cfg[Snapshots] = pol
+	cfg.Validate = parkingValidate("parked00", arm, entered, release)
 	d, err := OpenDisk(t.TempDir(), 0, faults.New(nil), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Put(Snapshots, "parked00", blobFor("parked00", "x"))
+	d.Put("parked00", blobFor("parked00", "x"))
 	close(arm)
 
 	got := make(chan bool)
 	go func() {
-		_, ok := d.Get(Snapshots, "parked00")
+		_, ok := d.Get("parked00")
 		got <- ok
 	}()
 	<-entered
 	answered := make(chan struct{})
 	go func() {
 		d.Status()
-		d.Put(Results, "other000", blobFor("other000", "x"))
+		d.Put("other000", blobFor("other000", "x"))
 		close(answered)
 	}()
 	select {
@@ -504,7 +384,7 @@ func TestDiskStoreGetDoesNotBlockStatus(t *testing.T) {
 		t.Error("the parked Get missed once released")
 	}
 	<-answered
-	if _, ok := d.Get(Results, "other000"); !ok {
+	if _, ok := d.Get("other000"); !ok {
 		t.Error("the Put made while a Get was parked was not persisted")
 	}
 }
@@ -517,17 +397,15 @@ func TestDiskStoreGetDoesNotBlockStatus(t *testing.T) {
 func TestDiskStoreGetSparesRacingPut(t *testing.T) {
 	arm, entered, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	cfg := testConfig()
-	pol := cfg[Results]
-	pol.Validate = parkingValidate("rot00000", arm, entered, release)
-	cfg[Results] = pol
+	cfg.Validate = parkingValidate("rot00000", arm, entered, release)
 	dir := t.TempDir()
 	d, err := OpenDisk(dir, 0, faults.New(nil), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const key = "rot00000"
-	d.Put(Results, key, blobFor(key, "x"))
-	path := d.ns[Results].path(key)
+	d.Put(key, blobFor(key, "x"))
+	path := d.path(key)
 	if err := os.WriteFile(path, []byte("rotten"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -535,24 +413,24 @@ func TestDiskStoreGetSparesRacingPut(t *testing.T) {
 
 	first := make(chan bool)
 	go func() {
-		_, ok := d.Get(Results, key)
+		_, ok := d.Get(key)
 		first <- ok
 	}()
 	<-entered
-	if _, ok := d.Get(Results, key); ok {
+	if _, ok := d.Get(key); ok {
 		t.Fatal("a rotten file was served")
 	}
 	good := blobFor(key, "good")
-	d.Put(Results, key, good)
+	d.Put(key, good)
 	close(release)
 	if <-first {
 		t.Error("the parked Get served the rotten bytes it read")
 	}
-	raw, ok := d.Get(Results, key)
+	raw, ok := d.Get(key)
 	if !ok || !bytes.Equal(raw, good) {
 		t.Fatalf("after the race Get = %q, %v; want the good blob the racing Put stored", raw, ok)
 	}
-	if q := d.Status().NS[Results].Quarantined; q != 1 {
+	if q := d.Status().Quarantined; q != 1 {
 		t.Errorf("%d files quarantined, want the one rotten file", q)
 	}
 }

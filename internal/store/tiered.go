@@ -3,6 +3,7 @@ package store
 import (
 	"hash/fnv"
 	"sync"
+	"sync/atomic"
 )
 
 // Tiered layers the memory tier over the disk tier:
@@ -20,13 +21,12 @@ type Tiered struct {
 	// memory fast path.
 	shards [64]sync.Mutex
 
-	mu       sync.Mutex
-	warmHits map[Namespace]uint64
+	warmHits atomic.Uint64
 }
 
 // NewTiered composes the memory tier over the disk tier.
 func NewTiered(mem *Mem, disk *Disk) *Tiered {
-	return &Tiered{mem: mem, disk: disk, warmHits: make(map[Namespace]uint64)}
+	return &Tiered{mem: mem, disk: disk}
 }
 
 func (t *Tiered) shard(key string) *sync.Mutex {
@@ -35,8 +35,8 @@ func (t *Tiered) shard(key string) *sync.Mutex {
 	return &t.shards[h.Sum32()%uint32(len(t.shards))]
 }
 
-func (t *Tiered) Get(ns Namespace, key string) ([]byte, bool) {
-	if blob, ok := t.mem.Get(ns, key); ok {
+func (t *Tiered) Get(key string) ([]byte, bool) {
+	if blob, ok := t.mem.Get(key); ok {
 		return blob, true
 	}
 	lock := t.shard(key)
@@ -45,42 +45,31 @@ func (t *Tiered) Get(ns Namespace, key string) ([]byte, bool) {
 	// Re-check under the key lock: a Put may have landed between the fast
 	// path and here, and its (identical, content-addressed) bytes must not
 	// be raced by a stale disk load.
-	if blob, ok := t.mem.Get(ns, key); ok {
+	if blob, ok := t.mem.Get(key); ok {
 		return blob, true
 	}
-	blob, ok := t.disk.Get(ns, key)
+	blob, ok := t.disk.Get(key)
 	if !ok {
 		return nil, false
 	}
-	t.mem.Put(ns, key, blob)
-	t.mu.Lock()
-	t.warmHits[ns]++
-	t.mu.Unlock()
+	t.mem.Put(key, blob)
+	t.warmHits.Add(1)
 	return blob, true
 }
 
-func (t *Tiered) Put(ns Namespace, key string, blob []byte) {
+func (t *Tiered) Put(key string, blob []byte) {
 	lock := t.shard(key)
 	lock.Lock()
 	defer lock.Unlock()
-	t.mem.Put(ns, key, blob)
-	t.disk.Put(ns, key, blob)
+	t.mem.Put(key, blob)
+	t.disk.Put(key, blob)
 }
 
 func (t *Tiered) Status() Status {
 	st := t.disk.Status()
 	st.Tier = "mem+" + st.Tier
-	mem := t.mem.Status()
-	t.mu.Lock()
-	for ns, s := range st.NS {
-		ms := mem.NS[ns]
-		s.MemEntries = ms.MemEntries
-		s.MemBytes = ms.MemBytes
-		s.MemEvicted = ms.MemEvicted
-		s.WarmHits = t.warmHits[ns]
-		st.NS[ns] = s
-	}
-	t.mu.Unlock()
+	st.MemEntries = t.mem.Status().MemEntries
+	st.WarmHits = t.warmHits.Load()
 	return st
 }
 

@@ -55,12 +55,13 @@ func (b *Benchmark) Run(cfg *sim.Config, s Scale) (*Result, error) {
 	return b.RunOpt(cfg, s, RunOpts{})
 }
 
-// RunOpts carries the optional warm-up snapshot hooks of one execution.
+// RunOpts carries the optional warm-up snapshot hooks of one execution:
+// tarsim's -ckpt-at captures the post-Setup state and -resume restores it.
 type RunOpts struct {
 	// WarmupSnapshot, when non-nil, restores the post-Setup chip state
 	// from the blob instead of simulating the warm-up phase. It must have
-	// been captured for the same benchmark, scale and warm-up key
-	// (confhash.WarmupKey); only meaningful for benchmarks with a Setup.
+	// been captured for the same benchmark, scale and configuration; only
+	// meaningful for benchmarks with a Setup.
 	WarmupSnapshot []byte
 	// OnWarmupSnapshot, when non-nil, receives the chip state captured at
 	// the post-Setup boundary. Ignored when WarmupSnapshot skipped the

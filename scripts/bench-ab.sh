@@ -58,7 +58,9 @@ if ! git diff --quiet "$base" -- tarbench BENCHMARK.json; then
 	exit 0
 fi
 head=$(git rev-parse --short=12 HEAD)
-git diff --quiet HEAD || head+=-dirty
+# The report rows this script appends under results/ do not make a checkout
+# dirty; any other difference from HEAD does.
+git diff --quiet HEAD -- . ':(exclude)results' || head+=-dirty
 
 build=$root/.bench_build
 wt=$build/ab-base
